@@ -2,28 +2,27 @@
 
 The field is sampled on hybrid time grids and midpoint space grids,
 refined by golden-section passes around each grid argmax, and reduced
-to log-log slopes against the predicted exponents.  Separable profiles
-evaluate as outer products of per-axis vector integrals; radial ones
-through their one-dimensional oscillatory transforms.
+to log-log slopes against the predicted exponents.  Field values come
+from the direct engine in the propagator module: on the space grid,
+separable profiles as outer products of per-axis moduli and radial
+ones on their distinct radii, both through one supremum loop.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
-from .profiles import (
-    AnnulusBump,
-    Modulated,
-    SpectrumDescriptor,
-    l2_norm,
-    radial_profile,
+from .profiles import AnnulusBump, Modulated, SpectrumDescriptor, l2_norm
+from .propagator import (
+    _DECAY_CUTOFF,
+    TWO_PI,
+    _axis_values,
+    _decay,
+    _field_points,
+    _radial_values,
 )
-from .quadrature import MAX_NODES, QuadratureError, panel_nodes, panels_for_rate
 
-TWO_PI = 2.0 * math.pi
-_DECAY_CUTOFF = 46.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -101,133 +100,6 @@ class SpaceGrid:
 
 
 # ---------------------------------------------------------------------------
-# batched field evaluation
-
-
-def _bucket_indices(t: np.ndarray) -> list[np.ndarray]:
-    """Group sample indices by the octave of t (t = 0 in its own group)."""
-    out = []
-    zero = np.nonzero(t == 0.0)[0]
-    if zero.size:
-        out.append(zero)
-    live = np.nonzero(t > 0.0)[0]
-    if live.size:
-        octv = np.floor(np.log2(t[live])).astype(int)
-        for o in np.unique(octv):
-            out.append(live[octv == o])
-    return out
-
-
-def _batch_cell_integral(factor_fn, xv: np.ndarray, tv: np.ndarray,
-                         decay: np.ndarray, lo: float, hi: float,
-                         rate: float, rtol: float) -> np.ndarray:
-    """Integrals of factor(xi) e^{i(x xi + t xi^2) - decay xi^2} over [lo, hi]."""
-    panels = panels_for_rate(lo, hi, rate)
-    prev = None
-    while panels * 32 <= MAX_NODES:
-        xi, w = panel_nodes(lo, hi, panels)
-        phase = xv[:, None] * xi[None, :] + tv[:, None] * (xi * xi)[None, :]
-        damp = decay[:, None] * (xi * xi)[None, :]
-        vals = (factor_fn(xi)[None, :] * np.exp(1j * phase - damp)) @ w
-        if prev is not None:
-            scale = max(float(np.max(np.abs(vals))), 1e-300)
-            if float(np.max(np.abs(vals - prev))) <= rtol * scale:
-                return vals
-        prev = vals
-        panels *= 2
-    raise QuadratureError(f"axis integral on [{lo:g}, {hi:g}] did not stabilize")
-
-
-def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
-                 tv: np.ndarray, gamma: float, rtol: float) -> np.ndarray:
-    """Per-axis factor integrals at paired (x_axis, t) samples."""
-    out = np.zeros(xv.size, dtype=complex)
-    decay_full = np.where(tv > 0.0, tv, 1.0) ** gamma * (tv > 0.0)
-    cells = f.axis_cells()[axis]
-    chunk_cap = 1 << 22
-    for rows in _bucket_indices(tv):
-        d_min = float(np.min(decay_full[rows]))
-        t_hi = float(np.max(tv[rows]))
-        x_hi = float(np.max(np.abs(xv[rows])))
-        for lo, hi in cells:
-            if d_min > 0.0:
-                reach = math.sqrt(_DECAY_CUTOFF / d_min)
-                lo_c, hi_c = max(lo, -reach), min(hi, reach)
-            else:
-                lo_c, hi_c = lo, hi
-            if hi_c <= lo_c:
-                continue
-            rate = x_hi + 2.0 * t_hi * max(abs(lo_c), abs(hi_c))
-            est_nodes = panels_for_rate(lo_c, hi_c, rate) * 32
-            step = max(1, chunk_cap // max(est_nodes, 1))
-            for at in range(0, rows.size, step):
-                sub = rows[at:at + step]
-                out[sub] += _batch_cell_integral(
-                    lambda xi, _a=axis: np.asarray(f.axis_factor(_a, xi)),
-                    xv[sub], tv[sub], decay_full[sub], lo_c, hi_c, rate, rtol)
-    return out
-
-
-def _radial_values(f: AnnulusBump, radii: np.ndarray, tv: np.ndarray,
-                   gamma: float, rtol: float) -> np.ndarray:
-    """|x|-dependent field values at paired (|x|, t) samples."""
-    d = f.dim
-    lo, hi = f.support_radii()
-    out = np.zeros(radii.size, dtype=complex)
-    decay_full = np.where(tv > 0.0, tv, 1.0) ** gamma * (tv > 0.0)
-    nu = d / 2.0 - 1.0
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    for rows in _bucket_indices(tv):
-        d_min = float(np.min(decay_full[rows]))
-        hi_c = min(hi, math.sqrt(_DECAY_CUTOFF / d_min)) if d_min > 0.0 else hi
-        if hi_c <= lo:
-            continue
-        t_hi = float(np.max(tv[rows]))
-        x_hi = float(np.max(radii[rows]))
-        rate = x_hi + 2.0 * t_hi * hi_c
-        panels = panels_for_rate(lo, hi_c, rate)
-        prev = None
-        while panels * 32 <= MAX_NODES:
-            rho, w = panel_nodes(lo, hi_c, panels)
-            prof = radial_profile(f.profile, rho / f.R)
-            lead = (1j * tv[rows, None] - decay_full[rows, None]) * (rho * rho)[None, :]
-            rx = radii[rows, None] * rho[None, :]
-            small = radii[rows] < 1e-300
-            kern = np.where(
-                small[:, None],
-                area * (rho ** (d - 1))[None, :],
-                TWO_PI ** (d / 2.0)
-                * np.where(small, 1.0, radii[rows])[:, None] ** (1.0 - d / 2.0)
-                * jv(nu, rx) * (rho ** (d / 2.0))[None, :])
-            vals = (prof[None, :] * np.exp(lead) * kern) @ w * TWO_PI ** -d
-            if prev is not None:
-                scale = max(float(np.max(np.abs(vals))), 1e-300)
-                if float(np.max(np.abs(vals - prev))) <= rtol * scale:
-                    break
-            prev = vals
-            panels *= 2
-        else:
-            raise QuadratureError("radial integral did not stabilize")
-        out[rows] = vals
-    return out
-
-
-def _field_points(f: SpectrumDescriptor, gamma: float, x: np.ndarray,
-                  t: np.ndarray, rtol: float) -> np.ndarray:
-    """Field values at paired samples: x is (n, d), t is (n,)."""
-    if isinstance(f, Modulated):
-        return _field_points(f.base, gamma, x + f.shift[None, :], t, rtol)
-    if isinstance(f, AnnulusBump):
-        return _radial_values(f, np.linalg.norm(x, axis=1), t, gamma, rtol)
-    if f.axis_cells() is None:
-        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    out = np.full(x.shape[0], TWO_PI ** -f.dim, dtype=complex)
-    for axis in range(f.dim):
-        out *= _axis_values(f, axis, x[:, axis], t, gamma, rtol)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # suprema
 
 
@@ -255,6 +127,14 @@ def _golden_refine(eval_fn, a: np.ndarray, b: np.ndarray, iters: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
+def _refine_bracket(field_fn, ts: np.ndarray, sup: np.ndarray, arg: np.ndarray,
+                    iters: int) -> np.ndarray:
+    """Golden-polish each sample between the grid neighbours of its argmax time."""
+    a = ts[np.maximum(arg - 1, 0)]
+    b = ts[np.minimum(arg + 1, ts.size - 1)]
+    return np.maximum(sup, _golden_refine(field_fn, a, b, iters))
+
+
 def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
                   rtol: float = 1e-8, golden_iters: int = 30) -> float:
     """Grid maximum of the evolved field modulus, golden-refined in time."""
@@ -264,18 +144,17 @@ def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
     if xv.shape[1] != f.dim:
         raise ValueError("x dimension mismatch")
     ts = np.asarray(tg.points, dtype=float)
-    vals = np.abs(_field_points(f, gamma, np.repeat(xv, ts.size, axis=0), ts, rtol))
-    best = int(np.argmax(vals))
+
+    def field_fn(tq):
+        return np.abs(_field_points(f, xv.repeat(tq.size, axis=0), tq,
+                                    _decay(tq, gamma), rtol))
+
+    vals = field_fn(ts)
     if ts.size == 1:
         return float(vals[0])
-    a = ts[max(best - 1, 0)]
-    b = ts[min(best + 1, ts.size - 1)]
-
-    def eval_fn(tq):
-        return np.abs(_field_points(f, gamma, xv.repeat(tq.size, axis=0), tq, rtol))
-
-    refined = _golden_refine(eval_fn, np.array([a]), np.array([b]), golden_iters)
-    return float(max(vals[best], refined[0]))
+    best = int(np.argmax(vals))
+    return float(_refine_bracket(field_fn, ts, vals[[best]], np.array([best]),
+                                 golden_iters)[0])
 
 
 def l2_ball_norm(values, grid: SpaceGrid) -> float:
@@ -293,39 +172,6 @@ def l2_ball_norm(values, grid: SpaceGrid) -> float:
     return math.sqrt(total)
 
 
-def _sup_field_separable(f, gamma, tg, sg, rtol, golden_iters):
-    pts = sg.axis_points()
-    d = f.dim
-    sup = np.zeros((sg.per_axis,) * d)
-    arg = np.zeros((sg.per_axis,) * d, dtype=np.int64)
-    const = TWO_PI ** -d
-    lo_support = f.support_radii()[0]
-    for k, t in enumerate(tg.points):
-        decay = t ** gamma if t > 0.0 else 0.0
-        if decay > 0.0 and _DECAY_CUTOFF / decay < lo_support ** 2:
-            continue
-        tv = np.full(pts.size, t)
-        axis_mods = []
-        for axis in range(d):
-            axis_mods.append(np.abs(_axis_values(f, axis, pts, tv, gamma, rtol)))
-        field = const * _outer_product(axis_mods)
-        better = field > sup
-        sup = np.where(better, field, sup)
-        arg = np.where(better, k, arg)
-    ts = np.asarray(tg.points)
-    flat_arg = arg.ravel()
-    a = ts[np.maximum(flat_arg - 1, 0)]
-    b = ts[np.minimum(flat_arg + 1, ts.size - 1)]
-    mesh = np.meshgrid(*([pts] * d), indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=-1)
-
-    def eval_fn(tq):
-        return np.abs(_field_points(f, gamma, coords, tq, rtol))
-
-    refined = _golden_refine(eval_fn, a, b, golden_iters)
-    return np.maximum(sup, refined.reshape(sup.shape))
-
-
 def _outer_product(vectors: list[np.ndarray]) -> np.ndarray:
     out = vectors[0]
     for v in vectors[1:]:
@@ -333,36 +179,57 @@ def _outer_product(vectors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _sup_field_radial(f, gamma, tg, sg, rtol, golden_iters, shift=None):
+def _sup_field(base: SpectrumDescriptor, shift: np.ndarray, gamma: float,
+               tg: TimeGrid, sg: SpaceGrid, rtol: float,
+               golden_iters: int) -> np.ndarray:
+    """Time-sup of |field| on the space grid for the base profile moved by shift.
+
+    The field is reduced to samples whose moduli at one time come from
+    one engine call: the grid points of a separable profile, as an outer
+    product of per-axis moduli, or the distinct radii of a radial one.
+    """
     pts = sg.axis_points()
-    d = f.dim
-    mesh = np.meshgrid(*([pts] * d), indexing="ij")
-    if shift is not None:
-        mesh = [g + s for g, s in zip(mesh, shift)]
-    r_grid = np.sqrt(sum(g * g for g in mesh))
-    radii, inverse = np.unique(np.round(r_grid.ravel(), 14), return_inverse=True)
-    sup_r = np.zeros(radii.size)
-    arg_r = np.zeros(radii.size, dtype=np.int64)
-    lo_support = f.support_radii()[0]
+    d = base.dim
+    axes = [pts + s for s in shift]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if isinstance(base, AnnulusBump):
+        radii, cell_sample = np.unique(
+            np.round(np.sqrt(sum(g * g for g in mesh)).ravel(), 14),
+            return_inverse=True)
+        n = radii.size
+
+        def field_fn(tq):
+            return np.abs(_radial_values(base, radii, tq, _decay(tq, gamma), rtol))
+
+        def moduli_at(t):
+            return field_fn(np.full(radii.size, t))
+    else:
+        coords = np.stack([g.ravel() for g in mesh], axis=-1)
+        n = coords.shape[0]
+        cell_sample = np.arange(n)
+
+        def field_fn(tq):
+            return np.abs(_field_points(base, coords, tq, _decay(tq, gamma), rtol))
+
+        def moduli_at(t):
+            tv = np.full(pts.size, t)
+            mods = [np.abs(_axis_values(base, a, axes[a], tv, _decay(tv, gamma), rtol))
+                    for a in range(d)]
+            return (TWO_PI ** -d * _outer_product(mods)).ravel()
+
+    sup = np.zeros(n)
+    arg = np.zeros(n, dtype=np.int64)
+    lo_support = base.support_radii()[0]
     for k, t in enumerate(tg.points):
         decay = t ** gamma if t > 0.0 else 0.0
         if decay > 0.0 and _DECAY_CUTOFF / decay < lo_support ** 2:
             continue
-        tv = np.full(radii.size, t)
-        vals = np.abs(_radial_values(f, radii, tv, gamma, rtol))
-        better = vals > sup_r
-        sup_r = np.where(better, vals, sup_r)
-        arg_r = np.where(better, k, arg_r)
-    ts = np.asarray(tg.points)
-    a = ts[np.maximum(arg_r - 1, 0)]
-    b = ts[np.minimum(arg_r + 1, ts.size - 1)]
-
-    def eval_fn(tq):
-        return np.abs(_radial_values(f, radii, tq, gamma, rtol))
-
-    refined = _golden_refine(eval_fn, a, b, golden_iters)
-    sup_r = np.maximum(sup_r, refined)
-    return sup_r[inverse].reshape(r_grid.shape)
+        vals = moduli_at(t)
+        better = vals > sup
+        sup = np.where(better, vals, sup)
+        arg = np.where(better, k, arg)
+    sup = _refine_bracket(field_fn, np.asarray(tg.points), sup, arg, golden_iters)
+    return sup[cell_sample].reshape((sg.per_axis,) * d)
 
 
 def maximal_ratio(f: SpectrumDescriptor, gamma: float, grids, *,
@@ -379,48 +246,10 @@ def maximal_ratio(f: SpectrumDescriptor, gamma: float, grids, *,
     while isinstance(base, Modulated):
         shift = shift + base.shift
         base = base.base
-    if isinstance(base, AnnulusBump):
-        moved = shift if np.any(shift != 0.0) else None
-        sup_field = _sup_field_radial(base, gamma, tg, sg, rtol, golden_iters,
-                                      shift=moved)
-    elif base.axis_cells() is not None:
-        if np.any(shift != 0.0):
-            sup_field = _sup_field_separable_shifted(base, shift, gamma, tg, sg,
-                                                     rtol, golden_iters)
-        else:
-            sup_field = _sup_field_separable(base, gamma, tg, sg, rtol,
-                                             golden_iters)
-    else:
+    if not isinstance(base, AnnulusBump) and base.axis_cells() is None:
         raise ValueError(f"descriptor kind {base.kind!r} is not evaluable")
+    sup_field = _sup_field(base, shift, gamma, tg, sg, rtol, golden_iters)
     return l2_ball_norm(sup_field, sg) / denom
-
-
-def _sup_field_separable_shifted(g, shift, gamma, tg, sg, rtol, golden_iters):
-    pts = sg.axis_points()
-    d = g.dim
-    sup = np.zeros((sg.per_axis,) * d)
-    arg = np.zeros((sg.per_axis,) * d, dtype=np.int64)
-    const = TWO_PI ** -d
-    for k, t in enumerate(tg.points):
-        tv = np.full(pts.size, t)
-        axis_mods = [np.abs(_axis_values(g, axis, pts + shift[axis], tv, gamma, rtol))
-                     for axis in range(d)]
-        field = const * _outer_product(axis_mods)
-        better = field > sup
-        sup = np.where(better, field, sup)
-        arg = np.where(better, k, arg)
-    ts = np.asarray(tg.points)
-    flat_arg = arg.ravel()
-    a = ts[np.maximum(flat_arg - 1, 0)]
-    b = ts[np.minimum(flat_arg + 1, ts.size - 1)]
-    mesh = np.meshgrid(*([pts] * d), indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1) + shift[None, :]
-
-    def eval_fn(tq):
-        return np.abs(_field_points(g, gamma, coords, tq, rtol))
-
-    refined = _golden_refine(eval_fn, a, b, golden_iters)
-    return np.maximum(sup, refined.reshape(sup.shape))
 
 
 # ---------------------------------------------------------------------------

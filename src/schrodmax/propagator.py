@@ -1,10 +1,13 @@
 """Field evaluation for the free and dissipative Schrodinger evolutions.
 
-Direct quadrature covers separable and radial profiles with
-oscillation-aware node budgets.  The lattice-comb data additionally has
-a factorized product evaluator whose cost scales with the comb length
-instead of the full frequency box, and a summation-by-parts split of
-each comb factor into a dominant term plus a bounded remainder.
+One direct engine evaluates separable and radial profiles at batches
+of paired (x, t) samples, with oscillation-aware node budgets per
+octave of t; the one-point evaluators, the maximal module's time
+suprema and the tail-bound probes all call it.  The lattice-comb data
+additionally has a factorized product evaluator whose cost scales with
+the comb length instead of the full frequency box, and a
+summation-by-parts split of each comb factor into a dominant term plus
+a bounded remainder.
 """
 
 import functools
@@ -22,16 +25,11 @@ from .profiles import (
     SpectrumDescriptor,
     _mollifier_raw,
     comb_range,
+    l2_norm,
     mollifier_mass,
     radial_profile,
 )
-from .quadrature import (
-    MAX_NODES,
-    QuadratureError,
-    integrate_1d,
-    panel_nodes,
-    panels_for_rate,
-)
+from .quadrature import MAX_NODES, double_panels, integrate_1d, panels_for_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,96 +70,138 @@ class TorusCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# direct quadrature evaluation
+# direct field evaluation, batched over paired (x, t) samples
 
 
-def _truncate_cell(lo: float, hi: float, decay: float) -> tuple[float, float]:
-    """Clip a cell to where exp(-decay xi^2) is above 1e-20."""
-    if decay <= 0.0:
-        return lo, hi
-    xi_eff = math.sqrt(_DECAY_CUTOFF / decay)
-    return max(lo, -xi_eff), min(hi, xi_eff)
+def _decay(t: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-sample dissipation t^gamma, zero at t = 0."""
+    return np.where(t > 0.0, t, 1.0) ** gamma * (t > 0.0)
 
 
-def _axis_integral(f: SpectrumDescriptor, axis: int, x_j: float, t: float,
-                   decay: float, rtol: float, max_nodes: int) -> complex:
-    total = 0.0 + 0.0j
-    for lo, hi in f.axis_cells()[axis]:
-        lo, hi = _truncate_cell(lo, hi, decay)
-        if hi <= lo:
-            continue
-        rate = abs(x_j) + 2.0 * t * max(abs(lo), abs(hi))
-
-        def integrand(xi, _axis=axis):
-            phase = x_j * xi + t * xi * xi
-            damp = np.exp(-decay * xi * xi) if decay > 0.0 else 1.0
-            return f.axis_factor(_axis, xi) * np.exp(1j * phase) * damp
-
-        total += integrate_1d(integrand, lo, hi, rtol=rtol,
-                              min_panels=panels_for_rate(lo, hi, rate),
-                              max_nodes=max_nodes)
-    return total
+def _bucket_indices(t: np.ndarray) -> list[np.ndarray]:
+    """Group sample indices by the octave of t (t = 0 in its own group)."""
+    out = []
+    zero = np.nonzero(t == 0.0)[0]
+    if zero.size:
+        out.append(zero)
+    live = np.nonzero(t > 0.0)[0]
+    if live.size:
+        octv = np.floor(np.log2(t[live])).astype(int)
+        for o in np.unique(octv):
+            out.append(live[octv == o])
+    return out
 
 
-def _radial_integral(f: AnnulusBump, x: np.ndarray, t: float, decay: float,
-                     rtol: float, max_nodes: int) -> complex:
+def _batch_cell_integral(factor_fn, xv: np.ndarray, tv: np.ndarray,
+                         decay: np.ndarray, lo: float, hi: float,
+                         rate: float, rtol: float) -> np.ndarray:
+    """Integrals of factor(xi) e^{i(x xi + t xi^2) - decay xi^2} over [lo, hi]."""
+
+    def evaluate(xi, w):
+        phase = xv[:, None] * xi[None, :] + tv[:, None] * (xi * xi)[None, :]
+        damp = decay[:, None] * (xi * xi)[None, :]
+        return (factor_fn(xi)[None, :] * np.exp(1j * phase - damp)) @ w
+
+    return double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate), rtol=rtol)
+
+
+def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
+                 tv: np.ndarray, decay: np.ndarray, rtol: float) -> np.ndarray:
+    """Per-axis factor integrals at paired (x_axis, t) samples."""
+    out = np.zeros(xv.size, dtype=complex)
+    cells = f.axis_cells()[axis]
+    chunk_cap = 1 << 22
+    for rows in _bucket_indices(tv):
+        d_min = float(np.min(decay[rows]))
+        t_hi = float(np.max(tv[rows]))
+        x_hi = float(np.max(np.abs(xv[rows])))
+        for lo, hi in cells:
+            if d_min > 0.0:
+                reach = math.sqrt(_DECAY_CUTOFF / d_min)
+                lo_c, hi_c = max(lo, -reach), min(hi, reach)
+            else:
+                lo_c, hi_c = lo, hi
+            if hi_c <= lo_c:
+                continue
+            rate = x_hi + 2.0 * t_hi * max(abs(lo_c), abs(hi_c))
+            est_nodes = panels_for_rate(lo_c, hi_c, rate) * 32
+            step = max(1, chunk_cap // max(est_nodes, 1))
+            for at in range(0, rows.size, step):
+                sub = rows[at:at + step]
+                out[sub] += _batch_cell_integral(
+                    lambda xi, _a=axis: np.asarray(f.axis_factor(_a, xi)),
+                    xv[sub], tv[sub], decay[sub], lo_c, hi_c, rate, rtol)
+    return out
+
+
+def _radial_values(f: AnnulusBump, radii: np.ndarray, tv: np.ndarray,
+                   decay: np.ndarray, rtol: float) -> np.ndarray:
+    """|x|-dependent field values at paired (|x|, t) samples."""
     d = f.dim
     lo, hi = f.support_radii()
-    if decay > 0.0:
-        hi = min(hi, math.sqrt(_DECAY_CUTOFF / decay))
-    if hi <= lo:
-        return 0.0 + 0.0j
-    x_norm = float(np.linalg.norm(x))
-    rate = x_norm + 2.0 * t * hi
-    lead = 1j * t - decay
+    out = np.zeros(radii.size, dtype=complex)
+    nu = d / 2.0 - 1.0
+    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    for rows in _bucket_indices(tv):
+        d_min = float(np.min(decay[rows]))
+        hi_c = min(hi, math.sqrt(_DECAY_CUTOFF / d_min)) if d_min > 0.0 else hi
+        if hi_c <= lo:
+            continue
+        t_hi = float(np.max(tv[rows]))
+        x_hi = float(np.max(radii[rows]))
+        rate = x_hi + 2.0 * t_hi * hi_c
+        small = radii[rows] < 1e-300
 
-    if x_norm == 0.0:
-        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        def evaluate(rho, w, rows=rows, small=small):
+            prof = radial_profile(f.profile, rho / f.R)
+            lead = (1j * tv[rows, None] - decay[rows, None]) * (rho * rho)[None, :]
+            rx = radii[rows, None] * rho[None, :]
+            kern = np.where(
+                small[:, None],
+                area * (rho ** (d - 1))[None, :],
+                TWO_PI ** (d / 2.0)
+                * np.where(small, 1.0, radii[rows])[:, None] ** (1.0 - d / 2.0)
+                * jv(nu, rx) * (rho ** (d / 2.0))[None, :])
+            return (prof[None, :] * np.exp(lead) * kern) @ w * TWO_PI ** -d
 
-        def integrand(r):
-            return (radial_profile(f.profile, r / f.R) * np.exp(lead * r * r)
-                    * area * r ** (d - 1))
-    else:
-        nu = d / 2.0 - 1.0
-        front = TWO_PI ** (d / 2.0) * x_norm ** (1.0 - d / 2.0)
-
-        def integrand(r):
-            return (radial_profile(f.profile, r / f.R) * np.exp(lead * r * r)
-                    * front * jv(nu, r * x_norm) * r ** (d / 2.0))
-
-    val = integrate_1d(integrand, lo, hi, rtol=rtol,
-                       min_panels=panels_for_rate(lo, hi, rate),
-                       max_nodes=max_nodes)
-    return TWO_PI ** -d * val
-
-
-def _evaluate(f: SpectrumDescriptor, x: np.ndarray, t: float, decay: float,
-              rtol: float) -> complex:
-    if isinstance(f, Modulated):
-        return _evaluate(f.base, x + f.shift, t, decay, rtol)
-    if isinstance(f, AnnulusBump):
-        return _radial_integral(f, x, t, decay, rtol, MAX_NODES)
-    cells = f.axis_cells()
-    if cells is None:
-        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    n_cells = sum(len(c) for c in cells)
-    budget = max(MAX_NODES // max(n_cells, 1), 1 << 12)
-    out = TWO_PI ** -f.dim + 0.0j
-    for axis in range(f.dim):
-        axis_val = _axis_integral(f, axis, float(x[axis]), t, decay, rtol, budget)
-        if axis_val == 0.0:
-            return 0.0 + 0.0j
-        out *= axis_val
+        out[rows] = double_panels(evaluate, lo, hi_c, panels_for_rate(lo, hi_c, rate),
+                                  rtol=rtol)
     return out
+
+
+def _field_points(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
+                  decay: np.ndarray, rtol: float) -> np.ndarray:
+    """Field values at paired samples: x is (n, d), t and decay are (n,).
+
+    decay is each sample's dissipation t^gamma (zeros for the free
+    evolution).  Panel counts follow the worst phase rate of each
+    octave of t, and converge against that group's largest modulus.
+    """
+    if isinstance(f, Modulated):
+        return _field_points(f.base, x + f.shift[None, :], t, decay, rtol)
+    if isinstance(f, AnnulusBump):
+        return _radial_values(f, np.linalg.norm(x, axis=1), t, decay, rtol)
+    if f.axis_cells() is None:
+        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
+    out = np.full(x.shape[0], TWO_PI ** -f.dim, dtype=complex)
+    for axis in range(f.dim):
+        out *= _axis_values(f, axis, x[:, axis], t, decay, rtol)
+    return out
+
+
+def _evaluate_point(f: SpectrumDescriptor, p: SpaceTimePoint, decay: float,
+                    rtol: float) -> complex:
+    x = np.asarray(p.x, dtype=float)
+    if x.size != f.dim:
+        raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
+    return complex(_field_points(f, x[None, :], np.array([p.t]),
+                                 np.array([decay]), rtol)[0])
 
 
 def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint, *,
                   rtol: float = 1e-10) -> complex:
     """Free evolution (2 pi)^{-d} integral of e^{i(x.xi + t|xi|^2)} f(xi)."""
-    x = np.asarray(p.x, dtype=float)
-    if x.size != f.dim:
-        raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
-    return _evaluate(f, x, p.t, 0.0, rtol)
+    return _evaluate_point(f, p, 0.0, rtol)
 
 
 def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
@@ -169,18 +209,14 @@ def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
     """Dissipative evolution: the free phase damped by e^{-t^gamma |xi|^2}."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    x = np.asarray(p.x, dtype=float)
-    if x.size != f.dim:
-        raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
-    decay = p.t ** gamma if p.t > 0.0 else 0.0
-    return _evaluate(f, x, p.t, decay, rtol)
+    return _evaluate_point(f, p, p.t ** gamma if p.t > 0.0 else 0.0, rtol)
 
 
 # ---------------------------------------------------------------------------
 # the dissipative tail bound
 
 
-def _ball_probe_points(d: int) -> list[np.ndarray]:
+def _ball_probe_points(d: int) -> np.ndarray:
     pts = [np.zeros(d)]
     for axis in range(d):
         for sign in (1.0, -1.0):
@@ -190,7 +226,7 @@ def _ball_probe_points(d: int) -> list[np.ndarray]:
     for corner in range(1 << d):
         v = np.array([0.4 if corner >> a & 1 else -0.4 for a in range(d)])
         pts.append(v)
-    return pts
+    return np.array(pts)
 
 
 def dissipative_tail_bound(f: SpectrumDescriptor, gamma: float, eps: float, *,
@@ -205,20 +241,16 @@ def dissipative_tail_bound(f: SpectrumDescriptor, gamma: float, eps: float, *,
         raise ValueError("gamma must be positive")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    from .profiles import l2_norm
-
     R = f.band_scale
     bound = math.exp(-R ** eps) * R ** (f.dim / 2.0) * l2_norm(f)
     t_lo = R ** (-2.0 / gamma + eps)
     if t_lo >= 1.0:
         raise ValueError("time window is empty; R too small for this gamma, eps")
     times = np.geomspace(t_lo, 1.0, n_times + 2)[1:-1]
-    worst = 0.0
-    for t in times:
-        for x in _ball_probe_points(f.dim):
-            v = abs(evaluate_p_gamma(f, gamma, SpaceTimePoint(tuple(x), float(t)),
-                                     rtol=rtol))
-            worst = max(worst, v)
+    probes = _ball_probe_points(f.dim)
+    t = np.repeat(times, probes.shape[0])
+    x = np.tile(probes, (times.size, 1))
+    worst = float(np.max(np.abs(_field_points(f, x, t, _decay(t, gamma), rtol))))
     if worst > 10.0 * bound:
         raise ArithmeticError(
             f"sampled evolution {worst:g} exceeds ten times the bound {bound:g}")
@@ -312,6 +344,14 @@ def _check_in_box(cp: CounterexampleParams, x: np.ndarray):
 
 def _window_factor(cp: CounterexampleParams, x1: float, t: float,
                    rtol: float, gamma_eval: float | None = None) -> complex:
+    """Window factor at one point, by the scalar 32-node rule.
+
+    Where |i1| cancels down to ~1e-8 (propagator-check, R=2048), passes
+    differ by ~1e-9 relative from rounding alone, so the pass that meets
+    rtol=1e-10 depends on the summation order.  The order-64
+    _batch_window at one point on one BLAS thread ran that check in
+    20 s with a 5.2 GB peak, against 0.8 s and 222 MB with this rule.
+    """
     m = cp.model
     ge = m.gamma if gamma_eval is None else gamma_eval
     root_r = math.sqrt(m.R)
@@ -331,7 +371,15 @@ def _window_factor(cp: CounterexampleParams, x1: float, t: float,
 
 def _comb_g(cp: CounterexampleParams, x_j: float, t: float, ells: np.ndarray,
             rtol: float, gamma_eval: float | None = None) -> np.ndarray:
-    """Per-translate inner integrals of one comb factor."""
+    """Per-translate inner integrals of one comb factor.
+
+    Kept beside _factorized_batch's comb, which accepts rtol times the
+    comb length on the lattice sum; here each translate meets rtol, and
+    abel_main_plus_error needs one translate.  Speed is not the reason:
+    on propagator-check's 20 points at R=2048 (13 translates), one point
+    per call on one BLAS thread of a 2-core Xeon, this path took 0.10 s
+    and the batched comb 0.02 s.
+    """
     m = cp.model
     ge = m.gamma if gamma_eval is None else gamma_eval
     decay = t ** ge if t > 0.0 else 0.0
@@ -411,15 +459,17 @@ def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
 # ---------------------------------------------------------------------------
 # batched factorized evaluation (vectorized across sample points)
 
+# panel order of the batched window and comb rules
+_FACTOR_ORDER = 64
+
 
 def _batch_window(cp: CounterexampleParams, x1: np.ndarray, t: np.ndarray,
-                  panels: int, order: int,
+                  u: np.ndarray, w: np.ndarray,
                   gamma_eval: float | None = None) -> np.ndarray:
     m = cp.model
     ge = m.gamma if gamma_eval is None else gamma_eval
     root_r = math.sqrt(m.R)
     band = m.R ** (m.gamma / 2.0)
-    u, w = panel_nodes(-1.0, 1.0, panels, order)
     lin = root_r * (x1 + 2.0 * band * t)
     phase = lin[:, None] * u[None, :] + (m.R * t)[:, None] * (u * u)[None, :]
     co = band + u * root_r
@@ -429,11 +479,10 @@ def _batch_window(cp: CounterexampleParams, x1: np.ndarray, t: np.ndarray,
 
 
 def _batch_comb(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
-                ells: np.ndarray, panels: int, order: int,
+                ells: np.ndarray, xi: np.ndarray, w: np.ndarray,
                 gamma_eval: float | None = None) -> np.ndarray:
     m = cp.model
     ge = m.gamma if gamma_eval is None else gamma_eval
-    xi, w = panel_nodes(-1.0, 1.0, panels, order)
     drift = xj[:, None] + 2.0 * cp.D * t[:, None] * ells[None, :]
     phase = (drift[:, :, None] * xi[None, None, :]
              + t[:, None, None] * (xi * xi)[None, None, :])
@@ -446,12 +495,13 @@ def _batch_comb(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
 
 
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
-                      order: int = 64, rtol: float = 1e-9,
-                      gamma_eval: float | None = None):
+                      rtol: float = 1e-9, gamma_eval: float | None = None):
     """Factor arrays for many points: (i1, ij matrix, modulus product).
 
     Panel counts start from the worst-case phase rate over the batch
-    and double until the factor values stabilize.
+    and double until the factor values stabilize.  A comb factor sums
+    one inner integral per translate, so its tolerance and node budget
+    scale with the comb length.
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -470,39 +520,23 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
 
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
-    panels1 = panels_for_rate(-1.0, 1.0, rate1, order)
-    i1 = _batch_window(cp, x[:, 0], t, panels1, order, gamma_eval)
-    while True:
-        panels1 *= 2
-        if panels1 * order > MAX_NODES:
-            raise QuadratureError("window factor batch did not stabilize")
-        refined = _batch_window(cp, x[:, 0], t, panels1, order, gamma_eval)
-        if np.max(np.abs(refined - i1)) <= rtol * max(np.max(np.abs(refined)), 1e-300):
-            i1 = refined
-            break
-        i1 = refined
+    i1 = double_panels(
+        functools.partial(_batch_window, cp, x[:, 0], t, gamma_eval=gamma_eval),
+        -1.0, 1.0, panels_for_rate(-1.0, 1.0, rate1, _FACTOR_ORDER),
+        rtol=rtol, order=_FACTOR_ORDER)
 
     ij = np.empty((n, m.d - 1), dtype=complex)
-    chunk = max(1, (1 << 22) // max(ells.size * order, 1))
+    chunk = max(1, (1 << 22) // max(ells.size * _FACTOR_ORDER, 1))
     for j in range(1, m.d):
         rate_j = (float(np.max(np.abs(x[:, j]))) + 2.0 * cp.D * t_max * float(stop)
                   + 2.0 * t_max)
-        panels_j = panels_for_rate(-1.0, 1.0, rate_j, order)
+        panels_j = panels_for_rate(-1.0, 1.0, rate_j, _FACTOR_ORDER)
         for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            pj = panels_j
-            val = _batch_comb(cp, x[lo:hi, j], t[lo:hi], ells, pj, order, gamma_eval)
-            while True:
-                pj *= 2
-                if pj * order > MAX_NODES // max(ells.size, 1):
-                    raise QuadratureError("comb factor batch did not stabilize")
-                refined = _batch_comb(cp, x[lo:hi, j], t[lo:hi], ells, pj, order,
-                                      gamma_eval)
-                scale = max(float(np.max(np.abs(refined))), 1e-300)
-                if np.max(np.abs(refined - val)) <= rtol * scale * ells.size:
-                    val = refined
-                    break
-                val = refined
-            ij[lo:hi, j - 1] = val
+            rows = slice(lo, min(lo + chunk, n))
+            ij[rows, j - 1] = double_panels(
+                functools.partial(_batch_comb, cp, x[rows, j], t[rows], ells,
+                                  gamma_eval=gamma_eval),
+                -1.0, 1.0, panels_j, rtol=rtol * ells.size, order=_FACTOR_ORDER,
+                max_nodes=MAX_NODES // max(ells.size, 1))
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus

@@ -52,31 +52,45 @@ def panels_for_rate(a: float, b: float, phase_rate: float, order: int = 32) -> i
     return max(1, int(np.ceil(width / (spacing * order))))
 
 
-def integrate_1d(fn, a: float, b: float, *, rtol: float = 1e-10, atol: float = 0.0,
-                 order: int = 32, min_panels: int = 1, max_nodes: int = MAX_NODES) -> complex:
-    """Integrate a vectorized callable on [a, b] by panel doubling.
+def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
+                  order: int = 32, max_nodes: int = MAX_NODES):
+    """Evaluate on composite rules over [a, b], doubling panels until two agree.
 
-    Converged when two consecutive refinements agree to rtol (relative
-    to the new value) or atol.  Raises QuadratureError past max_nodes.
+    evaluate(x, w) maps the nodes and weights of one rule to a value or
+    an array of values.  Converged when the largest change is within
+    rtol of the largest new modulus (floored at 1e-300).  Raises
+    QuadratureError once panels * order would pass max_nodes.
     """
-    if b <= a:
-        return 0.0 + 0.0j
-    panels = max(1, int(min_panels))
     prev = None
     while panels * order <= max_nodes:
-        x, w = panel_nodes(a, b, panels, order)
-        val = complex(np.sum(np.asarray(fn(x)) * w))
-        if prev is not None and abs(val - prev) <= rtol * abs(val) + atol:
-            return val
-        prev = val
+        vals = evaluate(*panel_nodes(a, b, panels, order))
+        if prev is not None:
+            scale = max(float(np.max(np.abs(vals))), 1e-300)
+            if float(np.max(np.abs(vals - prev))) <= rtol * scale:
+                return vals
+        prev = vals
         panels *= 2
     raise QuadratureError(
         f"integral on [{a:g}, {b:g}] did not converge below rtol={rtol:g} "
         f"within {max_nodes} nodes")
 
 
-def integrate_box(fn, lows, highs, *, rtol: float = 1e-10, atol: float = 0.0,
-                  order: int = 24, max_nodes: int = MAX_NODES) -> complex:
+def integrate_1d(fn, a: float, b: float, *, rtol: float = 1e-10, order: int = 32,
+                 min_panels: int = 1, max_nodes: int = MAX_NODES) -> complex:
+    """Integrate a vectorized callable on [a, b] by panel doubling.
+
+    Converged when two consecutive refinements agree to rtol relative
+    to the new value.  Raises QuadratureError past max_nodes.
+    """
+    if b <= a:
+        return 0.0 + 0.0j
+    return double_panels(lambda x, w: complex(np.sum(np.asarray(fn(x)) * w)),
+                         a, b, max(1, int(min_panels)), rtol=rtol, order=order,
+                         max_nodes=max_nodes)
+
+
+def integrate_box(fn, lows, highs, *, rtol: float = 1e-10, order: int = 24,
+                  max_nodes: int = MAX_NODES) -> complex:
     """Tensor-product panel-doubling integration over an axis-aligned box.
 
     fn maps an (n, dim) array of points to (n,) values.
@@ -96,7 +110,7 @@ def integrate_box(fn, lows, highs, *, rtol: float = 1e-10, atol: float = 0.0,
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         wts = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
         val = complex(np.sum(np.asarray(fn(pts)) * wts))
-        if prev is not None and abs(val - prev) <= rtol * abs(val) + atol:
+        if prev is not None and abs(val - prev) <= rtol * abs(val):
             return val
         prev = val
         panels *= 2

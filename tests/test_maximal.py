@@ -27,6 +27,7 @@ from schrodmax.profiles import (
     ModelParams,
     Modulated,
     PlaneWaveSurrogate,
+    l2_norm,
 )
 
 
@@ -144,6 +145,26 @@ def test_maximal_ratio_shifted_separable_path():
     mod = Modulated(base=base, l=(2.0, 0.0), R=4.0)
     got = maximal_ratio(mod, 1.0, _small_grids(per_axis=5), golden_iters=8)
     assert got > 0.0 and math.isfinite(got)
+
+
+# the radial cases use a 3-point grid: their per-point sups cost seconds each
+@pytest.mark.parametrize("f, gamma, per_axis", [
+    (AnnulusBump(d=2, R=3.0), 2.0, 3),
+    (Modulated(base=AnnulusBump(d=2, R=3.0), l=(2.0, -1.0), R=4.0), 2.0, 3),
+    (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, 5),
+    (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
+               l=(2.0, 0.0), R=4.0), 1.0, 5),
+    (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, 5),
+], ids=["annulus", "shifted-annulus", "product", "shifted-product", "plane-wave"])
+def test_maximal_ratio_matches_per_point_sup_over_time(f, gamma, per_axis):
+    """The grid sup loop agrees with sup_over_time taken point by point."""
+    tg, sg = _small_grids(per_axis=per_axis)
+    pts = sg.axis_points()
+    field = np.array([[sup_over_time(f, gamma, (a, b), tg, golden_iters=8)
+                       for b in pts] for a in pts])
+    want = l2_ball_norm(field, sg) / l2_norm(f)
+    got = maximal_ratio(f, gamma, (tg, sg), golden_iters=8)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_maximal_ratio_validation():
