@@ -7,9 +7,10 @@ Four verbs bind the library into reproducible batch runs:
     lemmas-verify     randomized checks of the arithmetic building blocks
     propagator-check  factorized versus direct field evaluation
 
-Every run writes <out>/records.csv and <out>/report.json atomically.  The
-JSON report is a pure function of (config, seed): wall-clock timings go to
-stderr only, and worker counts never change the merged results.
+Every run writes <out>/records.csv and <out>/report.json atomically, even
+one that stops part way (status 3).  The JSON report is a pure function of
+(config, seed): wall-clock timings go to stderr only, and worker counts
+never change the merged results.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterexample import lower_bound_experiment
+from .counterexample import ExperimentError, lower_bound_experiment
 from .maximal import (
     SpaceGrid,
+    SweepError,
     TimeGrid,
     exponent_sweep,
 )
@@ -56,6 +58,16 @@ VERBS = ("maximal-sweep", "counterexample", "lemmas-verify", "propagator-check")
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration; maps to process status 2."""
+
+
+class RunFailed(RuntimeError):
+    """A verb stopped part way; carries the rows and summary it had reached."""
+
+    def __init__(self, cause: Exception, records, summary, fieldnames):
+        super().__init__(f"{type(cause).__name__}: {cause}")
+        self.records = records
+        self.summary = summary
+        self.fieldnames = fieldnames
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +373,11 @@ class RunReport:
     summary: dict
     verdicts: dict
     wall_clock: dict
+    failure: str | None = None  # why the run stopped part way
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return self.failure is None and all(self.verdicts.values())
 
     def to_json(self) -> str:
         payload = {
@@ -375,6 +388,8 @@ class RunReport:
             "verdicts": self.verdicts,
             "passed": self.passed,
         }
+        if self.failure is not None:
+            payload["failure"] = self.failure
         return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
 
@@ -417,6 +432,10 @@ def _case3_family(d: int, gamma_c: float, experiment: bool,
     return CounterexampleParams.with_defaults(model, **kw)
 
 
+_SWEEP_FIELDS = ("R", "ratio", "grid")
+_CE_FIELDS = ("R", "mean_modulus", "measure_estimate", "ratio_estimate", "E1", "E2")
+
+
 def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
     gamma = cfg.model_gamma
     gamma_c = min(gamma, 2.0)
@@ -426,20 +445,29 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
     else:
         params = functools.partial(_case3_family, cfg.model_d, gamma_c,
                                    cfg.ce_experiment, cfg.ce_overrides)
+        short = [R for R in cfg.ladder if not params(R).spans_lattice_period]
+        if short:
+            raise ConfigError(f"ladder: R={short[0]:g} is below the validity scale "
+                              "of the construction (2 c1 D < 2 pi)")
         def family(R, _params=params):
             return Case3Counterexample(params=_params(R))
         extremal = True
     grids = functools.partial(_default_grids, cfg=cfg)
-    report = exponent_sweep(family, gamma, cfg.ladder, grids,
-                            extremal=extremal, map_fn=map_fn)
-    records = [{"R": R, "ratio": ratio, "grid": meta}
-               for R, ratio, meta in report.entries]
+    try:
+        report = exponent_sweep(family, gamma, cfg.ladder, grids,
+                                extremal=extremal, map_fn=map_fn)
+        failure = None
+    except SweepError as exc:
+        report, failure = exc.partial, exc
+    records = [dict(zip(_SWEEP_FIELDS, entry)) for entry in report.entries]
     summary = {
         "fitted_slope": report.fitted_slope,
         "slope_stderr": report.slope_stderr,
         "target_exponent": report.target,
         "extremal": extremal,
     }
+    if failure is not None:
+        raise RunFailed(failure, records, summary, _SWEEP_FIELDS) from failure
     verdicts = {"slope": bool(report.verdict)}
     return records, summary, verdicts
 
@@ -452,17 +480,16 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
     build = functools.partial(_case3_family, cfg.model_d, gamma_c,
                               cfg.ce_experiment, cfg.ce_overrides)
     ladder_params = [build(R) for R in cfg.ladder]
-    report = lower_bound_experiment(
-        ladder_params, cfg.samples, cfg.seed, s=cfg.s,
-        gamma_eval=gamma if gamma > 2.0 else None, map_fn=map_fn)
-    records = [{
-        "R": r.R,
-        "mean_modulus": r.mean_modulus,
-        "measure_estimate": r.measure_estimate,
-        "ratio_estimate": r.ratio_estimate,
-        "E1": r.e1_max,
-        "E2": r.e2_max,
-    } for r in report.records]
+    try:
+        report = lower_bound_experiment(
+            ladder_params, cfg.samples, cfg.seed, s=cfg.s,
+            gamma_eval=gamma if gamma > 2.0 else None, map_fn=map_fn)
+    except ExperimentError as exc:
+        raise RunFailed(exc, [], {"aborted": [[R, why] for R, why in exc.aborted]},
+                        _CE_FIELDS) from exc
+    records = [dict(zip(_CE_FIELDS, (r.R, r.mean_modulus, r.measure_estimate,
+                                     r.ratio_estimate, r.e1_max, r.e2_max)))
+               for r in report.records]
     summary = {
         "point_slope": report.point_slope,
         "point_stderr": report.point_stderr,
@@ -610,15 +637,22 @@ def run(config: ExperimentConfig) -> RunReport:
     """Dispatch a validated config, write records.csv and report.json.
 
     Output files land atomically; the JSON body depends only on
-    (config, seed), never on timing or worker count.
+    (config, seed), never on timing or worker count.  A run that stops
+    part way still writes both, with no verdicts, the reason under
+    "failure" and the rows and summary it had reached.
     """
     runner = _RUNNERS[config.verb]
     started = time.monotonic()
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records, summary, verdicts = runner(config, pool.map)
-    else:
-        records, summary, verdicts = runner(config, map)
+    failure, fieldnames = None, None
+    try:
+        if config.workers > 1:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                records, summary, verdicts = runner(config, pool.map)
+        else:
+            records, summary, verdicts = runner(config, map)
+    except RunFailed as exc:
+        records, summary, verdicts = exc.records, exc.summary, {}
+        failure, fieldnames = str(exc), exc.fieldnames
     elapsed = time.monotonic() - started
     report = RunReport(
         verb=config.verb,
@@ -627,9 +661,10 @@ def run(config: ExperimentConfig) -> RunReport:
         summary=_json_safe(summary),
         verdicts={k: bool(v) for k, v in verdicts.items()},
         wall_clock={"total_s": elapsed},
+        failure=failure,
     )
     _write_atomic(os.path.join(config.out_dir, "records.csv"),
-                  emit_csv(report.records))
+                  emit_csv(report.records, fieldnames))
     _write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json())
     return report
 
@@ -720,6 +755,9 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    if report.failure is not None:
+        print(f"run failed: {report.failure}", file=sys.stderr)
         return 3
     for name, ok in report.verdicts.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")

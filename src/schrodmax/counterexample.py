@@ -258,7 +258,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int, seed,
     d, R, gamma = mp.d, mp.R, mp.gamma
     D = cp.D
     band = R ** (gamma / 2.0)
-    if 2.0 * cp.c1 * D < TWO_PI:
+    if not cp.spans_lattice_period:
         raise PreconditionError(
             "spatial box spans less than one lattice period per rest axis")
     if anchors is None:

@@ -3,8 +3,8 @@
 Profiles are symbolic descriptors: a smooth 1d bump, a radial plateau
 bump, tensor products, a translated comb along a frequency lattice, and
 modulations of any of these.  Evaluation is pointwise on demand; norms
-are computed by adaptive quadrature over the support cells, so nothing
-here ever commits to a global sampling grid.
+map one composite rule onto all support cells at once, so nothing here
+ever commits to a global sampling grid.
 """
 
 import functools
@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import QuadratureError, gauss_legendre, integrate_1d, integrate_box
+from .quadrature import (MAX_NODES, QuadratureError, double_panels, gauss_legendre,
+                         integrate_1d)
 
 TWO_PI = 2.0 * math.pi
 
 # enough cells to cover the comb at the largest ladder scale, with margin
 _MAX_NORM_CELLS = 1 << 15
+
+# tensor entries weighted at once in a Sobolev norm
+_SLICE = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +217,11 @@ class CounterexampleParams:
     def Q(self) -> float:
         m = self.model
         return m.R ** ((m.gamma - 1.0) * (m.d - 1) / (2.0 * (m.d + 1)))
+
+    @property
+    def spans_lattice_period(self) -> bool:
+        """The spatial box holds a lattice period per rest axis: 2 c1 D >= 2 pi."""
+        return 2.0 * self.c1 * self.D >= TWO_PI
 
     def __post_init__(self):
         m = self.model
@@ -540,88 +549,76 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _weighted_sq_integral(f: SpectrumDescriptor, s: float, rtol: float) -> float:
-    """(2 pi)^{-d} integral of (1 + |xi|^2)^s |f(xi)|^2 over the support."""
-    d = f.dim
-    norm_const = TWO_PI ** -d
+def _support_integral(f: SpectrumDescriptor, p: float, s: float, rtol: float) -> float:
+    """Integral of (1 + |xi|^2)^s |f(xi)|^p over the support of f.
+
+    One rule on [0, 1] is mapped onto every support cell of every axis and
+    refined by one doubling loop, with at most MAX_NODES tensor nodes per
+    cell.  The weight is summed in slices of at most _SLICE entries: a
+    blocked flat index over all axes but the last, against blocks of the last.
+    """
     if isinstance(f, Modulated):
-        return _weighted_sq_integral(f.base, s, rtol)
+        return _support_integral(f.base, p, s, rtol)
+    d = f.dim
     if isinstance(f, AnnulusBump):
         lo, hi = f.support_radii()
 
         def radial_fn(r):
-            prof = radial_profile(f.profile, r / f.R)
-            w = (1.0 + r * r) ** s if s != 0.0 else 1.0
-            return prof * prof * w * r ** (d - 1)
+            prof = np.abs(radial_profile(f.profile, r / f.R)) ** p
+            return prof * (1.0 + r * r) ** s * r ** (d - 1)
 
-        val = integrate_1d(radial_fn, lo, hi, rtol=rtol)
-        return norm_const * _sphere_area(d) * val.real
+        return _sphere_area(d) * integrate_1d(radial_fn, lo, hi, rtol=rtol).real
     cells = f.axis_cells()
     if cells is None:
         raise ValueError(f"descriptor kind {f.kind!r} has no norm rule")
-    if s == 0.0:
-        total = norm_const
-        for axis in range(d):
-            axis_sum = 0.0
-            for lo, hi in cells[axis]:
-                def sq(x, _axis=axis):
-                    v = f.axis_factor(_axis, x)
-                    return np.abs(v) ** 2
-                axis_sum += integrate_1d(sq, lo, hi, rtol=rtol).real
-            total *= axis_sum
-        return total
-    n_boxes = int(np.prod([len(c) for c in cells]))
-    if n_boxes > _MAX_NORM_CELLS:
+    n_boxes = math.prod(len(c) for c in cells)
+    if s != 0.0 and n_boxes > _MAX_NORM_CELLS:
         raise QuadratureError(
             f"{n_boxes} support cells exceed the Sobolev quadrature budget")
-    import itertools
+    edges = [np.array(c, dtype=float) for c in cells]
 
-    def weighted_sq(pts):
-        v = spectrum_eval(f, pts)
-        w = (1.0 + np.sum(pts * pts, axis=-1)) ** s
-        return np.abs(v) ** 2 * w
+    def evaluate(u, w):
+        sq, v = [], []
+        for axis, e in enumerate(edges):
+            width = e[:, 1:] - e[:, :1]
+            x = (e[:, :1] + width * u).ravel()
+            sq.append(x * x)
+            v.append(np.abs(f.axis_factor(axis, x)) ** p * (width * w).ravel())
+        if s == 0.0:
+            return math.prod(float(np.sum(va)) for va in v)
+        lead = [a.size for a in sq[:-1]]
+        n_lead = math.prod(lead)
+        cols = min(sq[-1].size, _SLICE)
+        rows = max(1, _SLICE // cols)
+        total = 0.0
+        for r0 in range(0, n_lead, rows):
+            flat = np.arange(r0, min(r0 + rows, n_lead))
+            base = np.ones(flat.size)
+            weight = np.ones(flat.size)
+            for sa, va, i in zip(sq, v, np.unravel_index(flat, lead) if lead else ()):
+                base += sa[i]
+                weight *= va[i]
+            for c0 in range(0, sq[-1].size, cols):
+                block = (base[:, None] + sq[-1][None, c0:c0 + cols]) ** s
+                total += float(weight @ block @ v[-1][c0:c0 + cols])
+        return total
 
-    total = 0.0
-    for combo in itertools.product(*cells):
-        lows = [c[0] for c in combo]
-        highs = [c[1] for c in combo]
-        total += integrate_box(weighted_sq, lows, highs, rtol=rtol).real
-    return norm_const * total
+    return double_panels(evaluate, 0.0, 1.0, 1, rtol=rtol, order=24,
+                         max_nodes=int(MAX_NODES ** (1.0 / d)))
 
 
 def l2_norm(f: SpectrumDescriptor, *, rtol: float = 1e-10) -> float:
     """((2 pi)^{-d} integral |f|^2)^{1/2} by adaptive quadrature."""
-    return math.sqrt(max(_weighted_sq_integral(f, 0.0, rtol), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, 0.0, rtol), 0.0))
 
 
 def sobolev_norm(f: SpectrumDescriptor, s: float, *, rtol: float = 1e-10) -> float:
     """((2 pi)^{-d} integral (1+|xi|^2)^s |f|^2)^{1/2}; s=0 reduces to l2_norm."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return math.sqrt(max(_weighted_sq_integral(f, s, rtol), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, s, rtol), 0.0))
 
 
 def l1_fourier_mass(f: SpectrumDescriptor, *, rtol: float = 1e-10) -> float:
     """Integral of |f| over the support; the trivial sup bound on evolutions."""
-    if isinstance(f, Modulated):
-        return l1_fourier_mass(f.base, rtol=rtol)
-    if isinstance(f, AnnulusBump):
-        lo, hi = f.support_radii()
-        d = f.dim
-
-        def radial_fn(r):
-            return np.abs(radial_profile(f.profile, r / f.R)) * r ** (d - 1)
-
-        return _sphere_area(d) * integrate_1d(radial_fn, lo, hi, rtol=rtol).real
-    cells = f.axis_cells()
-    if cells is None:
-        raise ValueError(f"descriptor kind {f.kind!r} has no mass rule")
-    total = 1.0
-    for axis in range(f.dim):
-        axis_sum = 0.0
-        for lo, hi in cells[axis]:
-            def absfactor(x, _axis=axis):
-                return np.abs(f.axis_factor(_axis, x))
-            axis_sum += integrate_1d(absfactor, lo, hi, rtol=rtol).real
-        total *= axis_sum
-    return total
+    return _support_integral(f, 1, 0.0, rtol)

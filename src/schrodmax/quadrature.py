@@ -3,7 +3,8 @@
 Everything downstream integrates smooth compactly supported integrands,
 possibly multiplied by fast oscillations e^{i(x xi + t xi^2)}.  The
 helpers here pick panel counts from an a-priori bound on the phase rate
-and then double panels until two refinements agree.
+and then double panels until two refinements agree; double_panels is the
+one doubling loop behind every adaptive integral in the package.
 """
 
 import functools
@@ -87,33 +88,3 @@ def integrate_1d(fn, a: float, b: float, *, rtol: float = 1e-10, order: int = 32
     return double_panels(lambda x, w: complex(np.sum(np.asarray(fn(x)) * w)),
                          a, b, max(1, int(min_panels)), rtol=rtol, order=order,
                          max_nodes=max_nodes)
-
-
-def integrate_box(fn, lows, highs, *, rtol: float = 1e-10, order: int = 24,
-                  max_nodes: int = MAX_NODES) -> complex:
-    """Tensor-product panel-doubling integration over an axis-aligned box.
-
-    fn maps an (n, dim) array of points to (n,) values.
-    """
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    if lows.shape != highs.shape or lows.ndim != 1:
-        raise ValueError("lows/highs must be 1d arrays of equal length")
-    if np.any(highs <= lows):
-        return 0.0 + 0.0j
-    dim = lows.size
-    panels = 1
-    prev = None
-    while (panels * order) ** dim <= max_nodes:
-        axes = [panel_nodes(lo, hi, panels, order) for lo, hi in zip(lows, highs)]
-        grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
-        val = complex(np.sum(np.asarray(fn(pts)) * wts))
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
-            return val
-        prev = val
-        panels *= 2
-    raise QuadratureError(
-        f"box integral in dimension {dim} did not converge below rtol={rtol:g} "
-        f"within {max_nodes} nodes")

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from schrodmax import maximal
 from schrodmax.cli import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from schrodmax.cli import (
     parse_config_text,
     parse_csv,
 )
+from schrodmax.quadrature import QuadratureError
 
 
 def _base(verb="lemmas-verify", **extra):
@@ -224,6 +226,49 @@ def test_main_counterexample_runtime_failure(tmp_path, capsys):
                "--out", str(tmp_path / "fail")])
     assert rc == 3
     assert "run failed" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "fail" / "report.json").read_text())
+    assert payload["passed"] is False
+    assert payload["failure"] == "ExperimentError: only 0 ladder entries survived"
+    assert payload["verdicts"] == {} and payload["records"] == []
+    aborted = payload["summary"]["aborted"]
+    assert [R for R, _ in aborted] == [2.0**8, 2.0**9, 2.0**10, 2.0**11]
+    assert all("no rational anchor" in why for _, why in aborted)
+    assert parse_csv((tmp_path / "fail" / "records.csv").read_text()) == []
+
+
+def test_main_maximal_sweep_failure_keeps_partial_entries(tmp_path, capsys,
+                                                          monkeypatch):
+    real = maximal.maximal_ratio
+
+    def failing(f, gamma, grids, **kw):
+        if f.model.R > 5.0:
+            raise QuadratureError("budget exhausted")
+        return real(f, gamma, grids, **kw)
+
+    monkeypatch.setattr(maximal, "maximal_ratio", failing)
+    out = tmp_path / "sweep"
+    rc = main(["maximal-sweep", "--d", "1", "--gamma", "0.5",
+               "--ladder", "2^2 2^3 2^4 2^5", "--out", str(out),
+               "--set", "space.per_axis=5", "--set", "time.geometric=6",
+               "--set", "time.cap=16"])
+    assert rc == 3
+    assert "run failed: SweepError" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False
+    assert "R=8 failed: QuadratureError" in payload["failure"]
+    assert [r["R"] for r in payload["records"]] == [4.0]
+    assert payload["summary"]["fitted_slope"] == "nan"
+    rows = parse_csv((out / "records.csv").read_text())
+    assert [r["R"] for r in rows] == [4]
+
+
+def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, capsys):
+    rc = main(["maximal-sweep", "--d", "2", "--gamma", "2",
+               "--ladder", "2^6 2^7 2^8 2^9", "--out", str(tmp_path / "g2")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "R=64 " in err
+    assert not (tmp_path / "g2").exists()
 
 
 def test_main_maximal_sweep_small(tmp_path, capsys):

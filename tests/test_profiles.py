@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +31,7 @@ from schrodmax.profiles import (
     sobolev_norm,
     spectrum_eval,
 )
-from schrodmax.quadrature import integrate_1d
+from schrodmax.quadrature import QuadratureError, integrate_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -312,6 +314,50 @@ def test_case3_sobolev_positive_and_growing():
     small = sobolev_norm(Case3Counterexample(params=_cp(R=2.0**12)), 0.5)
     large = sobolev_norm(Case3Counterexample(params=_cp(R=2.0**16)), 0.5)
     assert 0.0 < small < large
+
+
+@pytest.mark.parametrize("R", [2.0**12, 2.0**24])
+def test_case3_norms_closed_form(R):
+    """Every bump has unit mass, and the squared norm is a product of cell sums."""
+    d = 2
+    cp = _cp(R=R, d=d)
+    f = Case3Counterexample(params=cp)
+    start, stop = comb_range(cp)
+    n = stop - start
+    m1, m2 = mollifier_mass(), mollifier_sq_mass()
+    assert l1_fourier_mass(f) == pytest.approx(n ** (d - 1), rel=1e-10)
+    want = math.sqrt(TWO_PI**-d * m2 / (m1**2 * math.sqrt(R))
+                     * (n * m2 / m1**2) ** (d - 1))
+    assert l2_norm(f) == pytest.approx(want, rel=1e-10)
+
+
+def _per_box_sobolev(f, s, order=64):
+    """Reference: one fixed tensor Gauss rule on each support box, box by box."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for box in itertools.product(*f.axis_cells()):
+        axes = [(0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
+                for lo, hi in box]
+        pts = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1)
+        wts = functools.reduce(np.multiply.outer, [a[1] for a in axes])
+        vals = (np.abs(spectrum_eval(f, pts)) ** 2
+                * (1.0 + np.sum(pts * pts, axis=-1)) ** s)
+        total += float(np.sum(vals * wts))
+    return math.sqrt(TWO_PI**-f.dim * total)
+
+
+@pytest.mark.parametrize("d,R", [(2, 2.0**12), (3, 2.0**6)])
+@pytest.mark.parametrize("s", [1.0 / 3.0, 0.5])
+def test_case3_sobolev_matches_per_box_reference(d, R, s):
+    f = Case3Counterexample(params=_cp(R=R, d=d))
+    assert sobolev_norm(f, s) == pytest.approx(_per_box_sobolev(f, s), rel=1e-9)
+
+
+def test_case3_sobolev_refuses_too_many_cells():
+    f = Case3Counterexample(params=_cp(R=2.0**24, d=3))
+    assert [len(c) for c in f.axis_cells()] == [1, 512, 512]
+    with pytest.raises(QuadratureError, match="262144 support cells"):
+        sobolev_norm(f, 1.0 / 3.0)
 
 
 def test_serialize_stability():

@@ -12,7 +12,6 @@ from schrodmax.quadrature import (
     QuadratureError,
     gauss_legendre,
     integrate_1d,
-    integrate_box,
     panel_nodes,
     panels_for_rate,
 )
@@ -98,18 +97,6 @@ def test_integrate_1d_min_panels_consistency():
     coarse = integrate_1d(fn, 0.0, 6.0, rtol=1e-12)
     warm = integrate_1d(fn, 0.0, 6.0, rtol=1e-12, min_panels=16)
     assert warm == pytest.approx(coarse, rel=1e-10)
-
-
-def test_integrate_box_separable_gaussian():
-    val = integrate_box(lambda p: np.exp(-np.sum(p**2, axis=-1)),
-                        [-6.0, -6.0], [6.0, 6.0], rtol=1e-11)
-    assert val.real == pytest.approx(math.pi, rel=1e-9)
-
-
-def test_integrate_box_empty_and_bad_shape():
-    assert integrate_box(lambda p: p[:, 0], [0.0, 0.0], [0.0, 1.0]) == 0.0
-    with pytest.raises(ValueError):
-        integrate_box(lambda p: p[:, 0], [0.0, 0.0], [1.0])
 
 
 @settings(deadline=None, max_examples=25)
