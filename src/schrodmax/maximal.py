@@ -42,6 +42,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.size < 1:
             raise ValueError("grid needs at least one time")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if pts[0] < 0.0 or pts[-1] > 1.0:

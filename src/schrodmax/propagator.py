@@ -4,10 +4,14 @@ One direct engine evaluates separable and radial profiles at batches
 of paired (x, t) samples, with oscillation-aware node budgets per
 octave of t; the one-point evaluators, the maximal module's time
 suprema and the tail-bound probes all call it.  The lattice-comb data
-additionally has a factorized product evaluator whose cost scales with
-the comb length instead of the full frequency box, and a
-summation-by-parts split of each comb factor into a dominant term plus
-a bounded remainder.
+additionally has one factorized product evaluator, batched over sample
+points, whose cost scales with the comb length instead of the full
+frequency box: a window integral times one lattice sum of translate
+integrals per comb axis.  The one-point factorized evaluation and the
+summation-by-parts split of a comb factor into a dominant term plus a
+bounded remainder are calls into it.  Every integral converges to rtol
+of its batch maximum or to a rounding floor set by its L1 mass, so a
+strongly cancelling point costs no more than a coherent one.
 """
 
 import functools
@@ -29,7 +33,7 @@ from .profiles import (
     mollifier_mass,
     radial_profile,
 )
-from .quadrature import MAX_NODES, double_panels, integrate_1d, panels_for_rate
+from .quadrature import MAX_NODES, double_panels, panel_nodes, panels_for_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,8 +49,8 @@ class SpaceTimePoint:
     t: float
 
     def __post_init__(self):
-        if self.t < 0.0:
-            raise ValueError("t must be nonnegative")
+        if not (math.isfinite(self.t) and self.t >= 0.0):
+            raise ValueError("t must be finite and nonnegative")
         if not all(math.isfinite(v) for v in self.x):
             raise ValueError("x must be finite")
 
@@ -92,9 +96,24 @@ def _bucket_indices(t: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
+    """Integral of |axis_factor| over each support cell of one axis.
+
+    It bounds the L1 mass of every cell integrand, whatever the point,
+    and sets the rounding floor of that cell's convergence test.
+    """
+    cells = np.array(f.axis_cells()[axis], dtype=float)
+    u, w = panel_nodes(0.0, 1.0, 4)
+    width = cells[:, 1] - cells[:, 0]
+    xi = cells[:, :1] + width[:, None] * u[None, :]
+    vals = np.abs(np.asarray(f.axis_factor(axis, xi.ravel()))).reshape(xi.shape)
+    return tuple((vals @ w) * width)
+
+
 def _batch_cell_integral(factor_fn, xv: np.ndarray, tv: np.ndarray,
                          decay: np.ndarray, lo: float, hi: float,
-                         rate: float, rtol: float) -> np.ndarray:
+                         rate: float, rtol: float, mass: float) -> np.ndarray:
     """Integrals of factor(xi) e^{i(x xi + t xi^2) - decay xi^2} over [lo, hi]."""
 
     def evaluate(xi, w):
@@ -102,7 +121,8 @@ def _batch_cell_integral(factor_fn, xv: np.ndarray, tv: np.ndarray,
         damp = decay[:, None] * (xi * xi)[None, :]
         return (factor_fn(xi)[None, :] * np.exp(1j * phase - damp)) @ w
 
-    return double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate), rtol=rtol)
+    return double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate), rtol=rtol,
+                         mass=mass)
 
 
 def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
@@ -110,12 +130,13 @@ def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
     """Per-axis factor integrals at paired (x_axis, t) samples."""
     out = np.zeros(xv.size, dtype=complex)
     cells = f.axis_cells()[axis]
+    masses = _cell_masses(f, axis)
     chunk_cap = 1 << 22
     for rows in _bucket_indices(tv):
         d_min = float(np.min(decay[rows]))
         t_hi = float(np.max(tv[rows]))
         x_hi = float(np.max(np.abs(xv[rows])))
-        for lo, hi in cells:
+        for (lo, hi), mass in zip(cells, masses):
             if d_min > 0.0:
                 reach = math.sqrt(_DECAY_CUTOFF / d_min)
                 lo_c, hi_c = max(lo, -reach), min(hi, reach)
@@ -130,7 +151,7 @@ def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
                 sub = rows[at:at + step]
                 out[sub] += _batch_cell_integral(
                     lambda xi, _a=axis: np.asarray(f.axis_factor(_a, xi)),
-                    xv[sub], tv[sub], decay[sub], lo_c, hi_c, rate, rtol)
+                    xv[sub], tv[sub], decay[sub], lo_c, hi_c, rate, rtol, mass)
     return out
 
 
@@ -325,141 +346,25 @@ def _unit_bump(u):
     return _mollifier_raw(u) / mollifier_mass()
 
 
-def _box_bounds(cp: CounterexampleParams):
-    m = cp.model
-    x1_lo = -cp.c1 * m.R ** (m.gamma / 2.0 - 1.0)
-    return x1_lo, x1_lo / 2.0
-
-
 def _check_in_box(cp: CounterexampleParams, x: np.ndarray):
     m = cp.model
-    x1_lo, x1_hi = _box_bounds(cp)
+    x1_lo = -cp.c1 * m.R ** (m.gamma / 2.0 - 1.0)
     slack = 1e-9
-    ok = (x[..., 0] >= x1_lo * (1.0 + slack)) & (x[..., 0] <= x1_hi * (1.0 - slack))
+    ok = ((x[..., 0] >= x1_lo * (1.0 + slack))
+          & (x[..., 0] <= x1_lo / 2.0 * (1.0 - slack)))
     for j in range(1, m.d):
         ok = ok & (np.abs(x[..., j]) <= cp.c1 * (1.0 + slack))
     if not np.all(ok):
         raise ValueError("point outside the admissible spatial box")
 
 
-def _window_factor(cp: CounterexampleParams, x1: float, t: float,
-                   rtol: float, gamma_eval: float | None = None) -> complex:
-    """Window factor at one point, by the scalar 32-node rule.
-
-    Where |i1| cancels down to ~1e-8 (propagator-check, R=2048), passes
-    differ by ~1e-9 relative from rounding alone, so the pass that meets
-    rtol=1e-10 depends on the summation order.  The order-64
-    _batch_window at one point on one BLAS thread ran that check in
-    20 s with a 5.2 GB peak, against 0.8 s and 222 MB with this rule.
-    """
-    m = cp.model
-    ge = m.gamma if gamma_eval is None else gamma_eval
-    root_r = math.sqrt(m.R)
-    band = m.R ** (m.gamma / 2.0)
-    lin = root_r * (x1 + 2.0 * band * t)
-    decay = t ** ge if t > 0.0 else 0.0
-
-    def integrand(u):
-        phase = lin * u + m.R * u * u * t
-        co = band + u * root_r
-        return _unit_bump(u) * np.exp(1j * phase - decay * co * co)
-
-    rate = abs(lin) + 2.0 * m.R * t
-    return integrate_1d(integrand, -1.0, 1.0, rtol=rtol,
-                        min_panels=panels_for_rate(-1.0, 1.0, rate))
+def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.ndarray:
+    """e^{i(D l x_j + D^2 l^2 t)}: one row per sample, one column per translate."""
+    return np.exp(1j * (cp.D * np.outer(xj, ells)
+                        + cp.D ** 2 * np.outer(t, ells * ells)))
 
 
-def _comb_g(cp: CounterexampleParams, x_j: float, t: float, ells: np.ndarray,
-            rtol: float, gamma_eval: float | None = None) -> np.ndarray:
-    """Per-translate inner integrals of one comb factor.
-
-    Kept beside _factorized_batch's comb, which accepts rtol times the
-    comb length on the lattice sum; here each translate meets rtol, and
-    abel_main_plus_error needs one translate.  Speed is not the reason:
-    on propagator-check's 20 points at R=2048 (13 translates), one point
-    per call on one BLAS thread of a 2-core Xeon, this path took 0.10 s
-    and the batched comb 0.02 s.
-    """
-    m = cp.model
-    ge = m.gamma if gamma_eval is None else gamma_eval
-    decay = t ** ge if t > 0.0 else 0.0
-    out = np.empty(ells.size, dtype=complex)
-    for i, ell in enumerate(ells):
-        drift = x_j + 2.0 * cp.D * t * ell
-
-        def integrand(xi, _drift=drift, _ell=ell):
-            co = xi + cp.D * _ell
-            return (_unit_bump(xi)
-                    * np.exp(1j * (_drift * xi + t * xi * xi) - decay * co * co))
-
-        rate = abs(drift) + 2.0 * t
-        out[i] = integrate_1d(integrand, -1.0, 1.0, rtol=rtol,
-                              min_panels=panels_for_rate(-1.0, 1.0, rate))
-    return out
-
-
-def _lattice_phases(cp: CounterexampleParams, x_j: float, t: float,
-                    ells: np.ndarray) -> np.ndarray:
-    return np.exp(1j * (cp.D * ells * x_j + cp.D ** 2 * ells * ells * t))
-
-
-def factorized_evaluate(cp: CounterexampleParams, p: SpaceTimePoint, *,
-                        rtol: float = 1e-10,
-                        gamma_eval: float | None = None) -> FactorizedEvaluation:
-    """Product-form evaluation of the comb data's evolution.
-
-    The product of the factor moduli equals (2 pi)^d times the modulus
-    of the direct evolution; a global phase on the first axis is
-    dropped.
-    """
-    m = cp.model
-    x = np.asarray(p.x, dtype=float)
-    if x.size != m.d:
-        raise ValueError(f"point dimension {x.size} does not match d={m.d}")
-    _check_in_box(cp, x)
-    i1 = _window_factor(cp, float(x[0]), p.t, rtol, gamma_eval)
-    start, stop = comb_range(cp)
-    ells = np.arange(start, stop, dtype=float)
-    ij = []
-    for j in range(1, m.d):
-        g = _comb_g(cp, float(x[j]), p.t, ells, rtol, gamma_eval)
-        ij.append(complex(np.sum(_lattice_phases(cp, float(x[j]), p.t, ells) * g)))
-    modulus = abs(i1) * float(np.prod([abs(v) for v in ij])) if ij else abs(i1)
-    return FactorizedEvaluation(i1=i1, ij=tuple(ij), product_modulus=modulus)
-
-
-def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
-                         rtol: float = 1e-10) -> tuple[complex, float]:
-    """Dominant term and remainder bound for one comb factor.
-
-    j is the 0-based spatial axis; axes 1 .. d-1 carry comb factors.
-    Returns (main, e1_bound) with main the full lattice sum times the
-    inner integral at the top translate, and e1_bound an a-priori bound
-    on |factor - main| via summation by parts.
-    """
-    m = cp.model
-    if not 1 <= j < m.d:
-        raise ValueError(f"axis j must be in [1, {m.d - 1}]")
-    x = np.asarray(p.x, dtype=float)
-    _check_in_box(cp, x)
-    x_j, t = float(x[j]), p.t
-    start, stop = comb_range(cp)
-    ells = np.arange(start, stop, dtype=float)
-    phases = _lattice_phases(cp, x_j, t, ells)
-    partial = np.cumsum(phases)
-    sup_s = float(np.max(np.abs(partial)))
-    top = float(stop - 1)
-    g_top = _comb_g(cp, x_j, t, np.array([top]), rtol)[0]
-    main = complex(partial[-1] * g_top)
-    band = m.R ** (m.gamma / 2.0)
-    e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s
-    return main, e1_bound
-
-
-# ---------------------------------------------------------------------------
-# batched factorized evaluation (vectorized across sample points)
-
-# panel order of the batched window and comb rules
+# panel order of the window and comb rules
 _FACTOR_ORDER = 64
 
 
@@ -489,9 +394,32 @@ def _batch_comb(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
     co = xi[None, None, :] + cp.D * ells[None, :, None]
     decay = (t ** ge)[:, None, None] * (co * co)
     g = (_unit_bump(xi)[None, None, :] * np.exp(1j * phase - decay)) @ w
-    lattice = np.exp(1j * (cp.D * np.outer(xj, ells)
-                           + cp.D ** 2 * np.outer(t, ells * ells)))
-    return np.sum(lattice * g, axis=1)
+    return np.sum(_lattice_phases(cp, xj, t, ells) * g, axis=1)
+
+
+def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
+                  ells: np.ndarray, rtol: float,
+                  gamma_eval: float | None) -> np.ndarray:
+    """Lattice sums of translate integrals on one comb axis at paired samples.
+
+    Each translate integrates the unit bump against a unimodular phase,
+    so the sum's L1 mass is at most ells.size; that sets the rounding
+    floor, and the node budget is shared among the translates.
+    """
+    t_max = float(np.max(t, initial=0.0))
+    rate = (float(np.max(np.abs(xj)))
+            + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
+    panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
+    chunk = max(1, (1 << 22) // (ells.size * _FACTOR_ORDER))
+    out = np.empty(xj.size, dtype=complex)
+    for lo in range(0, xj.size, chunk):
+        rows = slice(lo, lo + chunk)
+        out[rows] = double_panels(
+            functools.partial(_batch_comb, cp, xj[rows], t[rows], ells,
+                              gamma_eval=gamma_eval),
+            -1.0, 1.0, panels, rtol=rtol, mass=float(ells.size),
+            order=_FACTOR_ORDER, max_nodes=MAX_NODES // ells.size)
+    return out
 
 
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
@@ -499,9 +427,9 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     """Factor arrays for many points: (i1, ij matrix, modulus product).
 
     Panel counts start from the worst-case phase rate over the batch
-    and double until the factor values stabilize.  A comb factor sums
-    one inner integral per translate, so its tolerance and node budget
-    scale with the comb length.
+    and double until the factor values stabilize, to rtol of the batch
+    maximum or to the rounding floor of the integrand's L1 mass (one
+    for the unit-mass window).
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -509,9 +437,8 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     if x.ndim != 2 or x.shape[1] != m.d or t.shape != (x.shape[0],):
         raise ValueError("x must be (n, d) and t (n,)")
     _check_in_box(cp, x)
-    if np.any(t < 0.0):
-        raise ValueError("t must be nonnegative")
-    n = x.shape[0]
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError("t must be finite and nonnegative")
     start, stop = comb_range(cp)
     ells = np.arange(start, stop, dtype=float)
     band = m.R ** (m.gamma / 2.0)
@@ -523,20 +450,54 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     i1 = double_panels(
         functools.partial(_batch_window, cp, x[:, 0], t, gamma_eval=gamma_eval),
         -1.0, 1.0, panels_for_rate(-1.0, 1.0, rate1, _FACTOR_ORDER),
-        rtol=rtol, order=_FACTOR_ORDER)
-
-    ij = np.empty((n, m.d - 1), dtype=complex)
-    chunk = max(1, (1 << 22) // max(ells.size * _FACTOR_ORDER, 1))
-    for j in range(1, m.d):
-        rate_j = (float(np.max(np.abs(x[:, j]))) + 2.0 * cp.D * t_max * float(stop)
-                  + 2.0 * t_max)
-        panels_j = panels_for_rate(-1.0, 1.0, rate_j, _FACTOR_ORDER)
-        for lo in range(0, n, chunk):
-            rows = slice(lo, min(lo + chunk, n))
-            ij[rows, j - 1] = double_panels(
-                functools.partial(_batch_comb, cp, x[rows, j], t[rows], ells,
-                                  gamma_eval=gamma_eval),
-                -1.0, 1.0, panels_j, rtol=rtol * ells.size, order=_FACTOR_ORDER,
-                max_nodes=MAX_NODES // max(ells.size, 1))
+        rtol=rtol, mass=1.0, order=_FACTOR_ORDER)
+    ij = np.stack([_comb_factors(cp, x[:, j], t, ells, rtol, gamma_eval)
+                   for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus
+
+
+def factorized_evaluate(cp: CounterexampleParams, p: SpaceTimePoint, *,
+                        rtol: float = 1e-10,
+                        gamma_eval: float | None = None) -> FactorizedEvaluation:
+    """Product-form evaluation of the comb data's evolution at one point.
+
+    The product of the factor moduli equals (2 pi)^d times the modulus
+    of the direct evolution; a global phase on the first axis is
+    dropped.
+    """
+    x = np.asarray(p.x, dtype=float)
+    if x.size != cp.model.d:
+        raise ValueError(f"point dimension {x.size} does not match d={cp.model.d}")
+    i1, ij, modulus = _factorized_batch(cp, x[None, :], np.array([p.t]), rtol=rtol,
+                                        gamma_eval=gamma_eval)
+    return FactorizedEvaluation(i1=complex(i1[0]), ij=tuple(complex(v) for v in ij[0]),
+                                product_modulus=float(modulus[0]))
+
+
+def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
+                         rtol: float = 1e-10) -> tuple[complex, float]:
+    """Dominant term and remainder bound for one comb factor.
+
+    j is the 0-based spatial axis; axes 1 .. d-1 carry comb factors.
+    Returns (main, e1_bound) with main the full lattice sum times the
+    inner integral at the top translate, and e1_bound an a-priori bound
+    on |factor - main| via summation by parts.
+    """
+    m = cp.model
+    if not 1 <= j < m.d:
+        raise ValueError(f"axis j must be in [1, {m.d - 1}]")
+    x = np.asarray(p.x, dtype=float)
+    _check_in_box(cp, x)
+    x_j, t = float(x[j]), p.t
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop, dtype=float)
+    partial = np.cumsum(_lattice_phases(cp, x_j, t, ells)[0])
+    sup_s = float(np.max(np.abs(partial)))
+    top = ells[-1:]
+    g_top = (_comb_factors(cp, x[j:j + 1], np.array([t]), top, rtol, None)[0]
+             / _lattice_phases(cp, x_j, t, top)[0, 0])
+    main = complex(partial[-1] * g_top)
+    band = m.R ** (m.gamma / 2.0)
+    e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s
+    return main, e1_bound

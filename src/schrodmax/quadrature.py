@@ -4,7 +4,9 @@ Everything downstream integrates smooth compactly supported integrands,
 possibly multiplied by fast oscillations e^{i(x xi + t xi^2)}.  The
 helpers here pick panel counts from an a-priori bound on the phase rate
 and then double panels until two refinements agree; double_panels is the
-one doubling loop behind every adaptive integral in the package.
+one doubling loop behind every adaptive integral in the package.  Its
+stopping rule has a rounding floor proportional to the integrand's L1
+mass, so an integral that cancels far below its mass still converges.
 """
 
 import functools
@@ -13,6 +15,9 @@ import numpy as np
 
 # hard ceiling on nodes spent inside one integral evaluation
 MAX_NODES = 1 << 26
+
+# rounding floor per unit of L1 mass: passes closer than this agree
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
@@ -54,20 +59,23 @@ def panels_for_rate(a: float, b: float, phase_rate: float, order: int = 32) -> i
 
 
 def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
-                  order: int = 32, max_nodes: int = MAX_NODES):
+                  mass: float = 0.0, order: int = 32, max_nodes: int = MAX_NODES):
     """Evaluate on composite rules over [a, b], doubling panels until two agree.
 
     evaluate(x, w) maps the nodes and weights of one rule to a value or
     an array of values.  Converged when the largest change is within
-    rtol of the largest new modulus (floored at 1e-300).  Raises
-    QuadratureError once panels * order would pass max_nodes.
+    rtol of the largest new modulus plus 64 eps times mass, a bound on
+    the L1 mass of each integrand that the caller works out: below that,
+    passes differ by rounding alone.  Raises QuadratureError once
+    panels * order would pass max_nodes.
     """
     prev = None
+    floor = _ROUNDING * mass
     while panels * order <= max_nodes:
         vals = evaluate(*panel_nodes(a, b, panels, order))
         if prev is not None:
-            scale = max(float(np.max(np.abs(vals))), 1e-300)
-            if float(np.max(np.abs(vals - prev))) <= rtol * scale:
+            scale = float(np.max(np.abs(vals)))
+            if float(np.max(np.abs(vals - prev))) <= rtol * scale + floor:
                 return vals
         prev = vals
         panels *= 2

@@ -178,6 +178,17 @@ def test_main_propagator_check(tmp_path, capsys):
     assert payload["summary"]["worst_rel_error"] <= 1e-4
 
 
+def test_main_propagator_check_strongly_cancelling_points(tmp_path, capsys):
+    """At R=4096 some windows cancel to ~1e-8; they converge at the rounding floor."""
+    out = tmp_path / "prop"
+    rc = main(["propagator-check", "--R", "4096", "--points", "20", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert "factorized-vs-direct: pass" in capsys.readouterr().out
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["verdicts"] == {"factorized-vs-direct": True}
+
+
 def test_main_counterexample_deterministic(tmp_path, capsys):
     cfg = tmp_path / "ce.cfg"
     cfg.write_text("verb = counterexample\n"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from schrodmax.maximal import TimeGrid
 from schrodmax.profiles import (
     AnnulusBump,
     Case1Product,
@@ -18,6 +19,7 @@ from schrodmax.profiles import (
 )
 from schrodmax.propagator import (
     SpaceTimePoint,
+    _factorized_batch,
     abel_main_plus_error,
     dissipative_tail_bound,
     evaluate_free,
@@ -36,6 +38,23 @@ def test_space_time_point_validation():
         SpaceTimePoint(x=(0.0,), t=-1e-9)
     with pytest.raises(ValueError):
         SpaceTimePoint(x=(math.nan,), t=0.1)
+
+
+def _factorized_at(t):
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=256.0))
+    x1_lo = -cp.c1 * cp.model.R ** (cp.model.gamma / 2.0 - 1.0)
+    return _factorized_batch(cp, np.array([[0.75 * x1_lo, 0.0]]), np.array([t]))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [
+    lambda t: SpaceTimePoint(x=(0.1, 0.2), t=t),
+    lambda t: TimeGrid(points=(0.1, t)),
+    _factorized_at,
+], ids=["point", "time-grid", "factorized-batch"])
+def test_non_finite_times_rejected(make, t):
+    with pytest.raises(ValueError, match="finite"):
+        make(t)
 
 
 def test_evaluate_dimension_and_gamma_checks():

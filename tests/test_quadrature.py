@@ -10,6 +10,7 @@ from scipy import special
 
 from schrodmax.quadrature import (
     QuadratureError,
+    double_panels,
     gauss_legendre,
     integrate_1d,
     panel_nodes,
@@ -114,3 +115,23 @@ def test_integrate_1d_modulation_shift(a, width, k):
         0.0, width, rtol=1e-11,
         min_panels=panels_for_rate(0.0, width, abs(k)))
     assert direct == pytest.approx(by_parts, rel=1e-8, abs=1e-12)
+
+
+def test_double_panels_converges_at_rounding_floor():
+    """cos over eight periods plus delta: the integral is 1e-8 of the L1 mass."""
+    mass = 32.0
+    b = 16.0 * math.pi + 1e-8 * mass
+    exact = math.sin(b)
+    calls = []
+
+    def evaluate(x, w):
+        calls.append(x.size)
+        return float(np.cos(x) @ w)
+
+    start = panels_for_rate(0.0, b, 1.0)
+    floor = 64.0 * np.finfo(float).eps * mass
+    val = double_panels(evaluate, 0.0, b, start, rtol=1e-10, mass=mass)
+    assert len(calls) <= 4
+    assert abs(val - exact) <= floor
+    with pytest.raises(QuadratureError):
+        double_panels(evaluate, 0.0, b, start, rtol=1e-10, max_nodes=1 << 14)
