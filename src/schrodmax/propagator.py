@@ -1,17 +1,21 @@
 """Field evaluation for the free and dissipative Schrodinger evolutions.
 
-One direct engine evaluates separable and radial profiles at batches
-of paired (x, t) samples, with oscillation-aware node budgets per
-octave of t; the one-point evaluators, the maximal module's time
-suprema and the tail-bound probes all call it.  The lattice-comb data
-additionally has one factorized product evaluator, batched over sample
-points, whose cost scales with the comb length instead of the full
-frequency box: a window integral times one lattice sum of translate
-integrals per comb axis.  The one-point factorized evaluation and the
-summation-by-parts split of a comb factor into a dominant term plus a
-bounded remainder are calls into it.  Every integral converges to rtol
-of its batch maximum or to a rounding floor set by its L1 mass, so a
-strongly cancelling point costs no more than a coherent one.
+One grid engine evaluates separable and radial profiles as matrices
+over a point set times a time set.  As e^{i(x xi + t xi^2) - t^gamma xi^2}
+= e^{i x xi} e^{(i t - t^gamma) xi^2}, a per-axis matrix over an octave
+of times is one exponential table per side met in GEMMs, and radial data
+meets the same time table through a Bessel kernel built once per node
+set.  The one-point evaluators (its 1 x 1 case), the maximal module's
+time suprema and the tail-bound probe grid all call it.  The
+lattice-comb data additionally has one factorized product evaluator,
+batched over sample points, whose cost scales with the comb length
+instead of the full frequency box: a window integral times one lattice
+sum of translate integrals per comb axis.  The one-point factorized
+evaluation and the summation-by-parts split of a comb factor into a
+dominant term plus a bounded remainder are calls into it.  Every
+integral converges to rtol of its largest value (per time column in the
+grid engine) or to a rounding floor set by its L1 mass, so a strongly
+cancelling point costs no more than a coherent one.
 """
 
 import functools
@@ -74,26 +78,31 @@ class TorusCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# direct field evaluation, batched over paired (x, t) samples
+# the grid engine: field matrices over a point set times a time set
+
+# entries in one exponential table or GEMM operand
+_CHUNK = 1 << 16
 
 
 def _decay(t: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-sample dissipation t^gamma, zero at t = 0."""
+    """Per-time dissipation t^gamma, zero at t = 0."""
     return np.where(t > 0.0, t, 1.0) ** gamma * (t > 0.0)
 
 
-def _bucket_indices(t: np.ndarray) -> list[np.ndarray]:
-    """Group sample indices by the octave of t (t = 0 in its own group)."""
-    out = []
-    zero = np.nonzero(t == 0.0)[0]
-    if zero.size:
-        out.append(zero)
-    live = np.nonzero(t > 0.0)[0]
-    if live.size:
-        octv = np.floor(np.log2(t[live])).astype(int)
-        for o in np.unique(octv):
-            out.append(live[octv == o])
-    return out
+def _octaves(tv: np.ndarray, decay: np.ndarray):
+    """Time columns by octave of t (t = 0 alone), with what their rules need.
+
+    Yields the columns, the frequency reach past which the octave's
+    weakest dissipation leaves less than e^-_DECAY_CUTOFF (inf without
+    dissipation), the largest t, and i t - t^gamma per column.
+    """
+    octave = np.full(tv.shape, -np.inf)
+    octave[tv > 0.0] = np.floor(np.log2(tv[tv > 0.0]))
+    for o in np.unique(octave):
+        cols = np.nonzero(octave == o)[0]
+        d_min = float(np.min(decay[cols]))
+        reach = math.sqrt(_DECAY_CUTOFF / d_min) if d_min > 0.0 else math.inf
+        yield cols, reach, float(np.max(tv[cols])), 1j * tv[cols] - decay[cols]
 
 
 @functools.lru_cache(maxsize=32)
@@ -111,102 +120,124 @@ def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
     return tuple((vals @ w) * width)
 
 
-def _batch_cell_integral(factor_fn, xv: np.ndarray, tv: np.ndarray,
-                         decay: np.ndarray, lo: float, hi: float,
-                         rate: float, rtol: float, mass: float) -> np.ndarray:
-    """Integrals of factor(xi) e^{i(x xi + t xi^2) - decay xi^2} over [lo, hi]."""
+def _node_blocks(block, xi: np.ndarray, coef: np.ndarray, rows: int):
+    """Sum of block(z, c) over blocks z of the nodes, c their coefficients.
 
-    def evaluate(xi, w):
-        phase = xv[:, None] * xi[None, :] + tv[:, None] * (xi * xi)[None, :]
-        damp = decay[:, None] * (xi * xi)[None, :]
-        return (factor_fn(xi)[None, :] * np.exp(1j * phase - damp)) @ w
-
-    return double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate), rtol=rtol,
-                         mass=mass)
-
-
-def _axis_values(f: SpectrumDescriptor, axis: int, xv: np.ndarray,
-                 tv: np.ndarray, decay: np.ndarray, rtol: float) -> np.ndarray:
-    """Per-axis factor integrals at paired (x_axis, t) samples."""
-    out = np.zeros(xv.size, dtype=complex)
-    cells = f.axis_cells()[axis]
-    masses = _cell_masses(f, axis)
-    chunk_cap = 1 << 22
-    for rows in _bucket_indices(tv):
-        d_min = float(np.min(decay[rows]))
-        t_hi = float(np.max(tv[rows]))
-        x_hi = float(np.max(np.abs(xv[rows])))
-        for (lo, hi), mass in zip(cells, masses):
-            if d_min > 0.0:
-                reach = math.sqrt(_DECAY_CUTOFF / d_min)
-                lo_c, hi_c = max(lo, -reach), min(hi, reach)
-            else:
-                lo_c, hi_c = lo, hi
-            if hi_c <= lo_c:
-                continue
-            rate = x_hi + 2.0 * t_hi * max(abs(lo_c), abs(hi_c))
-            est_nodes = panels_for_rate(lo_c, hi_c, rate) * 32
-            step = max(1, chunk_cap // max(est_nodes, 1))
-            for at in range(0, rows.size, step):
-                sub = rows[at:at + step]
-                out[sub] += _batch_cell_integral(
-                    lambda xi, _a=axis: np.asarray(f.axis_factor(_a, xi)),
-                    xv[sub], tv[sub], decay[sub], lo_c, hi_c, rate, rtol, mass)
+    A block holds about _CHUNK / rows nodes, so tables with rows rows
+    stay near _CHUNK entries.
+    """
+    step = max(1, _CHUNK // rows)
+    out = block(xi[:step], coef[:step])
+    for at in range(step, xi.size, step):
+        out += block(xi[at:at + step], coef[at:at + step])
     return out
 
 
-def _radial_values(f: AnnulusBump, radii: np.ndarray, tv: np.ndarray,
+def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """e^{lead z^2}, one row per node and one column per time."""
+    table = np.multiply.outer(z * z, lead)
+    return np.exp(table, out=table)
+
+
+def _plane_phase_sum(xv: np.ndarray, coef: np.ndarray, xi: np.ndarray,
+                     lead: np.ndarray) -> np.ndarray:
+    """Sum over nodes of coef e^{i x xi + lead xi^2} at every (x, t).
+
+    lead holds i t - t^gamma per time.  The tables e^{i x xi} and
+    e^{lead xi^2} meet in a GEMM, unless one table over every
+    (x, t, node) is no larger, as at a single point.
+    """
+    if xv.size * lead.size > xv.size + lead.size:
+        return _node_blocks(lambda z, c: (np.exp(1j * np.multiply.outer(xv, z)) * c)
+                            @ _time_table(z, lead), xi, coef, max(xv.size, lead.size))
+    return _node_blocks(lambda z, c: np.exp(1j * np.multiply.outer(xv, z)[:, None, :]
+                                            + np.multiply.outer(lead, z * z)) @ c,
+                        xi, coef, xv.size * lead.size)
+
+
+def _axis_matrix(f: SpectrumDescriptor, axis: int, xv: np.ndarray, tv: np.ndarray,
+                 decay: np.ndarray, rtol: float) -> np.ndarray:
+    """Factor integrals of one axis at every (x, t): an (xv.size, tv.size) matrix.
+
+    decay is each time's dissipation t^gamma (zeros for the free
+    evolution).  Per octave of t, each support cell is clipped where
+    the dissipation leaves nothing, its panels start from the octave's
+    worst phase rate, and they double until every time column is within
+    rtol of its largest modulus or the rounding floor of the cell's mass.
+    """
+    out = np.zeros((xv.size, tv.size), dtype=complex)
+    x_hi = float(np.max(np.abs(xv)))
+    for cols, reach, t_hi, lead in _octaves(tv, decay):
+        for (lo, hi), mass in zip(f.axis_cells()[axis], _cell_masses(f, axis)):
+            lo, hi = max(lo, -reach), min(hi, reach)
+            if hi <= lo:
+                continue
+            rate = x_hi + 2.0 * t_hi * max(abs(lo), abs(hi))
+
+            def evaluate(xi, w, lead=lead):
+                return _plane_phase_sum(xv, np.asarray(f.axis_factor(axis, xi)) * w, xi, lead)
+
+            out[:, cols] += double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate),
+                                          rtol=rtol, mass=mass)
+    return out
+
+
+def _radial_matrix(f: AnnulusBump, radii: np.ndarray, tv: np.ndarray,
                    decay: np.ndarray, rtol: float) -> np.ndarray:
-    """|x|-dependent field values at paired (|x|, t) samples."""
+    """Field of radial data at every (|x|, t): a (radii.size, tv.size) matrix.
+
+    The Bessel kernel of each node set is built once for all times and
+    meets their table in a GEMM; octaves, clipping and panel starts are
+    those of _axis_matrix, and each time column converges to rtol of
+    its largest modulus.
+    """
     d = f.dim
     lo, hi = f.support_radii()
-    out = np.zeros(radii.size, dtype=complex)
     nu = d / 2.0 - 1.0
     area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    for rows in _bucket_indices(tv):
-        d_min = float(np.min(decay[rows]))
-        hi_c = min(hi, math.sqrt(_DECAY_CUTOFF / d_min)) if d_min > 0.0 else hi
+    small = radii < 1e-300
+    scale = TWO_PI ** (d / 2.0) * np.where(small, 1.0, radii) ** (1.0 - d / 2.0)
+
+    def kernel(rho):
+        bessel = scale[:, None] * jv(nu, np.multiply.outer(radii, rho)) * rho ** (d / 2.0)
+        return np.where(small[:, None], area * rho ** (d - 1), bessel)
+
+    out = np.zeros((radii.size, tv.size), dtype=complex)
+    for cols, reach, t_hi, lead in _octaves(tv, decay):
+        hi_c = min(hi, reach)
         if hi_c <= lo:
             continue
-        t_hi = float(np.max(tv[rows]))
-        x_hi = float(np.max(radii[rows]))
-        rate = x_hi + 2.0 * t_hi * hi_c
-        small = radii[rows] < 1e-300
+        rate = float(np.max(radii)) + 2.0 * t_hi * hi_c
 
-        def evaluate(rho, w, rows=rows, small=small):
-            prof = radial_profile(f.profile, rho / f.R)
-            lead = (1j * tv[rows, None] - decay[rows, None]) * (rho * rho)[None, :]
-            rx = radii[rows, None] * rho[None, :]
-            kern = np.where(
-                small[:, None],
-                area * (rho ** (d - 1))[None, :],
-                TWO_PI ** (d / 2.0)
-                * np.where(small, 1.0, radii[rows])[:, None] ** (1.0 - d / 2.0)
-                * jv(nu, rx) * (rho ** (d / 2.0))[None, :])
-            return (prof[None, :] * np.exp(lead) * kern) @ w * TWO_PI ** -d
+        def evaluate(rho, w, lead=lead):
+            return _node_blocks(lambda z, c: (kernel(z) * c) @ _time_table(z, lead),
+                                rho, radial_profile(f.profile, rho / f.R) * w,
+                                max(radii.size, lead.size))
 
-        out[rows] = double_panels(evaluate, lo, hi_c, panels_for_rate(lo, hi_c, rate),
-                                  rtol=rtol)
-    return out
+        out[:, cols] = double_panels(evaluate, lo, hi_c, panels_for_rate(lo, hi_c, rate),
+                                     rtol=rtol)
+    return out * TWO_PI ** -d
 
 
-def _field_points(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
-                  decay: np.ndarray, rtol: float) -> np.ndarray:
-    """Field values at paired samples: x is (n, d), t and decay are (n,).
+def _field_grid(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
+                decay: np.ndarray, rtol: float) -> np.ndarray:
+    """Field values at points x, shaped (n, d), and times t: an (n, t.size) matrix.
 
-    decay is each sample's dissipation t^gamma (zeros for the free
-    evolution).  Panel counts follow the worst phase rate of each
-    octave of t, and converge against that group's largest modulus.
+    decay is each time's dissipation t^gamma (zeros for the free
+    evolution).  Separable data is evaluated on the distinct
+    coordinates of each axis, radial data on the distinct radii.
     """
     if isinstance(f, Modulated):
-        return _field_points(f.base, x + f.shift[None, :], t, decay, rtol)
+        return _field_grid(f.base, x + f.shift[None, :], t, decay, rtol)
     if isinstance(f, AnnulusBump):
-        return _radial_values(f, np.linalg.norm(x, axis=1), t, decay, rtol)
+        radii, rows = np.unique(np.linalg.norm(x, axis=1), return_inverse=True)
+        return _radial_matrix(f, radii, t, decay, rtol)[rows]
     if f.axis_cells() is None:
         raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    out = np.full(x.shape[0], TWO_PI ** -f.dim, dtype=complex)
+    out = np.full((x.shape[0], t.size), TWO_PI ** -f.dim, dtype=complex)
     for axis in range(f.dim):
-        out *= _axis_values(f, axis, x[:, axis], t, decay, rtol)
+        coords, rows = np.unique(x[:, axis], return_inverse=True)
+        out *= _axis_matrix(f, axis, coords, t, decay, rtol)[rows]
     return out
 
 
@@ -215,8 +246,8 @@ def _evaluate_point(f: SpectrumDescriptor, p: SpaceTimePoint, decay: float,
     x = np.asarray(p.x, dtype=float)
     if x.size != f.dim:
         raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
-    return complex(_field_points(f, x[None, :], np.array([p.t]),
-                                 np.array([decay]), rtol)[0])
+    return complex(_field_grid(f, x[None, :], np.array([p.t]), np.array([decay]),
+                               rtol)[0, 0])
 
 
 def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint, *,
@@ -268,10 +299,8 @@ def dissipative_tail_bound(f: SpectrumDescriptor, gamma: float, eps: float, *,
     if t_lo >= 1.0:
         raise ValueError("time window is empty; R too small for this gamma, eps")
     times = np.geomspace(t_lo, 1.0, n_times + 2)[1:-1]
-    probes = _ball_probe_points(f.dim)
-    t = np.repeat(times, probes.shape[0])
-    x = np.tile(probes, (times.size, 1))
-    worst = float(np.max(np.abs(_field_points(f, x, t, _decay(t, gamma), rtol))))
+    field = _field_grid(f, _ball_probe_points(f.dim), times, _decay(times, gamma), rtol)
+    worst = float(np.max(np.abs(field)))
     if worst > 10.0 * bound:
         raise ArithmeticError(
             f"sampled evolution {worst:g} exceeds ten times the bound {bound:g}")

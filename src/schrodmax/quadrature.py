@@ -6,7 +6,8 @@ helpers here pick panel counts from an a-priori bound on the phase rate
 and then double panels until two refinements agree; double_panels is the
 one doubling loop behind every adaptive integral in the package.  Its
 stopping rule has a rounding floor proportional to the integrand's L1
-mass, so an integral that cancels far below its mass still converges.
+mass, so an integral that cancels far below its mass still converges,
+and each column of a matrix of integrals meets it on its own.
 """
 
 import functools
@@ -62,11 +63,13 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
                   mass: float = 0.0, order: int = 32, max_nodes: int = MAX_NODES):
     """Evaluate on composite rules over [a, b], doubling panels until two agree.
 
-    evaluate(x, w) maps the nodes and weights of one rule to a value or
-    an array of values.  Converged when the largest change is within
-    rtol of the largest new modulus plus 64 eps times mass, a bound on
-    the L1 mass of each integrand that the caller works out: below that,
-    passes differ by rounding alone.  Raises QuadratureError once
+    evaluate(x, w) maps the nodes and weights of one rule to a value, an
+    array of values, or a matrix whose columns converge on their own.
+    Converged when the largest change is within rtol of the largest new
+    modulus plus 64 eps times mass, a bound on the L1 mass of each
+    integrand that the caller works out: below that, passes differ by
+    rounding alone.  The maxima run over the leading axis of a matrix
+    and over everything otherwise.  Raises QuadratureError once
     panels * order would pass max_nodes.
     """
     prev = None
@@ -74,8 +77,9 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
     while panels * order <= max_nodes:
         vals = evaluate(*panel_nodes(a, b, panels, order))
         if prev is not None:
-            scale = float(np.max(np.abs(vals)))
-            if float(np.max(np.abs(vals - prev))) <= rtol * scale + floor:
+            lead = 0 if np.ndim(vals) > 1 else None
+            change = np.abs(vals - prev).max(axis=lead)
+            if (change <= rtol * np.abs(vals).max(axis=lead) + floor).all():
                 return vals
         prev = vals
         panels *= 2

@@ -16,10 +16,14 @@ from schrodmax.profiles import (
     Modulated,
     PlaneWaveSurrogate,
     l1_fourier_mass,
+    radial_profile,
+    spectrum_eval,
 )
 from schrodmax.propagator import (
     SpaceTimePoint,
+    _decay,
     _factorized_batch,
+    _field_grid,
     abel_main_plus_error,
     dissipative_tail_bound,
     evaluate_free,
@@ -153,6 +157,61 @@ def test_modulation_is_spatial_shift():
     a = evaluate_p_gamma(mod, 2.0, SpaceTimePoint(x=x, t=t))
     b = evaluate_p_gamma(base, 2.0, SpaceTimePoint(x=shifted, t=t))
     assert a == pytest.approx(b, rel=1e-9)
+
+
+def _gauss(a, b, panels, order):
+    u, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mids + half * u).ravel(), (half * w).ravel()
+
+
+def _box_reference(f, x, t, decay, box):
+    """Tensor Gauss-Legendre sum over a box holding the 2-d support."""
+    (u, wu), (v, wv) = (_gauss(lo, hi, 20, 20) for lo, hi in box)
+    xi = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1)
+    amp = spectrum_eval(f, xi) * np.multiply.outer(wu, wv)
+    sq = np.sum(xi * xi, axis=-1)
+    return np.array([[np.sum(amp * np.exp(1j * (xi @ p) + (1j * s - dc) * sq))
+                      for s, dc in zip(t, decay)] for p in x]) / TWO_PI**2
+
+
+def _polar_reference(f, x, t, decay, box):
+    """Gauss-Legendre sum in polar coordinates over the disc of radius box[1]."""
+    r, wr = _gauss(0.0, box[1], 80, 32)
+    th, wth = _gauss(0.0, TWO_PI, 16, 32)
+    prof = radial_profile(f.profile, r / f.R) * r * wr
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    out = np.empty((len(x), t.size), dtype=complex)
+    for i, p in enumerate(x):
+        ring = np.exp(1j * np.multiply.outer(r, dirs @ p)) @ wth
+        out[i] = [np.sum(prof * ring * np.exp((1j * s - dc) * r * r))
+                  for s, dc in zip(t, decay)]
+    return out / TWO_PI**2
+
+
+@pytest.mark.parametrize("f, gamma, reference, box", [
+    (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, _box_reference,
+     [(-4.0, 4.0)] * 2),
+    (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
+               l=(2.0, -1.0), R=4.0), 1.0, _box_reference, [(-4.0, 4.0)] * 2),
+    (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, _box_reference,
+     [(1.7, 2.3), (-1.3, -0.7)]),
+    (AnnulusBump(d=2, R=3.0), 2.0, _polar_reference, (0.0, 9.0)),
+], ids=["product", "shifted-product", "plane-wave", "annulus"])
+def test_field_grid_matches_fixed_gauss_sum(f, gamma, reference, box):
+    """Engine matrices on a 3 x 3 grid of points and times, and point by point."""
+    x = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.0]])
+    t = np.array([0.0, 0.05, 0.3])
+    decay = _decay(t, gamma)
+    want = reference(f, x, t, decay, box)
+    tol = 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(_field_grid(f, x, t, decay, 1e-10) - want)) <= tol
+    for i in range(3):
+        for j in range(3):
+            one = _field_grid(f, x[i:i + 1], t[j:j + 1], decay[j:j + 1], 1e-10)
+            assert abs(one[0, 0] - want[i, j]) <= tol
 
 
 def test_dissipative_tail_bound_properties():

@@ -135,3 +135,33 @@ def test_double_panels_converges_at_rounding_floor():
     assert abs(val - exact) <= floor
     with pytest.raises(QuadratureError):
         double_panels(evaluate, 0.0, b, start, rtol=1e-10, max_nodes=1 << 14)
+
+
+def test_double_panels_converges_each_column_on_its_own():
+    """A coherent column beside one that cancels to 1e-8 of its L1 mass.
+
+    The coherent bump is so large that a test against the largest value
+    of the whole matrix would accept the cancelling column one pass
+    early, 9e-9 away from its own tolerance.
+    """
+    b = 16.0 * math.pi + 1e-8 * 32.0
+    exact = np.array([100.0 * 8.0 * math.sqrt(math.pi) * math.erf(b / 16.0),
+                      math.sin(1.5 * b) / 1.5])
+    rows = np.array([[1.0], [-0.5]])
+    passes = []
+
+    def evaluate(x, w):
+        cols = np.stack([100.0 * np.exp(-(((x - b / 2.0) / 8.0) ** 2)),
+                         np.cos(1.5 * x)], axis=1)
+        passes.append(rows * (w @ cols))
+        return passes[-1]
+
+    mass = float(exact[0])
+    floor = 64.0 * np.finfo(float).eps * mass
+    val = double_panels(evaluate, 0.0, b, 1, rtol=1e-10, mass=mass)
+    change = np.max(np.abs(passes[-1] - passes[-2]), axis=0)
+    assert np.all(change <= 1e-10 * np.max(np.abs(val), axis=0) + floor)
+    assert np.all(np.abs(val[0] - exact) <= 1e-10 * np.abs(exact) + floor)
+    assert abs(exact[1]) < 1e-8 * 32.0 * 1.01
+    with pytest.raises(QuadratureError):
+        double_panels(evaluate, 0.0, b, 1, rtol=1e-10, max_nodes=1 << 12)
