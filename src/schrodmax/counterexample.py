@@ -4,6 +4,10 @@ Rational anchors pick out times where the dispersive phase aligns with
 a quadratic Gauss sum; cells around the anchors are sampled, pulled
 back to a spatial box, and the evolved field is evaluated there through
 the factorized path.  Measures, error budgets, and scaling fits follow.
+
+Anchors are positions in one enumeration order (`_anchor_pairs`), decoded
+with integer arithmetic: the sampler never lists them, and the anchor and
+in-window counts are closed-form sums over the (q, a1) pairs.
 """
 
 import math
@@ -118,34 +122,47 @@ def _admissible_moduli(cp: CounterexampleParams) -> tuple[int, ...]:
     return mods
 
 
+def _anchor_pairs(cp: CounterexampleParams):
+    """The one anchor enumeration order, as arrays over its (q, a1) pairs.
+
+    Anchors run over the admissible q ascending, then a1 over the units
+    of q ascending, then the (q/4)^(d-1) even rest tuples with the first
+    rest axis most significant.  Returns each pair's q and a1 and the
+    position of its first anchor; the last start is the anchor count.
+    """
+    mods = _admissible_moduli(cp)
+    q = np.concatenate([np.full(totient(m), m, dtype=np.int64) for m in mods])
+    a1 = np.concatenate([np.flatnonzero(np.gcd(np.arange(m), m) == 1) for m in mods])
+    starts = np.concatenate(([0], np.cumsum((q // 4) ** (cp.model.d - 1))))
+    return q, a1, starts
+
+
+def _decode_anchors(cp: CounterexampleParams, index):
+    """(q, a1, rest) integer arrays of the anchors at enumeration positions."""
+    q_pair, a1_pair, starts = _anchor_pairs(cp)
+    index = np.asarray(index, dtype=np.int64)
+    pair = np.searchsorted(starts, index, side="right") - 1
+    q = q_pair[pair]
+    within = index - starts[pair]
+    k = q // 4
+    rest = np.stack([within // k ** (cp.model.d - 2 - j) % k
+                     for j in range(cp.model.d - 1)], axis=-1)
+    return q, a1_pair[pair], 2 * rest + 2
+
+
+def _rational_anchors(q, a1, rest) -> list[RationalAnchor]:
+    return [RationalAnchor(q=qi, a1=ai, a_rest=tuple(ri))
+            for qi, ai, ri in zip(q.tolist(), a1.tolist(), rest.tolist())]
+
+
 def enumerate_anchors(cp: CounterexampleParams, *, limit: int | None = None,
                       seed: int = 0) -> tuple[RationalAnchor, ...]:
     """All admissible anchors, or a seeded subsample of at most limit."""
-    d = cp.model.d
-    out = []
-    for q in _admissible_moduli(cp):
-        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
-        evens = list(range(2, q // 2 + 1, 2))
-        if not evens:
-            continue
-        combos = _even_tuples(evens, d - 1)
-        for a1 in units:
-            for rest in combos:
-                out.append(RationalAnchor(q=q, a1=a1, a_rest=rest))
-    if not out:
-        raise PreconditionError("no anchors exist at this scale")
-    if limit is not None and len(out) > limit:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(out), size=limit, replace=False))
-        out = [out[i] for i in idx]
-    return tuple(out)
-
-
-def _even_tuples(evens, k):
-    if k == 1:
-        return [(a,) for a in evens]
-    tails = _even_tuples(evens, k - 1)
-    return [(a,) + t for a in evens for t in tails]
+    total = int(_anchor_pairs(cp)[2][-1])
+    index = np.arange(total)
+    if limit is not None and total > limit:
+        index = np.sort(np.random.default_rng(seed).choice(total, limit, replace=False))
+    return tuple(_rational_anchors(*_decode_anchors(cp, index)))
 
 
 def omega_cells(cp: CounterexampleParams, anchors=None) -> tuple[OmegaCell, ...]:
@@ -153,13 +170,10 @@ def omega_cells(cp: CounterexampleParams, anchors=None) -> tuple[OmegaCell, ...]
     if anchors is None:
         anchors = enumerate_anchors(cp)
     A1, Aj = _half_widths(cp)
-    d = cp.model.d
-    cells = []
-    for a in anchors:
-        center = (TWO_PI * a.a1 / a.q,) + tuple(TWO_PI * r / a.q for r in a.a_rest)
-        cells.append(OmegaCell(anchor=a, center=center,
-                               half_widths=(A1,) + (Aj,) * (d - 1)))
-    return tuple(cells)
+    half = (A1,) + (Aj,) * (cp.model.d - 1)
+    return tuple(OmegaCell(anchor=a, half_widths=half,
+                           center=tuple(TWO_PI * r / a.q for r in (a.a1,) + a.a_rest))
+                 for a in anchors)
 
 
 def _window_bounds(cp: CounterexampleParams) -> tuple[float, float]:
@@ -167,18 +181,21 @@ def _window_bounds(cp: CounterexampleParams) -> tuple[float, float]:
     return U / 2.0, U
 
 
-def anchors_in_window(cp: CounterexampleParams, anchors) -> tuple[RationalAnchor, ...]:
-    """Anchors whose leading cell meets the pulled-back leading window."""
+def _in_window(cp: CounterexampleParams, q, a1) -> np.ndarray:
+    """Whether each (q, a1) leading cell meets the pulled-back leading window."""
     lo, hi = _window_bounds(cp)
     A1, _ = _half_widths(cp)
-    keep = []
-    for a in anchors:
-        c = TWO_PI * a.a1 / a.q
-        k_lo = math.ceil((lo - c - A1) / TWO_PI - 1e-12)
-        k_hi = math.floor((hi - c + A1) / TWO_PI + 1e-12)
-        if k_lo <= k_hi:
-            keep.append(a)
-    return tuple(keep)
+    c = TWO_PI * np.asarray(a1) / np.asarray(q)
+    k_lo = np.ceil((lo - c - A1) / TWO_PI - 1e-12)
+    k_hi = np.floor((hi - c + A1) / TWO_PI + 1e-12)
+    return k_lo <= k_hi
+
+
+def anchors_in_window(cp: CounterexampleParams, anchors) -> tuple[RationalAnchor, ...]:
+    """Anchors whose leading cell meets the pulled-back leading window."""
+    anchors = tuple(anchors)
+    keep = _in_window(cp, [a.q for a in anchors], [a.a1 for a in anchors])
+    return tuple(a for a, k in zip(anchors, keep) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +249,6 @@ def _multiplicity(cp, y1n, yjn):
         a1c = np.round(q * y1n / TWO_PI).astype(np.int64) % q
         dist1 = np.abs(_wrap(y1n - TWO_PI * a1c / q))
         hit1 = (np.gcd(a1c, q) == 1) & (dist1 <= A1 + 1e-12)
-        if d == 1:
-            m += hit1.astype(np.int64)
-            continue
-        if q // 4 < 1:
-            continue
         pos = (4.0 * math.pi / q) * np.arange(1, q // 4 + 1)
         cnt = np.ones(n, dtype=np.int64)
         for j in range(d - 1):
@@ -246,8 +258,8 @@ def _multiplicity(cp, y1n, yjn):
     return m
 
 
-def sample_omega_star(cp: CounterexampleParams, n_samples: int, seed,
-                      *, anchors=None) -> tuple[OmegaStarSample, ...]:
+def sample_omega_star(cp: CounterexampleParams, n_samples: int,
+                      seed) -> tuple[OmegaStarSample, ...]:
     """Draw anchored torus points and pull them back to the spatial box.
 
     Every draw is returned; draws whose torus point has no preimage in
@@ -261,33 +273,24 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int, seed,
     if not cp.spans_lattice_period:
         raise PreconditionError(
             "spatial box spans less than one lattice period per rest axis")
-    if anchors is None:
-        anchors = enumerate_anchors(cp)
-    anchors = tuple(anchors)
-    if not anchors:
-        raise PreconditionError("no anchors to sample")
-    NA = len(anchors)
+    NA = int(_anchor_pairs(cp)[2][-1])
     A1, Aj = _half_widths(cp)
     M1 = D * D / (2.0 * band)
     lo_w, hi_w = _window_bounds(cp)
     rng = np.random.default_rng(seed)
 
-    qs = np.array([a.q for a in anchors], dtype=np.int64)
-    a1s = np.array([a.a1 for a in anchors], dtype=np.int64)
-    rests = np.array([a.a_rest for a in anchors], dtype=np.int64).reshape(NA, d - 1)
-
-    pick = rng.integers(0, NA, size=n_samples)
-    q = qs[pick].astype(float)
-    y1 = TWO_PI * a1s[pick] / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
-    yj = TWO_PI * rests[pick] / q[:, None] \
+    picked, inv = np.unique(rng.integers(0, NA, size=n_samples), return_inverse=True)
+    decoded = _decode_anchors(cp, picked)
+    qi, a1i, resti = (v[inv] for v in decoded)
+    q = qi.astype(float)
+    y1 = TWO_PI * a1i / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
+    yj = TWO_PI * resti / q[:, None] \
         + Aj * rng.uniform(-1.0, 1.0, size=(n_samples, d - 1))
 
     k1_lo = np.ceil((lo_w - y1) / TWO_PI)
-    n1 = (np.floor((hi_w - y1) / TWO_PI) - k1_lo + 1).astype(np.int64)
-    n1 = np.maximum(n1, 0)
+    n1 = np.maximum(np.floor((hi_w - y1) / TWO_PI) - k1_lo + 1, 0).astype(np.int64)
     kj_lo = np.ceil((-cp.c1 * D - yj) / TWO_PI)
-    nj = (np.floor((cp.c1 * D - yj) / TWO_PI) - kj_lo + 1).astype(np.int64)
-    nj = np.maximum(nj, 0)
+    nj = np.maximum(np.floor((cp.c1 * D - yj) / TWO_PI) - kj_lo + 1, 0).astype(np.int64)
 
     mult = _multiplicity(cp, y1 % TWO_PI, yj % TWO_PI)
     if np.any(mult < 1):
@@ -310,16 +313,12 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int, seed,
         if worst > 1e-9:
             raise RuntimeError(f"congruence residual {worst:g} exceeds 1e-9")
 
-    out = []
-    for i in range(n_samples):
-        a = anchors[pick[i]]
-        yv = (float(y1[i]),) + tuple(float(v) for v in yj[i])
-        if valid[i]:
-            xv = (float(x1[i]),) + tuple(float(v) for v in xj[i])
-        else:
-            xv = None
-        out.append(OmegaStarSample(anchor=a, y=yv, x=xv, weight=float(weight[i])))
-    return tuple(out)
+    anchors = _rational_anchors(*decoded)
+    rows = zip(inv.tolist(), np.column_stack([y1, yj]).tolist(),
+               np.column_stack([x1, xj]).tolist(), valid.tolist(), weight.tolist())
+    return tuple(OmegaStarSample(anchor=anchors[k], y=tuple(yv),
+                                 x=tuple(xv) if ok else None, weight=w)
+                 for k, yv, xv, ok, w in rows)
 
 
 def omega_star_measure(samples) -> tuple[float, float]:
@@ -533,8 +532,8 @@ class LowerBoundReport:
 
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    anchors = enumerate_anchors(cp)
-    in_window = anchors_in_window(cp, anchors)
+    q, a1, starts = _anchor_pairs(cp)
+    in_window = int(np.sum(np.diff(starts)[_in_window(cp, q, a1)]))
     if not in_window:
         raise PreconditionError(
             f"no rational anchor meets the sampling window at R={mp.R:g}")
@@ -566,8 +565,8 @@ def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
         measure_estimate=measure_est, measure_stderr=measure_err,
         mean_modulus=mean_mod, mean_sq_modulus=mean_sq, sobolev=sob,
         ratio_estimate=ratio, e1_max=e1_max, e2_max=e2_max,
-        admissible_fraction=adm, anchors_total=len(anchors),
-        anchors_in_window=len(in_window))
+        admissible_fraction=adm, anchors_total=int(starts[-1]),
+        anchors_in_window=in_window)
 
 
 def _entry_task(task):

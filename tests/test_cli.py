@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
-from schrodmax import maximal
+from schrodmax import cli, maximal
 from schrodmax.cli import (
     ConfigError,
     ExperimentConfig,
@@ -189,6 +190,47 @@ def test_main_propagator_check_strongly_cancelling_points(tmp_path, capsys):
     assert payload["verdicts"] == {"factorized-vs-direct": True}
 
 
+def test_main_propagator_check_passes_points_below_the_rounding_floor(tmp_path, capsys):
+    """At R=16384 four points sit below 64 eps times the data's L1 mass."""
+    out = tmp_path / "prop"
+    rc = main(["propagator-check", "--R", "16384", "--points", "20", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert "factorized-vs-direct: pass" in capsys.readouterr().out
+    payload = json.loads((out / "report.json").read_text())
+    summary = payload["summary"]
+    assert summary["rounding_floor"] == pytest.approx(3.5527136788004853e-13)
+    assert summary["points_below_floor"] == 4
+    assert summary["worst_rel_error"] > 1e-4
+    below = [r for r in payload["records"]
+             if r["direct_scaled"] < summary["rounding_floor"]]
+    assert len(below) == 4
+
+
+def test_main_propagator_check_fails_an_error_above_the_floor(tmp_path, capsys,
+                                                              monkeypatch):
+    real = cli.factorized_evaluate
+    calls = []
+
+    def off_by_one_percent(cp, pt, **kw):
+        fac = real(cp, pt, **kw)
+        calls.append(pt)
+        if len(calls) > 1:
+            return fac
+        return dataclasses.replace(fac, product_modulus=1.01 * fac.product_modulus)
+
+    monkeypatch.setattr(cli, "factorized_evaluate", off_by_one_percent)
+    out = tmp_path / "prop"
+    rc = main(["propagator-check", "--R", "16384", "--points", "20", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 1
+    assert "factorized-vs-direct: FAIL" in capsys.readouterr().out
+    payload = json.loads((out / "report.json").read_text())
+    first = payload["records"][0]
+    assert first["direct_scaled"] > 1e3 * payload["summary"]["rounding_floor"]
+    assert first["rel_error"] == pytest.approx(0.01, rel=1e-3)
+
+
 def test_main_counterexample_deterministic(tmp_path, capsys):
     cfg = tmp_path / "ce.cfg"
     cfg.write_text("verb = counterexample\n"
@@ -274,12 +316,15 @@ def test_main_maximal_sweep_failure_keeps_partial_entries(tmp_path, capsys,
 
 
 def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, capsys):
-    rc = main(["maximal-sweep", "--d", "2", "--gamma", "2",
-               "--ladder", "2^6 2^7 2^8 2^9", "--out", str(tmp_path / "g2")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "R=64 " in err
-    assert not (tmp_path / "g2").exists()
+    # below the construction's validity scale (2^6) and above it (2^16)
+    for ladder in ("2^6 2^7 2^8 2^9", "2^16 2^17 2^18 2^19"):
+        out = tmp_path / ladder.split()[0]
+        rc = main(["maximal-sweep", "--d", "2", "--gamma", "2",
+                   "--ladder", ladder, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "counterexample" in err
+        assert not out.exists()
 
 
 def test_main_maximal_sweep_small(tmp_path, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,6 +84,48 @@ def test_anchor_enumeration_subsample():
     assert set(sub) <= set(full)
     assert sub == enumerate_anchors(cp, limit=20, seed=4)
     assert sub != enumerate_anchors(cp, limit=20, seed=5)
+
+
+def _nested_loop_anchors(cp):
+    """Every anchor by explicit loops: q, then units a1, then even rest tuples."""
+    out = []
+    for q in range(4, 4 * int(cp.Q) + 1, 4):
+        if q < 4.0 * cp.mu0 * cp.Q:
+            continue
+        evens = range(2, q // 2 + 1, 2)
+        for a1 in range(1, q):
+            if math.gcd(a1, q) != 1:
+                continue
+            for rest in itertools.product(evens, repeat=cp.model.d - 1):
+                out.append(RationalAnchor(q=q, a1=a1, a_rest=rest))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d,k", [(2, 16), (2, 24), (3, 16)])
+def test_anchor_index_matches_nested_loops(d, k):
+    cp = _exp_params(2.0**k, d=d)
+    assert enumerate_anchors(cp) == _nested_loop_anchors(cp)
+
+
+def test_ladder_anchor_counts_in_closed_form():
+    rep = lower_bound_experiment(_exp_ladder(16, 19), 100, 0)
+    assert [(r.anchors_total, r.anchors_in_window) for r in rep.records] == [
+        (142, 11), (226, 22), (226, 15), (354, 15)]
+    for r in rep.records:
+        cp = _exp_params(r.R)
+        assert r.anchors_total == len(enumerate_anchors(cp))
+        assert r.anchors_in_window == len(anchors_in_window(cp, enumerate_anchors(cp)))
+
+
+def test_sampler_draws_are_pinned():
+    valid = [s for s in sample_omega_star(_exp_params(), 500, seed=2)
+             if s.x is not None]
+    assert len(valid) == 36
+    first = valid[0]
+    assert first.anchor == RationalAnchor(q=20, a1=1, a_rest=(10,))
+    assert first.y == (0.3141323489577603, 3.141585912456239)
+    assert first.x == (-0.015582938162274707, -0.005798088201491546)
+    assert first.weight == 1.030571082743135e-10
 
 
 def test_window_filter_matches_enumerated_window():
@@ -335,6 +379,19 @@ def test_experiment_record_contents():
             / rec.sobolev)
         assert 0.0 <= rec.admissible_fraction <= 1.0
         assert rec.anchors_in_window <= rec.anchors_total
+
+
+def test_d3_ladder_runs_without_listing_anchors():
+    """A d=3 ladder whose largest entry has 3.4M anchors; slopes are not asserted."""
+    start = time.perf_counter()
+    rep = lower_bound_experiment(
+        [_exp_params(2.0**k, d=3) for k in range(20, 24)], 2000, 0, s=0.0)
+    elapsed = time.perf_counter() - start
+    assert len(rep.records) == 4 and rep.aborted == ()
+    assert [r.anchors_total for r in rep.records] == [
+        465018, 906106, 1708062, 3364822]
+    assert [r.anchors_in_window for r in rep.records] == [4875, 9144, 17451, 48723]
+    assert elapsed < 30.0
 
 
 def test_experiment_sobolev_weight_lowers_ratio():
