@@ -490,6 +490,8 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
         "ratio_slope": report.ratio_slope,
         "ratio_stderr": report.ratio_stderr,
         "ratio_target": report.ratio_target,
+        "measure_slope": report.measure_slope,
+        "sobolev_slope": report.sobolev_slope,
         "c_gauss": report.c_gauss,
         "c_delta0": report.c_delta0,
         "s": report.s,

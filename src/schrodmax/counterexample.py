@@ -459,6 +459,14 @@ def calibration_constants(d: int, gamma: float) -> dict:
     return {"c_gauss": cg, "c_delta0": cd, "cases": swept}
 
 
+def _translate_moments(start: int, stop: int) -> tuple[float, float]:
+    """Sums of l and of l^2 over start <= l < stop, in exact integer arithmetic."""
+    def squares(n):
+        return n * (n + 1) * (2 * n + 1) // 6
+    return (float((start + stop - 1) * (stop - start) // 2),
+            float(squares(stop - 1) - squares(start - 1)))
+
+
 def error_budget(cp: CounterexampleParams, sample: OmegaStarSample,
                  t: float) -> tuple[float, float, bool]:
     """Drift and Gauss-replacement budgets at the sampled point and time.
@@ -473,9 +481,7 @@ def error_budget(cp: CounterexampleParams, sample: OmegaStarSample,
     band = R ** (gamma / 2.0)
     scale = band / (D * math.sqrt(Q))
     start, stop, _ = _translate_range(cp)
-    ells = np.arange(start, stop, dtype=float)
-    sum_l = float(np.sum(ells))
-    sum_l2 = float(np.sum(ells ** 2))
+    sum_l, sum_l2 = _translate_moments(start, stop)
     _, Aj = _half_widths(cp)
     eps_t = abs(_wrap(D * D * t - TWO_PI * sample.anchor.a1 / q))
     cal = calibration_constants(d, gamma)
@@ -514,7 +520,12 @@ class LowerBoundRecord:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Ladder records with fitted growth exponents and targets."""
+    """Ladder records with fitted growth exponents and targets.
+
+    The ratio slope splits exactly into its factors' slopes, as every fit
+    is least squares on the same log R:
+    ratio_slope = measure_slope / 2 + point_slope - sobolev_slope.
+    """
 
     records: tuple[LowerBoundRecord, ...]
     aborted: tuple[tuple[float, str], ...]
@@ -524,6 +535,8 @@ class LowerBoundReport:
     point_stderr: float
     ratio_slope: float
     ratio_stderr: float
+    measure_slope: float
+    sobolev_slope: float
     point_target: float
     ratio_target: float
     c_gauss: float
@@ -623,16 +636,18 @@ def lower_bound_experiment(params_ladder, n_samples: int, seed: int, *,
     if len(records) < 4:
         raise ExperimentError(
             f"only {len(records)} ladder entries survived", tuple(aborted))
+    scales = [r.R for r in records]
     point_slope, point_err = fit_loglog(
-        [r.R for r in records],
-        [math.sqrt(r.mean_sq_modulus) for r in records])
-    ratio_slope, ratio_err = fit_loglog([r.R for r in records],
-                                        [r.ratio_estimate for r in records])
+        scales, [math.sqrt(r.mean_sq_modulus) for r in records])
+    ratio_slope, ratio_err = fit_loglog(scales, [r.ratio_estimate for r in records])
+    measure_slope, _ = fit_loglog(scales, [r.measure_estimate for r in records])
+    sobolev_slope, _ = fit_loglog(scales, [r.sobolev for r in records])
     point_target = (gamma - 1.0) * (d - 1) / 4.0
     ratio_target = d * (gamma - 1.0) / (2.0 * (d + 1)) - gamma * s / 2.0
     return LowerBoundReport(
         records=tuple(records), aborted=tuple(aborted), s=s, gamma_eval=geval,
         point_slope=point_slope, point_stderr=point_err,
         ratio_slope=ratio_slope, ratio_stderr=ratio_err,
+        measure_slope=measure_slope, sobolev_slope=sobolev_slope,
         point_target=point_target, ratio_target=ratio_target,
         c_gauss=cal["c_gauss"], c_delta0=cal["c_delta0"])

@@ -10,7 +10,14 @@ time suprema and the tail-bound probe grid all call it.  The
 lattice-comb data additionally has one factorized product evaluator,
 batched over sample points, whose cost scales with the comb length
 instead of the full frequency box: a window integral times one lattice
-sum of translate integrals per comb axis.  The one-point factorized
+sum of translate integrals per comb axis.  Translate l of that sum
+integrates bump(xi) e^{i x eta + lam eta^2} at eta = xi + D l, with
+lam = i t - t^gamma, so the sum over l is a polynomial in
+z = e^{2 D lam xi} with coefficients (lattice phase) e^{-t^gamma D^2 l^2}.
+Horner's rule p <- p z + c_l, from the top translate down, evaluates it
+with one exponential per (sample, node) and per (sample, translate); the
+powers stay bounded, as |z|^L = e^{-2 t^gamma D xi L} with
+t^gamma D L ~ 1/R.  The one-point factorized
 evaluation and the summation-by-parts split of a comb factor into a
 dominant term plus a bounded remainder are calls into it.  Every
 integral converges to rtol of its largest value (per time column in the
@@ -415,15 +422,33 @@ def _batch_window(cp: CounterexampleParams, x1: np.ndarray, t: np.ndarray,
 def _batch_comb(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
                 ells: np.ndarray, xi: np.ndarray, w: np.ndarray,
                 gamma_eval: float | None = None) -> np.ndarray:
+    """Lattice sum of translate integrals at paired samples, by Horner's rule.
+
+    ells are consecutive translates l0, l0 + 1, ...  With lam = i t - t^gamma
+    and eta = xi + D l, translate l integrates bump(xi) e^{i x eta + lam eta^2}
+    times its lattice phase, so the sum over l is the sum over nodes of
+    B(xi) P(z), where z = e^{2 D lam xi},
+    B = bump w e^{i x xi + lam xi^2 + 2 D lam l0 xi} and
+    P(z) = sum_l c_l z^{l - l0} with c_l = (lattice phase) e^{-t^gamma D^2 l^2}.
+    Horner's rule runs from the top translate down in place on one
+    (sample, node) array: L multiply-adds, no exponential per translate
+    and no (sample, translate, node) array.  The powers stay bounded:
+    |z|^L = e^{-2 t^gamma D xi L} is near one, as t^gamma D L ~ 1/R here.
+    """
     m = cp.model
     ge = m.gamma if gamma_eval is None else gamma_eval
-    drift = xj[:, None] + 2.0 * cp.D * t[:, None] * ells[None, :]
-    phase = (drift[:, :, None] * xi[None, None, :]
-             + t[:, None, None] * (xi * xi)[None, None, :])
-    co = xi[None, None, :] + cp.D * ells[None, :, None]
-    decay = (t ** ge)[:, None, None] * (co * co)
-    g = (_unit_bump(xi)[None, None, :] * np.exp(1j * phase - decay)) @ w
-    return np.sum(_lattice_phases(cp, xj, t, ells) * g, axis=1)
+    decay = t ** ge
+    lam = 1j * t - decay
+    coef = (_lattice_phases(cp, xj, t, ells)
+            * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))).T.copy()
+    z = np.exp(np.outer(2.0 * cp.D * lam, xi))
+    poly = np.empty_like(z)
+    poly[:] = coef[-1][:, None]
+    for row in coef[-2::-1]:
+        poly *= z
+        poly += row[:, None]
+    poly *= np.exp(1j * np.outer(xj, xi) + np.outer(lam, xi * (xi + 2.0 * cp.D * ells[0])))
+    return poly @ (_unit_bump(xi) * w)
 
 
 def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
@@ -439,6 +464,9 @@ def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
     rate = (float(np.max(np.abs(xj)))
             + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
+    # rows per call keep the (sample, translate) coefficient table near
+    # 2^16 entries; the rows of one call converge together, so the chunk
+    # also fixes the passes and nodes each sample spends
     chunk = max(1, (1 << 22) // (ells.size * _FACTOR_ORDER))
     out = np.empty(xj.size, dtype=complex)
     for lo in range(0, xj.size, chunk):

@@ -250,6 +250,10 @@ def test_main_counterexample_deterministic(tmp_path, capsys):
         del p["config"]["out"]
         p["config"].pop("workers")
     assert payloads[0] == payloads[1] == payloads[2]
+    summary = payloads[0]["summary"]
+    assert summary["ratio_slope"] == pytest.approx(
+        0.5 * summary["measure_slope"] + summary["point_slope"] - summary["sobolev_slope"],
+        rel=0.0, abs=1e-10)
     rows = parse_csv((tmp_path / "a" / "records.csv").read_text())
     assert list(rows[0].keys()) == ["R", "mean_modulus", "measure_estimate",
                                     "ratio_estimate", "E1", "E2"]

@@ -11,6 +11,7 @@ import pytest
 
 from schrodmax.counterexample import (
     ExperimentError,
+    _translate_moments,
     OmegaCell,
     OmegaStarSample,
     RationalAnchor,
@@ -30,6 +31,7 @@ from schrodmax.counterexample import (
     select_time,
     v2_measure_lower,
 )
+from schrodmax.maximal import fit_loglog
 from schrodmax.numbertheory import PreconditionError
 from schrodmax.profiles import CounterexampleParams, ModelParams, comb_range
 from schrodmax.propagator import SpaceTimePoint, factorized_evaluate
@@ -287,6 +289,16 @@ def test_error_budget_flag_matches_threshold():
         assert ok == (e1 <= threshold and e2 <= threshold)
 
 
+@pytest.mark.parametrize("make", [_exp_params, _def_params], ids=["experiments", "defaults"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_translate_moments_match_float_sums(make, d):
+    for k in range(16, 29):
+        start, stop = comb_range(make(2.0**k, d=d))
+        ells = np.arange(start, stop, dtype=float)
+        assert _translate_moments(start, stop) == (
+            float(np.sum(ells)), float(np.sum(ells ** 2)))
+
+
 def test_tail_product_dominates_budgeted_main_term():
     cp = _exp_params(2.0**19)
     mp = cp.model
@@ -379,6 +391,15 @@ def test_experiment_record_contents():
             / rec.sobolev)
         assert 0.0 <= rec.admissible_fraction <= 1.0
         assert rec.anchors_in_window <= rec.anchors_total
+
+
+def test_ratio_slope_splits_into_factor_slopes():
+    rep = lower_bound_experiment(_exp_ladder(16, 19), 300, 7)
+    rs = [r.R for r in rep.records]
+    assert rep.measure_slope == fit_loglog(rs, [r.measure_estimate for r in rep.records])[0]
+    assert rep.sobolev_slope == fit_loglog(rs, [r.sobolev for r in rep.records])[0]
+    assert rep.ratio_slope == pytest.approx(
+        0.5 * rep.measure_slope + rep.point_slope - rep.sobolev_slope, rel=0.0, abs=1e-10)
 
 
 def test_d3_ladder_runs_without_listing_anchors():

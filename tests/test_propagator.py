@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +18,19 @@ from schrodmax.profiles import (
     ModelParams,
     Modulated,
     PlaneWaveSurrogate,
+    comb_range,
     l1_fourier_mass,
     radial_profile,
     spectrum_eval,
 )
 from schrodmax.propagator import (
     SpaceTimePoint,
+    _FACTOR_ORDER,
+    _batch_comb,
     _decay,
     _factorized_batch,
     _field_grid,
+    _unit_bump,
     abel_main_plus_error,
     dissipative_tail_bound,
     evaluate_free,
@@ -32,6 +39,7 @@ from schrodmax.propagator import (
     torus_coefficient,
     torus_decay_slope,
 )
+from schrodmax.quadrature import panel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -308,3 +316,61 @@ def test_factorized_batch_not_degenerate_at_selected_times():
     t = select_time(cp, smp)
     fac = factorized_evaluate(cp, SpaceTimePoint(x=smp.x, t=t))
     assert abs(fac.i1) > 1.0 - cp.c0
+
+
+def _ladder_points(R, n, draws=2000, seed=3):
+    """First n box points of a ladder draw at scale R, each at its selected time."""
+    from schrodmax.counterexample import sample_omega_star, select_time
+
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=float(R)))
+    valid = [s for s in sample_omega_star(cp, draws, seed) if s.x is not None][:n]
+    assert len(valid) == n
+    return (cp, np.array([v.x for v in valid]),
+            np.array([select_time(cp, v) for v in valid]))
+
+
+def _per_translate_comb(cp, xj, t, ells, xi, w, gamma_eval=None):
+    """The comb sum one translate at a time: one exponential per (sample, translate, node)."""
+    ge = cp.model.gamma if gamma_eval is None else gamma_eval
+    drift = xj[:, None] + 2.0 * cp.D * t[:, None] * ells[None, :]
+    phase = drift[:, :, None] * xi + t[:, None, None] * (xi * xi)
+    co = xi + cp.D * ells[:, None]
+    g = (_unit_bump(xi) * np.exp(1j * phase - (t ** ge)[:, None, None] * (co * co))) @ w
+    lattice = np.exp(1j * (cp.D * np.outer(xj, ells) + cp.D ** 2 * np.outer(t, ells * ells)))
+    return np.sum(lattice * g, axis=1)
+
+
+@pytest.mark.parametrize("R", [2 ** 16, 2 ** 24])
+@pytest.mark.parametrize("gamma_eval", [None, 3.0])
+@pytest.mark.parametrize("one_translate", [False, True], ids=["all", "top"])
+def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
+    cp, x, t = _ladder_points(R, 16)
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop, dtype=float)
+    if one_translate:
+        ells = ells[-1:]
+    xi, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
+    got = _batch_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval=gamma_eval)
+    want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_factorized_batch_moduli_are_pinned():
+    """Moduli recorded with the per-translate comb sum, before Horner's rule."""
+    pinned = json.loads(Path(__file__).with_name("factorized_moduli.json").read_text())
+    for e, want in pinned["moduli"].items():
+        cp, x, t = _ladder_points(2 ** int(e), len(want))
+        _, _, modulus = _factorized_batch(cp, x, t)
+        np.testing.assert_allclose(modulus, want, rtol=1e-12, atol=0.0)
+
+
+def test_factorized_batch_holds_no_translate_by_node_table():
+    """256 ladder points at R=2^24 peak far below their 385 MB (sample, translate, node) table."""
+    cp, x, t = _ladder_points(2 ** 24, 256)
+    tracemalloc.start()
+    try:
+        _factorized_batch(cp, x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
