@@ -21,7 +21,6 @@ from .profiles import (
     SpectrumDescriptor,
     bump_eval,
     l2_norm,
-    radial_bump_eval,
     sobolev_norm,
     spectrum_eval,
 )

@@ -427,11 +427,14 @@ def _case1_family(d: int, gamma: float, R: float):
 
 def _case3_family(d: int, gamma_c: float, experiment: bool,
                   overrides: tuple, R: float):
+    """Construction constants at scale R; a scale outside their range is a config error."""
     model = ModelParams(d=d, gamma=gamma_c, R=R)
-    kw = dict(overrides)
-    if experiment:
-        return CounterexampleParams.for_experiments(model, **kw)
-    return CounterexampleParams.with_defaults(model, **kw)
+    build = (CounterexampleParams.for_experiments if experiment
+             else CounterexampleParams.with_defaults)
+    try:
+        return build(model, **dict(overrides))
+    except ValueError as exc:
+        raise ConfigError(f"no valid construction at R={_fmt(R)}: {exc}") from None
 
 
 _SWEEP_FIELDS = ("R", "ratio", "grid")
@@ -591,7 +594,7 @@ def _run_propagator_check(cfg: ExperimentConfig, map_fn):
     f = Case3Counterexample(params=cp)
     m = cp.model
     rng = np.random.default_rng(cfg.seed)
-    x1_lo = -cp.c1 * m.R ** (m.gamma / 2.0 - 1.0)
+    x1_lo = cp.x1_lo
     records = []
     worst = 0.0
     scale = TWO_PI ** cfg.model_d

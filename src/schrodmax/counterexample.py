@@ -266,10 +266,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     the box carry weight zero.  Weighted means over the full set give
     unbiased integrals over the preimage region.
     """
-    mp = cp.model
-    d, R, gamma = mp.d, mp.R, mp.gamma
-    D = cp.D
-    band = R ** (gamma / 2.0)
+    d, D, band = cp.model.d, cp.D, cp.band
     if not cp.spans_lattice_period:
         raise PreconditionError(
             "spatial box spans less than one lattice period per rest axis")
@@ -345,7 +342,7 @@ def select_time(cp: CounterexampleParams, sample: OmegaStarSample) -> float:
     tau = s_res / (D * D)
     if abs(tau) >= cp.c2 * R ** (-(gamma + 1.0) / 2.0):
         raise PreconditionError("resonant correction falls outside the window")
-    t = -sample.x[0] / (2.0 * R ** (gamma / 2.0)) + tau
+    t = -sample.x[0] / (2.0 * cp.band) + tau
     if t <= 0.0:
         raise PreconditionError("selected time is not positive")
     return float(t)
@@ -353,8 +350,7 @@ def select_time(cp: CounterexampleParams, sample: OmegaStarSample) -> float:
 
 def _translate_range(cp: CounterexampleParams) -> tuple[int, int, float]:
     start, stop = comb_range(cp)
-    band = cp.model.R ** (cp.model.gamma / 2.0)
-    return start, stop, band / cp.D
+    return start, stop, cp.band / cp.D
 
 
 def _check_u(cp, u) -> int:
@@ -438,7 +434,7 @@ def calibration_constants(d: int, gamma: float) -> dict:
         start, stop, lo_real = _translate_range(cp)
         if stop - start < 2:
             continue
-        band = R ** (gamma / 2.0)
+        band = cp.band
         count = band / cp.D
         scale = count / math.sqrt(cp.Q)
         rate = scale * R ** -cp.delta0
@@ -478,7 +474,7 @@ def error_budget(cp: CounterexampleParams, sample: OmegaStarSample,
     d, R, gamma = mp.d, mp.R, mp.gamma
     D, Q = cp.D, cp.Q
     q = sample.anchor.q
-    band = R ** (gamma / 2.0)
+    band = cp.band
     scale = band / (D * math.sqrt(Q))
     start, stop, _ = _translate_range(cp)
     sum_l, sum_l2 = _translate_moments(start, stop)

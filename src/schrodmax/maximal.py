@@ -1,13 +1,13 @@
 """Time-suprema, ball norms, and scaling-exponent sweeps.
 
 The field is sampled on hybrid time grids and midpoint space grids.
-The propagator's grid engine gives one moduli matrix per axis over that
-axis's grid coordinates and the times (or one over the distinct radii
-of radial data); the supremum over time is taken from their outer
-product and refined on _REFINE-fold sub-times of the two grid intervals
-beside each distinct argmax time.  sup_over_time is the same code at
-one point.  Ratios over frequency ladders are reduced to log-log slopes
-against the predicted exponents.
+The moduli come from the propagator's field factors at the grid points,
+whatever the data family: the modulus at a point is the product of one
+row of each factor, multiplied out one block of times at a time.  The
+supremum over time is refined on _REFINE-fold sub-times of the two grid
+intervals beside each distinct argmax time.  sup_over_time is the same
+code at one point.  Ratios over frequency ladders are reduced to
+log-log slopes against the predicted exponents.
 """
 
 import math
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AnnulusBump, Modulated, SpectrumDescriptor, l2_norm
-from .propagator import _CHUNK, _DECAY_CUTOFF, TWO_PI, _axis_matrix, _decay, _radial_matrix
+from .profiles import SpectrumDescriptor, l2_norm
+from .propagator import _CHUNK, _DECAY_CUTOFF, _decay, _field_factors
 
 
 # ---------------------------------------------------------------------------
@@ -104,33 +104,21 @@ _REFINE = 8
 _TIMES = 512
 
 
-def _unwrap(f: SpectrumDescriptor) -> tuple[SpectrumDescriptor, np.ndarray]:
-    """Base profile and total spatial shift of nested modulations."""
-    shift = np.zeros(f.dim)
-    while isinstance(f, Modulated):
-        shift = shift + f.shift
-        f = f.base
-    if not isinstance(f, AnnulusBump) and f.axis_cells() is None:
-        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    return f, shift
+def _column_max(moduli, ts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax over ts of the field modulus at n points.
 
-
-def _column_max(moduli, ts: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Max and first argmax over ts of the outer product of per-axis moduli.
-
-    moduli(times) gives one matrix per axis, rows[a] samples by the times;
-    result row i is the flat (C-order) index i of their outer product.
+    moduli(times) gives (modulus matrix, rows) factors: the modulus at
+    point i is the product over factors of row rows[i] of their matrix.
     """
-    n = math.prod(rows)
     sup = np.zeros(n)
     arg = np.zeros(n, dtype=np.int64)
     step = max(1, _CHUNK // n)
     for start in range(0, ts.size, _TIMES):
-        mods = moduli(ts[start:start + _TIMES])
-        for at in range(0, mods[0].shape[1], step):
-            block = mods[0][:, at:at + step]
-            for m in mods[1:]:
-                block = (block[:, None] * m[:, at:at + step]).reshape(-1, block.shape[1])
+        (first, rows), *rest = moduli(ts[start:start + _TIMES])
+        for at in range(0, first.shape[1], step):
+            block = np.take(first[:, at:at + step], rows, axis=0)
+            for m, r in rest:
+                block *= np.take(m[:, at:at + step], r, axis=0)
             k = np.argmax(block, axis=1)
             vals = block[np.arange(n), k]
             better = vals > sup
@@ -139,46 +127,27 @@ def _column_max(moduli, ts: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np
     return sup, arg
 
 
-def _sup_field(base: SpectrumDescriptor, axes: list[np.ndarray], gamma: float,
-               tg: TimeGrid, rtol: float) -> np.ndarray:
-    """Time-sup of |field| on the grid spanned by per-axis coordinates.
+def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
+               rtol: float) -> np.ndarray:
+    """Time-sup of |field| at the points x, shaped (n, d).
 
-    Moduli come from the grid engine as one matrix per axis (separable
-    data, the grid being their outer product) or one over the distinct
-    radii (radial data).  Times past the dissipation cutoff of the
-    support are skipped.  Each sample's grid maximum is then raised to
-    its maximum over the _REFINE-fold sub-times of the two grid
-    intervals beside every distinct argmax time.
+    Moduli come from the grid engine's field factors.  Times past the
+    dissipation cutoff of the support are skipped.  Each point's grid
+    maximum is then raised to its maximum over the _REFINE-fold
+    sub-times of the two grid intervals beside every distinct argmax time.
     """
-    samples = slice(None)
-    if isinstance(base, AnnulusBump):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        radii, samples = np.unique(
-            np.round(np.sqrt(sum(g * g for g in mesh)).ravel(), 14),
-            return_inverse=True)
-        rows = [radii.size]
-
-        def moduli(tq):
-            return [np.abs(_radial_matrix(base, radii, tq, _decay(tq, gamma), rtol))]
-    else:
-        rows = [a.size for a in axes]
-
-        def moduli(tq):
-            decay = _decay(tq, gamma)
-            mods = [np.abs(_axis_matrix(base, a, xa, tq, decay, rtol))
-                    for a, xa in enumerate(axes)]
-            mods[0] *= TWO_PI ** -base.dim
-            return mods
+    def moduli(tq):
+        return [(np.abs(m), rows)
+                for m, rows in _field_factors(f, x, tq, _decay(tq, gamma), rtol)]
 
     ts = np.asarray(tg.points, dtype=float)
-    lo_support = base.support_radii()[0]
+    lo_support = f.support_radii()[0]
     live = int(np.count_nonzero(_decay(ts, gamma) * lo_support ** 2 <= _DECAY_CUTOFF))
-    sup, arg = _column_max(moduli, ts[:live], rows)
+    sup, arg = _column_max(moduli, ts[:live], x.shape[0])
     near = ts[np.clip(np.unique(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
     frac = np.arange(1, _REFINE) / _REFINE
     sub = near[:, :2, None] + np.diff(near, axis=1)[:, :, None] * frac
-    sup = np.maximum(sup, _column_max(moduli, np.unique(sub), rows)[0])
-    return sup[samples].reshape(tuple(a.size for a in axes))
+    return np.maximum(sup, _column_max(moduli, np.unique(sub), x.shape[0])[0])
 
 
 def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
@@ -189,8 +158,7 @@ def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
     xv = np.asarray(x, dtype=float).ravel()
     if xv.size != f.dim:
         raise ValueError("x dimension mismatch")
-    base, shift = _unwrap(f)
-    return _sup_field(base, [np.array([v]) for v in xv + shift], gamma, tg, rtol).item()
+    return _sup_field(f, xv[None, :], gamma, tg, rtol).item()
 
 
 def l2_ball_norm(values, grid: SpaceGrid) -> float:
@@ -217,9 +185,9 @@ def maximal_ratio(f: SpectrumDescriptor, gamma: float, grids, *,
     denom = l2_norm(f)
     if denom <= 0.0:
         raise ValueError("profile has zero norm")
-    base, shift = _unwrap(f)
-    pts = sg.axis_points()
-    sup_field = _sup_field(base, [pts + s for s in shift], gamma, tg, rtol)
+    mesh = np.meshgrid(*([sg.axis_points()] * f.dim), indexing="ij")
+    x = np.stack([g.ravel() for g in mesh], axis=1)
+    sup_field = _sup_field(f, x, gamma, tg, rtol).reshape(mesh[0].shape)
     return l2_ball_norm(sup_field, sg) / denom
 
 

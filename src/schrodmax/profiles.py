@@ -154,18 +154,6 @@ def radial_profile(phi: RadialBump, r):
     return out
 
 
-def radial_bump_eval(phi: RadialBump, xi):
-    """Evaluate at a frequency point or an (..., d) array of points."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        raise ValueError("xi must be a vector or an array of vectors")
-    r = np.sqrt(np.sum(xi * xi, axis=-1))
-    out = radial_profile(phi, r)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # model parameters
 
@@ -219,6 +207,18 @@ class CounterexampleParams:
         return m.R ** ((m.gamma - 1.0) * (m.d - 1) / (2.0 * (m.d + 1)))
 
     @property
+    def band(self) -> float:
+        """The first-axis frequency band R^{gamma/2}."""
+        m = self.model
+        return m.R ** (m.gamma / 2.0)
+
+    @property
+    def x1_lo(self) -> float:
+        """Lower end -c1 R^{gamma/2 - 1} of the spatial box's first axis [x1_lo, x1_lo / 2]."""
+        m = self.model
+        return -self.c1 * m.R ** (m.gamma / 2.0 - 1.0)
+
+    @property
     def spans_lattice_period(self) -> bool:
         """The spatial box holds a lattice period per rest axis: 2 c1 D >= 2 pi."""
         return 2.0 * self.c1 * self.D >= TWO_PI
@@ -247,7 +247,7 @@ class CounterexampleParams:
             raise ValueError("c2 must be positive")
         if not self.D > 2.0:
             raise ValueError("comb spacing D must exceed the bump diameter")
-        rel = abs(self.Q ** (m.d / (m.d - 1)) * self.D / m.R ** (m.gamma / 2.0) - 1.0)
+        rel = abs(self.Q ** (m.d / (m.d - 1)) * self.D / self.band - 1.0)
         if rel > 1e-12:
             raise ValueError(f"scale identity violated, relative error {rel:g}")
 
@@ -275,8 +275,7 @@ class CounterexampleParams:
 
 def comb_range(cp: CounterexampleParams) -> tuple[int, int]:
     """Half-open lattice index range [start, stop) of the frequency comb."""
-    m = cp.model
-    n = m.R ** (m.gamma / 2.0) / cp.D
+    n = cp.band / cp.D
     return int(math.ceil(n)), int(math.ceil(2.0 * n))
 
 
@@ -408,12 +407,10 @@ class Case3Counterexample(SpectrumDescriptor):
 
     @property
     def band_scale(self) -> float:
-        m = self.params.model
-        return m.R ** (m.gamma / 2.0)
+        return self.params.band
 
     def _window(self) -> tuple[float, float]:
-        m = self.params.model
-        return m.R ** (m.gamma / 2.0), math.sqrt(m.R)
+        return self.params.band, math.sqrt(self.params.model.R)
 
     def support_radii(self) -> tuple[float, float]:
         center, halfw = self._window()

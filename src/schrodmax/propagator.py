@@ -1,28 +1,37 @@
 """Field evaluation for the free and dissipative Schrodinger evolutions.
 
-One grid engine evaluates separable and radial profiles as matrices
-over a point set times a time set.  As e^{i(x xi + t xi^2) - t^gamma xi^2}
-= e^{i x xi} e^{(i t - t^gamma) xi^2}, a per-axis matrix over an octave
-of times is one exponential table per side met in GEMMs, and radial data
-meets the same time table through a Bessel kernel built once per node
-set.  The one-point evaluators (its 1 x 1 case), the maximal module's
-time suprema and the tail-bound probe grid all call it.  The
-lattice-comb data additionally has one factorized product evaluator,
-batched over sample points, whose cost scales with the comb length
-instead of the full frequency box: a window integral times one lattice
-sum of translate integrals per comb axis.  Translate l of that sum
-integrates bump(xi) e^{i x eta + lam eta^2} at eta = xi + D l, with
-lam = i t - t^gamma, so the sum over l is a polynomial in
-z = e^{2 D lam xi} with coefficients (lattice phase) e^{-t^gamma D^2 l^2}.
-Horner's rule p <- p z + c_l, from the top translate down, evaluates it
-with one exponential per (sample, node) and per (sample, translate); the
-powers stay bounded, as |z|^L = e^{-2 t^gamma D xi L} with
-t^gamma D L ~ 1/R.  The one-point factorized
-evaluation and the summation-by-parts split of a comb factor into a
-dominant term plus a bounded remainder are calls into it.  Every
-integral converges to rtol of its largest value (per time column in the
-grid engine) or to a rounding floor set by its L1 mass, so a strongly
-cancelling point costs no more than a coherent one.
+Two engines, each with one family dispatch and one integration loop.
+
+The grid engine evaluates separable and radial profiles as matrices
+over a point set times a time set.  _field_factors is the one place
+that unwraps modulations into spatial shifts and splits the data into
+(matrix, rows) factors: one per axis over that axis's distinct
+coordinates for separable data, one over the distinct radii for radial
+data.  Every factor comes from one octave x cell loop, which clips each
+cell where the dissipation leaves nothing, starts its panels from the
+octave's worst phase rate and doubles them until each time column
+converges; only the node sum differs.  As
+e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
+a separable node sum is one exponential table per side met in GEMMs,
+and a radial one meets the same time table through a Bessel kernel.
+The one-point evaluators (the 1 x 1 case), the maximal module's time
+suprema and the tail-bound probe grid all use these factors.
+
+The factorized engine evaluates the lattice-comb data, batched over
+sample points, at a cost that scales with the comb length instead of
+the full frequency box.  Its one kernel sums translated bumps:
+translate k integrates bump(u) e^{i x eta + lam eta^2} at
+eta = eta_k + s u, with lam = i t - t^gamma, so the sum over k is a
+polynomial in z = e^{2 Delta lam s u} (Delta the translate spacing),
+evaluated by Horner's rule with one exponential per (sample, node).
+The window factor is one translate of width sqrt(R); each comb factor
+is the lattice of unit translates, whose powers stay bounded as
+|z|^L = e^{-2 t^gamma D u L} with t^gamma D L ~ 1/R; the one-point
+factorized evaluation and the summation-by-parts split of a comb
+factor are calls into it.  Every integral converges to rtol of its
+largest value (per time column in the grid engine) or to a rounding
+floor set by its L1 mass, so a strongly cancelling point costs no more
+than a coherent one.
 """
 
 import functools
@@ -146,7 +155,7 @@ def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
     return np.exp(table, out=table)
 
 
-def _plane_phase_sum(xv: np.ndarray, coef: np.ndarray, xi: np.ndarray,
+def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
                      lead: np.ndarray) -> np.ndarray:
     """Sum over nodes of coef e^{i x xi + lead xi^2} at every (x, t).
 
@@ -162,89 +171,94 @@ def _plane_phase_sum(xv: np.ndarray, coef: np.ndarray, xi: np.ndarray,
                         xi, coef, xv.size * lead.size)
 
 
-def _axis_matrix(f: SpectrumDescriptor, axis: int, xv: np.ndarray, tv: np.ndarray,
-                 decay: np.ndarray, rtol: float) -> np.ndarray:
-    """Factor integrals of one axis at every (x, t): an (xv.size, tv.size) matrix.
+def _bessel_sum(d: int, radii: np.ndarray, rho: np.ndarray, coef: np.ndarray,
+                lead: np.ndarray) -> np.ndarray:
+    """Sum over radial nodes rho of coef times the d-dimensional spherical
+    kernel at every (|x|, t): a Bessel kernel per node block meets the
+    time table e^{lead rho^2} in a GEMM."""
+    nu = d / 2.0 - 1.0
+    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    small = radii < 1e-300
+    scale = TWO_PI ** (d / 2.0) * np.where(small, 1.0, radii) ** (1.0 - d / 2.0)
 
-    decay is each time's dissipation t^gamma (zeros for the free
-    evolution).  Per octave of t, each support cell is clipped where
-    the dissipation leaves nothing, its panels start from the octave's
-    worst phase rate, and they double until every time column is within
-    rtol of its largest modulus or the rounding floor of the cell's mass.
+    def block(z, c):
+        bessel = scale[:, None] * jv(nu, np.multiply.outer(radii, z)) * z ** (d / 2.0)
+        return (np.where(small[:, None], area * z ** (d - 1), bessel) * c) @ _time_table(z, lead)
+
+    return _node_blocks(block, rho, coef, max(radii.size, lead.size))
+
+
+def _cell_matrix(node_sum, profile, cells, masses, pts: np.ndarray, tv: np.ndarray,
+                 decay: np.ndarray, rtol: float) -> np.ndarray:
+    """Sum of the cell integrals at every (point, t): a (pts.size, tv.size) matrix.
+
+    pts are one axis's coordinates or the radii.  node_sum(pts, xi, coef,
+    lead) sums coef times the kernel over the nodes xi at every (point,
+    time) of one octave, lead holding i t - t^gamma; the coefficients
+    are profile(xi) times the weights.  Per octave of t, each cell is
+    clipped where the dissipation leaves nothing, its panels start from
+    the octave's worst phase rate, and they double until every time
+    column is within rtol of its largest modulus or the rounding floor
+    of the cell's mass.
     """
-    out = np.zeros((xv.size, tv.size), dtype=complex)
-    x_hi = float(np.max(np.abs(xv)))
+    out = np.zeros((pts.size, tv.size), dtype=complex)
+    x_hi = float(np.max(np.abs(pts)))
     for cols, reach, t_hi, lead in _octaves(tv, decay):
-        for (lo, hi), mass in zip(f.axis_cells()[axis], _cell_masses(f, axis)):
+        for (lo, hi), mass in zip(cells, masses):
             lo, hi = max(lo, -reach), min(hi, reach)
             if hi <= lo:
                 continue
             rate = x_hi + 2.0 * t_hi * max(abs(lo), abs(hi))
 
             def evaluate(xi, w, lead=lead):
-                return _plane_phase_sum(xv, np.asarray(f.axis_factor(axis, xi)) * w, xi, lead)
+                return node_sum(pts, xi, profile(xi) * w, lead)
 
             out[:, cols] += double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate),
                                           rtol=rtol, mass=mass)
     return out
 
 
-def _radial_matrix(f: AnnulusBump, radii: np.ndarray, tv: np.ndarray,
-                   decay: np.ndarray, rtol: float) -> np.ndarray:
-    """Field of radial data at every (|x|, t): a (radii.size, tv.size) matrix.
+def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
+                   decay: np.ndarray, rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The field at points x, shaped (n, d), and times t, as (matrix, rows) factors.
 
-    The Bessel kernel of each node set is built once for all times and
-    meets their table in a GEMM; octaves, clipping and panel starts are
-    those of _axis_matrix, and each time column converges to rtol of
-    its largest modulus.
+    The field at point i is the product over factors of row rows[i] of
+    their matrix.  decay is each time's dissipation t^gamma (zeros for
+    the free evolution).  Modulations become spatial shifts.  Radial
+    data is one factor over the distinct radii (rounded to 14 decimals):
+    its support annulus is one cell of mass 0, so its test is purely
+    relative.  Separable data is the constant (2 pi)^{-d} times one
+    factor per axis over that axis's distinct coordinates.
     """
-    d = f.dim
-    lo, hi = f.support_radii()
-    nu = d / 2.0 - 1.0
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    small = radii < 1e-300
-    scale = TWO_PI ** (d / 2.0) * np.where(small, 1.0, radii) ** (1.0 - d / 2.0)
-
-    def kernel(rho):
-        bessel = scale[:, None] * jv(nu, np.multiply.outer(radii, rho)) * rho ** (d / 2.0)
-        return np.where(small[:, None], area * rho ** (d - 1), bessel)
-
-    out = np.zeros((radii.size, tv.size), dtype=complex)
-    for cols, reach, t_hi, lead in _octaves(tv, decay):
-        hi_c = min(hi, reach)
-        if hi_c <= lo:
-            continue
-        rate = float(np.max(radii)) + 2.0 * t_hi * hi_c
-
-        def evaluate(rho, w, lead=lead):
-            return _node_blocks(lambda z, c: (kernel(z) * c) @ _time_table(z, lead),
-                                rho, radial_profile(f.profile, rho / f.R) * w,
-                                max(radii.size, lead.size))
-
-        out[:, cols] = double_panels(evaluate, lo, hi_c, panels_for_rate(lo, hi_c, rate),
-                                     rtol=rtol)
-    return out * TWO_PI ** -d
+    while isinstance(f, Modulated):
+        x = x + f.shift[None, :]
+        f = f.base
+    if isinstance(f, AnnulusBump):
+        radii, rows = np.unique(np.round(np.sqrt(np.sum(x * x, axis=1)), 14),
+                                return_inverse=True)
+        matrix = _cell_matrix(functools.partial(_bessel_sum, f.dim),
+                              lambda rho: radial_profile(f.profile, rho / f.R),
+                              [f.support_radii()], [0.0], radii, t, decay, rtol)
+        return [(matrix * TWO_PI ** -f.dim, rows)]
+    if f.axis_cells() is None:
+        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
+    factors = [(np.full((1, t.size), TWO_PI ** -f.dim, dtype=complex),
+                np.zeros(x.shape[0], dtype=np.intp))]
+    for axis, cells in enumerate(f.axis_cells()):
+        coords, rows = np.unique(x[:, axis], return_inverse=True)
+        factors.append((_cell_matrix(_plane_phase_sum, functools.partial(f.axis_factor, axis),
+                                     cells, _cell_masses(f, axis), coords, t, decay, rtol),
+                        rows))
+    return factors
 
 
 def _field_grid(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
                 decay: np.ndarray, rtol: float) -> np.ndarray:
-    """Field values at points x, shaped (n, d), and times t: an (n, t.size) matrix.
-
-    decay is each time's dissipation t^gamma (zeros for the free
-    evolution).  Separable data is evaluated on the distinct
-    coordinates of each axis, radial data on the distinct radii.
-    """
-    if isinstance(f, Modulated):
-        return _field_grid(f.base, x + f.shift[None, :], t, decay, rtol)
-    if isinstance(f, AnnulusBump):
-        radii, rows = np.unique(np.linalg.norm(x, axis=1), return_inverse=True)
-        return _radial_matrix(f, radii, t, decay, rtol)[rows]
-    if f.axis_cells() is None:
-        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    out = np.full((x.shape[0], t.size), TWO_PI ** -f.dim, dtype=complex)
-    for axis in range(f.dim):
-        coords, rows = np.unique(x[:, axis], return_inverse=True)
-        out *= _axis_matrix(f, axis, coords, t, decay, rtol)[rows]
+    """Field values at points x, shaped (n, d), and times t: an (n, t.size) matrix."""
+    (first, rows), *rest = _field_factors(f, x, t, decay, rtol)
+    out = first[rows]
+    for matrix, rows in rest:
+        out *= matrix[rows]
     return out
 
 
@@ -384,8 +398,7 @@ def _unit_bump(u):
 
 def _check_in_box(cp: CounterexampleParams, x: np.ndarray):
     m = cp.model
-    x1_lo = -cp.c1 * m.R ** (m.gamma / 2.0 - 1.0)
-    slack = 1e-9
+    x1_lo, slack = cp.x1_lo, 1e-9
     ok = ((x[..., 0] >= x1_lo * (1.0 + slack))
           & (x[..., 0] <= x1_lo / 2.0 * (1.0 - slack)))
     for j in range(1, m.d):
@@ -400,93 +413,88 @@ def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.nda
                         + cp.D ** 2 * np.outer(t, ells * ells)))
 
 
-# panel order of the window and comb rules
+# panel order of the translated-bump rule
 _FACTOR_ORDER = 64
 
 
-def _batch_window(cp: CounterexampleParams, x1: np.ndarray, t: np.ndarray,
-                  u: np.ndarray, w: np.ndarray,
-                  gamma_eval: float | None = None) -> np.ndarray:
-    m = cp.model
-    ge = m.gamma if gamma_eval is None else gamma_eval
-    root_r = math.sqrt(m.R)
-    band = m.R ** (m.gamma / 2.0)
-    lin = root_r * (x1 + 2.0 * band * t)
-    phase = lin[:, None] * u[None, :] + (m.R * t)[:, None] * (u * u)[None, :]
-    co = band + u * root_r
-    decay = (t ** ge)[:, None] * (co * co)[None, :]
-    vals = _unit_bump(u)[None, :] * np.exp(1j * phase - decay)
-    return vals @ w
+def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
+              scale: float, coef: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums over translates of integrals of the unit bump, by Horner's rule.
 
-
-def _batch_comb(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
-                ells: np.ndarray, xi: np.ndarray, w: np.ndarray,
-                gamma_eval: float | None = None) -> np.ndarray:
-    """Lattice sum of translate integrals at paired samples, by Horner's rule.
-
-    ells are consecutive translates l0, l0 + 1, ...  With lam = i t - t^gamma
-    and eta = xi + D l, translate l integrates bump(xi) e^{i x eta + lam eta^2}
-    times its lattice phase, so the sum over l is the sum over nodes of
-    B(xi) P(z), where z = e^{2 D lam xi},
-    B = bump w e^{i x xi + lam xi^2 + 2 D lam l0 xi} and
-    P(z) = sum_l c_l z^{l - l0} with c_l = (lattice phase) e^{-t^gamma D^2 l^2}.
+    Translate k is centred at eta_k = center + k step and integrates
+    bump(u) e^{i x v + lam v (v + 2 eta_k)} over u, at the offset
+    v = scale u, times coef[k]; lam = i t - t^gamma per sample.  With
+    coef[k] = e^{i x eta_k + lam eta_k^2} a term is the integral of
+    bump(u) e^{i x eta + lam eta^2} at eta = eta_k + v; a caller that
+    drops the centre phase passes e^{-t^gamma eta_k^2} alone.  The sum
+    over k is the sum over nodes of B(u) P(z), where z = e^{2 step lam v},
+    B = bump w e^{i x v + lam v (v + 2 center)} and P(z) = sum_k coef[k] z^k.
     Horner's rule runs from the top translate down in place on one
-    (sample, node) array: L multiply-adds, no exponential per translate
-    and no (sample, translate, node) array.  The powers stay bounded:
-    |z|^L = e^{-2 t^gamma D xi L} is near one, as t^gamma D L ~ 1/R here.
+    (sample, node) array: no exponential per translate and no
+    (sample, translate, node) array; one translate needs no z table.  On
+    the comb the powers stay bounded: |z|^L = e^{-2 t^gamma D v L} is
+    near one, as t^gamma D L ~ 1/R there.
     """
-    m = cp.model
-    ge = m.gamma if gamma_eval is None else gamma_eval
-    decay = t ** ge
-    lam = 1j * t - decay
-    coef = (_lattice_phases(cp, xj, t, ells)
-            * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))).T.copy()
-    z = np.exp(np.outer(2.0 * cp.D * lam, xi))
-    poly = np.empty_like(z)
+    v = scale * u
+    poly = np.empty((x.size, u.size), dtype=complex)
     poly[:] = coef[-1][:, None]
-    for row in coef[-2::-1]:
-        poly *= z
-        poly += row[:, None]
-    poly *= np.exp(1j * np.outer(xj, xi) + np.outer(lam, xi * (xi + 2.0 * cp.D * ells[0])))
-    return poly @ (_unit_bump(xi) * w)
+    if coef.shape[0] > 1:
+        z = np.exp(np.outer(2.0 * step * lam, v))
+        for row in coef[-2::-1]:
+            poly *= z
+            poly += row[:, None]
+    poly *= np.exp(1j * np.outer(x, v) + np.outer(lam, v * (v + 2.0 * center)))
+    return poly @ (_unit_bump(u) * w)
 
 
-def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
-                  ells: np.ndarray, rtol: float,
-                  gamma_eval: float | None) -> np.ndarray:
-    """Lattice sums of translate integrals on one comb axis at paired samples.
+def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
+                  scale: float, coef, size: int, rate: float, rtol: float) -> np.ndarray:
+    """Converged _bump_sum values of size translates at paired samples.
 
-    Each translate integrates the unit bump against a unimodular phase,
-    so the sum's L1 mass is at most ells.size; that sets the rounding
-    floor, and the node budget is shared among the translates.
+    coef(rows) builds the (translate, sample) coefficient table of a
+    slice of the samples.  Each translate's integrand has modulus at
+    most the unit bump, so the sum's L1 mass is at most size; that sets
+    the rounding floor, and the node budget is shared among the
+    translates.  Panels start from rate, a bound on the phase rate in u.
     """
-    t_max = float(np.max(t, initial=0.0))
-    rate = (float(np.max(np.abs(xj)))
-            + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
     # rows per call keep the (sample, translate) coefficient table near
     # 2^16 entries; the rows of one call converge together, so the chunk
     # also fixes the passes and nodes each sample spends
-    chunk = max(1, (1 << 22) // (ells.size * _FACTOR_ORDER))
-    out = np.empty(xj.size, dtype=complex)
-    for lo in range(0, xj.size, chunk):
+    chunk = max(1, (1 << 22) // (size * _FACTOR_ORDER))
+    out = np.empty(x.size, dtype=complex)
+    for lo in range(0, x.size, chunk):
         rows = slice(lo, lo + chunk)
         out[rows] = double_panels(
-            functools.partial(_batch_comb, cp, xj[rows], t[rows], ells,
-                              gamma_eval=gamma_eval),
-            -1.0, 1.0, panels, rtol=rtol, mass=float(ells.size),
-            order=_FACTOR_ORDER, max_nodes=MAX_NODES // ells.size)
+            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, coef(rows)),
+            -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
+            max_nodes=MAX_NODES // size)
     return out
+
+
+def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
+                  decay: np.ndarray, ells: np.ndarray, coef, rtol: float) -> np.ndarray:
+    """Sums of the translates ells of one comb axis at paired samples.
+
+    decay is each sample's t^gamma and coef is as in _bump_factors.
+    """
+    t_max = float(np.max(t, initial=0.0))
+    rate = (float(np.max(np.abs(xj)))
+            + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
+    return _bump_factors(xj, 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef,
+                         ells.size, rate, rtol)
 
 
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
                       rtol: float = 1e-9, gamma_eval: float | None = None):
     """Factor arrays for many points: (i1, ij matrix, modulus product).
 
-    Panel counts start from the worst-case phase rate over the batch
-    and double until the factor values stabilize, to rtol of the batch
-    maximum or to the rounding floor of the integrand's L1 mass (one
-    for the unit-mass window).
+    The window is one translate of width sqrt(R) at R^{gamma/2}, its
+    centre phase dropped; each comb axis sums the lattice translates
+    with their lattice phases.  Panel counts start from the worst-case
+    phase rate over the batch and double until the factor values
+    stabilize, to rtol of the batch maximum or to the rounding floor of
+    the integrand's L1 mass (one for the unit-mass window).
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -498,17 +506,23 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
         raise ValueError("t must be finite and nonnegative")
     start, stop = comb_range(cp)
     ells = np.arange(start, stop, dtype=float)
-    band = m.R ** (m.gamma / 2.0)
+    band = cp.band
     root_r = math.sqrt(m.R)
     t_max = float(np.max(t, initial=0.0))
+    decay = t ** (m.gamma if gamma_eval is None else gamma_eval)
 
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
-    i1 = double_panels(
-        functools.partial(_batch_window, cp, x[:, 0], t, gamma_eval=gamma_eval),
-        -1.0, 1.0, panels_for_rate(-1.0, 1.0, rate1, _FACTOR_ORDER),
-        rtol=rtol, mass=1.0, order=_FACTOR_ORDER)
-    ij = np.stack([_comb_factors(cp, x[:, j], t, ells, rtol, gamma_eval)
+    i1 = _bump_factors(x[:, 0], 1j * t - decay, band, 0.0, root_r,
+                       lambda rows: np.exp(-decay[rows] * band ** 2)[None, :], 1,
+                       rate1, rtol)
+
+    def lattice(xj, rows):
+        return (_lattice_phases(cp, xj[rows], t[rows], ells)
+                * np.exp(-np.outer(decay[rows], cp.D ** 2 * ells * ells))).T.copy()
+
+    ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
+                                 functools.partial(lattice, x[:, j]), rtol)
                    for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus
@@ -551,10 +565,12 @@ def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
     ells = np.arange(start, stop, dtype=float)
     partial = np.cumsum(_lattice_phases(cp, x_j, t, ells)[0])
     sup_s = float(np.max(np.abs(partial)))
-    top = ells[-1:]
-    g_top = (_comb_factors(cp, x[j:j + 1], np.array([t]), top, rtol, None)[0]
-             / _lattice_phases(cp, x_j, t, top)[0, 0])
+    top, tv = ells[-1:], np.array([t])
+    decay = tv ** m.gamma
+    g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top,
+                          lambda rows: np.exp(-np.outer(cp.D ** 2 * top * top, decay)),
+                          rtol)[0]
     main = complex(partial[-1] * g_top)
-    band = m.R ** (m.gamma / 2.0)
+    band = cp.band
     e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s
     return main, e1_bound

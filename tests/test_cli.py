@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +332,45 @@ def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, cap
         err = capsys.readouterr().err
         assert "config error" in err and "counterexample" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, condition", [
+    (["counterexample", "--d", "1", "--ladder", "2^16 2^17 2^18 2^19"], "d >= 2"),
+    (["counterexample", "--set", "ce.c1=0.5", "--ladder", "2^16 2^17 2^18 2^19"],
+     "c2 < c1/2 < c0/4"),
+    (["propagator-check", "--R", "2"], "comb spacing D must exceed the bump diameter"),
+], ids=["d1", "c1", "R2"])
+def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, condition):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    R = "2" if argv[0] == "propagator-check" else "65536"
+    assert err.startswith("config error") and f"R={R}:" in err and condition in err
+    assert not out.exists()
+
+
+def _readme_blocks():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M)
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    """Every schrodmax command in the README parses into a config; nothing runs."""
+    blocks = _readme_blocks()
+    configs = [b for b in blocks if b.startswith("# ")]
+    for block in configs:
+        name, body = block.split("\n", 1)
+        (tmp_path / name[2:].strip()).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    commands = [line for b in blocks for line in b.splitlines()
+                if line.startswith("schrodmax ")]
+    assert len(configs) == 1 and len(commands) >= 5
+    parser = cli._build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        config = ExperimentConfig.from_mapping(cli._mapping_from_args(args))
+        assert config.verb == args.verb
 
 
 def test_main_maximal_sweep_small(tmp_path, capsys):

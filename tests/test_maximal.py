@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +184,35 @@ def test_maximal_ratio_matches_per_point_sup_over_time(f, gamma, per_axis):
     want = l2_ball_norm(field, sg) / l2_norm(f)
     got = maximal_ratio(f, gamma, (tg, sg))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+_PINNED = json.loads(Path(__file__).with_name("maximal_values.json").read_text())
+
+
+@pytest.mark.parametrize("e", sorted(_PINNED["ratios"]))
+def test_sweep_ratio_is_pinned(e):
+    R = 2.0 ** int(e)
+    grids = (TimeGrid.hybrid(R, geometric=64, cap=16384), SpaceGrid(1.0, 32))
+    got = maximal_ratio(Case1Product(ModelParams(d=2, gamma=0.5, R=R)), 0.5, grids)
+    assert got == pytest.approx(_PINNED["ratios"][e], rel=1e-13, abs=0.0)
+
+
+_SUP_CASES = {
+    "annulus": (AnnulusBump(d=2, R=3.0), 2.0),
+    "shifted-annulus": (Modulated(base=AnnulusBump(d=2, R=3.0), l=(2.0, -1.0), R=4.0), 2.0),
+    "product": (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0),
+    "shifted-product": (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
+                                  l=(2.0, 0.0), R=4.0), 1.0),
+    "plane-wave": (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUP_CASES))
+def test_sup_over_time_is_pinned(name):
+    f, gamma = _SUP_CASES[name]
+    tg = TimeGrid.hybrid(4.0, geometric=6, cap=20)
+    got = [sup_over_time(f, gamma, x, tg) for x in ((0.0, 0.0), (0.3, -0.2), (-0.6, 0.45))]
+    assert got == pytest.approx(_PINNED["sups"][name], rel=1e-13, abs=0.0)
 
 
 def test_maximal_ratio_validation():

@@ -26,7 +26,7 @@ from schrodmax.profiles import (
 from schrodmax.propagator import (
     SpaceTimePoint,
     _FACTOR_ORDER,
-    _batch_comb,
+    _bump_sum,
     _decay,
     _factorized_batch,
     _field_grid,
@@ -329,6 +329,11 @@ def _ladder_points(R, n, draws=2000, seed=3):
             np.array([select_time(cp, v) for v in valid]))
 
 
+def _lattice(cp, xj, t, ells):
+    """Lattice phases e^{i(D l x + D^2 l^2 t)}: one row per sample, one column per translate."""
+    return np.exp(1j * (cp.D * np.outer(xj, ells) + cp.D ** 2 * np.outer(t, ells * ells)))
+
+
 def _per_translate_comb(cp, xj, t, ells, xi, w, gamma_eval=None):
     """The comb sum one translate at a time: one exponential per (sample, translate, node)."""
     ge = cp.model.gamma if gamma_eval is None else gamma_eval
@@ -336,22 +341,54 @@ def _per_translate_comb(cp, xj, t, ells, xi, w, gamma_eval=None):
     phase = drift[:, :, None] * xi + t[:, None, None] * (xi * xi)
     co = xi + cp.D * ells[:, None]
     g = (_unit_bump(xi) * np.exp(1j * phase - (t ** ge)[:, None, None] * (co * co))) @ w
-    lattice = np.exp(1j * (cp.D * np.outer(xj, ells) + cp.D ** 2 * np.outer(t, ells * ells)))
-    return np.sum(lattice * g, axis=1)
+    return np.sum(_lattice(cp, xj, t, ells) * g, axis=1)
 
 
 @pytest.mark.parametrize("R", [2 ** 16, 2 ** 24])
 @pytest.mark.parametrize("gamma_eval", [None, 3.0])
 @pytest.mark.parametrize("one_translate", [False, True], ids=["all", "top"])
 def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
+    """The translated-bump kernel on a comb axis, with the lattice coefficients
+    (lattice phase) e^{-t^gamma D^2 l^2} of the translates l."""
     cp, x, t = _ladder_points(R, 16)
     start, stop = comb_range(cp)
     ells = np.arange(start, stop, dtype=float)
     if one_translate:
         ells = ells[-1:]
     xi, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
-    got = _batch_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval=gamma_eval)
+    decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
+    coef = (_lattice(cp, x[:, 1], t, ells)
+            * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))).T
+    got = _bump_sum(x[:, 1], 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef, xi, w)
     want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _window_integral(cp, x1, t, u, w, gamma_eval=None):
+    """The window factor as its own kernel wrote it: the unit bump against
+    e^{i eta x + i eta^2 t - t^gamma eta^2} at eta = R^{gamma/2} + sqrt(R) u,
+    centre phase dropped."""
+    m = cp.model
+    ge = m.gamma if gamma_eval is None else gamma_eval
+    root_r = math.sqrt(m.R)
+    band = m.R ** (m.gamma / 2.0)
+    lin = root_r * (x1 + 2.0 * band * t)
+    phase = lin[:, None] * u[None, :] + (m.R * t)[:, None] * (u * u)[None, :]
+    co = band + u * root_r
+    decay = (t ** ge)[:, None] * (co * co)[None, :]
+    return (_unit_bump(u)[None, :] * np.exp(1j * phase - decay)) @ w
+
+
+@pytest.mark.parametrize("R", [2 ** 16, 2 ** 24])
+@pytest.mark.parametrize("gamma_eval", [None, 3.0])
+def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
+    cp, x, t = _ladder_points(R, 16)
+    u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
+    decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
+    band = cp.model.R ** (cp.model.gamma / 2.0)
+    got = _bump_sum(x[:, 0], 1j * t - decay, band, 0.0, math.sqrt(R),
+                    np.exp(-decay * band ** 2)[None, :], u, w)
+    want = _window_integral(cp, x[:, 0], t, u, w, gamma_eval)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
