@@ -1,9 +1,11 @@
 """Exact exponential sums, Diophantine search, and covering measures.
 
-Quadratic sums are evaluated through integer residues so moduli never
-lose precision; the Weyl calibration sweeps rational phases exhaustively
-and reports the worst observed ratio against the classical square-root
-bound shape.
+Quadratic phases become exact integer residues before any root of unity is
+taken, and both quadratic sums fold over their period: G(a, b, q) for every
+b is one length-q DFT row per (a mod q, q), and a window of a rational Weyl
+sum is whole periods plus two prefix sums of one period.  The Weyl
+calibration sweeps rational phases exhaustively, all windows of a phase in
+one call, and reports the worst ratio against the square-root bound shape.
 """
 
 import functools
@@ -42,30 +44,26 @@ class GaussSumParams:
             raise ValueError("q must be a positive integer")
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_tables(q: int):
-    """Read-only l mod q, l^2 mod q for l = 1..q, and e^{2 pi i k/q} for k < q.
-
-    A sweep over (a, b) at one q reuses these; the few entries kept cover
-    sweeps that take q in order without holding many large moduli.
-    """
-    l = np.arange(1, q + 1, dtype=np.int64)
-    tables = (l % q, (l * l) % q, np.exp(2j * np.pi * np.arange(q) / q))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+@functools.lru_cache(maxsize=16)
+def _gauss_row(a: int, q: int) -> np.ndarray:
+    """Read-only G(a, b, q) for b = 0..q-1: q ifft(e(a l^2 / q)) over l < q."""
+    l = np.arange(q, dtype=np.int64)
+    row = q * np.fft.ifft(np.exp(2j * np.pi * np.arange(q) / q)[(a * ((l * l) % q)) % q])
+    row.setflags(write=False)
+    return row
 
 
 def gauss_sum(p: GaussSumParams) -> complex:
-    """Complete quadratic sum with exact residue phases (q below 2^31)."""
+    """Complete quadratic sum (q below 2^31), folded over its period q in l.
+
+    The phases a l^2 mod q are exact integer residues and only the DFT over
+    l rounds; the row of every b is built once per (a mod q, q) and cached,
+    so a sweep over b at fixed (a, q) reads entry b mod q of one row.
+    """
     q = p.q
     if q >= 1 << 31:
         raise ValueError("q too large for exact residue arithmetic")
-    l_res, l2_res, roots = _gauss_tables(q)
-    res = (p.b % q) * l_res + (p.a % q) * l2_res
-    res %= q
-    counts = np.bincount(res, minlength=q)
-    return complex(np.dot(counts, roots))
+    return complex(_gauss_row(p.a % q, q)[p.b % q])
 
 
 def gauss_modulus_law(p: GaussSumParams) -> bool:
@@ -115,24 +113,34 @@ class WeylPhase:
                 raise ValueError("alpha is not within 1/q^2 of its anchor")
 
 
+def _window_sums(w: WeylPhase, M, N):
+    """Sums over [M, M+N) for w's Fraction phases; M, N integers or arrays of windows."""
+    L = math.lcm(w.alpha.denominator, w.beta.denominator)
+    if L >= 1 << 31:
+        raise ValueError("common denominator too large for residue arithmetic")
+    A = (w.alpha.numerator * (L // w.alpha.denominator)) % L
+    B = (w.beta.numerator * (L // w.beta.denominator)) % L
+    n = np.arange(L, dtype=np.int64)
+    res = (A * ((n * n) % L) + B * n) % L
+    prefix = np.concatenate(([0j], np.cumsum(np.exp(2j * np.pi * np.arange(L) / L)[res])))
+    q_lo, r_lo = np.divmod(M, L)
+    q_hi, r_hi = np.divmod(np.add(M, N), L)
+    return (q_hi - q_lo) * prefix[L] + (prefix[r_hi] - prefix[r_lo])
+
+
 def weyl_sum(w: WeylPhase) -> complex:
     """Evaluate the incomplete quadratic sum.
 
-    Fraction-valued alpha and beta take an exact residue path; float
-    phases are evaluated directly.
+    Fraction-valued alpha and beta (common denominator L) take the exact
+    residue path: the summand has period L, so the window is (whole periods)
+    P[L] + P[(M+N) mod L] - P[M mod L] with P the prefix sums over one
+    period of the roots at residues (A n^2 + B n) mod L; O(L) time and
+    memory whatever N.  Float phases are summed directly, in O(N) time and
+    memory.
     """
-    n = np.arange(w.M, w.M + w.N, dtype=np.int64)
     if isinstance(w.alpha, Fraction) and isinstance(w.beta, Fraction):
-        L = math.lcm(w.alpha.denominator, w.beta.denominator)
-        if L >= 1 << 31:
-            raise ValueError("common denominator too large for residue arithmetic")
-        A = (w.alpha.numerator * (L // w.alpha.denominator)) % L
-        B = (w.beta.numerator * (L // w.beta.denominator)) % L
-        nm = n % L
-        res = (A * ((nm * nm) % L) + B * nm) % L
-        counts = np.bincount(res, minlength=L)
-        roots = np.exp(2j * np.pi * np.arange(L) / L)
-        return complex(np.dot(counts, roots))
+        return complex(_window_sums(w, w.M, w.N))
+    n = np.arange(w.M, w.M + w.N, dtype=np.int64)
     phase = float(w.alpha) * n.astype(float) ** 2 + float(w.beta) * n.astype(float)
     return complex(np.sum(np.exp(2j * np.pi * phase)))
 
@@ -151,32 +159,24 @@ def weyl_bound_rhs(N: int, q: int) -> float:
 def weyl_calibration(n_caps: Sequence[int] = (256, 4096), q_max: int = 64) -> dict[int, float]:
     """Worst |weyl_sum| / weyl_bound_rhs over an exhaustive rational sweep.
 
-    Sweeps q = 2..q_max, reduced a/q, N over powers of two up to each
-    cap, beta in {0, 1/3, 1/2}, and window starts 0 and -N//2.  Returns
-    the running maximum per cap.
+    Sweeps q = 2..q_max, reduced a/q, N over powers of two up to each cap,
+    beta in {0, 1/3, 1/2}, and window starts 0 and -N//2, all windows of a
+    phase in one period-folded call.  Returns the maximum over N <= cap.
     """
     caps = sorted(set(int(c) for c in n_caps))
     if not caps or caps[0] < 1:
         raise ValueError("n_caps must be positive")
-    betas = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
-    best = {cap: 0.0 for cap in caps}
+    lengths = 1 << np.arange(caps[-1].bit_length())
+    M = np.concatenate([np.zeros_like(lengths), -(lengths // 2)])
+    N = np.concatenate([lengths, lengths])
+    worst = np.zeros(N.size)
     for q in range(2, q_max + 1):
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            alpha = Fraction(a, q)
-            N = 1
-            while N <= caps[-1]:
-                rhs = weyl_bound_rhs(N, q)
-                for beta in betas:
-                    for M in (0, -(N // 2)):
-                        s = abs(weyl_sum(WeylPhase(alpha, beta, M, N, anchor=(a, q))))
-                        ratio = s / rhs
-                        for cap in caps:
-                            if N <= cap and ratio > best[cap]:
-                                best[cap] = ratio
-                N *= 2
-    return best
+        rhs = np.array([weyl_bound_rhs(int(n), q) for n in N])
+        for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
+            for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+                w = WeylPhase(Fraction(a, q), beta, 0, int(N[-1]), anchor=(a, q))
+                np.maximum(worst, np.abs(_window_sums(w, M, N)) / rhs, out=worst)
+    return {cap: float(worst[N <= cap].max()) for cap in caps}
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,23 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
         assert config.verb == args.verb
 
 
+def test_main_maximal_sweep_lists_underresolved_entries(tmp_path, capsys):
+    """R above space.per_axis is listed; a coarse time grid keeps the runs short."""
+    readme = [shlex.split(line)[1:] for b in _readme_blocks() for line in b.splitlines()
+              if line.startswith("schrodmax maximal-sweep ")]
+    assert len(readme) == 1
+    small = ["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder", "2^2 2^3 2^4 2^5",
+             "--set", "space.per_axis=32"]
+    cheap = ["--set", "time.geometric=6", "--set", "time.cap=16"]
+    for name, argv, want in (("readme", readme[0], [128]), ("small", small, [])):
+        out = tmp_path / name
+        main(argv + cheap + ["--out", str(out)])
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["summary"]["underresolved"] == want
+        assert (out / "records.csv").read_text().splitlines()[0] == "R,ratio,grid"
+    capsys.readouterr()
+
+
 def test_main_maximal_sweep_small(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["maximal-sweep", "--d", "1", "--gamma", "0.5",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,40 @@ def test_gauss_sum_brute_force_agreement():
     l = np.arange(1, 9)
     want = np.sum(np.exp(2j * np.pi * (2 * l + 3 * l**2) / 8))
     assert gauss_sum(p) == pytest.approx(complex(want), abs=1e-12)
+
+
+def _gauss_reference(pairs, q):
+    """G(a, b, q) per (a, b) pair from exact residue counts: bincount, then roots."""
+    ab = np.asarray(pairs, dtype=np.int64).reshape(-1, 2) % q
+    l = np.arange(1, q + 1, dtype=np.int64)
+    res = (ab[:, 1:] * l + ab[:, :1] * (l * l % q)) % q
+    flat = res + q * np.arange(len(ab))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=len(ab) * q).reshape(len(ab), q)
+    return counts @ np.exp(2j * np.pi * np.arange(q) / q)
+
+
+def test_gauss_sum_matches_residue_reference_small_q():
+    for q in range(1, 65):
+        pairs = [(a, b) for a in range(-3, q + 3) for b in range(-3, q + 3)]
+        want = _gauss_reference(pairs, q)
+        got = np.array([gauss_sum(GaussSumParams(a=a, b=b, q=q)) for a, b in pairs])
+        assert np.max(np.abs(got - want)) <= 1e-12 * q, q
+
+
+@pytest.mark.parametrize("q", [256, 1000, 2999, 4096])
+def test_gauss_sum_matches_residue_reference_large_q(q):
+    rng = np.random.default_rng(q)
+    edges = [-3, -1, 0, 1, 2, q // 2, q - 1, q, q + 1, 5 * q + 3]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [tuple(int(v) for v in ab) for ab in rng.integers(-2 * q, 2 * q, (200, 2))]
+    want = _gauss_reference(pairs, q)
+    got = np.array([gauss_sum(GaussSumParams(a=a, b=b, q=q)) for a, b in pairs])
+    assert np.max(np.abs(got - want)) <= 1e-12 * q
+
+
+def test_gauss_sum_refuses_moduli_beyond_exact_residues():
+    with pytest.raises(ValueError, match="too large"):
+        gauss_sum(GaussSumParams(a=1, b=0, q=1 << 31))
 
 
 def test_gauss_modulus_law_small_exhaustive():
@@ -82,6 +117,30 @@ def test_weyl_sum_trivial_phase():
     assert weyl_sum(w) == pytest.approx(17.0 + 0.0j, abs=1e-12)
 
 
+def test_weyl_sum_huge_rational_window_is_period_folded():
+    """N = 10^12 at alpha = 1/4: (N/4)(2 + 2i) in O(L) memory."""
+    N = 10**12
+    tracemalloc.start()
+    try:
+        got = weyl_sum(WeylPhase(alpha=Fraction(1, 4), beta=Fraction(0), M=0, N=N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (N / 4) * (2 + 2j)
+    assert abs(got - want) <= 1e-9 * abs(want)
+    assert peak < 1 << 20
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.integers(-40, 40), q=st.integers(1, 40), b=st.integers(-12, 12),
+       r=st.integers(1, 12), M=st.integers(-300, 300), N=st.integers(1, 600))
+def test_weyl_sum_rational_matches_direct_sum(a, q, b, r, M, N):
+    n = np.arange(M, M + N, dtype=np.int64)
+    want = np.sum(np.exp(2j * np.pi * ((a * n * n) % q / q + (b * n) % r / r)))
+    got = weyl_sum(WeylPhase(alpha=Fraction(a, q), beta=Fraction(b, r), M=M, N=N))
+    assert abs(got - want) <= 1e-12 * N
+
+
 def test_weyl_anchor_validation():
     WeylPhase(alpha=0.2501, beta=0.0, M=0, N=4, anchor=(1, 4))
     with pytest.raises(ValueError):
@@ -112,6 +171,42 @@ def test_weyl_bound_with_calibration_margin(a, q, N, M):
         a = 1
     w = WeylPhase(alpha=Fraction(a, q), beta=Fraction(0), M=M, N=N)
     assert abs(weyl_sum(w)) <= 8.0 * weyl_bound_rhs(N, q)
+
+
+WEYL_CALIBRATION_PINNED = [
+    (dict(), {256: 1.6854758207266116, 4096: 1.6978145895459869}),
+    (dict(n_caps=(256, 1024), q_max=32), {256: 1.6854758207266116, 1024: 1.6953324044735512}),
+    (dict(n_caps=(128, 512), q_max=16), {128: 1.6725106221056378, 512: 1.6920340924025905}),
+]
+
+
+@pytest.mark.parametrize("kwargs,want", WEYL_CALIBRATION_PINNED)
+def test_weyl_calibration_is_pinned(kwargs, want):
+    rho = weyl_calibration(**kwargs)
+    assert set(rho) == set(want)
+    for cap, value in want.items():
+        assert rho[cap] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_weyl_calibration_matches_per_window_exp_sums():
+    caps, q_max = (16, 64), 8
+    best = {cap: 0.0 for cap in caps}
+    for q in range(2, q_max + 1):
+        for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
+            for beta in (0.0, 1.0 / 3.0, 0.5):
+                N = 1
+                while N <= caps[-1]:
+                    for M in (0, -(N // 2)):
+                        n = np.arange(M, M + N, dtype=float)
+                        s = abs(np.sum(np.exp(2j * np.pi * (a * n**2 / q + beta * n))))
+                        for cap in caps:
+                            if N <= cap:
+                                best[cap] = max(best[cap], s / weyl_bound_rhs(N, q))
+                    N *= 2
+    rho = weyl_calibration(n_caps=caps, q_max=q_max)
+    assert set(rho) == set(caps)
+    for cap in caps:
+        assert rho[cap] == pytest.approx(best[cap], rel=1e-10)
 
 
 def test_weyl_calibration_growth():
