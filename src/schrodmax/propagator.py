@@ -1,16 +1,17 @@
 """Field evaluation for the free and dissipative Schrodinger evolutions.
 
-Two engines, each with one family dispatch and one integration loop.
+Two engines, each with one integration loop.
 
 The grid engine evaluates separable and radial profiles as matrices
-over a point set times a time set.  _field_factors is the one place
-that unwraps modulations into spatial shifts and splits the data into
-(matrix, rows) factors: one per axis over that axis's distinct
-coordinates for separable data, one over the distinct radii for radial
-data.  Every factor comes from one octave x cell loop, which clips each
-cell where the dissipation leaves nothing, starts its panels from the
-octave's worst phase rate and doubles them until each time column
-converges; only the node sum differs.  As
+over a point set times a time set.  _field_factors reads the data's
+one factor description, profiles.factors, which is where the data
+families are told apart: it adds the spatial shift to the points and
+turns each factor into a (matrix, rows) pair, an axis factor over that
+axis's distinct coordinates and a radial factor over the distinct
+radii.  Every matrix comes from one octave x cell loop, which clips
+each cell where the dissipation leaves nothing, starts its panels from
+the octave's worst phase rate and doubles them until each time column
+converges; only the node sum, chosen by the factor's form, differs.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 a separable node sum is one exponential table per side met in GEMMs,
 and a radial one meets the same time table through a Bessel kernel.
@@ -42,13 +43,13 @@ import numpy as np
 from scipy.special import jv
 
 from .profiles import (
-    AnnulusBump,
     CounterexampleParams,
-    Modulated,
     RadialBump,
     SpectrumDescriptor,
     _mollifier_raw,
+    _sphere_area,
     comb_range,
+    factors,
     l2_norm,
     mollifier_mass,
     radial_profile,
@@ -123,16 +124,17 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
 
 @functools.lru_cache(maxsize=32)
 def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
-    """Integral of |axis_factor| over each support cell of one axis.
+    """Integral of |profile| over each support cell of one axis factor.
 
     It bounds the L1 mass of every cell integrand, whatever the point,
     and sets the rounding floor of that cell's convergence test.
     """
-    cells = np.array(f.axis_cells()[axis], dtype=float)
+    cells, profile = factors(f)[2][axis]
+    cells = np.array(cells, dtype=float)
     u, w = panel_nodes(0.0, 1.0, 4)
     width = cells[:, 1] - cells[:, 0]
     xi = cells[:, :1] + width[:, None] * u[None, :]
-    vals = np.abs(np.asarray(f.axis_factor(axis, xi.ravel()))).reshape(xi.shape)
+    vals = np.abs(np.asarray(profile(xi.ravel()))).reshape(xi.shape)
     return tuple((vals @ w) * width)
 
 
@@ -177,7 +179,7 @@ def _bessel_sum(d: int, radii: np.ndarray, rho: np.ndarray, coef: np.ndarray,
     kernel at every (|x|, t): a Bessel kernel per node block meets the
     time table e^{lead rho^2} in a GEMM."""
     nu = d / 2.0 - 1.0
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    area = _sphere_area(d)
     small = radii < 1e-300
     scale = TWO_PI ** (d / 2.0) * np.where(small, 1.0, radii) ** (1.0 - d / 2.0)
 
@@ -224,32 +226,28 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
 
     The field at point i is the product over factors of row rows[i] of
     their matrix.  decay is each time's dissipation t^gamma (zeros for
-    the free evolution).  Modulations become spatial shifts.  Radial
+    the free evolution).  The data's spatial shift is added to x.  Radial
     data is one factor over the distinct radii (rounded to 14 decimals):
     its support annulus is one cell of mass 0, so its test is purely
     relative.  Separable data is the constant (2 pi)^{-d} times one
     factor per axis over that axis's distinct coordinates.
     """
-    while isinstance(f, Modulated):
-        x = x + f.shift[None, :]
-        f = f.base
-    if isinstance(f, AnnulusBump):
+    shift, radial, facs = factors(f)
+    x = x + shift[None, :]
+    if radial:
         radii, rows = np.unique(np.round(np.sqrt(np.sum(x * x, axis=1)), 14),
                                 return_inverse=True)
-        matrix = _cell_matrix(functools.partial(_bessel_sum, f.dim),
-                              lambda rho: radial_profile(f.profile, rho / f.R),
-                              [f.support_radii()], [0.0], radii, t, decay, rtol)
+        (cells, profile), = facs
+        matrix = _cell_matrix(functools.partial(_bessel_sum, f.dim), profile, cells,
+                              [0.0], radii, t, decay, rtol)
         return [(matrix * TWO_PI ** -f.dim, rows)]
-    if f.axis_cells() is None:
-        raise ValueError(f"descriptor kind {f.kind!r} is not evaluable")
-    factors = [(np.full((1, t.size), TWO_PI ** -f.dim, dtype=complex),
-                np.zeros(x.shape[0], dtype=np.intp))]
-    for axis, cells in enumerate(f.axis_cells()):
+    out = [(np.full((1, t.size), TWO_PI ** -f.dim, dtype=complex),
+            np.zeros(x.shape[0], dtype=np.intp))]
+    for axis, (cells, profile) in enumerate(facs):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
-        factors.append((_cell_matrix(_plane_phase_sum, functools.partial(f.axis_factor, axis),
-                                     cells, _cell_masses(f, axis), coords, t, decay, rtol),
-                        rows))
-    return factors
+        out.append((_cell_matrix(_plane_phase_sum, profile, cells, _cell_masses(f, axis),
+                                 coords, t, decay, rtol), rows))
+    return out
 
 
 def _field_grid(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,

@@ -87,16 +87,3 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
         f"integral on [{a:g}, {b:g}] did not converge below rtol={rtol:g} "
         f"within {max_nodes} nodes")
 
-
-def integrate_1d(fn, a: float, b: float, *, rtol: float = 1e-10, order: int = 32,
-                 min_panels: int = 1, max_nodes: int = MAX_NODES) -> complex:
-    """Integrate a vectorized callable on [a, b] by panel doubling.
-
-    Converged when two consecutive refinements agree to rtol relative
-    to the new value.  Raises QuadratureError past max_nodes.
-    """
-    if b <= a:
-        return 0.0 + 0.0j
-    return double_panels(lambda x, w: complex(np.sum(np.asarray(fn(x)) * w)),
-                         a, b, max(1, int(min_panels)), rtol=rtol, order=order,
-                         max_nodes=max_nodes)

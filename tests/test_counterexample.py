@@ -33,7 +33,13 @@ from schrodmax.counterexample import (
 )
 from schrodmax.maximal import fit_loglog
 from schrodmax.numbertheory import PreconditionError
-from schrodmax.profiles import CounterexampleParams, ModelParams, comb_range
+from schrodmax.profiles import (
+    Case3Counterexample,
+    CounterexampleParams,
+    ModelParams,
+    comb_range,
+    sobolev_norm,
+)
 from schrodmax.propagator import SpaceTimePoint, factorized_evaluate
 
 TWO_PI = 2.0 * math.pi
@@ -402,17 +408,24 @@ def test_ratio_slope_splits_into_factor_slopes():
         0.5 * rep.measure_slope + rep.point_slope - rep.sobolev_slope, rel=0.0, abs=1e-10)
 
 
-def test_d3_ladder_runs_without_listing_anchors():
-    """A d=3 ladder whose largest entry has 3.4M anchors; slopes are not asserted."""
+@pytest.mark.parametrize("s", [0.0, 1.0 / 3.0], ids=["s0", "s1_3"])
+def test_d3_ladder_runs_without_listing_anchors(s):
+    """A d=3 ladder whose largest entry has 3.4M anchors; slopes are not asserted.
+
+    At s=1/3 each entry's Sobolev norm weights up to 156 025 comb cells.
+    """
+    ladder = [_exp_params(2.0**k, d=3) for k in range(20, 24)]
     start = time.perf_counter()
-    rep = lower_bound_experiment(
-        [_exp_params(2.0**k, d=3) for k in range(20, 24)], 2000, 0, s=0.0)
+    rep = lower_bound_experiment(ladder, 2000, 0, s=s)
     elapsed = time.perf_counter() - start
     assert len(rep.records) == 4 and rep.aborted == ()
     assert [r.anchors_total for r in rep.records] == [
         465018, 906106, 1708062, 3364822]
     assert [r.anchors_in_window for r in rep.records] == [4875, 9144, 17451, 48723]
     assert elapsed < 30.0
+    if s > 0.0:
+        for r, cp in zip(rep.records, ladder):
+            assert r.sobolev > sobolev_norm(Case3Counterexample(cp), 0.0)
 
 
 def test_experiment_sobolev_weight_lowers_ratio():

@@ -12,7 +12,6 @@ from schrodmax.quadrature import (
     QuadratureError,
     double_panels,
     gauss_legendre,
-    integrate_1d,
     panel_nodes,
     panels_for_rate,
 )
@@ -60,60 +59,51 @@ def test_panels_for_rate_monotone_in_rate(rate, factor):
     assert hi >= lo >= 1
 
 
-def test_integrate_1d_polynomial():
-    val = integrate_1d(lambda x: x**3 - 2.0 * x + 1.0, -1.0, 3.0)
+def _integral(fn, a, b, panels=1, **kw):
+    """Integral of a vectorized callable on [a, b] by double_panels."""
+    return double_panels(lambda x, w: complex(np.sum(np.asarray(fn(x)) * w)),
+                         a, b, panels, **kw)
+
+
+def test_double_panels_polynomial():
+    val = _integral(lambda x: x**3 - 2.0 * x + 1.0, -1.0, 3.0, rtol=1e-10)
     assert val.real == pytest.approx(16.0, rel=1e-12)
     assert val.imag == 0.0
 
 
-def test_integrate_1d_gaussian():
-    val = integrate_1d(lambda x: np.exp(-(x**2)), -8.0, 8.0, rtol=1e-12)
+def test_double_panels_gaussian():
+    val = _integral(lambda x: np.exp(-(x**2)), -8.0, 8.0, rtol=1e-12)
     assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-11)
 
 
-def test_integrate_1d_fresnel_oscillation():
+def test_double_panels_fresnel_oscillation():
     """Quadratic-phase integral against the scipy Fresnel functions."""
     X = 20.0
     rate = 2.0 * X
-    val = integrate_1d(lambda x: np.exp(1j * x**2), 0.0, X, rtol=1e-10,
-                       min_panels=panels_for_rate(0.0, X, rate))
+    val = _integral(lambda x: np.exp(1j * x**2), 0.0, X,
+                    panels_for_rate(0.0, X, rate), rtol=1e-10)
     s, c = special.fresnel(X * math.sqrt(2.0 / math.pi))
     want = math.sqrt(math.pi / 2.0) * complex(c, s)
     assert val == pytest.approx(want, rel=1e-9)
 
 
-def test_integrate_1d_empty_interval():
-    assert integrate_1d(lambda x: x, 2.0, 2.0) == 0.0
-    assert integrate_1d(lambda x: x, 3.0, 2.0) == 0.0
-
-
-def test_integrate_1d_budget_exhaustion():
+def test_double_panels_budget_exhaustion():
     with pytest.raises(QuadratureError):
-        integrate_1d(lambda x: np.exp(1j * 1e7 * x**2), 0.0, 10.0,
-                     rtol=1e-14, max_nodes=256)
-
-
-def test_integrate_1d_min_panels_consistency():
-    fn = lambda x: np.exp(1j * 5.0 * x) / (1.0 + x**2)
-    coarse = integrate_1d(fn, 0.0, 6.0, rtol=1e-12)
-    warm = integrate_1d(fn, 0.0, 6.0, rtol=1e-12, min_panels=16)
-    assert warm == pytest.approx(coarse, rel=1e-10)
+        _integral(lambda x: np.exp(1j * 1e7 * x**2), 0.0, 10.0,
+                  rtol=1e-14, max_nodes=256)
 
 
 @settings(deadline=None, max_examples=25)
 @given(a=st.floats(min_value=-3.0, max_value=0.0),
        width=st.floats(min_value=0.1, max_value=4.0),
        k=st.floats(min_value=-20.0, max_value=20.0))
-def test_integrate_1d_modulation_shift(a, width, k):
+def test_double_panels_modulation_shift(a, width, k):
     """e^{ikx} against a smooth window equals the shifted spectrum value."""
     b = a + width
-    direct = integrate_1d(lambda x: np.exp(1j * k * x) * np.exp(-(x - a) ** 2),
-                          a, b, rtol=1e-11,
-                          min_panels=panels_for_rate(a, b, abs(k)))
-    by_parts = integrate_1d(
-        lambda x: np.exp(1j * k * (x + a)) * np.exp(-(x**2)),
-        0.0, width, rtol=1e-11,
-        min_panels=panels_for_rate(0.0, width, abs(k)))
+    direct = _integral(lambda x: np.exp(1j * k * x) * np.exp(-(x - a) ** 2),
+                       a, b, panels_for_rate(a, b, abs(k)), rtol=1e-11)
+    by_parts = _integral(lambda x: np.exp(1j * k * (x + a)) * np.exp(-(x**2)),
+                         0.0, width, panels_for_rate(0.0, width, abs(k)), rtol=1e-11)
     assert direct == pytest.approx(by_parts, rel=1e-8, abs=1e-12)
 
 
