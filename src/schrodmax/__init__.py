@@ -64,6 +64,7 @@ from .counterexample import (
     LowerBoundRecord,
     LowerBoundReport,
     OmegaCell,
+    OmegaStarDraws,
     OmegaStarSample,
     RationalAnchor,
     enumerate_anchors,

@@ -7,11 +7,13 @@ the factorized path.  Measures, error budgets, and scaling fits follow.
 
 Anchors are positions in one enumeration order (`_anchor_pairs`), decoded
 with integer arithmetic: the sampler never lists them, and the anchor and
-in-window counts are closed-form sums over the (q, a1) pairs.
+in-window counts are closed-form sums over the (q, a1) pairs.  The draws
+stay one record of arrays (`OmegaStarDraws`) from the sampler to the
+ladder record; per-draw objects are built only for callers that iterate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -100,6 +102,58 @@ class OmegaStarSample:
     y: tuple[float, ...]
     x: tuple[float, ...] | None
     weight: float
+
+
+@dataclass(frozen=True, eq=False)
+class OmegaStarDraws:
+    """The draws of `sample_omega_star` as arrays, one row per draw.
+
+    anchor_index is the drawn anchor's position in the enumeration order
+    and q, a1, a_rest (n, d-1) its residues; y (n, d) is the torus point,
+    x (n, d) its box preimage (NaN where valid is False) and weight the
+    importance weight (zero where valid is False).
+
+    The record reads as the tuple of OmegaStarSample it stands for: len,
+    iteration and an integer index build the objects on demand, while a
+    slice or a boolean mask selects rows and gives a record again.
+    """
+
+    anchor_index: np.ndarray
+    q: np.ndarray
+    a1: np.ndarray
+    a_rest: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    valid: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return self.weight.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return next(iter(self[i:i + 1]))
+        return OmegaStarDraws(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
+
+    def __iter__(self):
+        _, first, inv = np.unique(self.anchor_index, return_index=True, return_inverse=True)
+        anchors = _rational_anchors(self.q[first], self.a1[first], self.a_rest[first])
+        rows = zip(inv.tolist(), self.y.tolist(), self.x.tolist(),
+                   self.valid.tolist(), self.weight.tolist())
+        return (OmegaStarSample(anchor=anchors[k], y=tuple(yv),
+                                x=tuple(xv) if ok else None, weight=w)
+                for k, yv, xv, ok, w in rows)
+
+
+def _anchored_rows(sample):
+    """q, a1, y, x and valid of a record's rows, or of one sample as one row."""
+    if isinstance(sample, OmegaStarDraws):
+        return sample.q, sample.a1, sample.y, sample.x, sample.valid
+    a, ok = sample.anchor, sample.x is not None
+    x = sample.x if ok else (math.nan,) * len(sample.y)
+    return (np.array([a.q]), np.array([a.a1]), np.array([sample.y]),
+            np.array([x]), np.array([ok]))
 
 
 def _half_widths(cp: CounterexampleParams) -> tuple[float, float]:
@@ -259,12 +313,12 @@ def _multiplicity(cp, y1n, yjn):
 
 
 def sample_omega_star(cp: CounterexampleParams, n_samples: int,
-                      seed) -> tuple[OmegaStarSample, ...]:
+                      seed) -> OmegaStarDraws:
     """Draw anchored torus points and pull them back to the spatial box.
 
-    Every draw is returned; draws whose torus point has no preimage in
-    the box carry weight zero.  Weighted means over the full set give
-    unbiased integrals over the preimage region.
+    Every draw is returned, as one row of the record; draws whose torus
+    point has no preimage in the box carry weight zero.  Weighted means
+    over the full set give unbiased integrals over the preimage region.
     """
     d, D, band = cp.model.d, cp.D, cp.band
     if not cp.spans_lattice_period:
@@ -276,9 +330,8 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     lo_w, hi_w = _window_bounds(cp)
     rng = np.random.default_rng(seed)
 
-    picked, inv = np.unique(rng.integers(0, NA, size=n_samples), return_inverse=True)
-    decoded = _decode_anchors(cp, picked)
-    qi, a1i, resti = (v[inv] for v in decoded)
+    index = rng.integers(0, NA, size=n_samples)
+    qi, a1i, resti = _decode_anchors(cp, index)
     q = qi.astype(float)
     y1 = TWO_PI * a1i / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
     yj = TWO_PI * resti / q[:, None] \
@@ -310,17 +363,23 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
         if worst > 1e-9:
             raise RuntimeError(f"congruence residual {worst:g} exceeds 1e-9")
 
-    anchors = _rational_anchors(*decoded)
-    rows = zip(inv.tolist(), np.column_stack([y1, yj]).tolist(),
-               np.column_stack([x1, xj]).tolist(), valid.tolist(), weight.tolist())
-    return tuple(OmegaStarSample(anchor=anchors[k], y=tuple(yv),
-                                 x=tuple(xv) if ok else None, weight=w)
-                 for k, yv, xv, ok, w in rows)
+    x = np.column_stack([x1, xj])
+    x[~valid] = np.nan
+    return OmegaStarDraws(anchor_index=index, q=qi, a1=a1i, a_rest=resti,
+                          y=np.column_stack([y1, yj]), x=x, valid=valid,
+                          weight=weight)
 
 
 def omega_star_measure(samples) -> tuple[float, float]:
-    """Mean importance weight and its standard error (zeros included)."""
-    w = np.array([s.weight for s in samples], dtype=float)
+    """Mean importance weight and its standard error (zeros included).
+
+    A record from `sample_omega_star` is read through its weight array;
+    any other sequence of OmegaStarSample through each sample's weight.
+    """
+    if isinstance(samples, OmegaStarDraws):
+        w = samples.weight
+    else:
+        w = np.array([s.weight for s in samples], dtype=float)
     if w.size < 2:
         raise ValueError("need at least two samples")
     return float(w.mean()), float(w.std(ddof=1) / math.sqrt(w.size))
@@ -330,22 +389,30 @@ def omega_star_measure(samples) -> tuple[float, float]:
 # resonant times and lattice sums
 
 
-def select_time(cp: CounterexampleParams, sample: OmegaStarSample) -> float:
-    """Resonant evaluation time for a sampled box point."""
-    if sample.x is None:
+def select_time(cp: CounterexampleParams,
+                sample: OmegaStarSample | OmegaStarDraws) -> float | np.ndarray:
+    """Resonant evaluation time for a sampled box point.
+
+    One OmegaStarSample gives a float; a record from `sample_omega_star`
+    gives an array, one time per row, and raises what the first failing
+    row would raise on its own.
+    """
+    q, a1, y, x, valid = _anchored_rows(sample)
+    if not np.all(valid):
         raise ValueError("sample has no box preimage")
     mp = cp.model
     R, gamma = mp.R, mp.gamma
     D = cp.D
-    a = sample.anchor
-    s_res = _wrap(TWO_PI * a.a1 / a.q - sample.y[0])
+    s_res = _wrap(TWO_PI * a1 / q - y[:, 0])
     tau = s_res / (D * D)
-    if abs(tau) >= cp.c2 * R ** (-(gamma + 1.0) / 2.0):
-        raise PreconditionError("resonant correction falls outside the window")
-    t = -sample.x[0] / (2.0 * cp.band) + tau
-    if t <= 0.0:
+    off_window = np.abs(tau) >= cp.c2 * R ** (-(gamma + 1.0) / 2.0)
+    t = -x[:, 0] / (2.0 * cp.band) + tau
+    bad = off_window | (t <= 0.0)
+    if np.any(bad):
+        if off_window[np.argmax(bad)]:
+            raise PreconditionError("resonant correction falls outside the window")
         raise PreconditionError("selected time is not positive")
-    return float(t)
+    return t if isinstance(sample, OmegaStarDraws) else float(t[0])
 
 
 def _translate_range(cp: CounterexampleParams) -> tuple[int, int, float]:
@@ -463,31 +530,41 @@ def _translate_moments(start: int, stop: int) -> tuple[float, float]:
             float(squares(stop - 1) - squares(start - 1)))
 
 
-def error_budget(cp: CounterexampleParams, sample: OmegaStarSample,
-                 t: float) -> tuple[float, float, bool]:
+def error_budget(cp: CounterexampleParams, sample: OmegaStarSample | OmegaStarDraws,
+                 t: float | np.ndarray) -> tuple:
     """Drift and Gauss-replacement budgets at the sampled point and time.
 
     Both must stay below a fixed fraction of the main-term size for the
     factorized lower bound to survive; the admissible flag reports that.
+    One OmegaStarSample and its time give (float, float, bool); a record
+    from `sample_omega_star` and its times give three arrays.
     """
+    q, a1, *_ = _anchored_rows(sample)
     mp = cp.model
     d, R, gamma = mp.d, mp.R, mp.gamma
     D, Q = cp.D, cp.Q
-    q = sample.anchor.q
     band = cp.band
     scale = band / (D * math.sqrt(Q))
     start, stop, _ = _translate_range(cp)
     sum_l, sum_l2 = _translate_moments(start, stop)
     _, Aj = _half_widths(cp)
-    eps_t = abs(_wrap(D * D * t - TWO_PI * sample.anchor.a1 / q))
+    t = np.asarray(t, dtype=float).reshape(q.shape)
+    eps_t = np.abs(_wrap(D * D * t - TWO_PI * a1 / q))
     cal = calibration_constants(d, gamma)
-    err_axis = Aj * sum_l + eps_t * sum_l2 \
-        + cal["c_gauss"] * math.sqrt(q * math.log(q))
+    # libm's log, once per distinct modulus: numpy's vector log differs
+    # from it in the last place for some q
+    moduli, which = np.unique(q, return_inverse=True)
+    gauss = np.array([cal["c_gauss"] * math.sqrt(m * math.log(m))
+                      for m in moduli.tolist()])[which]
+    err_axis = Aj * sum_l + eps_t * sum_l2 + gauss
     four_pi_d = (4.0 * math.pi) ** d
     e1 = 2.0 ** (d + 1) * (2.0 * four_pi_d) ** (d - 2) * R * t * scale ** (d - 1)
     e2 = (2.0 ** (d - 1) - 1.0) * err_axis * (four_pi_d * scale) ** (d - 2)
     threshold = 2.0 ** (-(d + 5) / 2.0) * scale ** (d - 1)
-    return e1, e2, bool(e1 <= threshold and e2 <= threshold)
+    ok = (e1 <= threshold) & (e2 <= threshold)
+    if isinstance(sample, OmegaStarDraws):
+        return e1, e2, ok
+    return float(e1[0]), float(e2[0]), bool(ok[0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +625,14 @@ def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
             f"no rational anchor meets the sampling window at R={mp.R:g}")
     samples = sample_omega_star(cp, n_samples, seed)
     measure_est, measure_err = omega_star_measure(samples)
-    valid = [smp for smp in samples if smp.x is not None]
-    if not valid:
+    valid = samples[samples.valid]
+    if not len(valid):
         raise PreconditionError(f"no sampled point had a box preimage at R={mp.R:g}")
-    times = [select_time(cp, v) for v in valid]
-    budgets = [error_budget(cp, v, t) for v, t in zip(valid, times)]
-    e1_max = max(b[0] for b in budgets)
-    e2_max = max(b[1] for b in budgets)
-    adm = sum(1 for b in budgets if b[2]) / len(budgets)
-    x = np.array([v.x for v in valid], dtype=float)
-    t = np.array(times, dtype=float)
-    _, _, modulus = _factorized_batch(cp, x, t, gamma_eval=gamma_eval)
+    t = select_time(cp, valid)
+    e1, e2, admissible = error_budget(cp, valid, t)
+    _, _, modulus = _factorized_batch(cp, valid.x, t, gamma_eval=gamma_eval)
     modulus = modulus * TWO_PI ** -mp.d
-    w = np.array([v.weight for v in valid], dtype=float)
+    w = valid.weight
     wsum = float(np.sum(w))
     mean_mod = float(np.sum(w * modulus) / wsum)
     mean_sq = float(np.sum(w * modulus ** 2) / wsum)
@@ -573,8 +645,9 @@ def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
         R=mp.R, n_samples=n_samples, n_valid=len(valid),
         measure_estimate=measure_est, measure_stderr=measure_err,
         mean_modulus=mean_mod, mean_sq_modulus=mean_sq, sobolev=sob,
-        ratio_estimate=ratio, e1_max=e1_max, e2_max=e2_max,
-        admissible_fraction=adm, anchors_total=int(starts[-1]),
+        ratio_estimate=ratio, e1_max=float(np.max(e1)), e2_max=float(np.max(e2)),
+        admissible_fraction=int(np.count_nonzero(admissible)) / len(valid),
+        anchors_total=int(starts[-1]),
         anchors_in_window=in_window)
 
 

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
+import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schrodmax import counterexample
 from schrodmax.counterexample import (
     ExperimentError,
     _translate_moments,
     OmegaCell,
+    OmegaStarDraws,
     OmegaStarSample,
     RationalAnchor,
     anchors_in_window,
@@ -196,6 +201,34 @@ def test_sampled_points_satisfy_congruences():
     assert saw_valid > 0
 
 
+def test_draws_read_as_a_tuple_of_samples():
+    cp = _exp_params()
+    draws = sample_omega_star(cp, 500, seed=2)
+    assert isinstance(draws, OmegaStarDraws)
+    samples = list(draws)
+    assert len(samples) == len(draws) == 500
+    assert all(isinstance(smp, OmegaStarSample) for smp in samples)
+    assert draws[0] == samples[0] and draws[-1] == samples[-1]
+    assert draws[np.int64(7)] == samples[7]
+    with pytest.raises(IndexError):
+        draws[500]
+    for i, smp in enumerate(samples):
+        assert smp.anchor == RationalAnchor(q=int(draws.q[i]), a1=int(draws.a1[i]),
+                                           a_rest=tuple(draws.a_rest[i].tolist()))
+        assert smp.y == tuple(draws.y[i].tolist())
+        assert smp.weight == draws.weight[i]
+        assert (smp.x is not None) == draws.valid[i]
+        if smp.x is None:
+            assert smp.weight == 0.0 and np.all(np.isnan(draws.x[i]))
+        else:
+            assert smp.x == tuple(draws.x[i].tolist())
+    assert not draws.valid.all() and draws.valid.any()
+    valid = draws[draws.valid]
+    assert isinstance(valid, OmegaStarDraws)
+    assert list(valid) == [smp for smp in samples if smp.x is not None]
+    assert list(draws[10:20]) == samples[10:20]
+
+
 def test_measure_estimate_statistics():
     mean, err = omega_star_measure(
         [OmegaStarSample(anchor=RationalAnchor(q=8, a1=3, a_rest=(2,)),
@@ -205,6 +238,10 @@ def test_measure_estimate_statistics():
     assert err == pytest.approx(np.std([0, 1, 2, 3], ddof=1) / 2.0)
     with pytest.raises(ValueError):
         omega_star_measure([])
+    draws = sample_omega_star(_exp_params(), 500, seed=2)
+    assert omega_star_measure(draws) == omega_star_measure(list(draws))
+    with pytest.raises(ValueError):
+        omega_star_measure(draws[:1])
 
 
 def test_selected_time_is_resonant():
@@ -293,6 +330,33 @@ def test_error_budget_flag_matches_threshold():
         e1, e2, ok = error_budget(cp, smp, t)
         assert e1 > 0.0 and e2 > 0.0
         assert ok == (e1 <= threshold and e2 <= threshold)
+
+
+def test_batched_time_and_budget_match_one_sample_calls():
+    cp = _exp_params(2.0**19)
+    draws = sample_omega_star(cp, 800, seed=7)
+    valid = draws[draws.valid]
+    t = select_time(cp, valid)
+    e1, e2, ok = error_budget(cp, valid, t)
+    assert t.shape == e1.shape == e2.shape == ok.shape == (len(valid),)
+    assert ok.any() and not ok.all()
+    for i, smp in enumerate(valid):
+        ti = select_time(cp, smp)
+        assert t[i] == ti
+        assert (e1[i], e2[i], ok[i]) == error_budget(cp, smp, ti)
+    # move one row's torus point off its anchor's resonance
+    mp = cp.model
+    limit = cp.c2 * mp.R ** (-(mp.gamma + 1.0) / 2.0) * cp.D**2
+    y = valid.y.copy()
+    y[3, 0] -= 2.0 * limit
+    moved = dataclasses.replace(valid, y=y)
+    with pytest.raises(PreconditionError, match="resonant correction") as one:
+        select_time(cp, moved[3])
+    with pytest.raises(PreconditionError) as batch:
+        select_time(cp, moved)
+    assert str(batch.value) == str(one.value)
+    with pytest.raises(ValueError):
+        select_time(cp, draws)
 
 
 @pytest.mark.parametrize("make", [_exp_params, _def_params], ids=["experiments", "defaults"])
@@ -426,6 +490,35 @@ def test_d3_ladder_runs_without_listing_anchors(s):
     if s > 0.0:
         for r, cp in zip(rep.records, ladder):
             assert r.sobolev > sobolev_norm(Case3Counterexample(cp), 0.0)
+
+
+@pytest.mark.parametrize("case", ["d2", "d3"])
+def test_ladder_records_pinned(case):
+    """Every record field of two small ladders, pinned with ==."""
+    pinned = json.loads(Path(__file__).with_name("ladder_records.json").read_text())
+    ladder = _exp_ladder(16, 19) if case == "d2" else \
+        [_exp_params(2.0**k, d=3) for k in range(20, 24)]
+    n_samples, seed = (300, 7) if case == "d2" else (2000, 0)
+    rep = lower_bound_experiment(ladder, n_samples, seed, s=1.0 / 3.0)
+    assert [dataclasses.asdict(r) for r in rep.records] == pinned[case]
+
+
+def test_experiment_entry_builds_no_sample_objects(monkeypatch):
+    built = []
+    init = OmegaStarSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OmegaStarSample, "__init__", counting_init)
+    cp = _exp_params(2.0**19)
+    list(sample_omega_star(cp, 10, seed=0))
+    assert len(built) == 10
+    built.clear()
+    rec = counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0)
+    assert rec.n_valid > 0
+    assert built == []
 
 
 def test_experiment_sobolev_weight_lowers_ratio():
