@@ -23,10 +23,10 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .counterexample import ExperimentError, lower_bound_experiment
 from .maximal import (
@@ -512,7 +512,7 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
 
 
 def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     records = []
 
     checked = 0
@@ -596,7 +596,7 @@ def _run_propagator_check(cfg: ExperimentConfig, map_fn):
                        cfg.ce_overrides, cfg.model_R)
     f = Case3Counterexample(params=cp)
     m = cp.model
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     x1_lo = cp.x1_lo
     records = []
     worst = 0.0
@@ -655,6 +655,8 @@ def run(config: ExperimentConfig) -> RunReport:
     failure, fieldnames = None, None
     try:
         if config.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 records, summary, verdicts = runner(config, pool.map)
         else:

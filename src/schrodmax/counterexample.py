@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .maximal import fit_loglog
 from .numbertheory import PreconditionError, totient
@@ -215,7 +216,7 @@ def enumerate_anchors(cp: CounterexampleParams, *, limit: int | None = None,
     total = int(_anchor_pairs(cp)[2][-1])
     index = np.arange(total)
     if limit is not None and total > limit:
-        index = np.sort(np.random.default_rng(seed).choice(total, limit, replace=False))
+        index = np.sort(default_rng(seed).choice(total, limit, replace=False))
     return tuple(_rational_anchors(*_decode_anchors(cp, index)))
 
 
@@ -295,20 +296,27 @@ def omega_multiplicity(cp: CounterexampleParams, y) -> np.ndarray:
 
 
 def _multiplicity(cp, y1n, yjn):
+    """Cells containing each point (y1n, yjn), both reduced to [0, 2 pi).
+
+    The rest-axis positions 4 pi k / q, k = 1..q/4, are evenly spaced, so
+    those within A = Aj + 1e-12 of y + s are the k in
+    [ceil((y + s - A) q / 4 pi), floor((y + s + A) q / 4 pi)].  Summed over
+    s in {-2 pi, 0, 2 pi} this counts each position once while A < pi; for
+    A >= pi it covers every position, and the count is capped at q/4.
+    """
     A1, Aj = _half_widths(cp)
-    n = y1n.size
-    d = cp.model.d
-    m = np.zeros(n, dtype=np.int64)
+    reach = Aj + 1e-12
+    m = np.zeros(y1n.size, dtype=np.int64)
+    near = yjn[:, :, None] + np.array([-TWO_PI, 0.0, TWO_PI])
     for q in _admissible_moduli(cp):
         a1c = np.round(q * y1n / TWO_PI).astype(np.int64) % q
         dist1 = np.abs(_wrap(y1n - TWO_PI * a1c / q))
         hit1 = (np.gcd(a1c, q) == 1) & (dist1 <= A1 + 1e-12)
-        pos = (4.0 * math.pi / q) * np.arange(1, q // 4 + 1)
-        cnt = np.ones(n, dtype=np.int64)
-        for j in range(d - 1):
-            dd = np.abs(_wrap(yjn[:, j][:, None] - pos[None, :]))
-            cnt *= np.sum(dd <= Aj + 1e-12, axis=1)
-        m += hit1 * cnt
+        scale = q / (4.0 * math.pi)
+        lo = np.maximum(np.ceil((near - reach) * scale), 1.0)
+        hi = np.minimum(np.floor((near + reach) * scale), q // 4)
+        per_axis = np.minimum(np.sum(np.maximum(hi - lo + 1.0, 0.0), axis=2), q // 4)
+        m += hit1 * np.prod(per_axis, axis=1).astype(np.int64)
     return m
 
 
@@ -328,7 +336,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     A1, Aj = _half_widths(cp)
     M1 = D * D / (2.0 * band)
     lo_w, hi_w = _window_bounds(cp)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     index = rng.integers(0, NA, size=n_samples)
     qi, a1i, resti = _decode_anchors(cp, index)
@@ -693,7 +701,7 @@ def lower_bound_experiment(params_ladder, n_samples: int, seed: int, *,
     if geval < gamma:
         raise ValueError("gamma_eval must be at least the construction gamma")
     cal = calibration_constants(d, gamma)
-    seeds = np.random.SeedSequence(seed).spawn(len(ladder))
+    seeds = SeedSequence(seed).spawn(len(ladder))
     tasks = [(cp, n_samples, child, s, geval)
              for cp, child in zip(ladder, seeds)]
     records, aborted = [], []

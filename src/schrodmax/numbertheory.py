@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.fft import ifft
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,12 +46,14 @@ class GaussSumParams:
 
 
 @functools.lru_cache(maxsize=16)
-def _gauss_row(a: int, q: int) -> np.ndarray:
-    """Read-only G(a, b, q) for b = 0..q-1: q ifft(e(a l^2 / q)) over l < q."""
+def _gauss_row(a: int, q: int) -> tuple[complex, ...]:
+    """G(a, b, q) for b = 0..q-1: q ifft(e(a l^2 / q)) over l < q.
+
+    Held as Python complex numbers, so a lookup converts nothing.
+    """
     l = np.arange(q, dtype=np.int64)
-    row = q * np.fft.ifft(np.exp(2j * np.pi * np.arange(q) / q)[(a * ((l * l) % q)) % q])
-    row.setflags(write=False)
-    return row
+    row = q * ifft(np.exp(2j * np.pi * np.arange(q) / q)[(a * ((l * l) % q)) % q])
+    return tuple(row.tolist())
 
 
 def gauss_sum(p: GaussSumParams) -> complex:
@@ -63,7 +66,7 @@ def gauss_sum(p: GaussSumParams) -> complex:
     q = p.q
     if q >= 1 << 31:
         raise ValueError("q too large for exact residue arithmetic")
-    return complex(_gauss_row(p.a % q, q)[p.b % q])
+    return _gauss_row(p.a % q, q)[p.b % q]
 
 
 def gauss_modulus_law(p: GaussSumParams) -> bool:

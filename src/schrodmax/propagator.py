@@ -15,6 +15,9 @@ converges; only the node sum, chosen by the factor's form, differs.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 a separable node sum is one exponential table per side met in GEMMs,
 and a radial one meets the same time table through a Bessel kernel.
+The Bessel kernel is scipy's jv, imported on the first radial block, so
+importing the package and running data without a radial factor never
+loads scipy.
 The one-point evaluators (the 1 x 1 case), the maximal module's time
 suprema and the tail-bound probe grid all use these factors.
 
@@ -40,7 +43,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
+# np.unique asks numpy.ma whether its input is masked (numpy 2.4); load it
+# here so that no field evaluation pays for the import
+import numpy.ma  # noqa: F401
 
 from .profiles import (
     CounterexampleParams,
@@ -178,6 +183,9 @@ def _bessel_sum(d: int, radii: np.ndarray, rho: np.ndarray, coef: np.ndarray,
     """Sum over radial nodes rho of coef times the d-dimensional spherical
     kernel at every (|x|, t): a Bessel kernel per node block meets the
     time table e^{lead rho^2} in a GEMM."""
+    # only radial data reaches this kernel: scipy loads on its first block
+    from scipy.special import jv
+
     nu = d / 2.0 - 1.0
     area = _sphere_area(d)
     small = radii < 1e-300

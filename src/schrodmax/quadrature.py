@@ -13,6 +13,7 @@ and each column of a matrix of integrals meets it on its own.
 import functools
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 # hard ceiling on nodes spent inside one integral evaluation
 MAX_NODES = 1 << 26
@@ -30,7 +31,7 @@ def gauss_legendre(order: int):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

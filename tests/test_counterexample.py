@@ -175,6 +175,50 @@ def test_multiplicity_counts_cells():
         omega_multiplicity(cp, [(0.1, 0.2, 0.3)])
 
 
+def _multiplicity_reference(cp, y):
+    """Cells containing each torus point, from the wrapped distance of every
+    coordinate to every anchor position of every admissible modulus."""
+    A1, Aj = counterexample._half_widths(cp)
+    y = np.asarray(y, dtype=float) % TWO_PI
+
+    def dist(v):
+        return np.abs(v - TWO_PI * np.round(v / TWO_PI))
+
+    m = np.zeros(len(y), dtype=np.int64)
+    for q in counterexample._admissible_moduli(cp):
+        a1 = np.round(q * y[:, 0] / TWO_PI).astype(np.int64) % q
+        hit = (np.gcd(a1, q) == 1) & (dist(y[:, 0] - TWO_PI * a1 / q) <= A1 + 1e-12)
+        pos = (4.0 * math.pi / q) * np.arange(1, q // 4 + 1)
+        cnt = np.ones(len(y), dtype=np.int64)
+        for j in range(1, y.shape[1]):
+            cnt *= np.sum(dist(y[:, j][:, None] - pos[None, :]) <= Aj + 1e-12, axis=1)
+        m += hit * cnt
+    return m
+
+
+@pytest.mark.parametrize("cp, n", [
+    *((_exp_params(2.0**k), 10_000) for k in range(16, 25)),
+    (_exp_params(2.0**22, d=3), 2000),
+    (_def_params(2.0**16, d=3), 2000),  # rest half-width above pi
+    (_def_params(2.0**22, d=3), 2000),
+])
+def test_multiplicity_counts_match_distance_reference(cp, n):
+    """Floor-arithmetic cell counts equal the distance-matrix counts, also
+    at points 1e-13 either side of a rest-axis cell edge."""
+    draws = sample_omega_star(cp, n, seed=0)
+    _, Aj = counterexample._half_widths(cp)
+    rng = np.random.default_rng(1)
+    q = draws.q
+    pos = 4.0 * math.pi * rng.integers(1, q // 4 + 1) / q
+    gap = rng.choice([-1e-13, 1e-13], size=q.size) + rng.choice([Aj, Aj + 1e-12], size=q.size)
+    edge = (pos + rng.choice([-1.0, 1.0], size=q.size) * gap)[:, None]
+    near_edge = np.column_stack([draws.y[:, 0], np.repeat(edge, cp.model.d - 1, axis=1)])
+    for y in (draws.y, near_edge):
+        got = omega_multiplicity(cp, y)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _multiplicity_reference(cp, y))
+
+
 def test_sampler_needs_one_lattice_period():
     with pytest.raises(PreconditionError):
         sample_omega_star(_def_params(2.0**10), 16, seed=0)

@@ -3,12 +3,16 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schrodmax
 from schrodmax.maximal import TimeGrid
 from schrodmax.profiles import (
     AnnulusBump,
@@ -105,6 +109,33 @@ def test_zero_time_dissipation_is_identity():
     f = AnnulusBump(d=2, R=4.0)
     p = SpaceTimePoint(x=(0.2, -0.1), t=0.0)
     assert evaluate_p_gamma(f, 2.0, p) == evaluate_free(f, p)
+
+
+_COLD_IMPORT = """
+import json, sys
+import schrodmax, schrodmax.cli
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+from schrodmax.profiles import AnnulusBump
+from schrodmax.propagator import SpaceTimePoint, evaluate_free
+v = evaluate_free(AnnulusBump(d=2, R=4.0), SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+print(json.dumps({"at_import": loaded, "special": "scipy.special" in sys.modules,
+                  "value": [v.real, v.imag]}))
+"""
+
+
+def test_import_loads_neither_scipy_nor_process_pool():
+    """A fresh process imports the package without scipy or a process pool;
+    scipy.special loads on the first radial evaluation, whose value is the
+    one computed here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(schrodmax.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["at_import"] == []
+    assert got["special"]
+    want = evaluate_free(AnnulusBump(d=2, R=4.0), SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+    assert complex(*got["value"]) == want
 
 
 def test_modulus_never_exceeds_spectral_mass():
