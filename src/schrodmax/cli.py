@@ -118,15 +118,6 @@ def _as_int(text: str) -> int:
     return int(text, 0)
 
 
-def _as_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (parser, constraint description, constraint predicate)
 _KEY_SPECS: dict[str, tuple] = {
     "verb": (str, f"one of {', '.join(VERBS)}", lambda v: v in VERBS),
@@ -146,7 +137,6 @@ _KEY_SPECS: dict[str, tuple] = {
     "time.t_max": (float, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "space.radius": (float, "a positive real", lambda v: v > 0.0),
     "space.per_axis": (_as_int, "an integer >= 2", lambda v: v >= 2),
-    "ce.experiment": (_as_bool, "a boolean", lambda v: True),
     "ce.c0": (float, "a positive real", lambda v: v > 0.0),
     "ce.c1": (float, "a positive real", lambda v: v > 0.0),
     "ce.c2": (float, "a positive real", lambda v: v > 0.0),
@@ -170,7 +160,6 @@ _DEFAULTS = {
     "time.t_max": "1.0",
     "space.radius": "1.0",
     "space.per_axis": "64",
-    "ce.experiment": "true",
 }
 
 _CE_CONSTANT_KEYS = ("ce.c0", "ce.c1", "ce.c2", "ce.c3", "ce.c4",
@@ -212,7 +201,6 @@ class ExperimentConfig:
     time_t_max: float
     space_radius: float
     space_per_axis: int
-    ce_experiment: bool
     ce_overrides: tuple[tuple[str, float], ...]
 
     @classmethod
@@ -249,7 +237,6 @@ class ExperimentConfig:
             time_t_max=values["time.t_max"],
             space_radius=values["space.radius"],
             space_per_axis=values["space.per_axis"],
-            ce_experiment=values["ce.experiment"],
             ce_overrides=overrides,
         )
 
@@ -270,7 +257,6 @@ class ExperimentConfig:
             "time.t_max": _fmt(self.time_t_max),
             "space.radius": _fmt(self.space_radius),
             "space.per_axis": str(self.space_per_axis),
-            "ce.experiment": "true" if self.ce_experiment else "false",
         }
         if self.model_R is not None:
             out["model.R"] = _fmt(self.model_R)
@@ -425,14 +411,11 @@ def _case1_family(d: int, gamma: float, R: float):
     return Case1Product(model=ModelParams(d=d, gamma=gamma, R=R))
 
 
-def _case3_family(d: int, gamma_c: float, experiment: bool,
-                  overrides: tuple, R: float):
+def _case3_family(d: int, gamma_c: float, overrides: tuple, R: float):
     """Construction constants at scale R; a scale outside their range is a config error."""
     model = ModelParams(d=d, gamma=gamma_c, R=R)
-    build = (CounterexampleParams.for_experiments if experiment
-             else CounterexampleParams.with_defaults)
     try:
-        return build(model, **dict(overrides))
+        return CounterexampleParams.for_experiments(model, **dict(overrides))
     except ValueError as exc:
         raise ConfigError(f"no valid construction at R={_fmt(R)}: {exc}") from None
 
@@ -476,8 +459,7 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
     gamma_c = min(gamma, 2.0)
     if not gamma_c > 1.0:
         raise ConfigError("model.gamma: counterexample needs gamma > 1")
-    build = functools.partial(_case3_family, cfg.model_d, gamma_c,
-                              cfg.ce_experiment, cfg.ce_overrides)
+    build = functools.partial(_case3_family, cfg.model_d, gamma_c, cfg.ce_overrides)
     ladder_params = [build(R) for R in cfg.ladder]
     try:
         report = lower_bound_experiment(
@@ -592,8 +574,7 @@ def _run_propagator_check(cfg: ExperimentConfig, map_fn):
     gamma = min(cfg.model_gamma, 2.0)
     if not gamma > 1.0:
         raise ConfigError("model.gamma: propagator-check needs gamma > 1")
-    cp = _case3_family(cfg.model_d, gamma, cfg.ce_experiment,
-                       cfg.ce_overrides, cfg.model_R)
+    cp = _case3_family(cfg.model_d, gamma, cfg.ce_overrides, cfg.model_R)
     f = Case3Counterexample(params=cp)
     m = cp.model
     rng = default_rng(cfg.seed)

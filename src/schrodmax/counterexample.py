@@ -9,7 +9,10 @@ Anchors are positions in one enumeration order (`_anchor_pairs`), decoded
 with integer arithmetic: the sampler never lists them, and the anchor and
 in-window counts are closed-form sums over the (q, a1) pairs.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
-ladder record; per-draw objects are built only for callers that iterate.
+ladder record.  Per-draw computations (`select_time`, `error_budget`,
+`omega_star_measure`) take the record and return arrays; a single draw
+is the one-row slice draws[i:i + 1].  OmegaStarSample objects are only a
+row view, built when a caller iterates or takes an integer index.
 """
 
 import math
@@ -114,9 +117,9 @@ class OmegaStarDraws:
     x (n, d) its box preimage (NaN where valid is False) and weight the
     importance weight (zero where valid is False).
 
-    The record reads as the tuple of OmegaStarSample it stands for: len,
-    iteration and an integer index build the objects on demand, while a
-    slice or a boolean mask selects rows and gives a record again.
+    A slice or a boolean mask selects rows and gives a record again;
+    iteration and an integer index give a row view of OmegaStarSample
+    objects, built on demand.
     """
 
     anchor_index: np.ndarray
@@ -145,16 +148,6 @@ class OmegaStarDraws:
         return (OmegaStarSample(anchor=anchors[k], y=tuple(yv),
                                 x=tuple(xv) if ok else None, weight=w)
                 for k, yv, xv, ok, w in rows)
-
-
-def _anchored_rows(sample):
-    """q, a1, y, x and valid of a record's rows, or of one sample as one row."""
-    if isinstance(sample, OmegaStarDraws):
-        return sample.q, sample.a1, sample.y, sample.x, sample.valid
-    a, ok = sample.anchor, sample.x is not None
-    x = sample.x if ok else (math.nan,) * len(sample.y)
-    return (np.array([a.q]), np.array([a.a1]), np.array([sample.y]),
-            np.array([x]), np.array([ok]))
 
 
 def _half_widths(cp: CounterexampleParams) -> tuple[float, float]:
@@ -378,16 +371,9 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
                           weight=weight)
 
 
-def omega_star_measure(samples) -> tuple[float, float]:
-    """Mean importance weight and its standard error (zeros included).
-
-    A record from `sample_omega_star` is read through its weight array;
-    any other sequence of OmegaStarSample through each sample's weight.
-    """
-    if isinstance(samples, OmegaStarDraws):
-        w = samples.weight
-    else:
-        w = np.array([s.weight for s in samples], dtype=float)
+def omega_star_measure(draws: OmegaStarDraws) -> tuple[float, float]:
+    """Mean importance weight and its standard error (zeros included)."""
+    w = draws.weight
     if w.size < 2:
         raise ValueError("need at least two samples")
     return float(w.mean()), float(w.std(ddof=1) / math.sqrt(w.size))
@@ -397,17 +383,15 @@ def omega_star_measure(samples) -> tuple[float, float]:
 # resonant times and lattice sums
 
 
-def select_time(cp: CounterexampleParams,
-                sample: OmegaStarSample | OmegaStarDraws) -> float | np.ndarray:
-    """Resonant evaluation time for a sampled box point.
+def select_time(cp: CounterexampleParams, draws: OmegaStarDraws) -> np.ndarray:
+    """Resonant evaluation time for each sampled box point, one per row.
 
-    One OmegaStarSample gives a float; a record from `sample_omega_star`
-    gives an array, one time per row, and raises what the first failing
-    row would raise on its own.
+    Raises if any row has no box preimage, and otherwise what the first
+    failing row would raise on its own.
     """
-    q, a1, y, x, valid = _anchored_rows(sample)
-    if not np.all(valid):
+    if not np.all(draws.valid):
         raise ValueError("sample has no box preimage")
+    q, a1, y, x = draws.q, draws.a1, draws.y, draws.x
     mp = cp.model
     R, gamma = mp.R, mp.gamma
     D = cp.D
@@ -420,7 +404,7 @@ def select_time(cp: CounterexampleParams,
         if off_window[np.argmax(bad)]:
             raise PreconditionError("resonant correction falls outside the window")
         raise PreconditionError("selected time is not positive")
-    return t if isinstance(sample, OmegaStarDraws) else float(t[0])
+    return t
 
 
 def _translate_range(cp: CounterexampleParams) -> tuple[int, int, float]:
@@ -538,16 +522,15 @@ def _translate_moments(start: int, stop: int) -> tuple[float, float]:
             float(squares(stop - 1) - squares(start - 1)))
 
 
-def error_budget(cp: CounterexampleParams, sample: OmegaStarSample | OmegaStarDraws,
-                 t: float | np.ndarray) -> tuple:
-    """Drift and Gauss-replacement budgets at the sampled point and time.
+def error_budget(cp: CounterexampleParams, draws: OmegaStarDraws,
+                 t: np.ndarray) -> tuple:
+    """Drift and Gauss-replacement budgets at the sampled points and times.
 
     Both must stay below a fixed fraction of the main-term size for the
     factorized lower bound to survive; the admissible flag reports that.
-    One OmegaStarSample and its time give (float, float, bool); a record
-    from `sample_omega_star` and its times give three arrays.
+    Returns three arrays (e1, e2, admissible), one entry per row.
     """
-    q, a1, *_ = _anchored_rows(sample)
+    q, a1 = draws.q, draws.a1
     mp = cp.model
     d, R, gamma = mp.d, mp.R, mp.gamma
     D, Q = cp.D, cp.Q
@@ -569,10 +552,7 @@ def error_budget(cp: CounterexampleParams, sample: OmegaStarSample | OmegaStarDr
     e1 = 2.0 ** (d + 1) * (2.0 * four_pi_d) ** (d - 2) * R * t * scale ** (d - 1)
     e2 = (2.0 ** (d - 1) - 1.0) * err_axis * (four_pi_d * scale) ** (d - 2)
     threshold = 2.0 ** (-(d + 5) / 2.0) * scale ** (d - 1)
-    ok = (e1 <= threshold) & (e2 <= threshold)
-    if isinstance(sample, OmegaStarDraws):
-        return e1, e2, ok
-    return float(e1[0]), float(e2[0]), bool(ok[0])
+    return e1, e2, (e1 <= threshold) & (e2 <= threshold)
 
 
 # ---------------------------------------------------------------------------

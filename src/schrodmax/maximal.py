@@ -25,10 +25,9 @@ from .propagator import _CHUNK, _DECAY_CUTOFF, _decay, _field_factors
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times in (0, 1], with a rule label."""
+    """Strictly increasing sample times in [0, 1]."""
 
     points: tuple[float, ...]
-    rule: str = "explicit"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -68,8 +67,7 @@ class TimeGrid:
         n_uni = min(n_uni, max(cap - geometric, 0))
         uni = knee + (t_max - knee) * (np.arange(1, n_uni + 1) / max(n_uni, 1))
         pts = np.unique(np.concatenate([geo, uni]))
-        return cls(points=tuple(float(t) for t in pts),
-                   rule=f"hybrid geometric={geometric} knee={knee:g}")
+        return cls(points=tuple(float(t) for t in pts))
 
 
 @dataclass(frozen=True)
@@ -255,26 +253,23 @@ def _partial_report(entries, target: float) -> ScalingReport:
 
 def _sweep_task(task):
     """Evaluate one sweep entry; returns a tagged result so pools can run it."""
-    f, gamma, g, ratio_fn, rtol = task
+    f, gamma, g, ratio_fn = task
     try:
-        ratio = float(ratio_fn(f, gamma, g) if ratio_fn is not None
-                      else maximal_ratio(f, gamma, g, rtol=rtol))
+        ratio = float((ratio_fn or maximal_ratio)(f, gamma, g))
     except Exception as exc:
         return "err", f"{type(exc).__name__}: {exc}"
     return "ok", ratio
 
 
 def exponent_sweep(family, gamma: float, ladder, grids, *, ratio_fn=None,
-                   extremal: bool = False, rtol: float = 1e-8,
                    map_fn=map) -> ScalingReport:
     """Fit the maximal-ratio growth exponent over a geometric R ladder.
 
-    family maps R to a descriptor; grids is a (TimeGrid, SpaceGrid) pair
-    or a callable R -> pair; ratio_fn overrides maximal_ratio for
-    families evaluated by another pipeline.  extremal families must
-    reach the target from above (slope >= target - 0.1), the rest stay
-    below (slope <= target + 0.1).  map_fn may be a pool's map; results
-    merge in ladder order either way.
+    family maps R to a descriptor and grids maps R to a (TimeGrid,
+    SpaceGrid) pair; ratio_fn overrides maximal_ratio for families
+    evaluated by another pipeline.  The verdict holds when the slope
+    stays below the target (slope <= target + 0.1).  map_fn may be a
+    pool's map; results merge in ladder order either way.
     """
     ladder = sorted(float(R) for R in ladder)
     if len(ladder) < 4:
@@ -287,13 +282,13 @@ def exponent_sweep(family, gamma: float, ladder, grids, *, ratio_fn=None,
     tasks, metas = [], []
     for R in ladder:
         f = family(R)
-        g = grids(R) if callable(grids) else grids
+        g = grids(R)
         if ratio_fn is not None:
             metas.append("external-ratio")
         else:
             tg, sg = g
             metas.append(f"time={tg.count} space={sg.per_axis}^{f.dim}")
-        tasks.append((f, gamma, g, ratio_fn, rtol))
+        tasks.append((f, gamma, g, ratio_fn))
     entries = []
     for R, meta, (status, payload) in zip(ladder, metas,
                                           map_fn(_sweep_task, tasks)):
@@ -305,6 +300,6 @@ def exponent_sweep(family, gamma: float, ladder, grids, *, ratio_fn=None,
                              _partial_report(entries, target))
         entries.append((R, payload, meta))
     slope, stderr = fit_loglog([e[0] for e in entries], [e[1] for e in entries])
-    verdict = slope >= target - 0.1 if extremal else slope <= target + 0.1
     return ScalingReport(entries=tuple(entries), fitted_slope=slope,
-                         slope_stderr=stderr, target=target, verdict=verdict)
+                         slope_stderr=stderr, target=target,
+                         verdict=slope <= target + 0.1)

@@ -280,11 +280,10 @@ def comb_range(cp: CounterexampleParams) -> tuple[int, int]:
 class SpectrumDescriptor:
     """Base for symbolic frequency profiles.
 
-    Subclasses provide a kind string, the problem dimension, a band
-    scale and support radii; factors reads their frequency profile.
+    Subclasses provide the problem dimension, a band scale, support
+    radii and a serialization that names the family; factors reads their
+    frequency profile.
     """
-
-    kind: str = ""
 
     @property
     def dim(self) -> int:
@@ -314,7 +313,6 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     xi0: tuple[float, ...]
     width: float
     amplitude: complex = 1.0 + 0.0j
-    kind: str = field(default="plane-wave-surrogate", init=False)
 
     def __post_init__(self):
         if not self.width > 0.0:
@@ -356,7 +354,6 @@ class Case1Product(SpectrumDescriptor):
     """Tensor product of unit-mass bumps at scale R: prod_j R^{-1} phi(xi_j / R)."""
 
     model: ModelParams
-    kind: str = field(default="case1-product", init=False)
 
     @property
     def dim(self) -> int:
@@ -385,7 +382,6 @@ class Case3Counterexample(SpectrumDescriptor):
     """Window at xi_1 ~ R^{gamma/2} times a comb of unit bumps on each other axis."""
 
     params: CounterexampleParams
-    kind: str = field(default="case3-counterexample", init=False)
 
     @property
     def dim(self) -> int:
@@ -443,7 +439,6 @@ class AnnulusBump(SpectrumDescriptor):
     d: int
     R: float
     profile: RadialBump = field(default_factory=RadialBump)
-    kind: str = field(default="annulus-bump", init=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -473,7 +468,6 @@ class Modulated(SpectrumDescriptor):
     base: SpectrumDescriptor
     l: tuple[float, ...]
     R: float
-    kind: str = field(default="modulated", init=False)
 
     def __post_init__(self):
         if len(self.l) != self.base.dim:

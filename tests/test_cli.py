@@ -68,8 +68,6 @@ def test_field_level_messages():
         _base(**{"model.gamma": "-2.0"})
     with pytest.raises(ConfigError, match="samples"):
         _base(samples="1")
-    with pytest.raises(ConfigError, match="ce.experiment"):
-        _base(**{"ce.experiment": "maybe"})
     with pytest.raises(ConfigError, match="ladder"):
         _base(verb="maximal-sweep", ladder="2^4 2^5 2^6")
     with pytest.raises(ConfigError, match="ladder"):
@@ -83,7 +81,6 @@ def test_defaults_and_ladder_syntax():
     assert cfg.seed == 0
     assert cfg.model_d == 2
     assert cfg.model_gamma == 2.0
-    assert cfg.ce_experiment is True
     assert cfg.out_dir == os.path.join("runs", "counterexample")
 
 
@@ -282,7 +279,7 @@ def test_main_counterexample_clamps_gamma_above_two(tmp_path, capsys):
 
 def test_main_counterexample_runtime_failure(tmp_path, capsys):
     rc = main(["counterexample", "--ladder", "2^8 2^9 2^10 2^11",
-               "--set", "ce.experiment=false", "--samples", "50",
+               "--set", "ce.c4=0.125", "--samples", "50",
                "--out", str(tmp_path / "fail")])
     assert rc == 3
     assert "run failed" in capsys.readouterr().err

@@ -274,32 +274,33 @@ def test_draws_read_as_a_tuple_of_samples():
 
 
 def test_measure_estimate_statistics():
-    mean, err = omega_star_measure(
-        [OmegaStarSample(anchor=RationalAnchor(q=8, a1=3, a_rest=(2,)),
-                         y=(0.0, 0.0), x=None, weight=w)
-         for w in (0.0, 1.0, 2.0, 3.0)])
+    draws = sample_omega_star(_exp_params(), 500, seed=2)
+    four = dataclasses.replace(draws[:4], weight=np.array([0.0, 1.0, 2.0, 3.0]))
+    mean, err = omega_star_measure(four)
     assert mean == pytest.approx(1.5)
     assert err == pytest.approx(np.std([0, 1, 2, 3], ddof=1) / 2.0)
     with pytest.raises(ValueError):
-        omega_star_measure([])
-    draws = sample_omega_star(_exp_params(), 500, seed=2)
-    assert omega_star_measure(draws) == omega_star_measure(list(draws))
+        omega_star_measure(draws[:0])
     with pytest.raises(ValueError):
         omega_star_measure(draws[:1])
+    w = np.array([smp.weight for smp in draws])
+    assert omega_star_measure(draws) == (float(w.mean()),
+                                         float(w.std(ddof=1) / math.sqrt(w.size)))
 
 
 def test_selected_time_is_resonant():
     cp = _exp_params()
-    valid = [s for s in sample_omega_star(cp, 400, seed=3) if s.x is not None]
-    assert valid
-    for smp in valid[:50]:
-        t = select_time(cp, smp)
+    draws = sample_omega_star(cp, 400, seed=3)
+    valid = draws[draws.valid]
+    assert len(valid)
+    for i in range(min(len(valid), 50)):
+        (t,) = select_time(cp, valid[i:i + 1])
         assert t > 0.0
-        gap = (cp.D**2 * t - TWO_PI * smp.anchor.a1 / smp.anchor.q) % TWO_PI
+        gap = (cp.D**2 * t - TWO_PI * valid.a1[i] / valid.q[i]) % TWO_PI
         assert min(gap, TWO_PI - gap) <= 1e-6
+    missing = np.flatnonzero(~draws.valid)[0]
     with pytest.raises(ValueError):
-        select_time(cp, OmegaStarSample(anchor=valid[0].anchor,
-                                        y=valid[0].y, x=None, weight=0.0))
+        select_time(cp, draws[missing:missing + 1])
 
 
 def _full_translate_u(cp):
@@ -365,13 +366,14 @@ def test_calibration_constants_frozen():
 
 def test_error_budget_flag_matches_threshold():
     cp = _exp_params()
-    valid = [s for s in sample_omega_star(cp, 300, seed=5) if s.x is not None]
+    draws = sample_omega_star(cp, 300, seed=5)
+    valid = draws[draws.valid]
     mp = cp.model
     scale = mp.R ** (mp.gamma / 2.0) / (cp.D * math.sqrt(cp.Q))
     threshold = 2.0 ** (-(mp.d + 5) / 2.0) * scale ** (mp.d - 1)
-    for smp in valid[:20]:
-        t = select_time(cp, smp)
-        e1, e2, ok = error_budget(cp, smp, t)
+    for i in range(min(len(valid), 20)):
+        row = valid[i:i + 1]
+        (e1,), (e2,), (ok,) = error_budget(cp, row, select_time(cp, row))
         assert e1 > 0.0 and e2 > 0.0
         assert ok == (e1 <= threshold and e2 <= threshold)
 
@@ -384,10 +386,12 @@ def test_batched_time_and_budget_match_one_sample_calls():
     e1, e2, ok = error_budget(cp, valid, t)
     assert t.shape == e1.shape == e2.shape == ok.shape == (len(valid),)
     assert ok.any() and not ok.all()
-    for i, smp in enumerate(valid):
-        ti = select_time(cp, smp)
-        assert t[i] == ti
-        assert (e1[i], e2[i], ok[i]) == error_budget(cp, smp, ti)
+    for i in range(len(valid)):
+        row = valid[i:i + 1]
+        ti = select_time(cp, row)
+        assert ti.shape == (1,) and ti[0] == t[i]
+        e1i, e2i, oki = error_budget(cp, row, ti)
+        assert (e1i[0], e2i[0], oki[0]) == (e1[i], e2[i], ok[i])
     # move one row's torus point off its anchor's resonance
     mp = cp.model
     limit = cp.c2 * mp.R ** (-(mp.gamma + 1.0) / 2.0) * cp.D**2
@@ -395,7 +399,7 @@ def test_batched_time_and_budget_match_one_sample_calls():
     y[3, 0] -= 2.0 * limit
     moved = dataclasses.replace(valid, y=y)
     with pytest.raises(PreconditionError, match="resonant correction") as one:
-        select_time(cp, moved[3])
+        select_time(cp, moved[3:4])
     with pytest.raises(PreconditionError) as batch:
         select_time(cp, moved)
     assert str(batch.value) == str(one.value)
@@ -422,19 +426,21 @@ def test_tail_product_dominates_budgeted_main_term():
     floor = (2.0 ** ((1 - d) / 2.0) * (1.0 - cp.c0) ** (d - 1)
              - 2.0 ** (-(d + 3) / 2.0)) * scale ** (d - 1)
     assert floor > 0.0
+    draws = sample_omega_star(cp, 800, seed=7)
+    valid = draws[draws.valid]
     checked = admissible = 0
-    for smp in sample_omega_star(cp, 800, seed=7):
-        if smp.x is None:
-            continue
+    for i in range(len(valid)):
+        row = valid[i:i + 1]
         try:
-            t = select_time(cp, smp)
+            t = select_time(cp, row)
         except PreconditionError:
             continue
-        fac = factorized_evaluate(cp, SpaceTimePoint(x=smp.x, t=t))
+        fac = factorized_evaluate(cp, SpaceTimePoint(x=tuple(row.x[0].tolist()),
+                                                     t=float(t[0])))
         tail = float(np.prod(np.abs(fac.ij)))
-        e1, e2, ok = error_budget(cp, smp, t)
+        (e1,), (e2,), (ok,) = error_budget(cp, row, t)
         main = ((1.0 - cp.c0) * math.sqrt(2.0) * band
-                / (cp.D * math.sqrt(smp.anchor.q))) ** (d - 1)
+                / (cp.D * math.sqrt(row.q[0]))) ** (d - 1)
         assert tail >= main - e1 - e2 - 1e-9 * main
         checked += 1
         if ok:

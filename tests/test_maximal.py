@@ -316,25 +316,23 @@ def _power_ratio(exponent):
 
 def test_exponent_sweep_ladder_validation():
     with pytest.raises(ValueError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0), None,
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0), lambda R: None,
                        ratio_fn=_power_ratio(0.1))
     with pytest.raises(ValueError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 24.0), None,
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 24.0), lambda R: None,
                        ratio_fn=_power_ratio(0.1))
 
 
 def test_exponent_sweep_verdict_sides():
     ladder = (4.0, 8.0, 16.0, 32.0)
-    rep = exponent_sweep(_power_family, 1.0, ladder, None,
+    rep = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
                          ratio_fn=_power_ratio(0.2))
     assert rep.target == 0.0
     assert rep.fitted_slope == pytest.approx(0.2, abs=1e-9)
     assert not rep.verdict
     assert all(meta == "external-ratio" for _, _, meta in rep.entries)
-    extremal = exponent_sweep(_power_family, 1.0, ladder,
-                              lambda R: ("unused", "unused"),
-                              ratio_fn=_power_ratio(0.2), extremal=True)
-    assert extremal.verdict
+    assert exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
+                          ratio_fn=_power_ratio(0.05)).verdict
 
 
 def test_exponent_sweep_failure_carries_partial_report():
@@ -344,7 +342,7 @@ def test_exponent_sweep_failure_carries_partial_report():
         return f.model.R**0.1
 
     with pytest.raises(SweepError) as info:
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), None,
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), lambda R: None,
                        ratio_fn=flaky)
     partial = info.value.partial
     assert isinstance(partial, ScalingReport)
@@ -353,16 +351,16 @@ def test_exponent_sweep_failure_carries_partial_report():
     assert not partial.verdict
 
     with pytest.raises(SweepError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), None,
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), lambda R: None,
                        ratio_fn=lambda f, g, gr: 0.0)
 
 
 def test_exponent_sweep_pool_map_matches_serial():
     ladder = (4.0, 8.0, 16.0, 32.0)
-    serial = exponent_sweep(_power_family, 1.0, ladder, None,
+    serial = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
                             ratio_fn=_power_ratio(0.07))
     with ThreadPoolExecutor(max_workers=3) as pool:
-        pooled = exponent_sweep(_power_family, 1.0, ladder, None,
+        pooled = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
                                 ratio_fn=_power_ratio(0.07), map_fn=pool.map)
     assert pooled == serial
 

@@ -341,11 +341,11 @@ def test_factorized_batch_not_degenerate_at_selected_times():
 
     cp = CounterexampleParams.for_experiments(
         ModelParams(d=2, gamma=2.0, R=float(2**16)))
-    samples = [s for s in sample_omega_star(cp, 400, seed=2) if s.x is not None]
-    assert samples
-    smp = samples[0]
-    t = select_time(cp, smp)
-    fac = factorized_evaluate(cp, SpaceTimePoint(x=smp.x, t=t))
+    draws = sample_omega_star(cp, 400, seed=2)
+    first = draws[draws.valid][:1]
+    assert len(first)
+    (t,) = select_time(cp, first)
+    fac = factorized_evaluate(cp, SpaceTimePoint(x=tuple(first.x[0].tolist()), t=float(t)))
     assert abs(fac.i1) > 1.0 - cp.c0
 
 
@@ -354,10 +354,10 @@ def _ladder_points(R, n, draws=2000, seed=3):
     from schrodmax.counterexample import sample_omega_star, select_time
 
     cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=float(R)))
-    valid = [s for s in sample_omega_star(cp, draws, seed) if s.x is not None][:n]
+    record = sample_omega_star(cp, draws, seed)
+    valid = record[record.valid][:n]
     assert len(valid) == n
-    return (cp, np.array([v.x for v in valid]),
-            np.array([select_time(cp, v) for v in valid]))
+    return cp, valid.x, select_time(cp, valid)
 
 
 def _lattice(cp, xj, t, ells):
