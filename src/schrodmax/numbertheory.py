@@ -4,8 +4,9 @@ Quadratic phases become exact integer residues before any root of unity is
 taken, and both quadratic sums fold over their period: G(a, b, q) for every
 b is one length-q DFT row per (a mod q, q), and a window of a rational Weyl
 sum is whole periods plus two prefix sums of one period.  The Weyl
-calibration sweeps rational phases exhaustively, all windows of a phase in
-one call, and reports the worst ratio against the square-root bound shape.
+calibration sweeps rational phases exhaustively, folding all reduced a of
+one q and all windows into one call per (q, beta), and reports the worst
+ratio against the square-root bound shape.
 """
 
 import functools
@@ -29,18 +30,22 @@ class PreconditionError(ValueError):
 # complete quadratic sums
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GaussSumParams:
-    """Phase data for sum_{l=1}^{q} e^{i 2 pi (b l + a l^2) / q}."""
+    """Phase data for sum_{l=1}^{q} e^{i 2 pi (b l + a l^2) / q}.
+
+    Slotted and not frozen: construction sits in the per-case loop of the
+    modulus-law sweeps, where a frozen dataclass doubles its cost.
+    """
 
     a: int
     b: int
     q: int
 
     def __post_init__(self):
-        for name in ("a", "b", "q"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer")
+        if not (isinstance(self.a, int) and isinstance(self.b, int)
+                and isinstance(self.q, int)):
+            raise ValueError("a, b and q must be integers")
         if self.q < 1:
             raise ValueError("q must be a positive integer")
 
@@ -116,19 +121,24 @@ class WeylPhase:
                 raise ValueError("alpha is not within 1/q^2 of its anchor")
 
 
-def _window_sums(w: WeylPhase, M, N):
-    """Sums over [M, M+N) for w's Fraction phases; M, N integers or arrays of windows."""
-    L = math.lcm(w.alpha.denominator, w.beta.denominator)
+def _window_sums(A, B: int, L: int, M, N):
+    """Sums of e(r / L), r = (A n^2 + B n) mod L, over the windows [M, M+N).
+
+    A is one residue or an array of them; M, N are integers or arrays of
+    windows; the result has shape A.shape + M.shape.  The summand has period
+    L, so a window is whole periods times P[L] plus P[(M+N) mod L] - P[M mod L],
+    with P the prefix sums over one period, one cumulative sum per residue A.
+    """
     if L >= 1 << 31:
         raise ValueError("common denominator too large for residue arithmetic")
-    A = (w.alpha.numerator * (L // w.alpha.denominator)) % L
-    B = (w.beta.numerator * (L // w.beta.denominator)) % L
     n = np.arange(L, dtype=np.int64)
-    res = (A * ((n * n) % L) + B * n) % L
-    prefix = np.concatenate(([0j], np.cumsum(np.exp(2j * np.pi * np.arange(L) / L)[res])))
+    res = (np.multiply.outer(A, (n * n) % L) + B * n) % L
+    prefix = np.zeros(res.shape[:-1] + (L + 1,), dtype=complex)
+    np.cumsum(np.exp(2j * np.pi * np.arange(L) / L)[res], axis=-1, out=prefix[..., 1:])
     q_lo, r_lo = np.divmod(M, L)
     q_hi, r_hi = np.divmod(np.add(M, N), L)
-    return (q_hi - q_lo) * prefix[L] + (prefix[r_hi] - prefix[r_lo])
+    return (np.multiply.outer(prefix[..., L], q_hi - q_lo)
+            + (prefix[..., r_hi] - prefix[..., r_lo]))
 
 
 def weyl_sum(w: WeylPhase) -> complex:
@@ -142,7 +152,10 @@ def weyl_sum(w: WeylPhase) -> complex:
     memory.
     """
     if isinstance(w.alpha, Fraction) and isinstance(w.beta, Fraction):
-        return complex(_window_sums(w, w.M, w.N))
+        L = math.lcm(w.alpha.denominator, w.beta.denominator)
+        A = (w.alpha.numerator * (L // w.alpha.denominator)) % L
+        B = (w.beta.numerator * (L // w.beta.denominator)) % L
+        return complex(_window_sums(A, B, L, w.M, w.N))
     n = np.arange(w.M, w.M + w.N, dtype=np.int64)
     phase = float(w.alpha) * n.astype(float) ** 2 + float(w.beta) * n.astype(float)
     return complex(np.sum(np.exp(2j * np.pi * phase)))
@@ -163,8 +176,9 @@ def weyl_calibration(n_caps: Sequence[int] = (256, 4096), q_max: int = 64) -> di
     """Worst |weyl_sum| / weyl_bound_rhs over an exhaustive rational sweep.
 
     Sweeps q = 2..q_max, reduced a/q, N over powers of two up to each cap,
-    beta in {0, 1/3, 1/2}, and window starts 0 and -N//2, all windows of a
-    phase in one period-folded call.  Returns the maximum over N <= cap.
+    beta in {0, 1/3, 1/2}, and window starts 0 and -N//2: one period-folded
+    call per (q, beta) covers every reduced a and every window.  Returns the
+    maximum over N <= cap.
     """
     caps = sorted(set(int(c) for c in n_caps))
     if not caps or caps[0] < 1:
@@ -175,10 +189,12 @@ def weyl_calibration(n_caps: Sequence[int] = (256, 4096), q_max: int = 64) -> di
     worst = np.zeros(N.size)
     for q in range(2, q_max + 1):
         rhs = np.array([weyl_bound_rhs(int(n), q) for n in N])
-        for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
-            for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
-                w = WeylPhase(Fraction(a, q), beta, 0, int(N[-1]), anchor=(a, q))
-                np.maximum(worst, np.abs(_window_sums(w, M, N)) / rhs, out=worst)
+        units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1], dtype=np.int64)
+        for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            L = math.lcm(q, beta.denominator)
+            B = beta.numerator * (L // beta.denominator)
+            sums = _window_sums(units * (L // q), B, L, M, N)
+            np.maximum(worst, (np.abs(sums) / rhs).max(axis=0), out=worst)
     return {cap: float(worst[N <= cap].max()) for cap in caps}
 
 
@@ -191,21 +207,19 @@ def abel_sum_identity(a: Sequence[complex], h: Callable[[float], complex],
     """Both sides of summation by parts for sum_{n=M}^{M+N} a_n h(n).
 
     a holds the N+1 coefficients for indices M..M+N.  The right side is
-    A(M+N) h(M+N) minus the partial sums against the exact unit
-    increments of h.
+    A(M+N) h(M+N) minus the partial sums against the unit increments
+    h(n+1) - h(n), differences of the same N+1 values of h the left side
+    uses, so h is called once per point.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if len(a) != N + 1:
         raise ValueError("need exactly N+1 coefficients")
     coeff = np.asarray(a, dtype=complex)
-    idx = np.arange(M, M + N + 1)
-    hvals = np.array([h(int(n)) for n in idx], dtype=complex)
+    hvals = np.fromiter((h(n) for n in range(M, M + N + 1)), dtype=complex, count=N + 1)
     lhs = complex(np.sum(coeff * hvals))
     partial = np.cumsum(coeff)
-    if N == 0:
-        return lhs, complex(partial[-1] * hvals[-1])
-    increments = np.array([h(int(n) + 1) - h(int(n)) for n in idx[:-1]], dtype=complex)
+    increments = hvals[1:] - hvals[:-1]
     rhs = partial[-1] * hvals[-1] - complex(np.sum(partial[:-1] * increments))
     return lhs, complex(rhs)
 
@@ -281,13 +295,12 @@ class CubeFamily:
         return len(self.cubes[0][0])
 
 
-def _union_measure(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Exact measure of a union of boxes by coordinate sweep."""
+def _union_measure(boxes: list[tuple[tuple[float, ...], tuple[float, ...]]]) -> float:
+    """Exact measure of a union of boxes (lo, hi corner tuples) by coordinate sweep."""
     if not boxes:
         return 0.0
-    dim = boxes[0][0].size
-    if dim == 1:
-        ivs = sorted((float(lo[0]), float(hi[0])) for lo, hi in boxes)
+    if len(boxes[0][0]) == 1:
+        ivs = sorted((lo[0], hi[0]) for lo, hi in boxes)
         total = 0.0
         cur_lo, cur_hi = ivs[0]
         for lo, hi in ivs[1:]:
@@ -297,7 +310,7 @@ def _union_measure(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
             else:
                 cur_hi = max(cur_hi, hi)
         return total + (cur_hi - cur_lo)
-    cuts = sorted({float(lo[0]) for lo, _ in boxes} | {float(hi[0]) for _, hi in boxes})
+    cuts = sorted({lo[0] for lo, _ in boxes} | {hi[0] for _, hi in boxes})
     total = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
         if right <= left:
@@ -310,11 +323,11 @@ def _union_measure(boxes: list[tuple[np.ndarray, np.ndarray]]) -> float:
 
 
 def _family_boxes(fam: CubeFamily, side_factor: float):
+    """Corner tuples of Python floats: the sweep compares and slices them per slab."""
     out = []
     for center, side in fam.cubes:
-        c = np.asarray(center, dtype=float)
         h = 0.5 * side * side_factor
-        out.append((c - h, c + h))
+        out.append((tuple(float(c) - h for c in center), tuple(float(c) + h for c in center)))
     return out
 
 

@@ -106,6 +106,16 @@ def test_gauss_modulus_law_preconditions():
         GaussSumParams(a=1, b=2, q=0)
 
 
+def test_gauss_sum_params_contract():
+    for kwargs in (dict(a=2.0, b=2, q=8), dict(a=1, b=np.int64(2), q=8),
+                   dict(a=1, b=2, q=0), dict(a=1, b=2, q=-4)):
+        with pytest.raises(ValueError):
+            GaussSumParams(**kwargs)
+    assert GaussSumParams(True, 2, 8).a is True
+    assert GaussSumParams(3, 2, 8) == GaussSumParams(a=3, b=2, q=8)
+    assert repr(GaussSumParams(3, -2, 8)) == "GaussSumParams(a=3, b=-2, q=8)"
+
+
 def test_weyl_sum_rational_vs_float():
     w_exact = WeylPhase(alpha=Fraction(3, 7), beta=Fraction(1, 2), M=5, N=40)
     w_float = WeylPhase(alpha=3.0 / 7.0, beta=0.5, M=5, N=40)
@@ -209,6 +219,25 @@ def test_weyl_calibration_matches_per_window_exp_sums():
         assert rho[cap] == pytest.approx(best[cap], rel=1e-10)
 
 
+def test_weyl_calibration_matches_weyl_sum_windows():
+    """The sweep's one call per (q, beta) equals one weyl_sum per window."""
+    caps, q_max = (16, 64), 12
+    best = {cap: 0.0 for cap in caps}
+    for q in range(2, q_max + 1):
+        for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
+            for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+                for N in (1 << k for k in range(caps[-1].bit_length())):
+                    for M in (0, -(N // 2)):
+                        s = abs(weyl_sum(WeylPhase(Fraction(a, q), beta, M, N)))
+                        for cap in caps:
+                            if N <= cap:
+                                best[cap] = max(best[cap], s / weyl_bound_rhs(N, q))
+    rho = weyl_calibration(n_caps=caps, q_max=q_max)
+    assert set(rho) == set(caps)
+    for cap in caps:
+        assert rho[cap] == pytest.approx(best[cap], rel=1e-12, abs=0.0)
+
+
 def test_weyl_calibration_growth():
     rho = weyl_calibration(n_caps=(128, 512), q_max=16)
     assert set(rho) == {128, 512}
@@ -231,6 +260,32 @@ def test_abel_identity_exact(data):
         coeff, lambda n: complex(math.cos(omega * n), math.sin(0.3 * n)),
         M, N)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_abel_identity_calls_h_once_per_point():
+    rng = np.random.default_rng(7)
+    for N in (0, 1, 7):
+        M = int(rng.integers(-20, 21))
+        coeff = rng.uniform(-5, 5, N + 1) + 1j * rng.uniform(-5, 5, N + 1)
+        omega = float(rng.uniform(-0.5, 0.5))
+        calls = []
+
+        def h(n):
+            calls.append(n)
+            return complex(math.cos(omega * n), math.sin(0.3 * n))
+
+        got = abel_sum_identity(coeff, h, M, N)
+        assert calls == list(range(M, M + N + 1))
+        # reference: each increment from two fresh calls of h
+        hvals = np.array([h(n) for n in range(M, M + N + 1)], dtype=complex)
+        partial = np.cumsum(coeff)
+        lhs = complex(np.sum(coeff * hvals))
+        if N == 0:
+            want = lhs, complex(partial[-1] * hvals[-1])
+        else:
+            inc = np.array([h(n + 1) - h(n) for n in range(M, M + N)], dtype=complex)
+            want = lhs, complex(partial[-1] * hvals[-1] - complex(np.sum(partial[:-1] * inc)))
+        assert got == want
 
 
 def test_abel_identity_validation():
