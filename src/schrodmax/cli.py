@@ -438,6 +438,10 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
         failure = None
     except SweepError as exc:
         report, failure = exc.partial, exc
+    except ValueError as exc:
+        # raised before any entry runs (an entry's failure is a SweepError):
+        # a scale below 1 or a ladder that is not geometric
+        raise ConfigError(f"ladder: maximal-sweep cannot run this ladder: {exc}") from None
     records = [dict(zip(_SWEEP_FIELDS, entry)) for entry in report.entries]
     summary = {
         "fitted_slope": report.fitted_slope,

@@ -105,16 +105,18 @@ _TIMES = 512
 def _column_max(moduli, ts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Max and first argmax over ts of the field modulus at n points.
 
-    moduli(times) gives (modulus matrix, rows) factors: the modulus at
-    point i is the product over factors of row rows[i] of their matrix.
+    moduli(times) gives a scale and (modulus matrix, rows) factors: the
+    modulus at point i is the scale times the product over factors of
+    row rows[i] of their matrix, multiplied in that order.
     """
     sup = np.zeros(n)
     arg = np.zeros(n, dtype=np.int64)
     step = max(1, _CHUNK // n)
     for start in range(0, ts.size, _TIMES):
-        (first, rows), *rest = moduli(ts[start:start + _TIMES])
+        scale, ((first, rows), *rest) = moduli(ts[start:start + _TIMES])
         for at in range(0, first.shape[1], step):
             block = np.take(first[:, at:at + step], rows, axis=0)
+            block *= scale
             for m, r in rest:
                 block *= np.take(m[:, at:at + step], r, axis=0)
             k = np.argmax(block, axis=1)
@@ -129,14 +131,16 @@ def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
                rtol: float) -> np.ndarray:
     """Time-sup of |field| at the points x, shaped (n, d).
 
-    Moduli come from the grid engine's field factors.  Times past the
-    dissipation cutoff of the support are skipped.  Each point's grid
-    maximum is then raised to its maximum over the _REFINE-fold
-    sub-times of the two grid intervals beside every distinct argmax time.
+    Moduli come from the grid engine's field factors, one modulus
+    matrix per distinct field matrix.  Times past the dissipation cutoff
+    of the support are skipped.  Each point's grid maximum is then
+    raised to its maximum over the _REFINE-fold sub-times of the two
+    grid intervals beside every distinct argmax time.
     """
     def moduli(tq):
-        return [(np.abs(m), rows)
-                for m, rows in _field_factors(f, x, tq, _decay(tq, gamma), rtol)]
+        scale, facs = _field_factors(f, x, tq, _decay(tq, gamma), rtol)
+        mods = {id(m): np.abs(m) for m, _ in facs}
+        return scale, [(mods[id(m)], rows) for m, rows in facs]
 
     ts = np.asarray(tg.points, dtype=float)
     lo_support = f.support_radii()[0]

@@ -341,6 +341,10 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     def axis_cells(self):
         return [[(c - self.width, c + self.width)] for c in self.xi0]
 
+    def axis_key(self, axis):
+        """Axes with equal keys carry one factor: the first carries the amplitude."""
+        return axis == 0, self.xi0[axis]
+
     def axis_factor(self, axis, xi):
         b = Bump1D(center=float(self.xi0[axis]), width=self.width)
         out = bump_eval(b, xi)
@@ -372,6 +376,10 @@ class Case1Product(SpectrumDescriptor):
     def axis_cells(self):
         r = self.model.R
         return [[(-r, r)] for _ in range(self.dim)]
+
+    def axis_key(self, axis):
+        """Axes with equal keys carry one factor: here every axis."""
+        return 0
 
     def axis_factor(self, axis, xi):
         return bump_eval(Bump1D(center=0.0, width=self.model.R), xi)
@@ -416,6 +424,10 @@ class Case3Counterexample(SpectrumDescriptor):
         for _ in range(1, self.dim):
             cells.append(list(comb))
         return cells
+
+    def axis_key(self, axis):
+        """Axes with equal keys carry one factor: the window, then one comb."""
+        return min(axis, 1)
 
     def axis_factor(self, axis, xi):
         xi = np.asarray(xi, dtype=float)
@@ -502,8 +514,10 @@ def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, bool, tuple]:
     f(xi) is e^{i xi.shift} times the product of the vectorised
     profiles, each nonzero only on its support cells.  Modulations at
     any depth add up to the shift l/R.  Separable data has one factor
-    per axis, of coordinate xi_a; radial data (radial=True) has one, of
-    coordinate |xi| and measure area r^{d-1} dr.
+    per axis, of coordinate xi_a, and axes whose axis_key is equal share
+    one (cells, profile) object, so readers evaluate each distinct
+    factor once; radial data (radial=True) has one, of coordinate |xi|
+    and measure area r^{d-1} dr.
     """
     shift = np.zeros(f.dim)
     while isinstance(f, Modulated):
@@ -512,8 +526,11 @@ def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, bool, tuple]:
     if isinstance(f, AnnulusBump):
         return shift, True, (((f.support_radii(),),
                               lambda r: radial_profile(f.profile, r / f.R)),)
-    return shift, False, tuple((tuple(cells), functools.partial(f.axis_factor, axis))
-                               for axis, cells in enumerate(f.axis_cells()))
+    cells, shared = f.axis_cells(), {}
+    return shift, False, tuple(
+        shared.setdefault(f.axis_key(axis),
+                          (tuple(cells[axis]), functools.partial(f.axis_factor, axis)))
+        for axis in range(f.dim))
 
 
 def spectrum_eval(f: SpectrumDescriptor, xi):
@@ -576,34 +593,40 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float, rtol: float) ->
     With n = ceil(s), _weight_rule writes (1+X)^{s-n}, X = |xi|^2, as a
     sum over u of e^{-e^u (1+X)}, and (1+X)^n e^{-e^u (1+X)} is e^{-e^u}
     n! times the z^n coefficient of e^z prod_factors sum_{k<=n} m_k z^k,
-    m_k the factor's moments: no table over the cells of all axes.  One
-    rule on [0, 1] is mapped onto every support cell of every factor and
-    refined by one doubling loop, at most MAX_NODES^{1/factors} nodes a cell.
+    m_k the factor's moments: no table over the cells of all axes, and
+    one moment table per distinct factor object, shared by the axes that
+    carry it.  One rule on [0, 1] is mapped onto every support cell of
+    every factor and refined by one doubling loop, at most
+    MAX_NODES^{1/factors} nodes a cell.
     """
     _, radial, facs = factors(f)
     n = math.ceil(s)
-    edges = [np.array(cells, dtype=float) for cells, _ in facs]
+    distinct = {id(fac): (np.array(fac[0], dtype=float), fac[1]) for fac in facs}
     r_in, r_out = f.support_radii()
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)
     wt = wt * np.exp(-t) * math.factorial(n)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])
     step = max(1, _TABLE // t.size)
 
+    def moments(e, profile, u, w):
+        """m_k(u) = sum wx x^{2k} e^{-e^u x^2} / k! over the factor's nodes x."""
+        width = e[:, 1:] - e[:, :1]
+        x = (e[:, :1] + width * u).ravel()
+        wx = np.abs(profile(x)) ** p * (width * w).ravel()
+        if radial:
+            wx *= _sphere_area(f.dim) * x ** (f.dim - 1)
+        sq = x * x
+        rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
+        return sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]
+                   for at in range(0, x.size, step))
+
     def evaluate(u, w):
+        m = {key: moments(e, profile, u, w) for key, (e, profile) in distinct.items()}
         # poly[:, k]: z^k coefficient of e^z times the factors so far, per u
         poly = np.tile(inv_fact, (t.size, 1))
-        for (_, profile), e in zip(facs, edges):
-            width = e[:, 1:] - e[:, :1]
-            x = (e[:, :1] + width * u).ravel()
-            wx = np.abs(profile(x)) ** p * (width * w).ravel()
-            if radial:
-                wx *= _sphere_area(f.dim) * x ** (f.dim - 1)
-            # moments m_k(u) = sum wx x^{2k} e^{-e^u x^2} / k!, over blocks of nodes
-            sq = x * x
-            rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
-            m = sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]
-                    for at in range(0, x.size, step))
-            poly = np.stack([np.sum(poly[:, :k + 1] * m[:, k::-1], axis=1)
+        for fac in facs:
+            mf = m[id(fac)]
+            poly = np.stack([np.sum(poly[:, :k + 1] * mf[:, k::-1], axis=1)
                              for k in range(n + 1)], axis=1)
         return float(wt @ poly[:, n])
 

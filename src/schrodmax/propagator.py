@@ -8,10 +8,14 @@ one factor description, profiles.factors, which is where the data
 families are told apart: it adds the spatial shift to the points and
 turns each factor into a (matrix, rows) pair, an axis factor over that
 axis's distinct coordinates and a radial factor over the distinct
-radii.  Every matrix comes from one octave x cell loop, which clips
-each cell where the dissipation leaves nothing, starts its panels from
-the octave's worst phase rate and doubles them until each time column
-converges; only the node sum, chosen by the factor's form, differs.  As
+radii.  Identical factors are evaluated once: axes that share a factor
+object (every axis of the product bump, the comb axes of the
+counterexample data) and their coordinates, as on a meshgrid, share one
+matrix and differ only in their rows.  Every matrix comes from one
+octave x cell loop, which clips each cell where the dissipation leaves
+nothing, starts its panels from the octave's worst phase rate and
+doubles them until each time column converges; only the node sum,
+chosen by the factor's form, differs.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 a separable node sum is one exponential table per side met in GEMMs,
 and a radial one meets the same time table through a Bessel kernel.
@@ -132,7 +136,9 @@ def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
     """Integral of |profile| over each support cell of one axis factor.
 
     It bounds the L1 mass of every cell integrand, whatever the point,
-    and sets the rounding floor of that cell's convergence test.
+    and sets the rounding floor of that cell's convergence test.  Axes
+    that share a factor pass the first of them, so the masses of a
+    factor are computed once.
     """
     cells, profile = factors(f)[2][axis]
     cells = np.array(cells, dtype=float)
@@ -228,17 +234,19 @@ def _cell_matrix(node_sum, profile, cells, masses, pts: np.ndarray, tv: np.ndarr
     return out
 
 
-def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
-                   decay: np.ndarray, rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The field at points x, shaped (n, d), and times t, as (matrix, rows) factors.
+def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray, decay: np.ndarray,
+                   rtol: float) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """The field at points x, shaped (n, d), and times t, as a scale and (matrix, rows) factors.
 
-    The field at point i is the product over factors of row rows[i] of
-    their matrix.  decay is each time's dissipation t^gamma (zeros for
-    the free evolution).  The data's spatial shift is added to x.  Radial
-    data is one factor over the distinct radii (rounded to 14 decimals):
+    The field at point i is the scale times the product over factors of
+    row rows[i] of their matrix, multiplied in that order.  decay is each
+    time's dissipation t^gamma (zeros for the free evolution).  The
+    data's spatial shift is added to x.  Radial data is one factor over
+    the distinct radii (rounded to 14 decimals), (2 pi)^{-d} included:
     its support annulus is one cell of mass 0, so its test is purely
-    relative.  Separable data is the constant (2 pi)^{-d} times one
-    factor per axis over that axis's distinct coordinates.
+    relative.  Separable data is the scale (2 pi)^{-d} times one factor
+    per axis over that axis's distinct coordinates; axes that share a
+    factor object and their coordinates share one matrix.
     """
     shift, radial, facs = factors(f)
     x = x + shift[None, :]
@@ -248,21 +256,26 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
         (cells, profile), = facs
         matrix = _cell_matrix(functools.partial(_bessel_sum, f.dim), profile, cells,
                               [0.0], radii, t, decay, rtol)
-        return [(matrix * TWO_PI ** -f.dim, rows)]
-    out = [(np.full((1, t.size), TWO_PI ** -f.dim, dtype=complex),
-            np.zeros(x.shape[0], dtype=np.intp))]
-    for axis, (cells, profile) in enumerate(facs):
+        return 1.0, [(matrix * TWO_PI ** -f.dim, rows)]
+    out, matrices = [], {}
+    for axis, fac in enumerate(facs):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
-        out.append((_cell_matrix(_plane_phase_sum, profile, cells, _cell_masses(f, axis),
-                                 coords, t, decay, rtol), rows))
-    return out
+        first = next(a for a, g in enumerate(facs) if g is fac)
+        key = first, coords.tobytes()
+        if key not in matrices:
+            cells, profile = fac
+            matrices[key] = _cell_matrix(_plane_phase_sum, profile, cells,
+                                         _cell_masses(f, first), coords, t, decay, rtol)
+        out.append((matrices[key], rows))
+    return TWO_PI ** -f.dim, out
 
 
 def _field_grid(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
                 decay: np.ndarray, rtol: float) -> np.ndarray:
     """Field values at points x, shaped (n, d), and times t: an (n, t.size) matrix."""
-    (first, rows), *rest = _field_factors(f, x, t, decay, rtol)
+    scale, ((first, rows), *rest) = _field_factors(f, x, t, decay, rtol)
     out = first[rows]
+    out *= scale
     for matrix, rows in rest:
         out *= matrix[rows]
     return out

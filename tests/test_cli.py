@@ -331,6 +331,21 @@ def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, cap
         assert not out.exists()
 
 
+@pytest.mark.parametrize("ladder, condition", [
+    ("0.125 0.25 0.5 1", "R must be >= 1"),
+    ("4 8 16 64", "ladder must be geometric"),
+], ids=["below-one", "not-geometric"])
+def test_main_maximal_sweep_ladder_out_of_range_is_a_config_error(tmp_path, capsys,
+                                                                  ladder, condition):
+    out = tmp_path / "out"
+    rc = main(["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder", ladder,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ladder:") and condition in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, condition", [
     (["counterexample", "--d", "1", "--ladder", "2^16 2^17 2^18 2^19"], "d >= 2"),
     (["counterexample", "--set", "ce.c1=0.5", "--ladder", "2^16 2^17 2^18 2^19"],

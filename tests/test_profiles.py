@@ -23,6 +23,7 @@ from schrodmax.profiles import (
     bump_eval,
     bump_sq_integral,
     comb_range,
+    factors,
     l1_fourier_mass,
     l2_norm,
     mollifier_mass,
@@ -235,6 +236,22 @@ def test_case3_axis_factor_support():
     assert f.axis_factor(1, np.array([between]))[0] == 0.0
     outside = cp.D * (start - 2)
     assert f.axis_factor(1, np.array([outside]))[0] == 0.0
+
+
+@pytest.mark.parametrize("f, groups", [
+    (Case1Product(ModelParams(d=3, gamma=0.5, R=4.0)), [0, 0, 0]),
+    (Case3Counterexample(params=_cp(R=2.0**6, d=3)), [0, 1, 1]),
+    (PlaneWaveSurrogate(xi0=(1.0, 2.0, 2.0, 1.0), width=0.3), [0, 1, 1, 3]),
+], ids=["product", "case3", "plane-wave"])
+def test_equal_axes_share_one_factor(f, groups):
+    """Axes share a (cells, profile) object exactly when their factors are equal."""
+    facs = factors(f)[2]
+    for a, b in itertools.combinations(range(f.dim), 2):
+        assert (facs[a] is facs[b]) == (groups[a] == groups[b])
+    for axis, (cells, profile) in enumerate(facs):
+        assert cells == tuple(f.axis_cells()[axis])
+        xi = np.linspace(cells[0][0], cells[-1][1], 257)
+        assert np.array_equal(profile(xi), f.axis_factor(axis, xi))
 
 
 def test_spectrum_eval_is_axis_product():

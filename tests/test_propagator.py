@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import schrodmax
+from schrodmax import propagator
 from schrodmax.maximal import TimeGrid
 from schrodmax.profiles import (
     AnnulusBump,
@@ -23,6 +24,7 @@ from schrodmax.profiles import (
     Modulated,
     PlaneWaveSurrogate,
     comb_range,
+    factors,
     l1_fourier_mass,
     radial_profile,
     spectrum_eval,
@@ -31,9 +33,12 @@ from schrodmax.propagator import (
     SpaceTimePoint,
     _FACTOR_ORDER,
     _bump_sum,
+    _cell_masses,
+    _cell_matrix,
     _decay,
     _factorized_batch,
     _field_grid,
+    _plane_phase_sum,
     _unit_bump,
     abel_main_plus_error,
     dissipative_tail_bound,
@@ -251,6 +256,50 @@ def test_field_grid_matches_fixed_gauss_sum(f, gamma, reference, box):
         for j in range(3):
             one = _field_grid(f, x[i:i + 1], t[j:j + 1], decay[j:j + 1], 1e-10)
             assert abs(one[0, 0] - want[i, j]) <= tol
+
+
+def _mesh(d, scales=None):
+    """A 3^d meshgrid of points, axis a scaled by scales[a]."""
+    axis = np.array([-0.6, 0.1, 0.5])
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+    return pts if scales is None else pts * np.asarray(scales)
+
+
+@pytest.mark.parametrize("f, x, calls", [
+    (Case1Product(ModelParams(d=2, gamma=0.5, R=4.0)), _mesh(2), 1),
+    (Case1Product(ModelParams(d=3, gamma=0.5, R=4.0)), _mesh(3), 1),
+    (PlaneWaveSurrogate(xi0=(2.0, 1.0, 1.0), width=0.3), _mesh(3), 2),
+    (PlaneWaveSurrogate(xi0=(2.0, -1.0, 0.5), width=0.3), _mesh(3), 3),
+    (Case1Product(ModelParams(d=3, gamma=0.5, R=4.0)), _mesh(3, (1.0, 0.5, 0.25)), 3),
+], ids=["product-d2", "product-d3", "plane-wave-equal", "plane-wave-distinct",
+        "product-distinct-coordinates"])
+def test_field_matrix_per_distinct_factor_and_coordinates(monkeypatch, f, x, calls):
+    """Axes sharing a factor object and their coordinates share one _cell_matrix call."""
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return _cell_matrix(*args)
+
+    monkeypatch.setattr(propagator, "_cell_matrix", counting)
+    t = np.array([0.0, 0.01, 0.2])
+    _field_grid(f, x, t, _decay(t, 0.5), 1e-9)
+    assert len(seen) == calls
+
+
+def test_shared_field_matrix_equals_per_axis_matrices():
+    """The shared-matrix field equals the product of matrices computed axis by axis."""
+    f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
+    x = _mesh(2)
+    t = np.array([0.0, 0.01, 0.2])
+    decay = _decay(t, 0.5)
+    per_axis = []
+    for axis, (cells, profile) in enumerate(factors(f)[2]):
+        coords, rows = np.unique(x[:, axis], return_inverse=True)
+        per_axis.append(_cell_matrix(_plane_phase_sum, profile, cells, _cell_masses(f, axis),
+                                     coords, t, decay, 1e-9)[rows])
+    want = per_axis[0] * TWO_PI**-2 * per_axis[1]
+    assert np.array_equal(_field_grid(f, x, t, decay, 1e-9), want)
 
 
 def test_dissipative_tail_bound_properties():
