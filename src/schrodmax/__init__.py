@@ -63,11 +63,8 @@ from .numbertheory import (
 from .counterexample import (
     LowerBoundRecord,
     LowerBoundReport,
-    OmegaCell,
     OmegaStarDraws,
     OmegaStarSample,
-    RationalAnchor,
-    enumerate_anchors,
     error_budget,
     lattice_sum_S,
     lattice_sum_S_tilde,

@@ -447,7 +447,6 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
         "fitted_slope": report.fitted_slope,
         "slope_stderr": report.slope_stderr,
         "target_exponent": report.target,
-        "extremal": False,
         # the field concentrates on a ball of radius ~1/R; ratios drop once
         # the grid is coarser than that (1.007 at R = 2 per_axis)
         "underresolved": sorted(R for R in cfg.ladder if cfg.space_per_axis < R),

@@ -11,8 +11,10 @@ in-window counts are closed-form sums over the (q, a1) pairs.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
 ladder record.  Per-draw computations (`select_time`, `error_budget`,
 `omega_star_measure`) take the record and return arrays; a single draw
-is the one-row slice draws[i:i + 1].  OmegaStarSample objects are only a
-row view, built when a caller iterates or takes an integer index.
+is the one-row slice draws[i:i + 1].  Iterating the record yields
+OmegaStarSample rows (y, x, weight), built on demand; that slim row view
+stays because the benchmark harness (`perfbench`) still reads the draws
+row by row, and a ladder entry builds none.
 """
 
 import math
@@ -52,57 +54,17 @@ class ExperimentError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# anchors and cells
-
-
-@dataclass(frozen=True)
-class RationalAnchor:
-    """Modulus q with a coprime leading residue and even rest residues."""
-
-    q: int
-    a1: int
-    a_rest: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (isinstance(self.q, int) and self.q >= 4 and self.q % 4 == 0):
-            raise ValueError("q must be a multiple of 4, at least 4")
-        if not (isinstance(self.a1, int) and 1 <= self.a1 < self.q):
-            raise ValueError("a1 must lie in [1, q)")
-        if math.gcd(self.a1, self.q) != 1:
-            raise ValueError("a1 must be coprime to q")
-        for a in self.a_rest:
-            if not (isinstance(a, int) and a % 2 == 0 and 2 <= a <= self.q // 2):
-                raise ValueError("rest residues must be even in [2, q/2]")
-
-
-@dataclass(frozen=True)
-class OmegaCell:
-    """Axis-aligned torus cell centred at the anchor's rational point."""
-
-    anchor: RationalAnchor
-    center: tuple[float, ...]
-    half_widths: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.center) != len(self.half_widths):
-            raise ValueError("center and half_widths must have equal length")
-        if any(h <= 0.0 for h in self.half_widths):
-            raise ValueError("half widths must be positive")
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([2.0 * h for h in self.half_widths]))
+# anchors and draws
 
 
 @dataclass(frozen=True)
 class OmegaStarSample:
-    """One torus draw with its box preimage and importance weight.
+    """One row of the draws: torus point, box preimage, importance weight.
 
     x is None when the draw has no preimage inside the box; the weight
     is then zero and the sample still counts toward measure estimates.
     """
 
-    anchor: RationalAnchor
     y: tuple[float, ...]
     x: tuple[float, ...] | None
     weight: float
@@ -112,17 +74,14 @@ class OmegaStarSample:
 class OmegaStarDraws:
     """The draws of `sample_omega_star` as arrays, one row per draw.
 
-    anchor_index is the drawn anchor's position in the enumeration order
-    and q, a1, a_rest (n, d-1) its residues; y (n, d) is the torus point,
-    x (n, d) its box preimage (NaN where valid is False) and weight the
-    importance weight (zero where valid is False).
+    q, a1 and a_rest (n, d-1) are the drawn anchor's residues; y (n, d)
+    is the torus point, x (n, d) its box preimage (NaN where valid is
+    False) and weight the importance weight (zero where valid is False).
 
-    A slice or a boolean mask selects rows and gives a record again;
-    iteration and an integer index give a row view of OmegaStarSample
-    objects, built on demand.
+    A slice or a boolean mask selects rows and gives a record again.
+    Iteration yields OmegaStarSample rows, built on demand.
     """
 
-    anchor_index: np.ndarray
     q: np.ndarray
     a1: np.ndarray
     a_rest: np.ndarray
@@ -135,19 +94,13 @@ class OmegaStarDraws:
         return self.weight.size
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return next(iter(self[i:i + 1]))
         return OmegaStarDraws(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
     def __iter__(self):
-        _, first, inv = np.unique(self.anchor_index, return_index=True, return_inverse=True)
-        anchors = _rational_anchors(self.q[first], self.a1[first], self.a_rest[first])
-        rows = zip(inv.tolist(), self.y.tolist(), self.x.tolist(),
-                   self.valid.tolist(), self.weight.tolist())
-        return (OmegaStarSample(anchor=anchors[k], y=tuple(yv),
-                                x=tuple(xv) if ok else None, weight=w)
-                for k, yv, xv, ok, w in rows)
+        rows = zip(self.y.tolist(), self.x.tolist(), self.valid.tolist(),
+                   self.weight.tolist())
+        return (OmegaStarSample(y=tuple(yv), x=tuple(xv) if ok else None, weight=w)
+                for yv, xv, ok, w in rows)
 
 
 def _half_widths(cp: CounterexampleParams) -> tuple[float, float]:
@@ -198,32 +151,6 @@ def _decode_anchors(cp: CounterexampleParams, index):
     return q, a1_pair[pair], 2 * rest + 2
 
 
-def _rational_anchors(q, a1, rest) -> list[RationalAnchor]:
-    return [RationalAnchor(q=qi, a1=ai, a_rest=tuple(ri))
-            for qi, ai, ri in zip(q.tolist(), a1.tolist(), rest.tolist())]
-
-
-def enumerate_anchors(cp: CounterexampleParams, *, limit: int | None = None,
-                      seed: int = 0) -> tuple[RationalAnchor, ...]:
-    """All admissible anchors, or a seeded subsample of at most limit."""
-    total = int(_anchor_pairs(cp)[2][-1])
-    index = np.arange(total)
-    if limit is not None and total > limit:
-        index = np.sort(default_rng(seed).choice(total, limit, replace=False))
-    return tuple(_rational_anchors(*_decode_anchors(cp, index)))
-
-
-def omega_cells(cp: CounterexampleParams, anchors=None) -> tuple[OmegaCell, ...]:
-    """Torus cells of half-widths (A1, Aj, ...) around each anchor."""
-    if anchors is None:
-        anchors = enumerate_anchors(cp)
-    A1, Aj = _half_widths(cp)
-    half = (A1,) + (Aj,) * (cp.model.d - 1)
-    return tuple(OmegaCell(anchor=a, half_widths=half,
-                           center=tuple(TWO_PI * r / a.q for r in (a.a1,) + a.a_rest))
-                 for a in anchors)
-
-
 def _window_bounds(cp: CounterexampleParams) -> tuple[float, float]:
     U = cp.c1 * cp.D ** 2 / (2.0 * cp.model.R)
     return U / 2.0, U
@@ -237,13 +164,6 @@ def _in_window(cp: CounterexampleParams, q, a1) -> np.ndarray:
     k_lo = np.ceil((lo - c - A1) / TWO_PI - 1e-12)
     k_hi = np.floor((hi - c + A1) / TWO_PI + 1e-12)
     return k_lo <= k_hi
-
-
-def anchors_in_window(cp: CounterexampleParams, anchors) -> tuple[RationalAnchor, ...]:
-    """Anchors whose leading cell meets the pulled-back leading window."""
-    anchors = tuple(anchors)
-    keep = _in_window(cp, [a.q for a in anchors], [a.a1 for a in anchors])
-    return tuple(a for a, k in zip(anchors, keep) if k)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +251,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     lo_w, hi_w = _window_bounds(cp)
     rng = default_rng(seed)
 
-    index = rng.integers(0, NA, size=n_samples)
-    qi, a1i, resti = _decode_anchors(cp, index)
+    qi, a1i, resti = _decode_anchors(cp, rng.integers(0, NA, size=n_samples))
     q = qi.astype(float)
     y1 = TWO_PI * a1i / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
     yj = TWO_PI * resti / q[:, None] \
@@ -366,9 +285,8 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
 
     x = np.column_stack([x1, xj])
     x[~valid] = np.nan
-    return OmegaStarDraws(anchor_index=index, q=qi, a1=a1i, a_rest=resti,
-                          y=np.column_stack([y1, yj]), x=x, valid=valid,
-                          weight=weight)
+    return OmegaStarDraws(q=qi, a1=a1i, a_rest=resti, y=np.column_stack([y1, yj]),
+                          x=x, valid=valid, weight=weight)
 
 
 def omega_star_measure(draws: OmegaStarDraws) -> tuple[float, float]:
@@ -446,29 +364,38 @@ def lattice_sum_S(cp: CounterexampleParams, x_rest, t: float, u: float):
     return tuple(per_axis), prod
 
 
-def lattice_sum_S_tilde(cp: CounterexampleParams, anchor: RationalAnchor,
+def lattice_sum_S_tilde(cp: CounterexampleParams, q: int, a1: int, a_rest,
                         y1_plus_s: float, u: float):
     """Rational-phase twins of the lattice sums, per rest axis and product.
 
-    The quadratic phase splits into an exact residue part at the anchor
-    plus the small remainder of y1_plus_s, so rational inputs evaluate
-    without large-argument loss.
+    The anchor is the modulus q, a leading residue a1 coprime to q and
+    d-1 even rest residues in [2, q/2].  The quadratic phase splits into
+    an exact residue part at the anchor plus the small remainder of
+    y1_plus_s, so rational inputs evaluate without large-argument loss.
     """
     d = cp.model.d
-    if len(anchor.a_rest) != d - 1:
+    if len(a_rest) != d - 1:
         raise ValueError("anchor has the wrong number of rest residues")
+    if not (isinstance(q, int) and q >= 4 and q % 4 == 0):
+        raise ValueError("q must be a multiple of 4, at least 4")
+    if not (isinstance(a1, int) and 1 <= a1 < q):
+        raise ValueError("a1 must lie in [1, q)")
+    if math.gcd(a1, q) != 1:
+        raise ValueError("a1 must be coprime to q")
+    for a in a_rest:
+        if not (isinstance(a, int) and a % 2 == 0 and 2 <= a <= q // 2):
+            raise ValueError("rest residues must be even in [2, q/2]")
     start, _, _ = _translate_range(cp)
     stop_at = _check_u(cp, u)
     ells = np.arange(start, stop_at, dtype=np.int64)
     if ells.size == 0:
         return (0j,) * (d - 1), 0j
-    q = anchor.q
-    rem = _wrap(y1_plus_s - TWO_PI * anchor.a1 / q)
+    rem = _wrap(y1_plus_s - TWO_PI * a1 / q)
     sq = (ells * ells) % q
-    ph_quad = TWO_PI * ((sq * anchor.a1) % q) / q + ells.astype(float) ** 2 * rem
+    ph_quad = TWO_PI * ((sq * a1) % q) / q + ells.astype(float) ** 2 * rem
     per_axis = []
-    for j in range(d - 1):
-        ph_lin = TWO_PI * ((ells * anchor.a_rest[j]) % q) / q
+    for a in a_rest:
+        ph_lin = TWO_PI * ((ells * a) % q) / q
         per_axis.append(complex(np.sum(np.exp(1j * (ph_lin + ph_quad)))))
     prod = complex(np.prod(per_axis))
     return tuple(per_axis), prod
@@ -502,9 +429,8 @@ def calibration_constants(d: int, gamma: float) -> dict:
             evens = (2, q // 2) if q // 2 >= 2 else (2,)
             for a1 in {1, q - 1}:
                 for aj in set(evens):
-                    anchor = RationalAnchor(q=q, a1=a1, a_rest=(aj,) * (d - 1))
                     per_axis, _ = lattice_sum_S_tilde(
-                        cp, anchor, TWO_PI * a1 / q, u_full)
+                        cp, q, a1, (aj,) * (d - 1), TWO_PI * a1 / q, u_full)
                     resid = abs(abs(per_axis[0]) - math.sqrt(2.0) * count / math.sqrt(q))
                     cg = max(cg, resid / math.sqrt(q * math.log(q)))
                     cd = max(cd, resid / rate)

@@ -209,15 +209,10 @@ def test_10_preimage_sampling_chain():
     samples = sample_omega_star(cp, 10_000, seed=SEED)
     mp = cp.model
     M1 = cp.D**2 / (2.0 * mp.R ** (mp.gamma / 2.0))
-    worst = 0.0
-    n_valid = 0
-    for smp in samples:
-        if smp.x is None:
-            continue
-        n_valid += 1
-        r1 = (-M1 * smp.x[0] - smp.y[0]) % TWO_PI
-        rj = (cp.D * smp.x[1] - smp.y[1]) % TWO_PI
-        worst = max(worst, min(r1, TWO_PI - r1), min(rj, TWO_PI - rj))
+    x, y = samples.x[samples.valid], samples.y[samples.valid]
+    n_valid = len(x)
+    r = np.concatenate([-M1 * x[:, 0] - y[:, 0], cp.D * x[:, 1] - y[:, 1]]) % TWO_PI
+    worst = float(np.max(np.minimum(r, TWO_PI - r), initial=0.0))
     mean, err = omega_star_measure(samples)
     chain = omega_star_chain_bound(cp)
     ok = worst <= 1e-9 and n_valid > 0 and mean - 1.96 * err >= chain

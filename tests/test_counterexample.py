@@ -16,18 +16,13 @@ from schrodmax import counterexample
 from schrodmax.counterexample import (
     ExperimentError,
     _translate_moments,
-    OmegaCell,
     OmegaStarDraws,
     OmegaStarSample,
-    RationalAnchor,
-    anchors_in_window,
     calibration_constants,
-    enumerate_anchors,
     error_budget,
     lattice_sum_S,
     lattice_sum_S_tilde,
     lower_bound_experiment,
-    omega_cells,
     omega_measure_lower,
     omega_multiplicity,
     omega_star_chain_bound,
@@ -60,43 +55,40 @@ def _def_params(R=2.0**16, d=2, gamma=2.0):
         ModelParams(d=d, gamma=gamma, R=float(R)))
 
 
+def _anchors(cp):
+    """Every anchor's (q, a1, rest) arrays, decoded in enumeration order."""
+    total = int(counterexample._anchor_pairs(cp)[2][-1])
+    return counterexample._decode_anchors(cp, np.arange(total))
+
+
+def _in_window_count(cp):
+    q, a1, starts = counterexample._anchor_pairs(cp)
+    return int(np.sum(np.diff(starts)[counterexample._in_window(cp, q, a1)]))
+
+
 def test_rational_anchor_validation():
-    RationalAnchor(q=8, a1=3, a_rest=(2,))
-    with pytest.raises(ValueError):
-        RationalAnchor(q=6, a1=1, a_rest=(2,))
-    with pytest.raises(ValueError):
-        RationalAnchor(q=8, a1=2, a_rest=(2,))
-    with pytest.raises(ValueError):
-        RationalAnchor(q=8, a1=3, a_rest=(3,))
-    with pytest.raises(ValueError):
-        RationalAnchor(q=8, a1=3, a_rest=(6,))
-    with pytest.raises(ValueError):
-        RationalAnchor(q=8, a1=0, a_rest=(2,))
-
-
-def test_omega_cell_validation_and_volume():
-    a = RationalAnchor(q=8, a1=3, a_rest=(2,))
-    cell = OmegaCell(anchor=a, center=(0.1, 0.2), half_widths=(0.01, 0.02))
-    assert cell.volume == pytest.approx(4 * 0.01 * 0.02)
-    with pytest.raises(ValueError):
-        OmegaCell(anchor=a, center=(0.1,), half_widths=(0.01, 0.02))
-    with pytest.raises(ValueError):
-        OmegaCell(anchor=a, center=(0.1, 0.2), half_widths=(0.01, 0.0))
+    cp = _exp_params()
+    u = _full_translate_u(cp)
+    lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, u)
+    for q, a1, rest in [(6, 1, (2,)),      # q not a multiple of 4
+                        (8, 2, (2,)),      # a1 not a unit
+                        (8, 3, (3,)),      # odd rest residue
+                        (8, 3, (6,)),      # rest residue above q/2
+                        (8, 0, (2,)),      # a1 = 0
+                        (8, 3, (2, 2))]:   # wrong rest count at d=2
+        with pytest.raises(ValueError):
+            lattice_sum_S_tilde(cp, q, a1, rest, 0.1, u)
+    for d in (2, 3):
+        q, a1, rest = _anchors(_exp_params(2.0**16, d=d))
+        assert rest.shape == (q.size, d - 1)
+        assert np.all((q >= 4) & (q % 4 == 0))
+        assert np.all((1 <= a1) & (a1 < q) & (np.gcd(a1, q) == 1))
+        assert np.all((rest % 2 == 0) & (rest >= 2) & (rest <= (q // 2)[:, None]))
 
 
 def test_anchor_enumeration_counts():
-    assert len(enumerate_anchors(_exp_params(2.0**16))) == 142
-    assert len(enumerate_anchors(_exp_params(2.0**24))) == 1922
-
-
-def test_anchor_enumeration_subsample():
-    cp = _exp_params()
-    full = enumerate_anchors(cp)
-    sub = enumerate_anchors(cp, limit=20, seed=4)
-    assert len(sub) == 20
-    assert set(sub) <= set(full)
-    assert sub == enumerate_anchors(cp, limit=20, seed=4)
-    assert sub != enumerate_anchors(cp, limit=20, seed=5)
+    assert _anchors(_exp_params(2.0**16))[0].size == 142
+    assert _anchors(_exp_params(2.0**24))[0].size == 1922
 
 
 def _nested_loop_anchors(cp):
@@ -110,14 +102,16 @@ def _nested_loop_anchors(cp):
             if math.gcd(a1, q) != 1:
                 continue
             for rest in itertools.product(evens, repeat=cp.model.d - 1):
-                out.append(RationalAnchor(q=q, a1=a1, a_rest=rest))
+                out.append((q, a1, rest))
     return tuple(out)
 
 
 @pytest.mark.parametrize("d,k", [(2, 16), (2, 24), (3, 16)])
 def test_anchor_index_matches_nested_loops(d, k):
     cp = _exp_params(2.0**k, d=d)
-    assert enumerate_anchors(cp) == _nested_loop_anchors(cp)
+    q, a1, rest = _anchors(cp)
+    decoded = tuple(zip(q.tolist(), a1.tolist(), map(tuple, rest.tolist())))
+    assert decoded == _nested_loop_anchors(cp)
 
 
 def test_ladder_anchor_counts_in_closed_form():
@@ -126,36 +120,27 @@ def test_ladder_anchor_counts_in_closed_form():
         (142, 11), (226, 22), (226, 15), (354, 15)]
     for r in rep.records:
         cp = _exp_params(r.R)
-        assert r.anchors_total == len(enumerate_anchors(cp))
-        assert r.anchors_in_window == len(anchors_in_window(cp, enumerate_anchors(cp)))
+        assert r.anchors_total == _anchors(cp)[0].size
+        assert r.anchors_in_window == _in_window_count(cp)
 
 
 def test_sampler_draws_are_pinned():
-    valid = [s for s in sample_omega_star(_exp_params(), 500, seed=2)
-             if s.x is not None]
+    draws = sample_omega_star(_exp_params(), 500, seed=2)
+    valid = draws[draws.valid]
     assert len(valid) == 36
-    first = valid[0]
-    assert first.anchor == RationalAnchor(q=20, a1=1, a_rest=(10,))
-    assert first.y == (0.3141323489577603, 3.141585912456239)
-    assert first.x == (-0.015582938162274707, -0.005798088201491546)
-    assert first.weight == 1.030571082743135e-10
+    assert (int(valid.q[0]), int(valid.a1[0]), tuple(valid.a_rest[0].tolist())) \
+        == (20, 1, (10,))
+    assert tuple(valid.y[0].tolist()) == (0.3141323489577603, 3.141585912456239)
+    assert tuple(valid.x[0].tolist()) == (-0.015582938162274707, -0.005798088201491546)
+    assert valid.weight[0] == 1.030571082743135e-10
 
 
 def test_window_filter_matches_enumerated_window():
     cp = _exp_params()
-    kept = anchors_in_window(cp, enumerate_anchors(cp))
-    assert len(kept) == 11
-    assert sorted({(a.q, a.a1) for a in kept}) == [(20, 1), (24, 1)]
-
-
-def test_cells_sit_at_rational_points():
-    cp = _exp_params()
-    anchors = enumerate_anchors(cp, limit=5, seed=0)
-    cells = omega_cells(cp, anchors)
-    for a, cell in zip(anchors, cells):
-        assert cell.center[0] == pytest.approx(TWO_PI * a.a1 / a.q)
-        assert cell.center[1] == pytest.approx(TWO_PI * a.a_rest[0] / a.q)
-        assert cell.half_widths[0] != cell.half_widths[1]
+    q, a1, _ = _anchors(cp)
+    kept = counterexample._in_window(cp, q, a1)
+    assert np.count_nonzero(kept) == _in_window_count(cp) == 11
+    assert sorted(set(zip(q[kept].tolist(), a1[kept].tolist()))) == [(20, 1), (24, 1)]
 
 
 def test_measure_lower_bounds_frozen():
@@ -167,8 +152,8 @@ def test_measure_lower_bounds_frozen():
 
 def test_multiplicity_counts_cells():
     cp = _exp_params()
-    cells = omega_cells(cp, enumerate_anchors(cp))
-    centers = np.array([c.center for c in cells[:40]])
+    q, a1, rest = _anchors(cp)
+    centers = TWO_PI * np.column_stack([a1, rest])[:40] / q[:40, None]
     assert np.all(omega_multiplicity(cp, centers) >= 1)
     assert omega_multiplicity(cp, [(1.2345, 2.3456)])[0] == 0
     with pytest.raises(ValueError):
@@ -252,13 +237,7 @@ def test_draws_read_as_a_tuple_of_samples():
     samples = list(draws)
     assert len(samples) == len(draws) == 500
     assert all(isinstance(smp, OmegaStarSample) for smp in samples)
-    assert draws[0] == samples[0] and draws[-1] == samples[-1]
-    assert draws[np.int64(7)] == samples[7]
-    with pytest.raises(IndexError):
-        draws[500]
     for i, smp in enumerate(samples):
-        assert smp.anchor == RationalAnchor(q=int(draws.q[i]), a1=int(draws.a1[i]),
-                                           a_rest=tuple(draws.a_rest[i].tolist()))
         assert smp.y == tuple(draws.y[i].tolist())
         assert smp.weight == draws.weight[i]
         assert (smp.x is not None) == draws.valid[i]
@@ -344,16 +323,15 @@ def test_lattice_sum_counts_at_zero_phase():
 
 def test_rational_twin_matches_generic_sum_at_anchor():
     cp = _exp_params()
-    a = RationalAnchor(q=20, a1=1, a_rest=(2,))
-    t = TWO_PI * a.a1 / (a.q * cp.D**2)
-    x_rest = (TWO_PI * a.a_rest[0] / (a.q * cp.D),)
+    q, a1, a_rest = 20, 1, (2,)
+    t = TWO_PI * a1 / (q * cp.D**2)
+    x_rest = (TWO_PI * a_rest[0] / (q * cp.D),)
     u = _full_translate_u(cp)
     _, s_prod = lattice_sum_S(cp, x_rest, t, u)
-    _, twin_prod = lattice_sum_S_tilde(cp, a, TWO_PI * a.a1 / a.q, u)
+    _, twin_prod = lattice_sum_S_tilde(cp, q, a1, a_rest, TWO_PI * a1 / q, u)
     assert s_prod == pytest.approx(twin_prod, rel=1e-8)
     with pytest.raises(ValueError):
-        lattice_sum_S_tilde(cp, RationalAnchor(q=8, a1=3, a_rest=(2, 2)),
-                            0.1, u)
+        lattice_sum_S_tilde(cp, 8, 3, (2, 2), 0.1, u)
 
 
 def test_calibration_constants_frozen():
