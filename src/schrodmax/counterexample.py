@@ -78,8 +78,9 @@ class OmegaStarDraws:
     is the torus point, x (n, d) its box preimage (NaN where valid is
     False) and weight the importance weight (zero where valid is False).
 
-    A slice or a boolean mask selects rows and gives a record again.
-    Iteration yields OmegaStarSample rows, built on demand.
+    A slice, a boolean mask or an index array selects rows and gives a
+    record again; a single integer is refused, as it would drop the row
+    axis.  Iteration yields OmegaStarSample rows, built on demand.
     """
 
     q: np.ndarray
@@ -94,6 +95,8 @@ class OmegaStarDraws:
         return self.weight.size
 
     def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            raise TypeError(f"draws[{key}]: select rows with a slice or a boolean mask")
         return OmegaStarDraws(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
     def __iter__(self):

@@ -12,13 +12,16 @@ radii.  Identical factors are evaluated once: axes that share a factor
 object (every axis of the product bump, the comb axes of the
 counterexample data) and their coordinates, as on a meshgrid, share one
 matrix and differ only in their rows.  Every matrix comes from one
-octave x cell loop, which clips each cell where the dissipation leaves
-nothing, starts its panels from the octave's worst phase rate and
-doubles them until each time column converges; only the node sum,
+cell x rule loop: per octave of t, each cell is clipped where the
+dissipation leaves nothing and its panels start from the octave's worst
+phase rate, and the octaves that need the same rule share one loop that
+doubles its panels until each time column converges; only the node sum,
 chosen by the factor's form, differs.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 a separable node sum is one exponential table per side met in GEMMs,
 and a radial one meets the same time table through a Bessel kernel.
+On a cell symmetric about 0 the time table, even in xi, covers the
+nonnegative nodes only and meets the space table of both signs of xi.
 The Bessel kernel is scipy's jv, imported on the first radial block, so
 importing the package and running data without a radial factor never
 loads scipy.
@@ -120,7 +123,10 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
 
     Yields the columns, the frequency reach past which the octave's
     weakest dissipation leaves less than e^-_DECAY_CUTOFF (inf without
-    dissipation), the largest t, and i t - t^gamma per column.
+    dissipation), the largest t, and i t - t^gamma per column.  Octaves
+    set the rules, not the loops: _cell_matrix runs one doubling loop
+    per rule a cell needs, over every octave that needs it, so the one
+    time per octave of a geometric grid costs no loop of its own.
     """
     octave = np.full(tv.shape, -np.inf)
     octave[tv > 0.0] = np.floor(np.log2(tv[tv > 0.0]))
@@ -169,13 +175,28 @@ def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
 
 
 def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
-                     lead: np.ndarray) -> np.ndarray:
+                     lead: np.ndarray, even: bool) -> np.ndarray:
     """Sum over nodes of coef e^{i x xi + lead xi^2} at every (x, t).
 
     lead holds i t - t^gamma per time.  The tables e^{i x xi} and
     e^{lead xi^2} meet in a GEMM, unless one table over every
-    (x, t, node) is no larger, as at a single point.
+    (x, t, node) is no larger, as at a single point.  With even set, xi
+    is a rule on a cell symmetric about 0, ascending and of even count,
+    so node k from the top mirrors node k from the bottom.  As
+    e^{lead xi^2} is even in xi, the time table over the nonnegative
+    half then meets e^{i x xi} c(xi) + e^{-i x xi} c(-xi) in a GEMM:
+    half the exponentials in either table and half the GEMM depth, and
+    at a single point no more exponentials than the one table.
     """
+    if even:
+        half = xi.size // 2
+        pair = np.stack([coef[half:], coef[half - 1::-1]], axis=1)
+
+        def block(z, c):
+            phase = np.exp(1j * np.multiply.outer(xv, z))
+            return (phase * c[:, 0] + phase.conj() * c[:, 1]) @ _time_table(z, lead)
+
+        return _node_blocks(block, xi[half:], pair, max(xv.size, lead.size))
     if xv.size * lead.size > xv.size + lead.size:
         return _node_blocks(lambda z, c: (np.exp(1j * np.multiply.outer(xv, z)) * c)
                             @ _time_table(z, lead), xi, coef, max(xv.size, lead.size))
@@ -185,10 +206,11 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
 
 
 def _bessel_sum(d: int, radii: np.ndarray, rho: np.ndarray, coef: np.ndarray,
-                lead: np.ndarray) -> np.ndarray:
+                lead: np.ndarray, even: bool) -> np.ndarray:
     """Sum over radial nodes rho of coef times the d-dimensional spherical
     kernel at every (|x|, t): a Bessel kernel per node block meets the
-    time table e^{lead rho^2} in a GEMM."""
+    time table e^{lead rho^2} in a GEMM.  even is never set, as a radial
+    cell lies in rho >= 0."""
     # only radial data reaches this kernel: scipy loads on its first block
     from scipy.special import jv
 
@@ -209,28 +231,36 @@ def _cell_matrix(node_sum, profile, cells, masses, pts: np.ndarray, tv: np.ndarr
     """Sum of the cell integrals at every (point, t): a (pts.size, tv.size) matrix.
 
     pts are one axis's coordinates or the radii.  node_sum(pts, xi, coef,
-    lead) sums coef times the kernel over the nodes xi at every (point,
-    time) of one octave, lead holding i t - t^gamma; the coefficients
-    are profile(xi) times the weights.  Per octave of t, each cell is
-    clipped where the dissipation leaves nothing, its panels start from
-    the octave's worst phase rate, and they double until every time
-    column is within rtol of its largest modulus or the rounding floor
-    of the cell's mass.
+    lead, even) sums coef times the kernel over the nodes xi at every
+    (point, time) of one rule, lead holding i t - t^gamma; the
+    coefficients are profile(xi) times the weights, and even says the
+    rule's cell is symmetric about 0.  Per cell and octave of t, the cell
+    is clipped where the octave's dissipation leaves nothing and its
+    panels start from the octave's worst phase rate; octaves that need
+    the same rule, the same clipped interval and starting panels, share
+    one doubling loop over their columns.  The panels double until every
+    time column is within rtol of its largest modulus or the rounding
+    floor of the cell's mass, each column keeping the pass where it first
+    was, as in a loop of its own octave.
     """
     out = np.zeros((pts.size, tv.size), dtype=complex)
     x_hi = float(np.max(np.abs(pts)))
-    for cols, reach, t_hi, lead in _octaves(tv, decay):
-        for (lo, hi), mass in zip(cells, masses):
-            lo, hi = max(lo, -reach), min(hi, reach)
-            if hi <= lo:
+    octaves = list(_octaves(tv, decay))
+    for (lo, hi), mass in zip(cells, masses):
+        rules = {}
+        for cols, reach, t_hi, lead in octaves:
+            a, b = max(lo, -reach), min(hi, reach)
+            if b <= a:
                 continue
-            rate = x_hi + 2.0 * t_hi * max(abs(lo), abs(hi))
+            rate = x_hi + 2.0 * t_hi * max(abs(a), abs(b))
+            rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append((cols, lead))
+        for (a, b, panels), octs in rules.items():
+            cols, lead = (np.concatenate(v) for v in zip(*octs))
 
-            def evaluate(xi, w, lead=lead):
-                return node_sum(pts, xi, profile(xi) * w, lead)
+            def evaluate(xi, w, lead=lead, even=(a == -b)):
+                return node_sum(pts, xi, profile(xi) * w, lead, even)
 
-            out[:, cols] += double_panels(evaluate, lo, hi, panels_for_rate(lo, hi, rate),
-                                          rtol=rtol, mass=mass)
+            out[:, cols] += double_panels(evaluate, a, b, panels, rtol=rtol, mass=mass)
     return out
 
 

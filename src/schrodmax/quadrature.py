@@ -7,7 +7,10 @@ and then double panels until two refinements agree; double_panels is the
 one doubling loop behind every adaptive integral in the package.  Its
 stopping rule has a rounding floor proportional to the integrand's L1
 mass, so an integral that cancels far below its mass still converges,
-and each column of a matrix of integrals meets it on its own.
+and each column of a matrix of integrals meets it on its own: the
+column's value is the one from the pass where it first met it, so
+columns that share a rule and converge at different passes can share
+one loop and still get the values that separate loops would give.
 """
 
 import functools
@@ -69,22 +72,32 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
     Converged when the largest change is within rtol of the largest new
     modulus plus 64 eps times mass, a bound on the L1 mass of each
     integrand that the caller works out: below that, passes differ by
-    rounding alone.  The maxima run over the leading axis of a matrix
-    and over everything otherwise.  Raises QuadratureError once
-    panels * order would pass max_nodes.
+    rounding alone.  A value or an array converges as a whole, its
+    maxima over every entry.  A matrix's maxima run over its leading
+    axis: each column returns from the pass where it first converged,
+    and the loop doubles until every column has.  Raises QuadratureError
+    once panels * order would pass max_nodes.
     """
     prev = None
     floor = _ROUNDING * mass
     while panels * order <= max_nodes:
         vals = evaluate(*panel_nodes(a, b, panels, order))
-        if prev is not None:
+        if prev is None:
+            out, done = vals, np.zeros(np.shape(vals)[1:], dtype=bool)
+        else:
             lead = 0 if np.ndim(vals) > 1 else None
             change = np.abs(vals - prev).max(axis=lead)
-            if (change <= rtol * np.abs(vals).max(axis=lead) + floor).all():
-                return vals
+            met = change <= rtol * np.abs(vals).max(axis=lead) + floor
+            if lead is None:
+                if met:
+                    return vals
+            else:
+                out = np.where(met & ~done, vals, out)
+                done |= met
+                if done.all():
+                    return out
         prev = vals
         panels *= 2
     raise QuadratureError(
         f"integral on [{a:g}, {b:g}] did not converge below rtol={rtol:g} "
         f"within {max_nodes} nodes")
-

@@ -252,6 +252,18 @@ def test_draws_read_as_a_tuple_of_samples():
     assert list(draws[10:20]) == samples[10:20]
 
 
+def test_draws_refuse_a_scalar_key():
+    """A scalar key would give a record without its row axis."""
+    draws = sample_omega_star(_exp_params(), 50, seed=2)
+    for key in (3, np.int64(3), -1):
+        with pytest.raises(TypeError, match="slice or a boolean mask"):
+            draws[key]
+    picked = draws[np.array([3, 7])]
+    assert isinstance(picked, OmegaStarDraws) and len(picked) == 2
+    assert list(picked) == [list(draws)[3], list(draws)[7]]
+    assert list(draws[3:4]) == [list(draws)[3]]
+
+
 def test_measure_estimate_statistics():
     draws = sample_omega_star(_exp_params(), 500, seed=2)
     four = dataclasses.replace(draws[:4], weight=np.array([0.0, 1.0, 2.0, 3.0]))

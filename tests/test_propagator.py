@@ -14,7 +14,7 @@ import pytest
 
 import schrodmax
 from schrodmax import propagator
-from schrodmax.maximal import TimeGrid
+from schrodmax.maximal import SpaceGrid, TimeGrid
 from schrodmax.profiles import (
     AnnulusBump,
     Case1Product,
@@ -48,7 +48,7 @@ from schrodmax.propagator import (
     torus_coefficient,
     torus_decay_slope,
 )
-from schrodmax.quadrature import panel_nodes
+from schrodmax.quadrature import double_panels, panel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -300,6 +300,87 @@ def test_shared_field_matrix_equals_per_axis_matrices():
                                      coords, t, decay, 1e-9)[rows])
     want = per_axis[0] * TWO_PI**-2 * per_axis[1]
     assert np.array_equal(_field_grid(f, x, t, decay, 1e-9), want)
+
+
+def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
+    """The hybrid grid's geometric times, one per octave, share one double_panels call.
+
+    Each of their columns keeps the value a loop of its own time gives.
+    """
+    f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
+    (cells, profile), _ = factors(f)[2]
+    masses = _cell_masses(f, 0)
+    xv = SpaceGrid(per_axis=32).axis_points()
+    t = np.array(TimeGrid.hybrid(4.0).points)
+    decay = _decay(t, 0.5)
+    geometric = set(t[:64].tolist())
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(set())
+        return double_panels(*args, **kwargs)
+
+    def node_sum(pts, xi, coef, lead, even):
+        calls[-1].update(lead.imag.tolist())
+        return _plane_phase_sum(pts, xi, coef, lead, even)
+
+    monkeypatch.setattr(propagator, "double_panels", counting)
+    matrix = _cell_matrix(node_sum, profile, cells, masses, xv, t, decay, 1e-9)
+    sharing = [times for times in calls if times & geometric]
+    assert len(sharing) == 1 and geometric <= sharing[0]
+    for k in range(64):
+        alone = _cell_matrix(_plane_phase_sum, profile, cells, masses, xv, t[k:k + 1],
+                             decay[k:k + 1], 1e-9)
+        np.testing.assert_allclose(matrix[:, k], alone[:, 0], rtol=1e-13, atol=0.0)
+
+
+@pytest.fixture
+def time_table_rows(monkeypatch):
+    """Rows of every time table _plane_phase_sum builds, in order."""
+    rows = []
+
+    def recording(z, lead):
+        rows.append(z.size)
+        return table(z, lead)
+
+    table = propagator._time_table
+    monkeypatch.setattr(propagator, "_time_table", recording)
+    return rows
+
+
+def test_symmetric_cell_folds_its_time_table(time_table_rows):
+    """On a cell symmetric about 0 the time table covers the nonnegative nodes only."""
+    f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
+    (((lo, hi),), profile), _ = factors(f)[2]
+    assert lo == -hi
+    xi, w = panel_nodes(lo, hi, 3)
+    coef = profile(xi) * w
+    xv = SpaceGrid(per_axis=32).axis_points()
+    t = np.array(TimeGrid.hybrid(4.0).points)
+    lead = 1j * t - _decay(t, 0.5)
+    folded = _plane_phase_sum(xv, xi, coef, lead, True)
+    assert sum(time_table_rows) == xi.size // 2
+    time_table_rows.clear()
+    whole = _plane_phase_sum(xv, xi, coef, lead, False)
+    assert sum(time_table_rows) == xi.size
+    np.testing.assert_allclose(folded, whole, rtol=1e-14, atol=0.0)
+
+
+def test_asymmetric_cell_keeps_every_time_table_row(time_table_rows):
+    """A plane-wave axis's cell is not symmetric about 0: each pass tables all its nodes."""
+    f = PlaneWaveSurrogate(xi0=(2.0, 1.0), width=0.3)
+    cells, profile = factors(f)[2][0]
+    nodes = []
+
+    def node_sum(pts, xi, coef, lead, even):
+        assert not even
+        nodes.append(xi.size)
+        return _plane_phase_sum(pts, xi, coef, lead, even)
+
+    t = np.array([0.01, 0.2, 0.5])
+    _cell_matrix(node_sum, profile, cells, _cell_masses(f, 0), _mesh(1)[:, 0], t,
+                 _decay(t, 0.5), 1e-9)
+    assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
 
 
 def test_dissipative_tail_bound_properties():

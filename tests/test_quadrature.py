@@ -155,3 +155,36 @@ def test_double_panels_converges_each_column_on_its_own():
     assert abs(exact[1]) < 1e-8 * 32.0 * 1.01
     with pytest.raises(QuadratureError):
         double_panels(evaluate, 0.0, b, 1, rtol=1e-10, max_nodes=1 << 12)
+
+
+def test_double_panels_returns_each_column_from_its_own_pass():
+    """Columns converging at different passes keep the pass where each converged.
+
+    Every column equals a one-column call on the same rule; the same
+    integrals as a 1-D array converge all together, at the slowest one.
+    """
+    fns = [lambda x: np.exp(-x * x), lambda x: np.cos(20.0 * x), lambda x: np.cos(90.0 * x)]
+    rows = np.array([[1.0], [-0.5j]])
+
+    def run(picked, shape):
+        calls = []
+
+        def evaluate(x, w):
+            calls.append(np.array([fns[j](x) @ w for j in picked]))
+            return shape(calls[-1])
+
+        return double_panels(evaluate, 0.0, 4.0, 1, rtol=1e-10, mass=4.0), calls
+
+    def matrix(v):
+        return rows * v
+
+    val, _ = run(range(3), matrix)
+    passes = []
+    for j in range(3):
+        alone, calls = run([j], matrix)
+        assert np.array_equal(val[:, j], alone[:, 0])
+        passes.append(len(calls))
+    assert len(set(passes)) == 3
+    flat, calls = run(range(3), lambda v: v)
+    assert len(calls) == max(passes)
+    assert np.array_equal(flat, calls[-1])
