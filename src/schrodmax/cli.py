@@ -7,6 +7,11 @@ Four verbs bind the library into reproducible batch runs:
     lemmas-verify     randomized checks of the arithmetic building blocks
     propagator-check  factorized versus direct field evaluation
 
+Settings come from a `key = value` file, `--set KEY=VALUE` and flags, each
+winning over the one before.  Each key is one row of _KEYS (parser,
+constraint, default, flag) and parses alike from all three; _VERBS lists
+each verb's flags.
+
 Every run writes <out>/records.csv and <out>/report.json atomically, even
 one that stops part way (status 3).  The JSON report is a pure function of
 (config, seed): wall-clock timings go to stderr only, and worker counts
@@ -24,6 +29,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -33,6 +39,7 @@ from .maximal import (
     SpaceGrid,
     SweepError,
     TimeGrid,
+    check_ladder,
     exponent_sweep,
 )
 from .numbertheory import (
@@ -54,8 +61,6 @@ from .profiles import (
 )
 from .propagator import SpaceTimePoint, evaluate_p_gamma, factorized_evaluate
 from .quadrature import _ROUNDING
-
-VERBS = ("maximal-sweep", "counterexample", "lemmas-verify", "propagator-check")
 
 
 class ConfigError(ValueError):
@@ -103,168 +108,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 def _parse_ladder(text: str) -> tuple[float, ...]:
     vals = []
     for tok in text.replace(",", " ").split():
+        base, caret, exp = tok.partition("^")
         try:
-            if "^" in tok:
-                base, exp = tok.split("^", 1)
-                vals.append(float(base) ** float(exp))
-            else:
-                vals.append(float(tok))
-        except ValueError:
+            vals.append(float(base) ** (float(exp) if caret else 1.0))
+        except (ValueError, OverflowError):
             raise ConfigError(f"ladder: cannot parse entry {tok!r}") from None
     return tuple(vals)
-
-
-def _as_int(text: str) -> int:
-    return int(text, 0)
-
-
-# key -> (parser, constraint description, constraint predicate)
-_KEY_SPECS: dict[str, tuple] = {
-    "verb": (str, f"one of {', '.join(VERBS)}", lambda v: v in VERBS),
-    "model.d": (_as_int, "an integer >= 1", lambda v: v >= 1),
-    "model.gamma": (float, "a positive real", lambda v: v > 0.0),
-    "model.R": (float, "a real >= 2", lambda v: v >= 2.0),
-    "ladder": (_parse_ladder, "at least 4 increasing scales",
-               lambda v: len(v) >= 4 and all(b > a for a, b in zip(v, v[1:]))),
-    "s": (float, "a nonnegative real", lambda v: v >= 0.0),
-    "samples": (_as_int, "an integer >= 2", lambda v: v >= 2),
-    "seed": (_as_int, "a nonnegative integer", lambda v: v >= 0),
-    "workers": (_as_int, "an integer >= 1", lambda v: v >= 1),
-    "points": (_as_int, "an integer >= 1", lambda v: v >= 1),
-    "out": (str, "a directory path", lambda v: bool(v)),
-    "time.geometric": (_as_int, "an integer >= 2", lambda v: v >= 2),
-    "time.cap": (_as_int, "an integer >= 2", lambda v: v >= 2),
-    "time.t_max": (float, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "space.radius": (float, "a positive real", lambda v: v > 0.0),
-    "space.per_axis": (_as_int, "an integer >= 2", lambda v: v >= 2),
-    "ce.c0": (float, "a positive real", lambda v: v > 0.0),
-    "ce.c1": (float, "a positive real", lambda v: v > 0.0),
-    "ce.c2": (float, "a positive real", lambda v: v > 0.0),
-    "ce.c3": (float, "a positive real", lambda v: v > 0.0),
-    "ce.c4": (float, "a positive real", lambda v: v > 0.0),
-    "ce.mu0": (float, "a positive real", lambda v: v > 0.0),
-    "ce.delta0": (float, "a positive real", lambda v: v > 0.0),
-    "ce.eps0": (float, "a positive real", lambda v: v > 0.0),
-}
-
-_DEFAULTS = {
-    "model.d": "2",
-    "model.gamma": "2.0",
-    "s": "0.0",
-    "samples": "2000",
-    "seed": "0",
-    "workers": "1",
-    "points": "20",
-    "time.geometric": "64",
-    "time.cap": "16384",
-    "time.t_max": "1.0",
-    "space.radius": "1.0",
-    "space.per_axis": "64",
-}
-
-_CE_CONSTANT_KEYS = ("ce.c0", "ce.c1", "ce.c2", "ce.c3", "ce.c4",
-                     "ce.mu0", "ce.delta0", "ce.eps0")
-
-
-def _parse_value(key: str, raw: str):
-    if key not in _KEY_SPECS:
-        raise ConfigError(f"unknown key {key!r}")
-    parser, want, ok = _KEY_SPECS[key]
-    try:
-        value = parser(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError):
-        raise ConfigError(f"{key}: must be {want}, got {raw!r}") from None
-    if not ok(value):
-        raise ConfigError(f"{key}: must be {want}, got {raw!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One validated run request: verb, model, scales, grids, outputs."""
-
-    verb: str
-    model_d: int
-    model_gamma: float
-    model_R: float | None
-    ladder: tuple[float, ...] | None
-    s: float
-    samples: int
-    seed: int
-    workers: int
-    points: int
-    out_dir: str
-    time_geometric: int
-    time_cap: int
-    time_t_max: float
-    space_radius: float
-    space_per_axis: int
-    ce_overrides: tuple[tuple[str, float], ...]
-
-    @classmethod
-    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        for key in raw:
-            if key not in _KEY_SPECS:
-                raise ConfigError(f"unknown key {key!r}")
-        if "verb" not in raw:
-            raise ConfigError("verb: required, one of " + ", ".join(VERBS))
-        merged = dict(_DEFAULTS)
-        merged.update(raw)
-        values = {k: _parse_value(k, v) for k, v in merged.items()}
-        verb = values["verb"]
-        if verb in ("maximal-sweep", "counterexample") and "ladder" not in values:
-            raise ConfigError(f"ladder: required for verb {verb}")
-        if verb == "propagator-check" and "model.R" not in values:
-            raise ConfigError("model.R: required for verb propagator-check")
-        overrides = tuple((k.split(".", 1)[1], values[k])
-                          for k in _CE_CONSTANT_KEYS if k in values)
-        return cls(
-            verb=verb,
-            model_d=values["model.d"],
-            model_gamma=values["model.gamma"],
-            model_R=values.get("model.R"),
-            ladder=values.get("ladder"),
-            s=values["s"],
-            samples=values["samples"],
-            seed=values["seed"],
-            workers=values["workers"],
-            points=values["points"],
-            out_dir=values.get("out", os.path.join("runs", verb)),
-            time_geometric=values["time.geometric"],
-            time_cap=values["time.cap"],
-            time_t_max=values["time.t_max"],
-            space_radius=values["space.radius"],
-            space_per_axis=values["space.per_axis"],
-            ce_overrides=overrides,
-        )
-
-    def echo(self) -> dict[str, str]:
-        """Canonical flat key -> value rendering of every effective setting."""
-        out = {
-            "verb": self.verb,
-            "model.d": str(self.model_d),
-            "model.gamma": _fmt(self.model_gamma),
-            "s": _fmt(self.s),
-            "samples": str(self.samples),
-            "seed": str(self.seed),
-            "workers": str(self.workers),
-            "points": str(self.points),
-            "out": self.out_dir,
-            "time.geometric": str(self.time_geometric),
-            "time.cap": str(self.time_cap),
-            "time.t_max": _fmt(self.time_t_max),
-            "space.radius": _fmt(self.space_radius),
-            "space.per_axis": str(self.space_per_axis),
-        }
-        if self.model_R is not None:
-            out["model.R"] = _fmt(self.model_R)
-        if self.ladder is not None:
-            out["ladder"] = " ".join(_fmt(v) for v in self.ladder)
-        for name, val in self.ce_overrides:
-            out[f"ce.{name}"] = _fmt(val)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +250,9 @@ def _json_safe(value):
 
 
 def _default_grids(R: float, cfg: ExperimentConfig):
-    tg = TimeGrid.hybrid(R, t_max=cfg.time_t_max, geometric=cfg.time_geometric,
-                         cap=cfg.time_cap)
-    sg = SpaceGrid(radius=cfg.space_radius, per_axis=cfg.space_per_axis)
+    tg = TimeGrid.hybrid(R, t_max=cfg["time.t_max"],
+                         geometric=cfg["time.geometric"], cap=cfg["time.cap"])
+    sg = SpaceGrid(radius=cfg["space.radius"], per_axis=cfg["space.per_axis"])
     return tg, sg
 
 
@@ -425,23 +274,19 @@ _CE_FIELDS = ("R", "mean_modulus", "measure_estimate", "ratio_estimate", "E1", "
 
 
 def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
-    gamma = cfg.model_gamma
+    gamma = cfg["model.gamma"]
     if gamma > 1.0:
         # the gamma > 1 growth lives on a sampled region near 1e-8 of the
         # box, which a ball grid cannot resolve at any scale
         raise ConfigError("model.gamma: maximal-sweep needs gamma <= 1; "
                           "measure gamma > 1 growth with the counterexample verb")
-    family = functools.partial(_case1_family, cfg.model_d, gamma)
+    family = functools.partial(_case1_family, cfg["model.d"], gamma)
     grids = functools.partial(_default_grids, cfg=cfg)
     try:
-        report = exponent_sweep(family, gamma, cfg.ladder, grids, map_fn=map_fn)
+        report = exponent_sweep(family, gamma, cfg["ladder"], grids, map_fn=map_fn)
         failure = None
     except SweepError as exc:
         report, failure = exc.partial, exc
-    except ValueError as exc:
-        # raised before any entry runs (an entry's failure is a SweepError):
-        # a scale below 1 or a ladder that is not geometric
-        raise ConfigError(f"ladder: maximal-sweep cannot run this ladder: {exc}") from None
     records = [dict(zip(_SWEEP_FIELDS, entry)) for entry in report.entries]
     summary = {
         "fitted_slope": report.fitted_slope,
@@ -449,7 +294,7 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
         "target_exponent": report.target,
         # the field concentrates on a ball of radius ~1/R; ratios drop once
         # the grid is coarser than that (1.007 at R = 2 per_axis)
-        "underresolved": sorted(R for R in cfg.ladder if cfg.space_per_axis < R),
+        "underresolved": sorted(R for R in cfg["ladder"] if cfg["space.per_axis"] < R),
     }
     if failure is not None:
         raise RunFailed(failure, records, summary, _SWEEP_FIELDS) from failure
@@ -458,15 +303,15 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
 
 
 def _run_counterexample(cfg: ExperimentConfig, map_fn):
-    gamma = cfg.model_gamma
+    gamma = cfg["model.gamma"]
     gamma_c = min(gamma, 2.0)
     if not gamma_c > 1.0:
         raise ConfigError("model.gamma: counterexample needs gamma > 1")
-    build = functools.partial(_case3_family, cfg.model_d, gamma_c, cfg.ce_overrides)
-    ladder_params = [build(R) for R in cfg.ladder]
+    build = functools.partial(_case3_family, cfg["model.d"], gamma_c, cfg.ce_overrides)
+    ladder_params = [build(R) for R in cfg["ladder"]]
     try:
         report = lower_bound_experiment(
-            ladder_params, cfg.samples, cfg.seed, s=cfg.s,
+            ladder_params, cfg["samples"], cfg["seed"], s=cfg["s"],
             gamma_eval=gamma if gamma > 2.0 else None, map_fn=map_fn)
     except ExperimentError as exc:
         raise RunFailed(exc, [], {"aborted": [[R, why] for R, why in exc.aborted]},
@@ -497,7 +342,7 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
 
 
 def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
-    rng = default_rng(cfg.seed)
+    rng = default_rng(cfg["seed"])
     records = []
 
     checked = 0
@@ -569,36 +414,36 @@ def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
         "vitali": vitali_ok,
         "dirichlet": dir_ok,
     }
-    summary = {"seed": cfg.seed}
+    summary = {"seed": cfg["seed"]}
     return records, summary, verdicts
 
 
 def _run_propagator_check(cfg: ExperimentConfig, map_fn):
-    gamma = min(cfg.model_gamma, 2.0)
+    gamma = min(cfg["model.gamma"], 2.0)
     if not gamma > 1.0:
         raise ConfigError("model.gamma: propagator-check needs gamma > 1")
-    cp = _case3_family(cfg.model_d, gamma, cfg.ce_overrides, cfg.model_R)
+    cp = _case3_family(cfg["model.d"], gamma, cfg.ce_overrides, cfg["model.R"])
     f = Case3Counterexample(params=cp)
     m = cp.model
-    rng = default_rng(cfg.seed)
+    rng = default_rng(cfg["seed"])
     x1_lo = cp.x1_lo
     records = []
     worst = 0.0
-    scale = TWO_PI ** cfg.model_d
+    scale = TWO_PI ** cfg["model.d"]
     # values below the quadrature's rounding floor, in the same scaled
     # units, are rounding noise in both evaluators and agree only to it
     floor = _ROUNDING * l1_fourier_mass(f)
     passed, below = True, 0
-    for _ in range(cfg.points):
+    for _ in range(cfg["points"]):
         x = (float(rng.uniform(x1_lo, x1_lo / 2.0)),
              *(float(rng.uniform(-cp.c1, cp.c1))
-               for _ in range(cfg.model_d - 1)))
+               for _ in range(cfg["model.d"] - 1)))
         t = float(rng.uniform(0.0, 2.0 / m.R))
         pt = SpaceTimePoint(x=x, t=t)
         fac = factorized_evaluate(
             cp, pt,
-            gamma_eval=cfg.model_gamma if cfg.model_gamma > 2.0 else None)
-        direct = abs(evaluate_p_gamma(f, cfg.model_gamma, pt, rtol=1e-8))
+            gamma_eval=cfg["model.gamma"] if cfg["model.gamma"] > 2.0 else None)
+        direct = abs(evaluate_p_gamma(f, cfg["model.gamma"], pt, rtol=1e-8))
         gap = abs(fac.product_modulus - scale * direct)
         rel = gap / (scale * direct)
         worst = max(worst, rel)
@@ -612,18 +457,146 @@ def _run_propagator_check(cfg: ExperimentConfig, map_fn):
             **{f"x{i + 1}": v for i, v in enumerate(x)},
         })
     summary = {"worst_rel_error": worst, "points": len(records),
-               "R": cfg.model_R, "rounding_floor": floor,
+               "R": cfg["model.R"], "rounding_floor": floor,
                "points_below_floor": below}
     verdicts = {"factorized-vs-direct": bool(passed)}
     return records, summary, verdicts
 
 
-_RUNNERS = {
-    "maximal-sweep": _run_maximal_sweep,
-    "counterexample": _run_counterexample,
-    "lemmas-verify": _run_lemmas_verify,
-    "propagator-check": _run_propagator_check,
+# ---------------------------------------------------------------------------
+# verbs and config keys
+
+
+_as_int = functools.partial(int, base=0)
+
+
+class _Verb(NamedTuple):
+    """A verb's runner, help line, keys it takes as flags and keys it needs."""
+
+    runner: Callable
+    help: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...] = ()
+
+
+_VERBS = {
+    "maximal-sweep": _Verb(_run_maximal_sweep, "exponent sweep of maximal ratios",
+                           ("model.d", "model.gamma", "ladder"), ("ladder",)),
+    "counterexample": _Verb(_run_counterexample, "sampled lower-bound experiment",
+                            ("model.d", "model.gamma", "s", "ladder", "samples", "seed"),
+                            ("ladder",)),
+    "lemmas-verify": _Verb(_run_lemmas_verify, "randomized lemma suites", ("seed",)),
+    "propagator-check": _Verb(_run_propagator_check, "factorized vs direct evaluation",
+                              ("model.R", "points", "seed"), ("model.R",)),
 }
+
+# flags every verb takes
+_COMMON_FLAGS = ("out", "workers")
+
+
+class _Key(NamedTuple):
+    """A config key's parser, constraint text, check, default text and flag.
+
+    A value out of range makes check return false, or raise ValueError
+    naming what is broken.
+    """
+
+    parse: Callable
+    want: str
+    check: Callable
+    default: str | None = None
+    flag: str | None = None
+    help: str | None = None
+
+
+_KEYS: dict[str, _Key] = {
+    "verb": _Key(str, "one of " + ", ".join(_VERBS), lambda v: v in _VERBS),
+    "model.d": _Key(_as_int, "an integer >= 1", lambda v: v >= 1, "2",
+                    "d", "dimension"),
+    "model.gamma": _Key(float, "a positive real", lambda v: v > 0.0, "2.0",
+                        "gamma", "dissipation exponent"),
+    "model.R": _Key(float, "a real >= 2", lambda v: v >= 2.0, None,
+                    "R", "frequency scale"),
+    "ladder": _Key(_parse_ladder, "a geometric ladder", lambda v: check_ladder(v) is None,
+                   None, "ladder", "R scales, e.g. '2^16 2^17 2^18 2^19'"),
+    "s": _Key(float, "a nonnegative real", lambda v: v >= 0.0, "0.0",
+              "s", "Sobolev regularity of the data"),
+    "samples": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "2000",
+                    "samples", "draws per scale"),
+    "seed": _Key(_as_int, "a nonnegative integer", lambda v: v >= 0, "0",
+                 "seed", "root seed"),
+    "workers": _Key(_as_int, "an integer >= 1", lambda v: v >= 1, "1",
+                    "workers", "worker pool size"),
+    "points": _Key(_as_int, "an integer >= 1", lambda v: v >= 1, "20",
+                   "points", "comparison points"),
+    # the default output directory, runs/<verb>, is set by from_mapping
+    "out": _Key(str, "a directory path", bool, None, "out", "output directory"),
+    "time.geometric": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
+    "time.cap": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "16384"),
+    "time.t_max": _Key(float, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0, "1.0"),
+    "space.radius": _Key(float, "a positive real", lambda v: v > 0.0, "1.0"),
+    "space.per_axis": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
+    **{f"ce.{name}": _Key(float, "a positive real", lambda v: v > 0.0)
+       for name in ("c0", "c1", "c2", "c3", "c4", "mu0", "delta0", "eps0")},
+}
+
+
+def _parse_value(key: str, raw: str):
+    spec = _KEYS[key]
+    try:
+        value = spec.parse(raw)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError):
+        raise ConfigError(f"{key}: must be {spec.want}, got {raw!r}") from None
+    try:
+        ok = spec.check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if not ok:
+        raise ConfigError(f"{key}: must be {spec.want}, got {raw!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One validated run request, read by key: cfg["model.gamma"].
+
+    Keys without a default (model.R, ladder, ce.*) are present only when given.
+    """
+
+    values: dict
+
+    def __getitem__(self, key: str):
+        return self.values[key]
+
+    @property
+    def ce_overrides(self) -> tuple[tuple[str, float], ...]:
+        """The given ce.* construction constants as (name, value) pairs."""
+        return tuple((k[3:], v) for k, v in self.values.items() if k.startswith("ce."))
+
+    @classmethod
+    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
+        for key in raw:
+            if key not in _KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+        if "verb" not in raw:
+            raise ConfigError("verb: required, one of " + ", ".join(_VERBS))
+        merged = {key: spec.default for key, spec in _KEYS.items()
+                  if spec.default is not None}
+        merged["out"] = os.path.join("runs", raw["verb"])
+        merged.update(raw)
+        values = {key: _parse_value(key, merged[key]) for key in _KEYS if key in merged}
+        verb = values["verb"]
+        for key in _VERBS[verb].required:
+            if key not in values:
+                raise ConfigError(f"{key}: required for verb {verb}")
+        return cls(values)
+
+    def echo(self) -> dict[str, str]:
+        """Canonical flat key -> value rendering of every effective setting."""
+        return {key: " ".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
+                for key, v in self.values.items()}
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -634,14 +607,14 @@ def run(config: ExperimentConfig) -> RunReport:
     part way still writes both, with no verdicts, the reason under
     "failure" and the rows and summary it had reached.
     """
-    runner = _RUNNERS[config.verb]
+    runner = _VERBS[config["verb"]].runner
     started = time.monotonic()
     failure, fieldnames = None, None
     try:
-        if config.workers > 1:
+        if config["workers"] > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
                 records, summary, verdicts = runner(config, pool.map)
         else:
             records, summary, verdicts = runner(config, map)
@@ -650,7 +623,7 @@ def run(config: ExperimentConfig) -> RunReport:
         failure, fieldnames = str(exc), exc.fieldnames
     elapsed = time.monotonic() - started
     report = RunReport(
-        verb=config.verb,
+        verb=config["verb"],
         config_echo=config.echo(),
         records=tuple(_json_safe(r) for r in records),
         summary=_json_safe(summary),
@@ -658,9 +631,9 @@ def run(config: ExperimentConfig) -> RunReport:
         wall_clock={"total_s": elapsed},
         failure=failure,
     )
-    _write_atomic(os.path.join(config.out_dir, "records.csv"),
+    _write_atomic(os.path.join(config["out"], "records.csv"),
                   emit_csv(report.records, fieldnames))
-    _write_atomic(os.path.join(config.out_dir, "report.json"), report.to_json())
+    _write_atomic(os.path.join(config["out"], "report.json"), report.to_json())
     return report
 
 
@@ -673,38 +646,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="schrodmax",
         description="dissipative Schrodinger maximal-estimate laboratory")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb, spec in _VERBS.items():
+        p = sub.add_parser(verb, help=spec.help)
+        for key in spec.flags + _COMMON_FLAGS:
+            # the text goes to the key's parser, as a --set or file value does
+            p.add_argument(f"--{_KEYS[key].flag}", dest=key, help=_KEYS[key].help)
         p.add_argument("--config", help="path to key = value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, help="worker pool size")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-
-    p = sub.add_parser("maximal-sweep", help="exponent sweep of maximal ratios")
-    p.add_argument("--d", type=int, help="dimension")
-    p.add_argument("--gamma", type=float, help="dissipation exponent")
-    p.add_argument("--ladder", help="R scales, e.g. '2^6 2^7 2^8 2^9'")
-    common(p)
-
-    p = sub.add_parser("counterexample", help="sampled lower-bound experiment")
-    p.add_argument("--d", type=int, help="dimension")
-    p.add_argument("--gamma", type=float, help="dissipation exponent")
-    p.add_argument("--s", type=float, help="Sobolev regularity of the data")
-    p.add_argument("--ladder", help="R scales, e.g. '2^16 2^17 2^18 2^19'")
-    p.add_argument("--samples", type=int, help="draws per scale")
-    p.add_argument("--seed", type=int, help="root seed")
-    common(p)
-
-    p = sub.add_parser("lemmas-verify", help="randomized lemma suites")
-    p.add_argument("--seed", type=int, help="root seed")
-    common(p)
-
-    p = sub.add_parser("propagator-check", help="factorized vs direct evaluation")
-    p.add_argument("--R", type=float, help="frequency scale")
-    p.add_argument("--points", type=int, help="comparison points")
-    p.add_argument("--seed", type=int, help="root seed")
-    common(p)
     return parser
 
 
@@ -722,16 +671,11 @@ def _mapping_from_args(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    flag_keys = {
-        "d": "model.d", "gamma": "model.gamma", "s": "s", "ladder": "ladder",
-        "samples": "samples", "seed": "seed", "workers": "workers",
-        "out": "out", "R": "model.R", "points": "points",
-    }
-    for attr, key in flag_keys.items():
-        value = getattr(args, attr, None)
+    # argparse stores the verb and each given flag under its key
+    for key in _KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            mapping[key] = str(value)
-    mapping["verb"] = args.verb
+            mapping[key] = value
     return mapping
 
 
@@ -740,10 +684,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.from_mapping(_mapping_from_args(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -757,7 +697,7 @@ def main(argv=None) -> int:
     for name, ok in report.verdicts.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     print(f"wall clock: {report.wall_clock['total_s']:.2f}s "
-          f"({config.out_dir}/report.json)", file=sys.stderr)
+          f"({config['out']}/report.json)", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .maximal import fit_loglog
+from .maximal import check_ladder, fit_loglog
 from .numbertheory import PreconditionError, totient
 from .profiles import (
     Case3Counterexample,
@@ -46,7 +46,7 @@ def _wrap(x):
 
 
 class ExperimentError(RuntimeError):
-    """The ladder lost too many entries; carries per-entry diagnoses."""
+    """The ladder lost too many entries, or one failed; carries the aborts so far."""
 
     def __init__(self, message: str, aborted: tuple):
         super().__init__(message)
@@ -575,6 +575,8 @@ def _entry_task(task):
         return "ok", _experiment_entry(cp, n_samples, child_seed, s, geval)
     except PreconditionError as exc:
         return "abort", (cp.model.R, str(exc))
+    except Exception as exc:
+        return "err", (cp.model.R, f"{type(exc).__name__}: {exc}")
 
 
 def lower_bound_experiment(params_ladder, n_samples: int, seed: int, *,
@@ -585,21 +587,16 @@ def lower_bound_experiment(params_ladder, n_samples: int, seed: int, *,
 
     Entries whose construction degenerates (no anchor meets the window,
     or the box cannot hold a lattice period) are dropped with a recorded
-    diagnosis; at least four entries must survive to fit.  gamma_eval
-    lets data built at one dissipation exponent be evolved at a larger
-    one, which is how exponents above the quadratic range are handled.
+    diagnosis; at least four entries must survive to fit.  An entry that
+    fails for any other reason stops the ladder with an ExperimentError
+    naming it.  gamma_eval lets data built at one dissipation exponent be
+    evolved at a larger one, which is how exponents above the quadratic
+    range are handled.
     map_fn may be a pool's map; per-entry seeds are spawned by ladder
     index, so results are identical for any worker count.
     """
     ladder = tuple(params_ladder)
-    if len(ladder) < 4:
-        raise ValueError("ladder needs at least 4 entries")
-    rs = [cp.model.R for cp in ladder]
-    if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
-        raise ValueError("ladder must be increasing in R")
-    steps = np.diff(np.log(rs))
-    if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
-        raise ValueError("ladder must be geometric in R")
+    check_ladder([cp.model.R for cp in ladder])
     d = ladder[0].model.d
     gamma = ladder[0].model.gamma
     if any(cp.model.d != d or cp.model.gamma != gamma for cp in ladder):
@@ -617,8 +614,11 @@ def lower_bound_experiment(params_ladder, n_samples: int, seed: int, *,
     for status, payload in map_fn(_entry_task, tasks):
         if status == "ok":
             records.append(payload)
-        else:
+        elif status == "abort":
             aborted.append(payload)
+        else:
+            R, why = payload
+            raise ExperimentError(f"ladder entry R={R:g} failed: {why}", tuple(aborted))
     if len(records) < 4:
         raise ExperimentError(
             f"only {len(records)} ladder entries survived", tuple(aborted))

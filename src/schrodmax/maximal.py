@@ -255,44 +255,53 @@ def _partial_report(entries, target: float) -> ScalingReport:
                          slope_stderr=math.nan, target=target, verdict=False)
 
 
+def check_ladder(scales) -> None:
+    """Raise ValueError unless scales is a geometric ladder of 4 or more.
+
+    The first scale must be at least 1, the scales increasing, and every
+    log step equal to the first to 1e-6 of it.
+    """
+    rs = [float(R) for R in scales]
+    if len(rs) < 4:
+        raise ValueError("ladder needs at least 4 entries")
+    if not rs[0] >= 1.0:
+        raise ValueError("R must be >= 1")
+    if not all(b > a for a, b in zip(rs, rs[1:])):
+        raise ValueError("ladder must be increasing")
+    steps = np.diff(np.log(rs))
+    if not np.max(np.abs(steps - steps[0])) <= 1e-6 * steps[0]:
+        raise ValueError("ladder must be geometric")
+
+
 def _sweep_task(task):
     """Evaluate one sweep entry; returns a tagged result so pools can run it."""
-    f, gamma, g, ratio_fn = task
+    f, gamma, g = task
     try:
-        ratio = float((ratio_fn or maximal_ratio)(f, gamma, g))
+        ratio = float(maximal_ratio(f, gamma, g))
     except Exception as exc:
         return "err", f"{type(exc).__name__}: {exc}"
     return "ok", ratio
 
 
-def exponent_sweep(family, gamma: float, ladder, grids, *, ratio_fn=None,
+def exponent_sweep(family, gamma: float, ladder, grids, *,
                    map_fn=map) -> ScalingReport:
     """Fit the maximal-ratio growth exponent over a geometric R ladder.
 
     family maps R to a descriptor and grids maps R to a (TimeGrid,
-    SpaceGrid) pair; ratio_fn overrides maximal_ratio for families
-    evaluated by another pipeline.  The verdict holds when the slope
-    stays below the target (slope <= target + 0.1).  map_fn may be a
-    pool's map; results merge in ladder order either way.
+    SpaceGrid) pair.  The verdict holds when the slope stays below the
+    target (slope <= target + 0.1).  map_fn may be a pool's map; results
+    merge in ladder order either way.
     """
     ladder = sorted(float(R) for R in ladder)
-    if len(ladder) < 4:
-        raise ValueError("ladder needs at least 4 entries")
-    steps = np.diff(np.log(ladder))
-    if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
-        raise ValueError("ladder must be geometric")
+    check_ladder(ladder)
     probe = family(ladder[0])
     target = theoretical_exponent(probe.dim, gamma)
     tasks, metas = [], []
     for R in ladder:
         f = family(R)
-        g = grids(R)
-        if ratio_fn is not None:
-            metas.append("external-ratio")
-        else:
-            tg, sg = g
-            metas.append(f"time={tg.count} space={sg.per_axis}^{f.dim}")
-        tasks.append((f, gamma, g, ratio_fn))
+        tg, sg = grids(R)
+        metas.append(f"time={tg.count} space={sg.per_axis}^{f.dim}")
+        tasks.append((f, gamma, (tg, sg)))
     entries = []
     for R, meta, (status, payload) in zip(ladder, metas,
                                           map_fn(_sweep_task, tasks)):

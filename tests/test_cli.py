@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from schrodmax import cli, maximal
+from schrodmax import cli, counterexample, maximal
 from schrodmax.cli import (
     ConfigError,
     ExperimentConfig,
@@ -76,12 +76,12 @@ def test_field_level_messages():
 
 def test_defaults_and_ladder_syntax():
     cfg = _base(verb="counterexample", ladder="2^16,2^17 2^18, 2^19")
-    assert cfg.ladder == (65536.0, 131072.0, 262144.0, 524288.0)
-    assert cfg.samples == 2000
-    assert cfg.seed == 0
-    assert cfg.model_d == 2
-    assert cfg.model_gamma == 2.0
-    assert cfg.out_dir == os.path.join("runs", "counterexample")
+    assert cfg["ladder"] == (65536.0, 131072.0, 262144.0, 524288.0)
+    assert cfg["samples"] == 2000
+    assert cfg["seed"] == 0
+    assert cfg["model.d"] == 2
+    assert cfg["model.gamma"] == 2.0
+    assert cfg["out"] == os.path.join("runs", "counterexample")
 
 
 def test_ce_overrides_collected():
@@ -96,6 +96,33 @@ def test_echo_is_a_fixed_point():
                 samples="500", **{"ce.c1": "0.01", "s": "0.25"})
     again = ExperimentConfig.from_mapping(cfg.echo())
     assert again == cfg
+
+
+# a valid text for every key with a flag, unlike its default
+_FLAG_TEXTS = {"model.d": "3", "model.gamma": "1.5", "model.R": "128",
+               "ladder": "2^17 2^18 2^19 2^20", "s": "0.5", "samples": "300",
+               "seed": "5", "points": "7", "out": "elsewhere", "workers": "3"}
+
+
+def test_every_flag_matches_its_set_override_and_wins_over_it():
+    flagged = {key: spec.flag for key, spec in cli._KEYS.items() if spec.flag}
+    assert set(_FLAG_TEXTS) == set(flagged)
+    parser = cli._build_parser()
+
+    def config(argv):
+        return ExperimentConfig.from_mapping(
+            cli._mapping_from_args(parser.parse_args(argv)))
+
+    for verb, spec in cli._VERBS.items():
+        base = [verb, "--set", "ladder=2^16 2^17 2^18 2^19", "--set", "model.R=64"]
+        plain = config(base)
+        for key in spec.flags + cli._COMMON_FLAGS:
+            text = _FLAG_TEXTS[key]
+            by_flag = config(base + [f"--{flagged[key]}", text])
+            assert by_flag == config(base + ["--set", f"{key}={text}"])
+            assert by_flag[key] != plain[key]
+            assert by_flag == config(base + ["--set", f"{key}={plain.echo()[key]}",
+                                             f"--{flagged[key]}", text])
 
 
 def test_csv_round_trip_fixed_point():
@@ -293,6 +320,29 @@ def test_main_counterexample_runtime_failure(tmp_path, capsys):
     assert parse_csv((tmp_path / "fail" / "records.csv").read_text()) == []
 
 
+def test_main_counterexample_entry_failure_still_writes_the_report(tmp_path, capsys,
+                                                                   monkeypatch):
+    real = counterexample.sobolev_norm
+
+    def failing(f, s):
+        if f.params.model.R > 2.0**17:
+            raise QuadratureError("node cap reached")
+        return real(f, s)
+
+    monkeypatch.setattr(counterexample, "sobolev_norm", failing)
+    out = tmp_path / "fail"
+    rc = main(["counterexample", "--ladder", "2^16 2^17 2^18 2^19",
+               "--samples", "50", "--out", str(out)])
+    assert rc == 3
+    assert "run failed: ExperimentError" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False
+    assert payload["failure"] == ("ExperimentError: ladder entry R=262144 failed: "
+                                  "QuadratureError: node cap reached")
+    assert payload["summary"]["aborted"] == []
+    assert (out / "records.csv").read_text() == ",".join(cli._CE_FIELDS) + "\n"
+
+
 def test_main_maximal_sweep_failure_keeps_partial_entries(tmp_path, capsys,
                                                           monkeypatch):
     real = maximal.maximal_ratio
@@ -331,15 +381,18 @@ def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, cap
         assert not out.exists()
 
 
-@pytest.mark.parametrize("ladder, condition", [
-    ("0.125 0.25 0.5 1", "R must be >= 1"),
-    ("4 8 16 64", "ladder must be geometric"),
-], ids=["below-one", "not-geometric"])
-def test_main_maximal_sweep_ladder_out_of_range_is_a_config_error(tmp_path, capsys,
-                                                                  ladder, condition):
+_SWEEP = ["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder"]
+
+
+@pytest.mark.parametrize("argv, condition", [
+    (_SWEEP + ["0.125 0.25 0.5 1"], "R must be >= 1"),
+    (_SWEEP + ["4 8 16 64"], "ladder must be geometric"),
+    (["counterexample", "--ladder", "2^16 2^17 2^18 2^20", "--samples", "100"],
+     "ladder must be geometric"),
+], ids=["below-one", "not-geometric", "counterexample-not-geometric"])
+def test_main_ladder_out_of_range_is_a_config_error(tmp_path, capsys, argv, condition):
     out = tmp_path / "out"
-    rc = main(["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder", ladder,
-               "--out", str(out)])
+    rc = main(argv + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ladder:") and condition in err
@@ -382,7 +435,7 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         config = ExperimentConfig.from_mapping(cli._mapping_from_args(args))
-        assert config.verb == args.verb
+        assert config["verb"] == args.verb
 
 
 def test_main_maximal_sweep_lists_underresolved_entries(tmp_path, capsys):

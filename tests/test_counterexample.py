@@ -41,6 +41,7 @@ from schrodmax.profiles import (
     sobolev_norm,
 )
 from schrodmax.propagator import SpaceTimePoint, factorized_evaluate
+from schrodmax.quadrature import QuadratureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -462,6 +463,24 @@ def test_experiment_ladder_validation():
     mixed = ladder[:3] + [_exp_params(2.0**19, gamma=1.5)]
     with pytest.raises(ValueError):
         lower_bound_experiment(mixed, 100, 0)
+
+
+def test_experiment_entry_failure_names_the_entry(monkeypatch):
+    real = counterexample.sobolev_norm
+
+    def failing(f, s):
+        if f.params.model.R == 2.0**16:
+            raise PreconditionError("first entry aborts")
+        if f.params.model.R > 2.0**17:
+            raise QuadratureError("node cap reached")
+        return real(f, s)
+
+    monkeypatch.setattr(counterexample, "sobolev_norm", failing)
+    with pytest.raises(ExperimentError, match=r"^ladder entry R=262144 failed: "
+                       r"QuadratureError: node cap reached$") as info:
+        lower_bound_experiment(_exp_ladder(16, 19), 100, 0)
+    # the abort before the failing entry is carried, and none after it
+    assert info.value.aborted == ((2.0**16, "first entry aborts"),)
 
 
 def test_experiment_reports_all_aborts():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrodmax import maximal
 from schrodmax.maximal import (
     ScalingReport,
     SpaceGrid,
@@ -308,60 +309,61 @@ def _power_family(R):
     return Case1Product(ModelParams(d=2, gamma=1.0, R=R))
 
 
-def _power_ratio(exponent):
-    def ratio_fn(f, gamma, grids):
-        return f.model.R**exponent
-    return ratio_fn
+def _cheap_grids(R):
+    return TimeGrid.hybrid(R, geometric=6, cap=16), SpaceGrid(1.0, 5)
 
 
-def test_exponent_sweep_ladder_validation():
+def _power_ratio(monkeypatch, exponent):
+    monkeypatch.setattr(maximal, "maximal_ratio",
+                        lambda f, gamma, grids: f.model.R**exponent)
+
+
+def test_exponent_sweep_ladder_validation(monkeypatch):
+    _power_ratio(monkeypatch, 0.1)
     with pytest.raises(ValueError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0), lambda R: None,
-                       ratio_fn=_power_ratio(0.1))
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0), _cheap_grids)
     with pytest.raises(ValueError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 24.0), lambda R: None,
-                       ratio_fn=_power_ratio(0.1))
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 24.0), _cheap_grids)
 
 
-def test_exponent_sweep_verdict_sides():
+def test_exponent_sweep_verdict_sides(monkeypatch):
     ladder = (4.0, 8.0, 16.0, 32.0)
-    rep = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
-                         ratio_fn=_power_ratio(0.2))
+    _power_ratio(monkeypatch, 0.2)
+    rep = exponent_sweep(_power_family, 1.0, ladder, _cheap_grids)
     assert rep.target == 0.0
     assert rep.fitted_slope == pytest.approx(0.2, abs=1e-9)
     assert not rep.verdict
-    assert all(meta == "external-ratio" for _, _, meta in rep.entries)
-    assert exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
-                          ratio_fn=_power_ratio(0.05)).verdict
+    _power_ratio(monkeypatch, 0.05)
+    assert exponent_sweep(_power_family, 1.0, ladder, _cheap_grids).verdict
 
 
-def test_exponent_sweep_failure_carries_partial_report():
+def test_exponent_sweep_failure_carries_partial_report(monkeypatch):
     def flaky(f, gamma, grids):
         if f.model.R > 16.0:
             raise RuntimeError("boom")
         return f.model.R**0.1
 
+    monkeypatch.setattr(maximal, "maximal_ratio", flaky)
     with pytest.raises(SweepError) as info:
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), lambda R: None,
-                       ratio_fn=flaky)
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), _cheap_grids)
     partial = info.value.partial
     assert isinstance(partial, ScalingReport)
     assert len(partial.entries) == 3
     assert math.isnan(partial.fitted_slope)
     assert not partial.verdict
 
+    monkeypatch.setattr(maximal, "maximal_ratio", lambda f, g, gr: 0.0)
     with pytest.raises(SweepError):
-        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), lambda R: None,
-                       ratio_fn=lambda f, g, gr: 0.0)
+        exponent_sweep(_power_family, 1.0, (4.0, 8.0, 16.0, 32.0), _cheap_grids)
 
 
-def test_exponent_sweep_pool_map_matches_serial():
+def test_exponent_sweep_pool_map_matches_serial(monkeypatch):
     ladder = (4.0, 8.0, 16.0, 32.0)
-    serial = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
-                            ratio_fn=_power_ratio(0.07))
+    _power_ratio(monkeypatch, 0.07)
+    serial = exponent_sweep(_power_family, 1.0, ladder, _cheap_grids)
     with ThreadPoolExecutor(max_workers=3) as pool:
-        pooled = exponent_sweep(_power_family, 1.0, ladder, lambda R: None,
-                                ratio_fn=_power_ratio(0.07), map_fn=pool.map)
+        pooled = exponent_sweep(_power_family, 1.0, ladder, _cheap_grids,
+                                map_fn=pool.map)
     assert pooled == serial
 
 
