@@ -341,10 +341,7 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
     return records, summary, verdicts
 
 
-def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
-    rng = default_rng(cfg["seed"])
-    records = []
-
+def _gauss_suite(rng):
     checked = 0
     worst = 0.0
     for q in range(4, 65, 4):
@@ -356,14 +353,16 @@ def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
                 if not gauss_modulus_law(p):
                     worst = math.inf
                 checked += 1
-    records.append({"suite": "gauss", "cases": checked, "worst": worst})
-    gauss_ok = math.isfinite(worst)
+    return checked, worst, math.isfinite(worst)
 
+
+def _weyl_suite(rng):
     caps = (256, 1024)
     rho = weyl_calibration(n_caps=caps, q_max=32)
-    records.append({"suite": "weyl", "cases": 2, "worst": rho[caps[1]] / rho[caps[0]]})
-    weyl_ok = rho[caps[1]] < 2.0 * rho[caps[0]]
+    return 2, rho[caps[1]] / rho[caps[0]], rho[caps[1]] < 2.0 * rho[caps[0]]
 
+
+def _abel_suite(rng):
     worst = 0.0
     n_abel = 200
     for _ in range(n_abel):
@@ -375,9 +374,10 @@ def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
             coeff, lambda n: complex(np.exp(1j * omega * n * n)), M, N)
         scale = max(abs(lhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
-    records.append({"suite": "abel", "cases": n_abel, "worst": worst})
-    abel_ok = worst <= 1e-12
+    return n_abel, worst, worst <= 1e-12
 
+
+def _vitali_suite(rng):
     n_vitali = 200
     failures = 0
     for _ in range(n_vitali):
@@ -392,9 +392,10 @@ def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
             vitali_scaled_union(fam)
         except AssertionError:
             failures += 1
-    records.append({"suite": "vitali", "cases": n_vitali, "worst": float(failures)})
-    vitali_ok = failures == 0
+    return n_vitali, float(failures), failures == 0
 
+
+def _dirichlet_suite(rng):
     n_dir = 100
     worst = 0.0
     for _ in range(n_dir):
@@ -404,17 +405,31 @@ def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
         q, a = dirichlet_simultaneous(target, Q)
         err = max(abs(target[j] - TWO_PI * a[j] / q) for j in range(k))
         worst = max(worst, err * q * Q ** (1.0 / k) / TWO_PI)
-    records.append({"suite": "dirichlet", "cases": n_dir, "worst": worst})
-    dir_ok = worst <= 1.0 + 1e-12
+    return n_dir, worst, worst <= 1.0 + 1e-12
 
-    verdicts = {
-        "gauss": gauss_ok,
-        "weyl": weyl_ok,
-        "abel": abel_ok,
-        "vitali": vitali_ok,
-        "dirichlet": dir_ok,
-    }
+
+# each suite maps the run's generator to (cases, worst, verdict); they run
+# in this order on one generator
+_LEMMA_SUITES = {
+    "gauss": _gauss_suite,
+    "weyl": _weyl_suite,
+    "abel": _abel_suite,
+    "vitali": _vitali_suite,
+    "dirichlet": _dirichlet_suite,
+}
+_LEMMA_FIELDS = ("suite", "cases", "worst")
+
+
+def _run_lemmas_verify(cfg: ExperimentConfig, map_fn):
+    rng = default_rng(cfg["seed"])
+    records, verdicts = [], {}
     summary = {"seed": cfg["seed"]}
+    for name, suite in _LEMMA_SUITES.items():
+        try:
+            cases, worst, verdicts[name] = suite(rng)
+        except Exception as exc:
+            raise RunFailed(exc, records, summary, _LEMMA_FIELDS) from exc
+        records.append({"suite": name, "cases": cases, "worst": worst})
     return records, summary, verdicts
 
 
@@ -433,32 +448,39 @@ def _run_propagator_check(cfg: ExperimentConfig, map_fn):
     # values below the quadrature's rounding floor, in the same scaled
     # units, are rounding noise in both evaluators and agree only to it
     floor = _ROUNDING * l1_fourier_mass(f)
-    passed, below = True, 0
-    for _ in range(cfg["points"]):
-        x = (float(rng.uniform(x1_lo, x1_lo / 2.0)),
-             *(float(rng.uniform(-cp.c1, cp.c1))
-               for _ in range(cfg["model.d"] - 1)))
-        t = float(rng.uniform(0.0, 2.0 / m.R))
-        pt = SpaceTimePoint(x=x, t=t)
-        fac = factorized_evaluate(
-            cp, pt,
-            gamma_eval=cfg["model.gamma"] if cfg["model.gamma"] > 2.0 else None)
-        direct = abs(evaluate_p_gamma(f, cfg["model.gamma"], pt, rtol=1e-8))
-        gap = abs(fac.product_modulus - scale * direct)
-        rel = gap / (scale * direct)
-        worst = max(worst, rel)
-        passed = passed and gap <= 1e-4 * scale * direct + floor
-        below += scale * direct < floor
-        records.append({
-            "t": t,
-            "factorized": fac.product_modulus,
-            "direct_scaled": scale * direct,
-            "rel_error": rel,
-            **{f"x{i + 1}": v for i, v in enumerate(x)},
-        })
+    passed, below, failure = True, 0, None
+    try:
+        for _ in range(cfg["points"]):
+            x = (float(rng.uniform(x1_lo, x1_lo / 2.0)),
+                 *(float(rng.uniform(-cp.c1, cp.c1))
+                   for _ in range(cfg["model.d"] - 1)))
+            t = float(rng.uniform(0.0, 2.0 / m.R))
+            pt = SpaceTimePoint(x=x, t=t)
+            fac = factorized_evaluate(
+                cp, pt,
+                gamma_eval=cfg["model.gamma"] if cfg["model.gamma"] > 2.0 else None)
+            direct = abs(evaluate_p_gamma(f, cfg["model.gamma"], pt, rtol=1e-8))
+            gap = abs(fac.product_modulus - scale * direct)
+            rel = gap / (scale * direct)
+            worst = max(worst, rel)
+            passed = passed and gap <= 1e-4 * scale * direct + floor
+            below += scale * direct < floor
+            records.append({
+                "t": t,
+                "factorized": fac.product_modulus,
+                "direct_scaled": scale * direct,
+                "rel_error": rel,
+                **{f"x{i + 1}": v for i, v in enumerate(x)},
+            })
+    except Exception as exc:
+        failure = exc
     summary = {"worst_rel_error": worst, "points": len(records),
                "R": cfg["model.R"], "rounding_floor": floor,
                "points_below_floor": below}
+    if failure is not None:
+        fields = ("t", "factorized", "direct_scaled", "rel_error",
+                  *(f"x{i + 1}" for i in range(cfg["model.d"])))
+        raise RunFailed(failure, records, summary, fields) from failure
     verdicts = {"factorized-vs-direct": bool(passed)}
     return records, summary, verdicts
 

@@ -11,12 +11,14 @@ log-log slopes against the predicted exponents.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .profiles import SpectrumDescriptor, l2_norm
-from .propagator import _CHUNK, _DECAY_CUTOFF, _decay, _field_factors
+from .propagator import _DECAY_CUTOFF, _decay, _field_factors
+from .quadrature import _CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,14 @@ class TimeGrid:
         """Geometric points in (0, R^-2] then uniform spacing R^-2/4 up to t_max.
 
         The uniform part is thinned to keep the total at or below cap.
+        Raises ValueError once R^-2/4 leaves the normal doubles (R > 2^510),
+        where the count of uniform steps overflows or R^-2 underflows to 0.
         """
         if R < 1.0 or not 0.0 < t_max <= 1.0:
             raise ValueError("need R >= 1 and t_max in (0, 1]")
         knee = min(R ** -2.0, t_max)
+        if knee < 4.0 * sys.float_info.min:
+            raise ValueError(f"R={R:g} too large: the time step R^-2/4 underflows")
         geo = knee * 2.0 ** -np.arange(geometric - 1, -1, -1, dtype=float)
         n_uni = int(math.floor((t_max - knee) / (knee / 4.0)))
         n_uni = min(n_uni, max(cap - geometric, 0))
@@ -274,13 +280,15 @@ def check_ladder(scales) -> None:
 
 
 def _sweep_task(task):
-    """Evaluate one sweep entry; returns a tagged result so pools can run it."""
-    f, gamma, g = task
+    """Build one sweep entry's grids and evaluate it; returns a tagged result
+    so pools can run it, the ratio with a description of the grids."""
+    f, gamma, grids, R = task
     try:
-        ratio = float(maximal_ratio(f, gamma, g))
+        tg, sg = grids(R)
+        ratio = float(maximal_ratio(f, gamma, (tg, sg)))
     except Exception as exc:
         return "err", f"{type(exc).__name__}: {exc}"
-    return "ok", ratio
+    return "ok", (ratio, f"time={tg.count} space={sg.per_axis}^{f.dim}")
 
 
 def exponent_sweep(family, gamma: float, ladder, grids, *,
@@ -296,22 +304,17 @@ def exponent_sweep(family, gamma: float, ladder, grids, *,
     check_ladder(ladder)
     probe = family(ladder[0])
     target = theoretical_exponent(probe.dim, gamma)
-    tasks, metas = [], []
-    for R in ladder:
-        f = family(R)
-        tg, sg = grids(R)
-        metas.append(f"time={tg.count} space={sg.per_axis}^{f.dim}")
-        tasks.append((f, gamma, (tg, sg)))
+    tasks = [(family(R), gamma, grids, R) for R in ladder]
     entries = []
-    for R, meta, (status, payload) in zip(ladder, metas,
-                                          map_fn(_sweep_task, tasks)):
+    for R, (status, payload) in zip(ladder, map_fn(_sweep_task, tasks)):
         if status == "err":
             raise SweepError(f"ladder entry R={R:g} failed: {payload}",
                              _partial_report(entries, target))
-        if not payload > 0.0:
-            raise SweepError(f"ladder entry R={R:g} returned ratio {payload:g}",
+        ratio, meta = payload
+        if not ratio > 0.0:
+            raise SweepError(f"ladder entry R={R:g} returned ratio {ratio:g}",
                              _partial_report(entries, target))
-        entries.append((R, payload, meta))
+        entries.append((R, ratio, meta))
     slope, stderr = fit_loglog([e[0] for e in entries], [e[1] for e in entries])
     return ScalingReport(entries=tuple(entries), fitted_slope=slope,
                          slope_stderr=stderr, target=target,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import MAX_NODES, double_panels, gauss_legendre
+from .quadrature import _CHUNK, MAX_NODES, double_panels, gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -564,9 +564,6 @@ def _sphere_area(d: int) -> float:
 _U_STEP = 0.3
 _U_TAIL = 1e-12
 
-# entries in one (u node, frequency node) table of a norm
-_TABLE = 1 << 16
-
 
 def _weight_rule(a: float, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes e^u and weights w with (1+X)^{-a} = sum w e^{-e^u (1+X)} on [x_min, x_max].
@@ -606,7 +603,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float, rtol: float) ->
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)
     wt = wt * np.exp(-t) * math.factorial(n)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])
-    step = max(1, _TABLE // t.size)
+    step = max(1, _CHUNK // t.size)
 
     def moments(e, profile, u, w):
         """m_k(u) = sum wx x^{2k} e^{-e^u x^2} / k! over the factor's nodes x."""

@@ -66,7 +66,7 @@ from .profiles import (
     mollifier_mass,
     radial_profile,
 )
-from .quadrature import MAX_NODES, double_panels, panel_nodes, panels_for_rate
+from .quadrature import _CHUNK, MAX_NODES, double_panels, panel_nodes, panels_for_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,9 +108,6 @@ class TorusCoefficient:
 
 # ---------------------------------------------------------------------------
 # the grid engine: field matrices over a point set times a time set
-
-# entries in one exponential table or GEMM operand
-_CHUNK = 1 << 16
 
 
 def _decay(t: np.ndarray, gamma: float) -> np.ndarray:
@@ -482,18 +479,29 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     (sample, node) array: no exponential per translate and no
     (sample, translate, node) array; one translate needs no z table.  On
     the comb the powers stay bounded: |z|^L = e^{-2 t^gamma D v L} is
-    near one, as t^gamma D L ~ 1/R there.
+    near one, as t^gamma D L ~ 1/R there.  The samples run in blocks of
+    _CHUNK / nodes rows, so each (sample, node) table holds about _CHUNK
+    entries whatever the sample count; every step is per (sample, node)
+    and each row's node sum is its own dot product, so the blocks change
+    no value.
     """
     v = scale * u
-    poly = np.empty((x.size, u.size), dtype=complex)
-    poly[:] = coef[-1][:, None]
-    if coef.shape[0] > 1:
-        z = np.exp(np.outer(2.0 * step * lam, v))
-        for row in coef[-2::-1]:
-            poly *= z
-            poly += row[:, None]
-    poly *= np.exp(1j * np.outer(x, v) + np.outer(lam, v * (v + 2.0 * center)))
-    return poly @ (_unit_bump(u) * w)
+    shift = v * (v + 2.0 * center)
+    weights = _unit_bump(u) * w
+    out = np.empty(x.size, dtype=complex)
+    block = max(1, _CHUNK // u.size)
+    for lo in range(0, x.size, block):
+        xb, lb, cb = x[lo:lo + block], lam[lo:lo + block], coef[:, lo:lo + block]
+        poly = np.empty((xb.size, u.size), dtype=complex)
+        poly[:] = cb[-1][:, None]
+        if cb.shape[0] > 1:
+            z = np.exp(np.outer(2.0 * step * lb, v))
+            for row in cb[-2::-1]:
+                poly *= z
+                poly += row[:, None]
+        poly *= np.exp(1j * np.outer(xb, v) + np.outer(lb, shift))
+        out[lo:lo + block] = poly @ weights
+    return out
 
 
 def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
@@ -507,10 +515,11 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     translates.  Panels start from rate, a bound on the phase rate in u.
     """
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
-    # rows per call keep the (sample, translate) coefficient table near
-    # 2^16 entries; the rows of one call converge together, so the chunk
-    # also fixes the passes and nodes each sample spends
-    chunk = max(1, (1 << 22) // (size * _FACTOR_ORDER))
+    # rows per call keep the (translate, sample) coefficient table near
+    # _CHUNK entries; the rows of one call converge together, so the chunk
+    # also fixes the passes and nodes each sample spends.  _bump_sum holds
+    # the (sample, node) tables of a pass near _CHUNK entries by row blocks
+    chunk = max(1, _CHUNK // size)
     out = np.empty(x.size, dtype=complex)
     for lo in range(0, x.size, chunk):
         rows = slice(lo, lo + chunk)

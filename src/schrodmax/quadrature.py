@@ -21,6 +21,12 @@ from numpy.polynomial.legendre import leggauss
 # hard ceiling on nodes spent inside one integral evaluation
 MAX_NODES = 1 << 26
 
+# entries in one table held at once: an exponential table or GEMM operand
+# of the grid engine, a (sample, node) table or (translate, sample)
+# coefficient table of the factorized engine, a (u node, frequency node)
+# table of a norm
+_CHUNK = 1 << 16
+
 # rounding floor per unit of L1 mass: passes closer than this agree
 _ROUNDING = 64.0 * np.finfo(float).eps
 

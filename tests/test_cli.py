@@ -369,6 +369,58 @@ def test_main_maximal_sweep_failure_keeps_partial_entries(tmp_path, capsys,
     assert [r["R"] for r in rows] == [4]
 
 
+def test_main_maximal_sweep_beyond_double_range_writes_the_report(tmp_path, capsys):
+    out = tmp_path / "huge"
+    rc = main(["maximal-sweep", "--d", "1", "--gamma", "0.5",
+               "--ladder", "2^600 2^601 2^602 2^603",
+               "--set", "space.per_axis=4", "--out", str(out)])
+    assert rc == 3
+    assert "run failed: SweepError" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and payload["verdicts"] == {}
+    assert f"ladder entry R={2.0**600:g} failed: ValueError" in payload["failure"]
+    assert (out / "records.csv").read_text() == ",".join(cli._SWEEP_FIELDS) + "\n"
+
+
+def test_main_propagator_check_failure_keeps_the_points_reached(tmp_path, capsys,
+                                                                monkeypatch):
+    real, calls = cli.evaluate_p_gamma, []
+
+    def failing(*args, **kw):
+        calls.append(None)
+        if len(calls) > 1:
+            raise QuadratureError("node cap reached")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "evaluate_p_gamma", failing)
+    out = tmp_path / "check"
+    rc = main(["propagator-check", "--R", "256", "--points", "2", "--out", str(out)])
+    assert rc == 3
+    assert "run failed: QuadratureError: node cap reached" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failure"] == "QuadratureError: node cap reached"
+    assert payload["verdicts"] == {} and payload["summary"]["points"] == 1
+    rows = parse_csv((out / "records.csv").read_text())
+    assert len(rows) == 1 and set(rows[0]) == {"t", "factorized", "direct_scaled",
+                                               "rel_error", "x1", "x2"}
+
+
+def test_main_lemmas_verify_failure_keeps_the_suites_reached(tmp_path, capsys,
+                                                             monkeypatch):
+    def failing(**kw):
+        raise ArithmeticError("calibration diverged")
+
+    monkeypatch.setattr(cli, "weyl_calibration", failing)
+    out = tmp_path / "lemmas"
+    rc = main(["lemmas-verify", "--out", str(out)])
+    assert rc == 3
+    assert "run failed: ArithmeticError" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failure"] == "ArithmeticError: calibration diverged"
+    assert [r["suite"] for r in payload["records"]] == ["gauss"]
+    assert [r["suite"] for r in parse_csv((out / "records.csv").read_text())] == ["gauss"]
+
+
 def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, capsys):
     # below the construction's validity scale (2^6) and above it (2^16)
     for ladder in ("2^6 2^7 2^8 2^9", "2^16 2^17 2^18 2^19"):

@@ -61,6 +61,15 @@ def test_time_grid_hybrid_shape():
         TimeGrid.hybrid(16.0, t_max=1.5)
 
 
+@pytest.mark.parametrize("R", [2.0**511, 2.0**512, 2.0**600])
+def test_time_grid_hybrid_rejects_scales_past_double_range(R):
+    """R^-2/4 is no normal double past R = 2^510: the step count overflows
+    at 2^511 and R^-2 underflows to 0 at 2^600."""
+    with pytest.raises(ValueError, match="underflows"):
+        TimeGrid.hybrid(R)
+    assert TimeGrid.hybrid(2.0**510, cap=80).t_max == 1.0
+
+
 def test_time_grid_hybrid_cap_thins_uniform_part():
     g = TimeGrid.hybrid(64.0, geometric=8, cap=40)
     assert g.count <= 40

@@ -572,3 +572,25 @@ def test_factorized_batch_holds_no_translate_by_node_table():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_factorized_batch_tables_stay_within_the_budget():
+    """4096 ladder points at R=2^16 peak below 8 MB: every (sample, node) table
+    runs in row blocks of the table budget (24.5 MB as one block per pass)."""
+    cp, x, t = _ladder_points(2 ** 16, 4096, draws=60000)
+    tracemalloc.start()
+    try:
+        _factorized_batch(cp, x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_factorized_batch_moduli_do_not_depend_on_the_table_budget(monkeypatch):
+    """A budget of 4096 entries splits each pass into many row blocks and the
+    comb into more convergence groups; the moduli stay bit for bit the same."""
+    cp, x, t = _ladder_points(2 ** 16, 4096, draws=60000)
+    want = _factorized_batch(cp, x, t)[2]
+    monkeypatch.setattr(propagator, "_CHUNK", 4096)
+    assert np.array_equal(_factorized_batch(cp, x, t)[2], want)
