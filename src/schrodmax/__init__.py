@@ -27,13 +27,10 @@ from .profiles import (
 from .propagator import (
     FactorizedEvaluation,
     SpaceTimePoint,
-    TorusCoefficient,
     abel_main_plus_error,
-    dissipative_tail_bound,
     evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,
-    torus_coefficient,
 )
 from .maximal import (
     ScalingReport,
@@ -41,7 +38,6 @@ from .maximal import (
     TimeGrid,
     exponent_sweep,
     l2_ball_norm,
-    lemma1_bound,
     maximal_ratio,
     sup_over_time,
     theoretical_exponent,

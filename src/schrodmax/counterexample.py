@@ -202,15 +202,6 @@ def omega_star_chain_bound(cp: CounterexampleParams) -> float:
         * R ** (gamma / 2.0 - 1.0)
 
 
-def omega_multiplicity(cp: CounterexampleParams, y) -> np.ndarray:
-    """How many anchored cells contain each torus point (rows of y)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float)) % TWO_PI
-    d = cp.model.d
-    if y.shape[1] != d:
-        raise ValueError("points must have d coordinates")
-    return _multiplicity(cp, y[:, 0], y[:, 1:])
-
-
 def _multiplicity(cp, y1n, yjn):
     """Cells containing each point (y1n, yjn), both reduced to [0, 2 pi).
 
@@ -328,14 +319,9 @@ def select_time(cp: CounterexampleParams, draws: OmegaStarDraws) -> np.ndarray:
     return t
 
 
-def _translate_range(cp: CounterexampleParams) -> tuple[int, int, float]:
-    start, stop = comb_range(cp)
-    return start, stop, cp.band / cp.D
-
-
 def _check_u(cp, u) -> int:
-    start, stop, lo_real = _translate_range(cp)
-    if not lo_real < u <= stop + 1e-9:
+    _, stop = comb_range(cp)
+    if not cp.band / cp.D < u <= stop + 1e-9:
         raise ValueError("u lies outside the translate range")
     return min(int(math.ceil(u - 1e-12)), stop)
 
@@ -350,7 +336,7 @@ def lattice_sum_S(cp: CounterexampleParams, x_rest, t: float, u: float):
     d = cp.model.d
     if x_rest.size != d - 1:
         raise ValueError("x_rest must have d-1 coordinates")
-    start, _, _ = _translate_range(cp)
+    start, _ = comb_range(cp)
     stop_at = _check_u(cp, u)
     ells = np.arange(start, stop_at, dtype=np.int64)
     if ells.size == 0:
@@ -388,7 +374,7 @@ def lattice_sum_S_tilde(cp: CounterexampleParams, q: int, a1: int, a_rest,
     for a in a_rest:
         if not (isinstance(a, int) and a % 2 == 0 and 2 <= a <= q // 2):
             raise ValueError("rest residues must be even in [2, q/2]")
-    start, _, _ = _translate_range(cp)
+    start, _ = comb_range(cp)
     stop_at = _check_u(cp, u)
     ells = np.arange(start, stop_at, dtype=np.int64)
     if ells.size == 0:
@@ -420,7 +406,7 @@ def calibration_constants(d: int, gamma: float) -> dict:
     for k in range(12, 21):
         R = 2.0 ** k
         cp = CounterexampleParams.with_defaults(ModelParams(d=d, gamma=gamma, R=R))
-        start, stop, lo_real = _translate_range(cp)
+        start, stop = comb_range(cp)
         if stop - start < 2:
             continue
         band = cp.band
@@ -465,7 +451,7 @@ def error_budget(cp: CounterexampleParams, draws: OmegaStarDraws,
     D, Q = cp.D, cp.Q
     band = cp.band
     scale = band / (D * math.sqrt(Q))
-    start, stop, _ = _translate_range(cp)
+    start, stop = comb_range(cp)
     sum_l, sum_l2 = _translate_moments(start, stop)
     _, Aj = _half_widths(cp)
     t = np.asarray(t, dtype=float).reshape(q.shape)

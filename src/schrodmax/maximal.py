@@ -60,14 +60,15 @@ class TimeGrid:
         """Geometric points in (0, R^-2] then uniform spacing R^-2/4 up to t_max.
 
         The uniform part is thinned to keep the total at or below cap.
-        Raises ValueError once R^-2/4 leaves the normal doubles (R > 2^510),
-        where the count of uniform steps overflows or R^-2 underflows to 0.
+        Raises ValueError once the smallest geometric time or the step
+        R^-2/4 leaves the normal doubles (R > 2^479 at 64 geometric times),
+        where times turn subnormal, merge at 0 or the step count overflows.
         """
         if R < 1.0 or not 0.0 < t_max <= 1.0:
             raise ValueError("need R >= 1 and t_max in (0, 1]")
         knee = min(R ** -2.0, t_max)
-        if knee < 4.0 * sys.float_info.min:
-            raise ValueError(f"R={R:g} too large: the time step R^-2/4 underflows")
+        if min(knee * 2.0 ** -(geometric - 1), knee / 4.0) < sys.float_info.min:
+            raise ValueError(f"R={R:g} too large: the smallest time underflows")
         geo = knee * 2.0 ** -np.arange(geometric - 1, -1, -1, dtype=float)
         n_uni = int(math.floor((t_max - knee) / (knee / 4.0)))
         n_uni = min(n_uni, max(cap - geometric, 0))
@@ -210,17 +211,6 @@ def theoretical_exponent(d: int, gamma: float) -> float:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     return min(d / (2.0 * (d + 1)), (d / (d + 1)) * max(1.0 - 1.0 / gamma, 0.0))
-
-
-def lemma1_bound(R: float, J_len: float, eps: float, d: int = 2) -> float:
-    """Sup-count bound for a time interval of length J_len at scale R."""
-    if R < 1.0:
-        raise ValueError("R must be >= 1")
-    if not 0.0 < J_len <= 1.0:
-        raise ValueError("J_len must lie in (0, 1]")
-    if J_len <= 1.0 / R:
-        return 1.0 + R ** (d / (d + 1.0) + eps) * J_len ** (d / (2.0 * (d + 1)))
-    return R ** (d / (2.0 * (d + 1)) + eps)
 
 
 @dataclass(frozen=True)

@@ -96,29 +96,16 @@ def gauss_modulus_law(p: GaussSumParams) -> bool:
 
 @dataclass(frozen=True)
 class WeylPhase:
-    """Phase data for sum_{M <= n < M+N} e^{2 pi i (alpha n^2 + beta n)}.
-
-    anchor, when given, is a reduced rational (a, q) with alpha within
-    1/q^2 of a/q.
-    """
+    """Phase data for sum_{M <= n < M+N} e^{2 pi i (alpha n^2 + beta n)}."""
 
     alpha: float | Fraction
     beta: float | Fraction
     M: int
     N: int
-    anchor: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.anchor is not None:
-            a, q = self.anchor
-            if q < 1:
-                raise ValueError("anchor modulus must be >= 1")
-            if math.gcd(a, q) != 1:
-                raise ValueError("anchor must be a reduced fraction")
-            if abs(float(self.alpha) - a / q) > 1.0 / q ** 2 + 1e-15:
-                raise ValueError("alpha is not within 1/q^2 of its anchor")
 
 
 def _window_sums(A, B: int, L: int, M, N):

@@ -18,6 +18,9 @@ from .quadrature import _CHUNK, MAX_NODES, double_panels, gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
+# convergence tolerance of the norm quadratures
+_NORM_RTOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # the mollifier and its cached masses
@@ -90,23 +93,19 @@ def smoothstep(v):
 
 @dataclass(frozen=True)
 class Bump1D:
-    """Smooth bump supported on (center - width, center + width).
-
-    normalization=None picks the unit-integral constant 1/(width * mass).
-    """
+    """Smooth unit-integral bump supported on (center - width, center + width)."""
 
     center: float = 0.0
     width: float = 1.0
-    normalization: float | None = None
 
     def __post_init__(self):
         if not self.width > 0.0:
             raise ValueError("width must be positive")
-        if self.normalization is None:
-            object.__setattr__(
-                self, "normalization", 1.0 / (self.width * mollifier_mass()))
-        elif not self.normalization > 0.0:
-            raise ValueError("normalization must be positive")
+
+    @property
+    def normalization(self) -> float:
+        """The unit-integral constant 1/(width * mass)."""
+        return 1.0 / (self.width * mollifier_mass())
 
 
 def bump_eval(b: Bump1D, x):
@@ -584,7 +583,7 @@ def _weight_rule(a: float, x_min: float, x_max: float) -> tuple[np.ndarray, np.n
             np.concatenate([[tail], h * np.exp(a * u)]) / math.gamma(a))
 
 
-def _support_integral(f: SpectrumDescriptor, p: float, s: float, rtol: float) -> float:
+def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     """Integral of (1 + |xi|^2)^s |f(xi)|^p over the support of f.
 
     With n = ceil(s), _weight_rule writes (1+X)^{s-n}, X = |xi|^2, as a
@@ -627,22 +626,22 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float, rtol: float) ->
                              for k in range(n + 1)], axis=1)
         return float(wt @ poly[:, n])
 
-    return double_panels(evaluate, 0.0, 1.0, 1, rtol=rtol, order=24,
+    return double_panels(evaluate, 0.0, 1.0, 1, rtol=_NORM_RTOL, order=24,
                          max_nodes=int(MAX_NODES ** (1.0 / len(facs))))
 
 
-def l2_norm(f: SpectrumDescriptor, *, rtol: float = 1e-10) -> float:
+def l2_norm(f: SpectrumDescriptor) -> float:
     """((2 pi)^{-d} integral |f|^2)^{1/2} by adaptive quadrature."""
-    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, 0.0, rtol), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, 0.0), 0.0))
 
 
-def sobolev_norm(f: SpectrumDescriptor, s: float, *, rtol: float = 1e-10) -> float:
+def sobolev_norm(f: SpectrumDescriptor, s: float) -> float:
     """((2 pi)^{-d} integral (1+|xi|^2)^s |f|^2)^{1/2}; s=0 reduces to l2_norm."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, s, rtol), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, s), 0.0))
 
 
-def l1_fourier_mass(f: SpectrumDescriptor, *, rtol: float = 1e-10) -> float:
+def l1_fourier_mass(f: SpectrumDescriptor) -> float:
     """Integral of |f| over the support; the trivial sup bound on evolutions."""
-    return _support_integral(f, 1, 0.0, rtol)
+    return _support_integral(f, 1, 0.0)

@@ -25,8 +25,8 @@ nonnegative nodes only and meets the space table of both signs of xi.
 The Bessel kernel is scipy's jv, imported on the first radial block, so
 importing the package and running data without a radial factor never
 loads scipy.
-The one-point evaluators (the 1 x 1 case), the maximal module's time
-suprema and the tail-bound probe grid all use these factors.
+The one-point evaluators (the 1 x 1 case) and the maximal module's
+time suprema use these factors.
 
 The factorized engine evaluates the lattice-comb data, batched over
 sample points, at a cost that scales with the comb length instead of
@@ -56,15 +56,12 @@ import numpy.ma  # noqa: F401
 
 from .profiles import (
     CounterexampleParams,
-    RadialBump,
     SpectrumDescriptor,
     _mollifier_raw,
     _sphere_area,
     comb_range,
     factors,
-    l2_norm,
     mollifier_mass,
-    radial_profile,
 )
 from .quadrature import _CHUNK, MAX_NODES, double_panels, panel_nodes, panels_for_rate
 
@@ -72,6 +69,9 @@ TWO_PI = 2.0 * math.pi
 
 # e^{-x} below double-precision relevance; used to truncate dissipation
 _DECAY_CUTOFF = 46.0
+
+# convergence tolerance of the one-point factorized evaluations
+_POINT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,6 @@ class FactorizedEvaluation:
     i1: complex
     ij: tuple[complex, ...]
     product_modulus: float
-
-
-@dataclass(frozen=True)
-class TorusCoefficient:
-    """One Fourier coefficient of the dissipated bump on the torus."""
-
-    l: tuple[int, ...]
-    t: float
-    value: complex
 
 
 # ---------------------------------------------------------------------------
@@ -332,109 +323,6 @@ def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
 
 
 # ---------------------------------------------------------------------------
-# the dissipative tail bound
-
-
-def _ball_probe_points(d: int) -> np.ndarray:
-    pts = [np.zeros(d)]
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            v = np.zeros(d)
-            v[axis] = 0.6 * sign
-            pts.append(v)
-    for corner in range(1 << d):
-        v = np.array([0.4 if corner >> a & 1 else -0.4 for a in range(d)])
-        pts.append(v)
-    return np.array(pts)
-
-
-def dissipative_tail_bound(f: SpectrumDescriptor, gamma: float, eps: float, *,
-                           n_times: int = 64, rtol: float = 1e-6) -> float:
-    """Bound e^{-R^eps} R^{d/2} ||f||_2 on the evolution past the time split.
-
-    Also samples |evolution| on a (t, x) probe grid over
-    t in (R^{-2/gamma+eps}, 1) and x in the unit ball, and checks the
-    samples stay below ten times the bound.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    R = f.band_scale
-    bound = math.exp(-R ** eps) * R ** (f.dim / 2.0) * l2_norm(f)
-    t_lo = R ** (-2.0 / gamma + eps)
-    if t_lo >= 1.0:
-        raise ValueError("time window is empty; R too small for this gamma, eps")
-    times = np.geomspace(t_lo, 1.0, n_times + 2)[1:-1]
-    field = _field_grid(f, _ball_probe_points(f.dim), times, _decay(times, gamma), rtol)
-    worst = float(np.max(np.abs(field)))
-    if worst > 10.0 * bound:
-        raise ArithmeticError(
-            f"sampled evolution {worst:g} exceeds ten times the bound {bound:g}")
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# torus Fourier coefficients
-
-
-def _torus_grid_size(d: int) -> int:
-    return 512 if d <= 2 else 128
-
-
-@functools.lru_cache(maxsize=8)
-def _torus_table(t: float, R: float, gamma: float, d: int, n_grid: int):
-    """Midpoint-grid samples of phi(|xi|) e^{-t^gamma R^2 |xi|^2} on [-pi, pi]^d.
-
-    The grid is symmetric under xi -> -xi, which hands conjugate
-    symmetry of the coefficients to the contraction for free.
-    """
-    step = TWO_PI / n_grid
-    xi = -math.pi + (np.arange(n_grid) + 0.5) * step
-    grids = np.meshgrid(*([xi] * d), indexing="ij")
-    r = np.sqrt(sum(g * g for g in grids))
-    table = radial_profile(RadialBump(), r) * np.exp(-(t ** gamma) * R * R * r * r)
-    table *= (step / TWO_PI) ** d
-    return xi, table
-
-
-def torus_coefficient(l, t: float, R: float, gamma: float, *,
-                      eps: float = 0.1) -> TorusCoefficient:
-    """Fourier coefficient of the dissipated annulus bump on the torus."""
-    l = tuple(int(v) for v in np.atleast_1d(l))
-    d = len(l)
-    if d < 1:
-        raise ValueError("l must be a nonempty integer vector")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    t_hi = R ** (-2.0 / gamma + eps)
-    if not 0.0 < t <= t_hi * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {t_hi:g}] for R={R:g}")
-    xi, table = _torus_table(float(t), float(R), float(gamma), d,
-                             _torus_grid_size(d))
-    vecs = [np.exp(-1j * xi * l_a) for l_a in l]
-    value = np.einsum(table, list(range(d)),
-                      *[arg for a, v in enumerate(vecs) for arg in (v, [a])], [])
-    return TorusCoefficient(l=l, t=float(t), value=complex(value))
-
-
-def torus_decay_slope(t: float, R: float, gamma: float, *, d: int = 2,
-                      n_max: int = 64, floor: float = 1e-13) -> float:
-    """Fitted slope of log|C_l| against log(1+|l|) along the first axis."""
-    ns, mags = [], []
-    for n in range(1, n_max + 1):
-        l = (n,) + (0,) * (d - 1)
-        c = abs(torus_coefficient(l, t, R, gamma).value)
-        if c >= floor:
-            ns.append(1.0 + n)
-            mags.append(c)
-    if len(ns) < 4:
-        raise ValueError("too few coefficients above the floor to fit a slope")
-    slope = np.polyfit(np.log(ns), np.log(mags), 1)[0]
-    return float(slope)
-
-
-# ---------------------------------------------------------------------------
 # factorized evaluation of the lattice-comb data
 
 
@@ -587,7 +475,6 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
 
 
 def factorized_evaluate(cp: CounterexampleParams, p: SpaceTimePoint, *,
-                        rtol: float = 1e-10,
                         gamma_eval: float | None = None) -> FactorizedEvaluation:
     """Product-form evaluation of the comb data's evolution at one point.
 
@@ -598,14 +485,14 @@ def factorized_evaluate(cp: CounterexampleParams, p: SpaceTimePoint, *,
     x = np.asarray(p.x, dtype=float)
     if x.size != cp.model.d:
         raise ValueError(f"point dimension {x.size} does not match d={cp.model.d}")
-    i1, ij, modulus = _factorized_batch(cp, x[None, :], np.array([p.t]), rtol=rtol,
-                                        gamma_eval=gamma_eval)
+    i1, ij, modulus = _factorized_batch(cp, x[None, :], np.array([p.t]),
+                                        rtol=_POINT_RTOL, gamma_eval=gamma_eval)
     return FactorizedEvaluation(i1=complex(i1[0]), ij=tuple(complex(v) for v in ij[0]),
                                 product_modulus=float(modulus[0]))
 
 
-def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
-                         rtol: float = 1e-10) -> tuple[complex, float]:
+def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint,
+                         j: int) -> tuple[complex, float]:
     """Dominant term and remainder bound for one comb factor.
 
     j is the 0-based spatial axis; axes 1 .. d-1 carry comb factors.
@@ -627,7 +514,7 @@ def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint, j: int, *,
     decay = tv ** m.gamma
     g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top,
                           lambda rows: np.exp(-np.outer(cp.D ** 2 * top * top, decay)),
-                          rtol)[0]
+                          _POINT_RTOL)[0]
     main = complex(partial[-1] * g_top)
     band = cp.band
     e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s

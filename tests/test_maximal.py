@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from schrodmax.maximal import (
     exponent_sweep,
     fit_loglog,
     l2_ball_norm,
-    lemma1_bound,
     maximal_ratio,
     sup_over_time,
     theoretical_exponent,
@@ -63,11 +63,15 @@ def test_time_grid_hybrid_shape():
 
 @pytest.mark.parametrize("R", [2.0**511, 2.0**512, 2.0**600])
 def test_time_grid_hybrid_rejects_scales_past_double_range(R):
-    """R^-2/4 is no normal double past R = 2^510: the step count overflows
-    at 2^511 and R^-2 underflows to 0 at 2^600."""
+    """The smallest of 64 geometric times, R^-2 2^-63, is no normal double
+    past R = 2^479: the step count overflows at 2^511 and R^-2 underflows
+    to 0 at 2^600."""
     with pytest.raises(ValueError, match="underflows"):
         TimeGrid.hybrid(R)
-    assert TimeGrid.hybrid(2.0**510, cap=80).t_max == 1.0
+    g = TimeGrid.hybrid(2.0**479, cap=80)
+    assert g.count == 80 and g.t_min >= sys.float_info.min
+    with pytest.raises(ValueError, match="underflows"):
+        TimeGrid.hybrid(2.0**480, cap=80)
 
 
 def test_time_grid_hybrid_cap_thins_uniform_part():
@@ -261,28 +265,6 @@ def test_theoretical_exponent_known_values():
         theoretical_exponent(0, 2.0)
     with pytest.raises(ValueError):
         theoretical_exponent(2, 0.0)
-
-
-def test_lemma1_bound_branches():
-    R, eps = 64.0, 0.01
-    short = lemma1_bound(R, 1.0 / R**2, eps)
-    assert short == pytest.approx(
-        1.0 + R ** (2.0 / 3.0 + eps) * (R**-2.0) ** (1.0 / 3.0))
-    assert lemma1_bound(R, 0.5, eps) == pytest.approx(R ** (1.0 / 3.0 + eps))
-    with pytest.raises(ValueError):
-        lemma1_bound(0.5, 0.1, eps)
-    with pytest.raises(ValueError):
-        lemma1_bound(R, 1.5, eps)
-
-
-def test_lemma1_bound_branches_agree_at_knee():
-    # the long branch is constant in J_len, so sample it anywhere above 1/R
-    for d in (1, 2, 3):
-        for eps in (0.0, 0.01):
-            for R in (8.0, 64.0, 500.0):
-                at_knee = lemma1_bound(R, 1.0 / R, eps, d)
-                plateau = lemma1_bound(R, 0.9, eps, d)
-                assert at_knee == pytest.approx(1.0 + plateau, rel=1e-12)
 
 
 def test_theoretical_exponent_monotone_and_saturates():

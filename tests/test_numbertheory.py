@@ -152,11 +152,6 @@ def test_weyl_sum_rational_matches_direct_sum(a, q, b, r, M, N):
 
 
 def test_weyl_anchor_validation():
-    WeylPhase(alpha=0.2501, beta=0.0, M=0, N=4, anchor=(1, 4))
-    with pytest.raises(ValueError):
-        WeylPhase(alpha=0.4, beta=0.0, M=0, N=4, anchor=(1, 4))
-    with pytest.raises(ValueError):
-        WeylPhase(alpha=0.5, beta=0.0, M=0, N=4, anchor=(2, 4))
     with pytest.raises(ValueError):
         WeylPhase(alpha=0.5, beta=0.0, M=0, N=0)
 

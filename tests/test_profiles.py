@@ -96,8 +96,6 @@ def test_bump_support(center, width, x):
 def test_bump_validation():
     with pytest.raises(ValueError):
         Bump1D(width=0.0)
-    with pytest.raises(ValueError):
-        Bump1D(width=1.0, normalization=-2.0)
 
 
 def test_radial_bump_plateau_and_support():

@@ -41,12 +41,9 @@ from schrodmax.propagator import (
     _plane_phase_sum,
     _unit_bump,
     abel_main_plus_error,
-    dissipative_tail_bound,
     evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,
-    torus_coefficient,
-    torus_decay_slope,
 )
 from schrodmax.quadrature import double_panels, panel_nodes
 
@@ -381,33 +378,6 @@ def test_asymmetric_cell_keeps_every_time_table_row(time_table_rows):
     _cell_matrix(node_sum, profile, cells, _cell_masses(f, 0), _mesh(1)[:, 0], t,
                  _decay(t, 0.5), 1e-9)
     assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
-
-
-def test_dissipative_tail_bound_properties():
-    f = AnnulusBump(d=2, R=6.0)
-    bound = dissipative_tail_bound(f, 2.0, 0.3, n_times=8)
-    assert bound > 0.0
-    assert dissipative_tail_bound(f, 2.0, 0.5, n_times=8) < bound
-    with pytest.raises(ValueError):
-        dissipative_tail_bound(f, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        dissipative_tail_bound(f, 0.0, 0.3)
-
-
-def test_torus_coefficient_symmetry_and_center():
-    t, R, gamma = 1e-3, 8.0, 2.0
-    c0 = torus_coefficient((0, 0), t, R, gamma)
-    assert c0.value.imag == pytest.approx(0.0, abs=1e-12)
-    assert c0.value.real > 0.0
-    cp = torus_coefficient((3, 1), t, R, gamma)
-    cm = torus_coefficient((-3, -1), t, R, gamma)
-    assert cm.value == pytest.approx(cp.value.conjugate(), rel=1e-10)
-    with pytest.raises(ValueError):
-        torus_coefficient((0, 0), 0.9, R, gamma)
-
-
-def test_torus_coefficients_decay():
-    assert torus_decay_slope(1e-3, 8.0, 2.0, d=2, n_max=24) < -1.0
 
 
 def _box_points(cp, n, seed):
