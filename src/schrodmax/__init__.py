@@ -9,7 +9,6 @@ threshold for pointwise convergence.
 __version__ = "0.1.0"
 
 from .profiles import (
-    AnnulusBump,
     Bump1D,
     Case1Product,
     Case3Counterexample,
@@ -17,7 +16,6 @@ from .profiles import (
     ModelParams,
     Modulated,
     PlaneWaveSurrogate,
-    RadialBump,
     SpectrumDescriptor,
     bump_eval,
     l2_norm,

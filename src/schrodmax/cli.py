@@ -105,12 +105,20 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _as_real(text: str) -> float:
+    """A finite float: inf, nan and overflowing texts are refused like any bad text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def _parse_ladder(text: str) -> tuple[float, ...]:
     vals = []
     for tok in text.replace(",", " ").split():
         base, caret, exp = tok.partition("^")
         try:
-            vals.append(float(base) ** (float(exp) if caret else 1.0))
+            vals.append(_as_real(base) ** (_as_real(exp) if caret else 1.0))
         except (ValueError, OverflowError):
             raise ConfigError(f"ladder: cannot parse entry {tok!r}") from None
     return tuple(vals)
@@ -535,13 +543,13 @@ _KEYS: dict[str, _Key] = {
     "verb": _Key(str, "one of " + ", ".join(_VERBS), lambda v: v in _VERBS),
     "model.d": _Key(_as_int, "an integer >= 1", lambda v: v >= 1, "2",
                     "d", "dimension"),
-    "model.gamma": _Key(float, "a positive real", lambda v: v > 0.0, "2.0",
+    "model.gamma": _Key(_as_real, "a positive real", lambda v: v > 0.0, "2.0",
                         "gamma", "dissipation exponent"),
-    "model.R": _Key(float, "a real >= 2", lambda v: v >= 2.0, None,
+    "model.R": _Key(_as_real, "a real >= 2", lambda v: v >= 2.0, None,
                     "R", "frequency scale"),
     "ladder": _Key(_parse_ladder, "a geometric ladder", lambda v: check_ladder(v) is None,
                    None, "ladder", "R scales, e.g. '2^16 2^17 2^18 2^19'"),
-    "s": _Key(float, "a nonnegative real", lambda v: v >= 0.0, "0.0",
+    "s": _Key(_as_real, "a nonnegative real", lambda v: v >= 0.0, "0.0",
               "s", "Sobolev regularity of the data"),
     "samples": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "2000",
                     "samples", "draws per scale"),
@@ -555,11 +563,11 @@ _KEYS: dict[str, _Key] = {
     "out": _Key(str, "a directory path", bool, None, "out", "output directory"),
     "time.geometric": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
     "time.cap": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "16384"),
-    "time.t_max": _Key(float, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0, "1.0"),
-    "space.radius": _Key(float, "a positive real", lambda v: v > 0.0, "1.0"),
+    "time.t_max": _Key(_as_real, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0, "1.0"),
+    "space.radius": _Key(_as_real, "a positive real", lambda v: v > 0.0, "1.0"),
     "space.per_axis": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
-    **{f"ce.{name}": _Key(float, "a positive real", lambda v: v > 0.0)
-       for name in ("c0", "c1", "c2", "c3", "c4", "mu0", "delta0", "eps0")},
+    **{f"ce.{name}": _Key(_as_real, "a positive real", lambda v: v > 0.0)
+       for name in ("c0", "c1", "c2", "c3", "c4", "mu0", "delta0")},
 }
 
 
@@ -629,17 +637,21 @@ def run(config: ExperimentConfig) -> RunReport:
     part way still writes both, with no verdicts, the reason under
     "failure" and the rows and summary it had reached.
     """
-    runner = _VERBS[config["verb"]].runner
+    verb = _VERBS[config["verb"]]
+    # the ladder verbs map one task per ladder entry, the others none; a
+    # pool forks all its workers at once, so it gets no more than the tasks
+    tasks = len(config["ladder"]) if "ladder" in verb.required else 0
+    workers = min(config["workers"], tasks)
     started = time.monotonic()
     failure, fieldnames = None, None
     try:
-        if config["workers"] > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
-                records, summary, verdicts = runner(config, pool.map)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records, summary, verdicts = verb.runner(config, pool.map)
         else:
-            records, summary, verdicts = runner(config, map)
+            records, summary, verdicts = verb.runner(config, map)
     except RunFailed as exc:
         records, summary, verdicts = exc.records, exc.summary, {}
         failure, fieldnames = str(exc), exc.fieldnames

@@ -1,16 +1,16 @@
 """Frequency-side data profiles and their L2 / Sobolev norms.
 
-Profiles are symbolic descriptors: a smooth 1d bump, a radial plateau
-bump, tensor products, a translated comb along a frequency lattice, and
-modulations of any of these.  factors, the one family dispatch, gives
-pointwise values, norms and the propagator's grid engine per-axis or
-radial factors to read.  Norms map one composite rule onto all support
-cells at once, so nothing here ever commits to a global sampling grid.
+Profiles are symbolic descriptors: a smooth 1d bump, tensor products, a
+translated comb along a frequency lattice, and modulations of any of
+these.  factors, the one family dispatch, gives pointwise values, norms
+and the propagator's grid engine per-axis factors to read.  Norms map
+one composite rule onto all support cells at once, so nothing here ever
+commits to a global sampling grid.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,7 @@ def _mollifier_raw(u):
 
 @functools.lru_cache(maxsize=1)
 def mollifier_mass() -> float:
-    """Integral of exp(-1/(1-u^2)) over (-1, 1), fixed once at high order.
-
-    This normalises the bumps; smoothstep normalises by _ramp_mass instead.
-    """
+    """Integral of exp(-1/(1-u^2)) over (-1, 1), fixed once at high order."""
     x, w = gauss_legendre(256)
     return float(np.dot(_mollifier_raw(x), w))
 
@@ -52,39 +49,6 @@ def mollifier_sq_mass() -> float:
     x, w = gauss_legendre(256)
     v = _mollifier_raw(x)
     return float(np.dot(v * v, w))
-
-
-# nodes of the rule behind both the ramp's partial and full masses
-_RAMP_NODES = 96
-
-
-@functools.lru_cache(maxsize=1)
-def _ramp_mass() -> float:
-    """Integral of exp(-1/(1-u^2)) over (-1, 1) under the ramp's own rule."""
-    x, w = gauss_legendre(_RAMP_NODES)
-    return float(np.dot(_mollifier_raw(x), w))
-
-
-def smoothstep(v):
-    """C-infinity monotone ramp with values in [0, 1]: 0 for v <= -1, 1 for v >= 1.
-
-    Inside (-1, 1) it is the partial mollifier mass over (-1, v) divided by
-    the full mass, both under the same 96-node rule so the ratio meets 1 at
-    v = 1; rounding can still leave it an ulp outside [0, 1], so it is
-    clipped there.
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape)
-    out[v >= 1.0] = 1.0
-    mid = (v > -1.0) & (v < 1.0)
-    if np.any(mid):
-        vm = v[mid]
-        x, w = gauss_legendre(_RAMP_NODES)
-        half = 0.5 * (vm + 1.0)
-        nodes = -1.0 + half[:, None] * (x[None, :] + 1.0)
-        ramp = (_mollifier_raw(nodes) @ w) * half / _ramp_mass()
-        out[mid] = np.clip(ramp, 0.0, 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,43 +86,17 @@ def bump_sq_integral(b: Bump1D) -> float:
     return b.normalization ** 2 * b.width * mollifier_sq_mass()
 
 
-@dataclass(frozen=True)
-class RadialBump:
-    """Radial plateau profile: 1 on 1/2 <= r <= 2, 0 outside inner <= r <= outer."""
-
-    inner: float = 1.0 / 3.0
-    outer: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.inner < 0.5:
-            raise ValueError("inner edge must sit strictly below the plateau")
-        if not self.outer > 2.0:
-            raise ValueError("outer edge must sit strictly above the plateau")
-
-
-def radial_profile(phi: RadialBump, r):
-    """Plateau profile as a function of the radius; vectorized."""
-    r = np.asarray(r, dtype=float)
-    lo, hi = phi.inner, 0.5
-    up = smoothstep((r - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
-    lo2, hi2 = 2.0, phi.outer
-    down = smoothstep(-(r - 0.5 * (lo2 + hi2)) / (0.5 * (hi2 - lo2)))
-    out = up * down
-    return out
-
-
 # ---------------------------------------------------------------------------
 # model parameters
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimension, dissipation exponent, frequency scale, Sobolev regularity."""
+    """Dimension, dissipation exponent, frequency scale."""
 
     d: int
     gamma: float
     R: float
-    s: float = 0.0
 
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
@@ -167,8 +105,6 @@ class ModelParams:
             raise ValueError("gamma must be positive")
         if not self.R >= 1.0:
             raise ValueError("R must be >= 1")
-        if self.s < 0.0:
-            raise ValueError("s must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -187,7 +123,6 @@ class CounterexampleParams:
     c4: float
     mu0: float
     delta0: float
-    eps0: float
 
     @property
     def D(self) -> float:
@@ -234,8 +169,6 @@ class CounterexampleParams:
             raise ValueError("mu0 must be positive")
         if not 0.0 < self.delta0 < (m.gamma - 1.0) / (4.0 * (m.d + 1)):
             raise ValueError("delta0 out of range")
-        if not self.eps0 > 0.0:
-            raise ValueError("eps0 must be positive")
         if self.c2 <= 0.0:
             raise ValueError("c2 must be positive")
         if not self.D > 2.0:
@@ -254,10 +187,9 @@ class CounterexampleParams:
         c4 = overrides.pop("c4", 0.125)
         mu0 = overrides.pop("mu0", (4.0 * math.pi) ** -d)
         delta0 = overrides.pop("delta0", (model.gamma - 1.0) / (8.0 * (d + 1)))
-        eps0 = overrides.pop("eps0", 0.01)
         if overrides:
             raise TypeError(f"unknown overrides: {sorted(overrides)}")
-        return cls(model, c0, c1, c2, c3, c4, mu0, delta0, eps0)
+        return cls(model, c0, c1, c2, c3, c4, mu0, delta0)
 
     @classmethod
     def for_experiments(cls, model: ModelParams, **overrides) -> "CounterexampleParams":
@@ -279,25 +211,16 @@ def comb_range(cp: CounterexampleParams) -> tuple[int, int]:
 class SpectrumDescriptor:
     """Base for symbolic frequency profiles.
 
-    Subclasses provide the problem dimension, a band scale, support
-    radii and a serialization that names the family; factors reads their
-    frequency profile.
+    Subclasses provide the problem dimension and support radii; factors
+    reads their frequency profile.
     """
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
-    @property
-    def band_scale(self) -> float:
-        """The frequency magnitude the support concentrates around."""
-        raise NotImplementedError
-
     def support_radii(self) -> tuple[float, float]:
         """Annulus radii (inner, outer) containing the support."""
-        raise NotImplementedError
-
-    def serialize(self) -> str:
         raise NotImplementedError
 
 
@@ -323,19 +246,10 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     def dim(self) -> int:
         return len(self.xi0)
 
-    @property
-    def band_scale(self) -> float:
-        return max(float(np.linalg.norm(self.xi0)), 1.0)
-
     def support_radii(self) -> tuple[float, float]:
         r0 = float(np.linalg.norm(self.xi0))
         spread = self.width * math.sqrt(self.dim)
         return max(r0 - spread, 0.0), r0 + spread
-
-    def serialize(self) -> str:
-        coords = ",".join(f"{v:.17g}" for v in self.xi0)
-        return (f"plane-wave-surrogate d={self.dim} xi0={coords} "
-                f"width={self.width:.17g} amplitude={self.amplitude:.17g}")
 
     def axis_cells(self):
         return [[(c - self.width, c + self.width)] for c in self.xi0]
@@ -362,15 +276,8 @@ class Case1Product(SpectrumDescriptor):
     def dim(self) -> int:
         return self.model.d
 
-    @property
-    def band_scale(self) -> float:
-        return self.model.R
-
     def support_radii(self) -> tuple[float, float]:
         return 0.0, self.model.R * math.sqrt(self.dim)
-
-    def serialize(self) -> str:
-        return f"case1-product d={self.dim} R={self.model.R:.17g}"
 
     def axis_cells(self):
         r = self.model.R
@@ -394,10 +301,6 @@ class Case3Counterexample(SpectrumDescriptor):
     def dim(self) -> int:
         return self.params.model.d
 
-    @property
-    def band_scale(self) -> float:
-        return self.params.band
-
     def _window(self) -> tuple[float, float]:
         return self.params.band, math.sqrt(self.params.model.R)
 
@@ -408,11 +311,6 @@ class Case3Counterexample(SpectrumDescriptor):
         lo_sq = (center - halfw) ** 2 + (self.dim - 1) * (d_spacing * start - 1.0) ** 2
         hi_sq = (center + halfw) ** 2 + (self.dim - 1) * (d_spacing * (stop - 1) + 1.0) ** 2
         return math.sqrt(lo_sq), math.sqrt(hi_sq)
-
-    def serialize(self) -> str:
-        m = self.params.model
-        return (f"case3-counterexample d={self.dim} gamma={m.gamma:.17g} "
-                f"R={m.R:.17g} D={self.params.D:.17g} Q={self.params.Q:.17g}")
 
     def axis_cells(self):
         center, halfw = self._window()
@@ -444,35 +342,6 @@ class Case3Counterexample(SpectrumDescriptor):
 
 
 @dataclass(frozen=True)
-class AnnulusBump(SpectrumDescriptor):
-    """Radial plateau bump at scale R: phi(|xi| / R)."""
-
-    d: int
-    R: float
-    profile: RadialBump = field(default_factory=RadialBump)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not self.R >= 1.0:
-            raise ValueError("R must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.d
-
-    @property
-    def band_scale(self) -> float:
-        return self.R
-
-    def support_radii(self) -> tuple[float, float]:
-        return self.R * self.profile.inner, self.R * self.profile.outer
-
-    def serialize(self) -> str:
-        return f"annulus-bump d={self.d} R={self.R:.17g}"
-
-
-@dataclass(frozen=True)
 class Modulated(SpectrumDescriptor):
     """Phase twist e^{i xi . l / R} applied to a base profile."""
 
@@ -491,10 +360,6 @@ class Modulated(SpectrumDescriptor):
         return self.base.dim
 
     @property
-    def band_scale(self) -> float:
-        return self.base.band_scale
-
-    @property
     def shift(self) -> np.ndarray:
         """Spatial translation the modulation produces."""
         return np.asarray(self.l, dtype=float) / self.R
@@ -502,31 +367,22 @@ class Modulated(SpectrumDescriptor):
     def support_radii(self) -> tuple[float, float]:
         return self.base.support_radii()
 
-    def serialize(self) -> str:
-        coords = ",".join(f"{v:.17g}" for v in self.l)
-        return f"modulated l={coords} R={self.R:.17g} base=({self.base.serialize()})"
 
+def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, tuple]:
+    """The one family dispatch: (shift, ((cells, profile), ...)).
 
-def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, bool, tuple]:
-    """The one family dispatch: (shift, radial, ((cells, profile), ...)).
-
-    f(xi) is e^{i xi.shift} times the product of the vectorised
-    profiles, each nonzero only on its support cells.  Modulations at
-    any depth add up to the shift l/R.  Separable data has one factor
-    per axis, of coordinate xi_a, and axes whose axis_key is equal share
-    one (cells, profile) object, so readers evaluate each distinct
-    factor once; radial data (radial=True) has one, of coordinate |xi|
-    and measure area r^{d-1} dr.
+    f(xi) is e^{i xi.shift} times the product over axes a of the
+    vectorised profile of xi_a, each nonzero only on its support cells.
+    Modulations at any depth add up to the shift l/R.  Axes whose
+    axis_key is equal share one (cells, profile) object, so readers
+    evaluate each distinct factor once.
     """
     shift = np.zeros(f.dim)
     while isinstance(f, Modulated):
         shift = shift + f.shift
         f = f.base
-    if isinstance(f, AnnulusBump):
-        return shift, True, (((f.support_radii(),),
-                              lambda r: radial_profile(f.profile, r / f.R)),)
     cells, shared = f.axis_cells(), {}
-    return shift, False, tuple(
+    return shift, tuple(
         shared.setdefault(f.axis_key(axis),
                           (tuple(cells[axis]), functools.partial(f.axis_factor, axis)))
         for axis in range(f.dim))
@@ -537,10 +393,9 @@ def spectrum_eval(f: SpectrumDescriptor, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0 or xi.shape[-1] != f.dim:
         raise ValueError(f"xi must have trailing dimension {f.dim}")
-    shift, radial, facs = factors(f)
-    coords = [np.sqrt(np.sum(xi * xi, axis=-1))] if radial else np.moveaxis(xi, -1, 0)
+    shift, facs = factors(f)
     out = np.ones(xi.shape[:-1], dtype=complex)
-    for (_, profile), coord in zip(facs, coords):
+    for (_, profile), coord in zip(facs, np.moveaxis(xi, -1, 0)):
         out = out * profile(coord)
     out = out * np.exp(1j * (xi @ shift))
     if out.ndim == 0:
@@ -550,10 +405,6 @@ def spectrum_eval(f: SpectrumDescriptor, xi):
 
 # ---------------------------------------------------------------------------
 # norms
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 # step of the trapezoid rule in u behind (1+X)^{-a}: its relative error
@@ -595,7 +446,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     every factor and refined by one doubling loop, at most
     MAX_NODES^{1/factors} nodes a cell.
     """
-    _, radial, facs = factors(f)
+    _, facs = factors(f)
     n = math.ceil(s)
     distinct = {id(fac): (np.array(fac[0], dtype=float), fac[1]) for fac in facs}
     r_in, r_out = f.support_radii()
@@ -609,8 +460,6 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
         width = e[:, 1:] - e[:, :1]
         x = (e[:, :1] + width * u).ravel()
         wx = np.abs(profile(x)) ** p * (width * w).ravel()
-        if radial:
-            wx *= _sphere_area(f.dim) * x ** (f.dim - 1)
         sq = x * x
         rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
         return sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]

@@ -2,29 +2,23 @@
 
 Two engines, each with one integration loop.
 
-The grid engine evaluates separable and radial profiles as matrices
-over a point set times a time set.  _field_factors reads the data's
-one factor description, profiles.factors, which is where the data
-families are told apart: it adds the spatial shift to the points and
-turns each factor into a (matrix, rows) pair, an axis factor over that
-axis's distinct coordinates and a radial factor over the distinct
-radii.  Identical factors are evaluated once: axes that share a factor
-object (every axis of the product bump, the comb axes of the
+The grid engine evaluates separable profiles as matrices over a point
+set times a time set.  _field_factors reads the data's one factor
+description, profiles.factors, which is where the data families are
+told apart: it adds the spatial shift to the points and turns each axis
+factor into a (matrix, rows) pair over that axis's distinct
+coordinates.  Identical factors are evaluated once: axes that share a
+factor object (every axis of the product bump, the comb axes of the
 counterexample data) and their coordinates, as on a meshgrid, share one
 matrix and differ only in their rows.  Every matrix comes from one
 cell x rule loop: per octave of t, each cell is clipped where the
 dissipation leaves nothing and its panels start from the octave's worst
 phase rate, and the octaves that need the same rule share one loop that
-doubles its panels until each time column converges; only the node sum,
-chosen by the factor's form, differs.  As
+doubles its panels until each time column converges.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
-a separable node sum is one exponential table per side met in GEMMs,
-and a radial one meets the same time table through a Bessel kernel.
-On a cell symmetric about 0 the time table, even in xi, covers the
-nonnegative nodes only and meets the space table of both signs of xi.
-The Bessel kernel is scipy's jv, imported on the first radial block, so
-importing the package and running data without a radial factor never
-loads scipy.
+the node sum is one exponential table per side met in GEMMs.  On a cell
+symmetric about 0 the time table, even in xi, covers the nonnegative
+nodes only and meets the space table of both signs of xi.
 The one-point evaluators (the 1 x 1 case) and the maximal module's
 time suprema use these factors.
 
@@ -58,7 +52,6 @@ from .profiles import (
     CounterexampleParams,
     SpectrumDescriptor,
     _mollifier_raw,
-    _sphere_area,
     comb_range,
     factors,
     mollifier_mass,
@@ -70,7 +63,7 @@ TWO_PI = 2.0 * math.pi
 # e^{-x} below double-precision relevance; used to truncate dissipation
 _DECAY_CUTOFF = 46.0
 
-# convergence tolerance of the one-point factorized evaluations
+# convergence tolerance of the one-point evaluations
 _POINT_RTOL = 1e-10
 
 
@@ -134,7 +127,7 @@ def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
     that share a factor pass the first of them, so the masses of a
     factor are computed once.
     """
-    cells, profile = factors(f)[2][axis]
+    cells, profile = factors(f)[1][axis]
     cells = np.array(cells, dtype=float)
     u, w = panel_nodes(0.0, 1.0, 4)
     width = cells[:, 1] - cells[:, 0]
@@ -193,43 +186,19 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
                         xi, coef, xv.size * lead.size)
 
 
-def _bessel_sum(d: int, radii: np.ndarray, rho: np.ndarray, coef: np.ndarray,
-                lead: np.ndarray, even: bool) -> np.ndarray:
-    """Sum over radial nodes rho of coef times the d-dimensional spherical
-    kernel at every (|x|, t): a Bessel kernel per node block meets the
-    time table e^{lead rho^2} in a GEMM.  even is never set, as a radial
-    cell lies in rho >= 0."""
-    # only radial data reaches this kernel: scipy loads on its first block
-    from scipy.special import jv
-
-    nu = d / 2.0 - 1.0
-    area = _sphere_area(d)
-    small = radii < 1e-300
-    scale = TWO_PI ** (d / 2.0) * np.where(small, 1.0, radii) ** (1.0 - d / 2.0)
-
-    def block(z, c):
-        bessel = scale[:, None] * jv(nu, np.multiply.outer(radii, z)) * z ** (d / 2.0)
-        return (np.where(small[:, None], area * z ** (d - 1), bessel) * c) @ _time_table(z, lead)
-
-    return _node_blocks(block, rho, coef, max(radii.size, lead.size))
-
-
-def _cell_matrix(node_sum, profile, cells, masses, pts: np.ndarray, tv: np.ndarray,
+def _cell_matrix(profile, cells, masses, pts: np.ndarray, tv: np.ndarray,
                  decay: np.ndarray, rtol: float) -> np.ndarray:
     """Sum of the cell integrals at every (point, t): a (pts.size, tv.size) matrix.
 
-    pts are one axis's coordinates or the radii.  node_sum(pts, xi, coef,
-    lead, even) sums coef times the kernel over the nodes xi at every
-    (point, time) of one rule, lead holding i t - t^gamma; the
-    coefficients are profile(xi) times the weights, and even says the
-    rule's cell is symmetric about 0.  Per cell and octave of t, the cell
-    is clipped where the octave's dissipation leaves nothing and its
-    panels start from the octave's worst phase rate; octaves that need
-    the same rule, the same clipped interval and starting panels, share
-    one doubling loop over their columns.  The panels double until every
-    time column is within rtol of its largest modulus or the rounding
-    floor of the cell's mass, each column keeping the pass where it first
-    was, as in a loop of its own octave.
+    pts are one axis's coordinates.  _plane_phase_sum sums the nodes of
+    each rule, with coefficients profile(xi) times the weights.  Per cell
+    and octave of t, the cell is clipped where the octave's dissipation
+    leaves nothing and its panels start from the octave's worst phase
+    rate; octaves that need the same rule, the same clipped interval and
+    starting panels, share one doubling loop over their columns.  The
+    panels double until every time column is within rtol of its largest
+    modulus or the rounding floor of the cell's mass, each column keeping
+    the pass where it first was, as in a loop of its own octave.
     """
     out = np.zeros((pts.size, tv.size), dtype=complex)
     x_hi = float(np.max(np.abs(pts)))
@@ -246,7 +215,7 @@ def _cell_matrix(node_sum, profile, cells, masses, pts: np.ndarray, tv: np.ndarr
             cols, lead = (np.concatenate(v) for v in zip(*octs))
 
             def evaluate(xi, w, lead=lead, even=(a == -b)):
-                return node_sum(pts, xi, profile(xi) * w, lead, even)
+                return _plane_phase_sum(pts, xi, profile(xi) * w, lead, even)
 
             out[:, cols] += double_panels(evaluate, a, b, panels, rtol=rtol, mass=mass)
     return out
@@ -259,22 +228,13 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray, decay: n
     The field at point i is the scale times the product over factors of
     row rows[i] of their matrix, multiplied in that order.  decay is each
     time's dissipation t^gamma (zeros for the free evolution).  The
-    data's spatial shift is added to x.  Radial data is one factor over
-    the distinct radii (rounded to 14 decimals), (2 pi)^{-d} included:
-    its support annulus is one cell of mass 0, so its test is purely
-    relative.  Separable data is the scale (2 pi)^{-d} times one factor
-    per axis over that axis's distinct coordinates; axes that share a
-    factor object and their coordinates share one matrix.
+    data's spatial shift is added to x.  The scale is (2 pi)^{-d}, and
+    there is one factor per axis over that axis's distinct coordinates;
+    axes that share a factor object and their coordinates share one
+    matrix.
     """
-    shift, radial, facs = factors(f)
+    shift, facs = factors(f)
     x = x + shift[None, :]
-    if radial:
-        radii, rows = np.unique(np.round(np.sqrt(np.sum(x * x, axis=1)), 14),
-                                return_inverse=True)
-        (cells, profile), = facs
-        matrix = _cell_matrix(functools.partial(_bessel_sum, f.dim), profile, cells,
-                              [0.0], radii, t, decay, rtol)
-        return 1.0, [(matrix * TWO_PI ** -f.dim, rows)]
     out, matrices = [], {}
     for axis, fac in enumerate(facs):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
@@ -282,8 +242,8 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray, decay: n
         key = first, coords.tobytes()
         if key not in matrices:
             cells, profile = fac
-            matrices[key] = _cell_matrix(_plane_phase_sum, profile, cells,
-                                         _cell_masses(f, first), coords, t, decay, rtol)
+            matrices[key] = _cell_matrix(profile, cells, _cell_masses(f, first),
+                                         coords, t, decay, rtol)
         out.append((matrices[key], rows))
     return TWO_PI ** -f.dim, out
 
@@ -308,10 +268,9 @@ def _evaluate_point(f: SpectrumDescriptor, p: SpaceTimePoint, decay: float,
                                rtol)[0, 0])
 
 
-def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint, *,
-                  rtol: float = 1e-10) -> complex:
+def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint) -> complex:
     """Free evolution (2 pi)^{-d} integral of e^{i(x.xi + t|xi|^2)} f(xi)."""
-    return _evaluate_point(f, p, 0.0, rtol)
+    return _evaluate_point(f, p, 0.0, _POINT_RTOL)
 
 
 def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -465,6 +466,60 @@ def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv
     R = "2" if argv[0] == "propagator-check" else "65536"
     assert err.startswith("config error") and f"R={R}:" in err and condition in err
     assert not out.exists()
+
+
+_CE = ["counterexample", "--ladder", "2^16 2^17 2^18 2^19"]
+
+
+@pytest.mark.parametrize("argv, key, text", [
+    (["propagator-check", "--R", "inf"], "model.R", "inf"),
+    (["propagator-check", "--R", "1e400"], "model.R", "1e400"),
+    (_CE + ["--s", "inf"], "s", "inf"),
+    (_CE + ["--gamma", "inf"], "model.gamma", "inf"),
+    (_SWEEP + ["2^2 2^3 2^4 2^5", "--set", "space.radius=inf"], "space.radius", "inf"),
+    (_CE + ["--set", "ce.mu0=inf"], "ce.mu0", "inf"),
+    (_SWEEP + ["2^2 2^3 2^4 inf"], "ladder", "inf"),
+], ids=["R-inf", "R-overflow", "s-inf", "gamma-inf", "radius-inf", "mu0-inf", "ladder-inf"])
+def test_main_non_finite_real_is_a_config_error(tmp_path, capsys, argv, key, text):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and f"'{text}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["maximal-sweep", "--d", "1", "--gamma", "0.5", "--ladder", "2^2 2^3 2^4 2^5",
+      "--set", "space.per_axis=5", "--set", "time.geometric=6", "--set", "time.cap=16"],
+     [4]),
+    (["lemmas-verify"], []),
+    (["propagator-check", "--R", "64", "--points", "2"], []),
+], ids=["sweep", "lemmas", "propagator-check"])
+def test_pool_has_at_most_one_worker_per_ladder_entry(tmp_path, capsys, monkeypatch,
+                                                      argv, sizes):
+    """--workers 64 forks no idle workers: a 4-entry ladder gets a pool of 4,
+    and the verbs without a ladder get no pool."""
+    asked = []
+
+    class FakePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert main(argv + ["--workers", "64", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert asked == sizes
 
 
 def _readme_blocks():

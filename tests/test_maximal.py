@@ -25,7 +25,6 @@ from schrodmax.maximal import (
     theoretical_exponent,
 )
 from schrodmax.profiles import (
-    AnnulusBump,
     Case1Product,
     ModelParams,
     Modulated,
@@ -165,14 +164,6 @@ def _small_grids(per_axis=7):
             SpaceGrid(radius=1.0, per_axis=per_axis))
 
 
-def test_maximal_ratio_radial_and_separable_paths():
-    radial = maximal_ratio(AnnulusBump(d=2, R=3.0), 2.0, _small_grids())
-    assert radial > 0.0 and math.isfinite(radial)
-    sep = maximal_ratio(Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0,
-                        _small_grids())
-    assert sep > 0.0 and math.isfinite(sep)
-
-
 def test_maximal_ratio_shifted_separable_path():
     base = Case1Product(ModelParams(d=2, gamma=1.0, R=4.0))
     mod = Modulated(base=base, l=(2.0, 0.0), R=4.0)
@@ -180,15 +171,12 @@ def test_maximal_ratio_shifted_separable_path():
     assert got > 0.0 and math.isfinite(got)
 
 
-# the radial cases use a 3-point grid: their per-point sups cost seconds each
 @pytest.mark.parametrize("f, gamma, per_axis", [
-    (AnnulusBump(d=2, R=3.0), 2.0, 3),
-    (Modulated(base=AnnulusBump(d=2, R=3.0), l=(2.0, -1.0), R=4.0), 2.0, 3),
     (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, 5),
     (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
                l=(2.0, 0.0), R=4.0), 1.0, 5),
     (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, 5),
-], ids=["annulus", "shifted-annulus", "product", "shifted-product", "plane-wave"])
+], ids=["product", "shifted-product", "plane-wave"])
 def test_maximal_ratio_matches_per_point_sup_over_time(f, gamma, per_axis):
     """The grid sup loop agrees with sup_over_time taken point by point."""
     tg, sg = _small_grids(per_axis=per_axis)
@@ -212,8 +200,6 @@ def test_sweep_ratio_is_pinned(e):
 
 
 _SUP_CASES = {
-    "annulus": (AnnulusBump(d=2, R=3.0), 2.0),
-    "shifted-annulus": (Modulated(base=AnnulusBump(d=2, R=3.0), l=(2.0, -1.0), R=4.0), 2.0),
     "product": (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0),
     "shifted-product": (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
                                   l=(2.0, 0.0), R=4.0), 1.0),
@@ -234,7 +220,7 @@ def test_maximal_ratio_validation():
     with pytest.raises(ValueError):
         maximal_ratio(f, 2.0, _small_grids())
     with pytest.raises(ValueError):
-        maximal_ratio(AnnulusBump(d=1, R=2.0), 0.0, _small_grids())
+        maximal_ratio(Case1Product(ModelParams(d=1, gamma=0.5, R=2.0)), 0.0, _small_grids())
 
 
 def test_maximal_ratio_grid_convergence():

@@ -16,7 +16,6 @@ import schrodmax
 from schrodmax import propagator
 from schrodmax.maximal import SpaceGrid, TimeGrid
 from schrodmax.profiles import (
-    AnnulusBump,
     Case1Product,
     Case3Counterexample,
     CounterexampleParams,
@@ -26,7 +25,6 @@ from schrodmax.profiles import (
     comb_range,
     factors,
     l1_fourier_mass,
-    radial_profile,
     spectrum_eval,
 )
 from schrodmax.propagator import (
@@ -108,7 +106,7 @@ def test_dissipation_ratio_matches_center_decay():
 
 
 def test_zero_time_dissipation_is_identity():
-    f = AnnulusBump(d=2, R=4.0)
+    f = Case1Product(ModelParams(d=2, gamma=2.0, R=4.0))
     p = SpaceTimePoint(x=(0.2, -0.1), t=0.0)
     assert evaluate_p_gamma(f, 2.0, p) == evaluate_free(f, p)
 
@@ -118,25 +116,26 @@ import json, sys
 import schrodmax, schrodmax.cli
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
-from schrodmax.profiles import AnnulusBump
+from schrodmax.profiles import Case1Product, ModelParams
 from schrodmax.propagator import SpaceTimePoint, evaluate_free
-v = evaluate_free(AnnulusBump(d=2, R=4.0), SpaceTimePoint(x=(0.2, -0.1), t=0.3))
-print(json.dumps({"at_import": loaded, "special": "scipy.special" in sys.modules,
-                  "value": [v.real, v.imag]}))
+v = evaluate_free(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)),
+                  SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"at_import": loaded, "after_field": after, "value": [v.real, v.imag]}))
 """
 
 
 def test_import_loads_neither_scipy_nor_process_pool():
-    """A fresh process imports the package without scipy or a process pool;
-    scipy.special loads on the first radial evaluation, whose value is the
-    one computed here."""
+    """A fresh process imports the package without scipy or a process pool,
+    and evaluates a field, the value computed here, still without scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(schrodmax.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     got = json.loads(out.splitlines()[-1])
     assert got["at_import"] == []
-    assert got["special"]
-    want = evaluate_free(AnnulusBump(d=2, R=4.0), SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+    assert got["after_field"] == []
+    want = evaluate_free(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)),
+                         SpaceTimePoint(x=(0.2, -0.1), t=0.3))
     assert complex(*got["value"]) == want
 
 
@@ -218,20 +217,6 @@ def _box_reference(f, x, t, decay, box):
                       for s, dc in zip(t, decay)] for p in x]) / TWO_PI**2
 
 
-def _polar_reference(f, x, t, decay, box):
-    """Gauss-Legendre sum in polar coordinates over the disc of radius box[1]."""
-    r, wr = _gauss(0.0, box[1], 80, 32)
-    th, wth = _gauss(0.0, TWO_PI, 16, 32)
-    prof = radial_profile(f.profile, r / f.R) * r * wr
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    out = np.empty((len(x), t.size), dtype=complex)
-    for i, p in enumerate(x):
-        ring = np.exp(1j * np.multiply.outer(r, dirs @ p)) @ wth
-        out[i] = [np.sum(prof * ring * np.exp((1j * s - dc) * r * r))
-                  for s, dc in zip(t, decay)]
-    return out / TWO_PI**2
-
-
 @pytest.mark.parametrize("f, gamma, reference, box", [
     (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, _box_reference,
      [(-4.0, 4.0)] * 2),
@@ -239,8 +224,7 @@ def _polar_reference(f, x, t, decay, box):
                l=(2.0, -1.0), R=4.0), 1.0, _box_reference, [(-4.0, 4.0)] * 2),
     (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, _box_reference,
      [(1.7, 2.3), (-1.3, -0.7)]),
-    (AnnulusBump(d=2, R=3.0), 2.0, _polar_reference, (0.0, 9.0)),
-], ids=["product", "shifted-product", "plane-wave", "annulus"])
+], ids=["product", "shifted-product", "plane-wave"])
 def test_field_grid_matches_fixed_gauss_sum(f, gamma, reference, box):
     """Engine matrices on a 3 x 3 grid of points and times, and point by point."""
     x = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.0]])
@@ -291,9 +275,9 @@ def test_shared_field_matrix_equals_per_axis_matrices():
     t = np.array([0.0, 0.01, 0.2])
     decay = _decay(t, 0.5)
     per_axis = []
-    for axis, (cells, profile) in enumerate(factors(f)[2]):
+    for axis, (cells, profile) in enumerate(factors(f)[1]):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
-        per_axis.append(_cell_matrix(_plane_phase_sum, profile, cells, _cell_masses(f, axis),
+        per_axis.append(_cell_matrix(profile, cells, _cell_masses(f, axis),
                                      coords, t, decay, 1e-9)[rows])
     want = per_axis[0] * TWO_PI**-2 * per_axis[1]
     assert np.array_equal(_field_grid(f, x, t, decay, 1e-9), want)
@@ -305,7 +289,7 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
     Each of their columns keeps the value a loop of its own time gives.
     """
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    (cells, profile), _ = factors(f)[2]
+    (cells, profile), _ = factors(f)[1]
     masses = _cell_masses(f, 0)
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
@@ -317,17 +301,17 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
         calls.append(set())
         return double_panels(*args, **kwargs)
 
-    def node_sum(pts, xi, coef, lead, even):
+    def spy(pts, xi, coef, lead, even):
         calls[-1].update(lead.imag.tolist())
         return _plane_phase_sum(pts, xi, coef, lead, even)
 
     monkeypatch.setattr(propagator, "double_panels", counting)
-    matrix = _cell_matrix(node_sum, profile, cells, masses, xv, t, decay, 1e-9)
+    monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
+    matrix = _cell_matrix(profile, cells, masses, xv, t, decay, 1e-9)
     sharing = [times for times in calls if times & geometric]
     assert len(sharing) == 1 and geometric <= sharing[0]
     for k in range(64):
-        alone = _cell_matrix(_plane_phase_sum, profile, cells, masses, xv, t[k:k + 1],
-                             decay[k:k + 1], 1e-9)
+        alone = _cell_matrix(profile, cells, masses, xv, t[k:k + 1], decay[k:k + 1], 1e-9)
         np.testing.assert_allclose(matrix[:, k], alone[:, 0], rtol=1e-13, atol=0.0)
 
 
@@ -348,7 +332,7 @@ def time_table_rows(monkeypatch):
 def test_symmetric_cell_folds_its_time_table(time_table_rows):
     """On a cell symmetric about 0 the time table covers the nonnegative nodes only."""
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    (((lo, hi),), profile), _ = factors(f)[2]
+    (((lo, hi),), profile), _ = factors(f)[1]
     assert lo == -hi
     xi, w = panel_nodes(lo, hi, 3)
     coef = profile(xi) * w
@@ -363,19 +347,20 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
     np.testing.assert_allclose(folded, whole, rtol=1e-14, atol=0.0)
 
 
-def test_asymmetric_cell_keeps_every_time_table_row(time_table_rows):
+def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows):
     """A plane-wave axis's cell is not symmetric about 0: each pass tables all its nodes."""
     f = PlaneWaveSurrogate(xi0=(2.0, 1.0), width=0.3)
-    cells, profile = factors(f)[2][0]
+    cells, profile = factors(f)[1][0]
     nodes = []
 
-    def node_sum(pts, xi, coef, lead, even):
+    def spy(pts, xi, coef, lead, even):
         assert not even
         nodes.append(xi.size)
         return _plane_phase_sum(pts, xi, coef, lead, even)
 
+    monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
     t = np.array([0.01, 0.2, 0.5])
-    _cell_matrix(node_sum, profile, cells, _cell_masses(f, 0), _mesh(1)[:, 0], t,
+    _cell_matrix(profile, cells, _cell_masses(f, 0), _mesh(1)[:, 0], t,
                  _decay(t, 0.5), 1e-9)
     assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
 
