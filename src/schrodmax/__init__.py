@@ -44,7 +44,6 @@ from .numbertheory import (
     CubeFamily,
     GaussSumParams,
     PreconditionError,
-    WeylPhase,
     abel_sum_identity,
     dirichlet_simultaneous,
     gauss_modulus_law,
@@ -52,7 +51,6 @@ from .numbertheory import (
     totient,
     vitali_scaled_union,
     weyl_bound_rhs,
-    weyl_sum,
 )
 from .counterexample import (
     LowerBoundRecord,

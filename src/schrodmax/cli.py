@@ -114,11 +114,12 @@ def _as_real(text: str) -> float:
 
 
 def _parse_ladder(text: str) -> tuple[float, ...]:
+    """Entries base or base^power; math.pow refuses complex and infinite powers."""
     vals = []
     for tok in text.replace(",", " ").split():
         base, caret, exp = tok.partition("^")
         try:
-            vals.append(_as_real(base) ** (_as_real(exp) if caret else 1.0))
+            vals.append(math.pow(_as_real(base), _as_real(exp) if caret else 1.0))
         except (ValueError, OverflowError):
             raise ConfigError(f"ladder: cannot parse entry {tok!r}") from None
     return tuple(vals)

@@ -94,20 +94,6 @@ def gauss_modulus_law(p: GaussSumParams) -> bool:
 # incomplete quadratic (Weyl) sums
 
 
-@dataclass(frozen=True)
-class WeylPhase:
-    """Phase data for sum_{M <= n < M+N} e^{2 pi i (alpha n^2 + beta n)}."""
-
-    alpha: float | Fraction
-    beta: float | Fraction
-    M: int
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-
 def _window_sums(A, B: int, L: int, M, N):
     """Sums of e(r / L), r = (A n^2 + B n) mod L, over the windows [M, M+N).
 
@@ -128,26 +114,6 @@ def _window_sums(A, B: int, L: int, M, N):
             + (prefix[..., r_hi] - prefix[..., r_lo]))
 
 
-def weyl_sum(w: WeylPhase) -> complex:
-    """Evaluate the incomplete quadratic sum.
-
-    Fraction-valued alpha and beta (common denominator L) take the exact
-    residue path: the summand has period L, so the window is (whole periods)
-    P[L] + P[(M+N) mod L] - P[M mod L] with P the prefix sums over one
-    period of the roots at residues (A n^2 + B n) mod L; O(L) time and
-    memory whatever N.  Float phases are summed directly, in O(N) time and
-    memory.
-    """
-    if isinstance(w.alpha, Fraction) and isinstance(w.beta, Fraction):
-        L = math.lcm(w.alpha.denominator, w.beta.denominator)
-        A = (w.alpha.numerator * (L // w.alpha.denominator)) % L
-        B = (w.beta.numerator * (L // w.beta.denominator)) % L
-        return complex(_window_sums(A, B, L, w.M, w.N))
-    n = np.arange(w.M, w.M + w.N, dtype=np.int64)
-    phase = float(w.alpha) * n.astype(float) ** 2 + float(w.beta) * n.astype(float)
-    return complex(np.sum(np.exp(2j * np.pi * phase)))
-
-
 def weyl_bound_rhs(N: int, q: int) -> float:
     """Square-root bound shape (N/sqrt(q) + sqrt(q)) sqrt(log q); N at q=1."""
     if N < 1 or q < 1:
@@ -160,7 +126,7 @@ def weyl_bound_rhs(N: int, q: int) -> float:
 
 
 def weyl_calibration(n_caps: Sequence[int] = (256, 4096), q_max: int = 64) -> dict[int, float]:
-    """Worst |weyl_sum| / weyl_bound_rhs over an exhaustive rational sweep.
+    """Worst |Weyl window sum| / weyl_bound_rhs over an exhaustive rational sweep.
 
     Sweeps q = 2..q_max, reduced a/q, N over powers of two up to each cap,
     beta in {0, 1/3, 1/2}, and window starts 0 and -N//2: one period-folded

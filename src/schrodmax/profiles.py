@@ -211,17 +211,29 @@ def comb_range(cp: CounterexampleParams) -> tuple[int, int]:
 class SpectrumDescriptor:
     """Base for symbolic frequency profiles.
 
-    Subclasses provide the problem dimension and support radii; factors
-    reads their frequency profile.
+    A family declares its dimension and, in factors_by_axis, one (cells,
+    profile) pair per axis: the axis's support cells and its vectorised
+    profile, which vanishes off those cells.  Axes whose factors are
+    equal share one pair object.  The support annulus is read from the
+    cells (support_annulus).
     """
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
-    def support_radii(self) -> tuple[float, float]:
-        """Annulus radii (inner, outer) containing the support."""
+    def factors_by_axis(self) -> tuple:
+        """((cells, profile), ...), one pair per axis."""
         raise NotImplementedError
+
+
+def _bump_factor(center: float, width: float, weight=None) -> tuple:
+    """(cells, profile) of the bump on one cell, its values times weight if given."""
+    b = Bump1D(center=float(center), width=width)
+    cells = ((center - width, center + width),)
+    if weight is None:
+        return cells, functools.partial(bump_eval, b)
+    return cells, lambda xi: bump_eval(b, xi) * weight
 
 
 @dataclass(frozen=True)
@@ -246,24 +258,12 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     def dim(self) -> int:
         return len(self.xi0)
 
-    def support_radii(self) -> tuple[float, float]:
-        r0 = float(np.linalg.norm(self.xi0))
-        spread = self.width * math.sqrt(self.dim)
-        return max(r0 - spread, 0.0), r0 + spread
-
-    def axis_cells(self):
-        return [[(c - self.width, c + self.width)] for c in self.xi0]
-
-    def axis_key(self, axis):
-        """Axes with equal keys carry one factor: the first carries the amplitude."""
-        return axis == 0, self.xi0[axis]
-
-    def axis_factor(self, axis, xi):
-        b = Bump1D(center=float(self.xi0[axis]), width=self.width)
-        out = bump_eval(b, xi)
-        if axis == 0:
-            return out * (self.amplitude * TWO_PI ** self.dim)
-        return out
+    def factors_by_axis(self) -> tuple:
+        """The first axis carries the amplitude; later axes with equal centres share a factor."""
+        head, *rest = self.xi0
+        shared = {c: _bump_factor(c, self.width) for c in rest}
+        first = _bump_factor(head, self.width, self.amplitude * TWO_PI ** self.dim)
+        return (first,) + tuple(shared[c] for c in rest)
 
 
 @dataclass(frozen=True)
@@ -276,19 +276,9 @@ class Case1Product(SpectrumDescriptor):
     def dim(self) -> int:
         return self.model.d
 
-    def support_radii(self) -> tuple[float, float]:
-        return 0.0, self.model.R * math.sqrt(self.dim)
-
-    def axis_cells(self):
-        r = self.model.R
-        return [[(-r, r)] for _ in range(self.dim)]
-
-    def axis_key(self, axis):
-        """Axes with equal keys carry one factor: here every axis."""
-        return 0
-
-    def axis_factor(self, axis, xi):
-        return bump_eval(Bump1D(center=0.0, width=self.model.R), xi)
+    def factors_by_axis(self) -> tuple:
+        """One bump of width R, shared by every axis."""
+        return (_bump_factor(0.0, self.model.R),) * self.dim
 
 
 @dataclass(frozen=True)
@@ -301,44 +291,30 @@ class Case3Counterexample(SpectrumDescriptor):
     def dim(self) -> int:
         return self.params.model.d
 
-    def _window(self) -> tuple[float, float]:
-        return self.params.band, math.sqrt(self.params.model.R)
+    def factors_by_axis(self) -> tuple:
+        """The window of half-width sqrt(R) at the band, then one comb shared by the other axes.
 
-    def support_radii(self) -> tuple[float, float]:
-        center, halfw = self._window()
-        start, stop = comb_range(self.params)
-        d_spacing = self.params.D
-        lo_sq = (center - halfw) ** 2 + (self.dim - 1) * (d_spacing * start - 1.0) ** 2
-        hi_sq = (center + halfw) ** 2 + (self.dim - 1) * (d_spacing * (stop - 1) + 1.0) ** 2
-        return math.sqrt(lo_sq), math.sqrt(hi_sq)
+        The comb has a unit bump at D k for each k in comb_range.
+        """
+        cp = self.params
+        center, halfw = cp.band, math.sqrt(cp.model.R)
+        start, stop = comb_range(cp)
+        spacing = cp.D
 
-    def axis_cells(self):
-        center, halfw = self._window()
-        cells = [[(center - halfw, center + halfw)]]
-        start, stop = comb_range(self.params)
-        d_spacing = self.params.D
-        comb = [(d_spacing * k - 1.0, d_spacing * k + 1.0) for k in range(start, stop)]
-        for _ in range(1, self.dim):
-            cells.append(list(comb))
-        return cells
-
-    def axis_key(self, axis):
-        """Axes with equal keys carry one factor: the window, then one comb."""
-        return min(axis, 1)
-
-    def axis_factor(self, axis, xi):
-        xi = np.asarray(xi, dtype=float)
-        if axis == 0:
-            center, halfw = self._window()
-            u = (xi - center) / halfw
+        def window(xi):
+            u = (np.asarray(xi, dtype=float) - center) / halfw
             return _mollifier_raw(u) / (mollifier_mass() * halfw)
-        start, stop = comb_range(self.params)
-        d_spacing = self.params.D
-        k = np.round(xi / d_spacing)
-        valid = (k >= start) & (k < stop)
-        u = xi - d_spacing * k
-        vals = _mollifier_raw(u) / mollifier_mass()
-        return np.where(valid, vals, 0.0)
+
+        def comb(xi):
+            xi = np.asarray(xi, dtype=float)
+            k = np.round(xi / spacing)
+            valid = (k >= start) & (k < stop)
+            vals = _mollifier_raw(xi - spacing * k) / mollifier_mass()
+            return np.where(valid, vals, 0.0)
+
+        teeth = tuple((spacing * k - 1.0, spacing * k + 1.0) for k in range(start, stop))
+        first = ((center - halfw, center + halfw),), window
+        return (first,) + ((teeth, comb),) * (self.dim - 1)
 
 
 @dataclass(frozen=True)
@@ -364,28 +340,35 @@ class Modulated(SpectrumDescriptor):
         """Spatial translation the modulation produces."""
         return np.asarray(self.l, dtype=float) / self.R
 
-    def support_radii(self) -> tuple[float, float]:
-        return self.base.support_radii()
-
 
 def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, tuple]:
     """The one family dispatch: (shift, ((cells, profile), ...)).
 
     f(xi) is e^{i xi.shift} times the product over axes a of the
     vectorised profile of xi_a, each nonzero only on its support cells.
-    Modulations at any depth add up to the shift l/R.  Axes whose
-    axis_key is equal share one (cells, profile) object, so readers
-    evaluate each distinct factor once.
+    Modulations at any depth add up to the shift l/R; the factors are
+    the base family's factors_by_axis, where equal axes share one (cells,
+    profile) object, so readers evaluate each distinct factor once.
     """
     shift = np.zeros(f.dim)
     while isinstance(f, Modulated):
         shift = shift + f.shift
         f = f.base
-    cells, shared = f.axis_cells(), {}
-    return shift, tuple(
-        shared.setdefault(f.axis_key(axis),
-                          (tuple(cells[axis]), functools.partial(f.axis_factor, axis)))
-        for axis in range(f.dim))
+    return shift, f.factors_by_axis()
+
+
+def support_annulus(facs) -> tuple[float, float]:
+    """Radii (inner, outer) of the annulus holding the support of the factors facs.
+
+    Per distinct factor, the least and the largest |xi_a| over its cells
+    are squared and weighted by the number of axes that share it.
+    """
+    lo_sq = hi_sq = 0.0
+    for fac in {id(fac): fac for fac in facs}.values():
+        axes = sum(g is fac for g in facs)
+        lo_sq += axes * min(max(lo, -hi, 0.0) for lo, hi in fac[0]) ** 2
+        hi_sq += axes * max(max(-lo, hi) for lo, hi in fac[0]) ** 2
+    return math.sqrt(lo_sq), math.sqrt(hi_sq)
 
 
 def spectrum_eval(f: SpectrumDescriptor, xi):
@@ -449,7 +432,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     _, facs = factors(f)
     n = math.ceil(s)
     distinct = {id(fac): (np.array(fac[0], dtype=float), fac[1]) for fac in facs}
-    r_in, r_out = f.support_radii()
+    r_in, r_out = support_annulus(facs)
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)
     wt = wt * np.exp(-t) * math.factorial(n)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])

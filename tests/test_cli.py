@@ -479,7 +479,10 @@ _CE = ["counterexample", "--ladder", "2^16 2^17 2^18 2^19"]
     (_SWEEP + ["2^2 2^3 2^4 2^5", "--set", "space.radius=inf"], "space.radius", "inf"),
     (_CE + ["--set", "ce.mu0=inf"], "ce.mu0", "inf"),
     (_SWEEP + ["2^2 2^3 2^4 inf"], "ladder", "inf"),
-], ids=["R-inf", "R-overflow", "s-inf", "gamma-inf", "radius-inf", "mu0-inf", "ladder-inf"])
+    (_SWEEP + ["-2^0.5 2^3 2^4 2^5"], "ladder", "-2^0.5"),
+    (_SWEEP + ["0^-1 2^3 2^4 2^5"], "ladder", "0^-1"),
+], ids=["R-inf", "R-overflow", "s-inf", "gamma-inf", "radius-inf", "mu0-inf", "ladder-inf",
+        "ladder-complex", "ladder-zero-division"])
 def test_main_non_finite_real_is_a_config_error(tmp_path, capsys, argv, key, text):
     out = tmp_path / "out"
     rc = main(argv + ["--out", str(out)])

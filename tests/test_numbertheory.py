@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from schrodmax.numbertheory import (
     CubeFamily,
     GaussSumParams,
     PreconditionError,
-    WeylPhase,
     abel_sum_identity,
     dirichlet_simultaneous,
     gauss_modulus_law,
@@ -22,8 +20,8 @@ from schrodmax.numbertheory import (
     vitali_scaled_union,
     weyl_bound_rhs,
     weyl_calibration,
-    weyl_sum,
 )
+from schrodmax.numbertheory import _window_sums
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,15 +114,8 @@ def test_gauss_sum_params_contract():
     assert repr(GaussSumParams(3, -2, 8)) == "GaussSumParams(a=3, b=-2, q=8)"
 
 
-def test_weyl_sum_rational_vs_float():
-    w_exact = WeylPhase(alpha=Fraction(3, 7), beta=Fraction(1, 2), M=5, N=40)
-    w_float = WeylPhase(alpha=3.0 / 7.0, beta=0.5, M=5, N=40)
-    assert weyl_sum(w_exact) == pytest.approx(weyl_sum(w_float), abs=1e-9)
-
-
 def test_weyl_sum_trivial_phase():
-    w = WeylPhase(alpha=Fraction(0), beta=Fraction(0), M=3, N=17)
-    assert weyl_sum(w) == pytest.approx(17.0 + 0.0j, abs=1e-12)
+    assert complex(_window_sums(0, 0, 1, 3, 17)) == pytest.approx(17.0 + 0.0j, abs=1e-12)
 
 
 def test_weyl_sum_huge_rational_window_is_period_folded():
@@ -132,7 +123,7 @@ def test_weyl_sum_huge_rational_window_is_period_folded():
     N = 10**12
     tracemalloc.start()
     try:
-        got = weyl_sum(WeylPhase(alpha=Fraction(1, 4), beta=Fraction(0), M=0, N=N))
+        got = complex(_window_sums(1, 0, 4, 0, N))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -147,13 +138,9 @@ def test_weyl_sum_huge_rational_window_is_period_folded():
 def test_weyl_sum_rational_matches_direct_sum(a, q, b, r, M, N):
     n = np.arange(M, M + N, dtype=np.int64)
     want = np.sum(np.exp(2j * np.pi * ((a * n * n) % q / q + (b * n) % r / r)))
-    got = weyl_sum(WeylPhase(alpha=Fraction(a, q), beta=Fraction(b, r), M=M, N=N))
+    L = math.lcm(q, r)
+    got = complex(_window_sums(a * (L // q) % L, b * (L // r) % L, L, M, N))
     assert abs(got - want) <= 1e-12 * N
-
-
-def test_weyl_anchor_validation():
-    with pytest.raises(ValueError):
-        WeylPhase(alpha=0.5, beta=0.0, M=0, N=0)
 
 
 def test_weyl_bound_rhs_shape():
@@ -174,8 +161,7 @@ def test_weyl_bound_with_calibration_margin(a, q, N, M):
     """Anchored quadratic sums stay within a fixed multiple of the bound."""
     if math.gcd(a, q) != 1:
         a = 1
-    w = WeylPhase(alpha=Fraction(a, q), beta=Fraction(0), M=M, N=N)
-    assert abs(weyl_sum(w)) <= 8.0 * weyl_bound_rhs(N, q)
+    assert abs(complex(_window_sums(a, 0, q, M, N))) <= 8.0 * weyl_bound_rhs(N, q)
 
 
 WEYL_CALIBRATION_PINNED = [
@@ -215,15 +201,16 @@ def test_weyl_calibration_matches_per_window_exp_sums():
 
 
 def test_weyl_calibration_matches_weyl_sum_windows():
-    """The sweep's one call per (q, beta) equals one weyl_sum per window."""
+    """The sweep's one call per (q, beta = b/r) equals one window sum per (a, window)."""
     caps, q_max = (16, 64), 12
     best = {cap: 0.0 for cap in caps}
     for q in range(2, q_max + 1):
         for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
-            for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            for b, r in ((0, 1), (1, 3), (1, 2)):
+                L = math.lcm(q, r)
                 for N in (1 << k for k in range(caps[-1].bit_length())):
                     for M in (0, -(N // 2)):
-                        s = abs(weyl_sum(WeylPhase(Fraction(a, q), beta, M, N)))
+                        s = abs(complex(_window_sums(a * (L // q), b * (L // r), L, M, N)))
                         for cap in caps:
                             if N <= cap:
                                 best[cap] = max(best[cap], s / weyl_bound_rhs(N, q))

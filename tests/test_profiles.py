@@ -28,6 +28,7 @@ from schrodmax.profiles import (
     mollifier_sq_mass,
     sobolev_norm,
     spectrum_eval,
+    support_annulus,
 )
 from schrodmax.profiles import _mollifier_raw, _weight_rule
 from schrodmax.quadrature import double_panels
@@ -166,49 +167,82 @@ def test_case1_l2_scaling():
     assert a / b == pytest.approx(4.0, rel=1e-9)
 
 
+def _bump_axis(center, width, weight=1.0):
+    """Closed-form (cells, profile) of one bump on one axis."""
+    b = Bump1D(center=center, width=width)
+    return ((center - width, center + width),), lambda xi: weight * bump_eval(b, xi)
+
+
+def _case3_axes(cp):
+    """Closed-form (cells, profile) per axis of the comb data: the unit-mass
+    window of half-width sqrt(R) at the band, then unit bumps at D k."""
+    start, stop = comb_range(cp)
+    teeth = [Bump1D(center=cp.D * k, width=1.0) for k in range(start, stop)]
+    comb = (tuple((b.center - 1.0, b.center + 1.0) for b in teeth),
+            lambda xi: sum(bump_eval(b, xi) for b in teeth))
+    return [_bump_axis(cp.band, math.sqrt(cp.model.R))] + [comb] * (cp.model.d - 1)
+
+
 def test_case3_cells_and_window():
     cp = _cp()
     f = Case3Counterexample(params=cp)
-    cells = f.axis_cells()
-    assert len(cells) == 2
-    assert len(cells[0]) == 1
-    lo, hi = cells[0][0]
+    facs = factors(f)[1]
+    assert [cells for cells, _ in facs] == [cells for cells, _ in _case3_axes(cp)]
+    ((lo, hi),), _ = facs[0]
     assert lo == pytest.approx(2.0**16 - 2.0**8)
     assert hi == pytest.approx(2.0**16 + 2.0**8)
     start, stop = comb_range(cp)
-    assert len(cells[1]) == stop - start
+    assert len(facs[1][0]) == stop - start
     # comb teeth sit at D*l in [R, 2R], so the band lives above R itself
-    inner, outer = f.support_radii()
+    inner, outer = support_annulus(facs)
     assert 2.0**16 < inner < outer < 3.0 * 2.0**16
+
+
+@pytest.mark.parametrize("R", [2.0**14, 2.0**26, 2.0**31])
+def test_case3_annulus_matches_closed_form(R):
+    """The annulus read from the cells is the window's radial range combined
+    with d-1 comb axes, to the last bit."""
+    d = 3
+    cp = _cp(R=R, d=d)
+    center, halfw = cp.band, math.sqrt(R)
+    start, stop = comb_range(cp)
+    inner = math.sqrt((center - halfw) ** 2 + (d - 1) * (cp.D * start - 1.0) ** 2)
+    outer = math.sqrt((center + halfw) ** 2 + (d - 1) * (cp.D * (stop - 1) + 1.0) ** 2)
+    assert support_annulus(factors(Case3Counterexample(params=cp))[1]) == (inner, outer)
 
 
 def test_case3_axis_factor_support():
     cp = _cp()
-    f = Case3Counterexample(params=cp)
+    _, (_, comb) = factors(Case3Counterexample(params=cp))[1]
     start, _ = comb_range(cp)
     teeth = cp.D * np.array([start, start + 1], dtype=float)
-    vals = f.axis_factor(1, teeth)
+    vals = comb(teeth)
     assert np.all(vals > 0.0)
     between = cp.D * (start + 0.5)
-    assert f.axis_factor(1, np.array([between]))[0] == 0.0
+    assert comb(np.array([between]))[0] == 0.0
     outside = cp.D * (start - 2)
-    assert f.axis_factor(1, np.array([outside]))[0] == 0.0
+    assert comb(np.array([outside]))[0] == 0.0
 
 
-@pytest.mark.parametrize("f, groups", [
-    (Case1Product(ModelParams(d=3, gamma=0.5, R=4.0)), [0, 0, 0]),
-    (Case3Counterexample(params=_cp(R=2.0**6, d=3)), [0, 1, 1]),
-    (PlaneWaveSurrogate(xi0=(1.0, 2.0, 2.0, 1.0), width=0.3), [0, 1, 1, 3]),
+@pytest.mark.parametrize("f, groups, want", [
+    (Case1Product(ModelParams(d=3, gamma=0.5, R=4.0)), [0, 0, 0],
+     [_bump_axis(0.0, 4.0)] * 3),
+    (Case3Counterexample(params=_cp(R=2.0**6, d=3)), [0, 1, 1],
+     _case3_axes(_cp(R=2.0**6, d=3))),
+    (PlaneWaveSurrogate(xi0=(1.0, 2.0, 2.0, 1.0), width=0.3), [0, 1, 1, 3],
+     [_bump_axis(1.0, 0.3, TWO_PI**4)] + [_bump_axis(c, 0.3) for c in (2.0, 2.0, 1.0)]),
 ], ids=["product", "case3", "plane-wave"])
-def test_equal_axes_share_one_factor(f, groups):
-    """Axes share a (cells, profile) object exactly when their factors are equal."""
+def test_equal_axes_share_one_factor(f, groups, want):
+    """Axes share a (cells, profile) object exactly when their factors are
+    equal, and each factor is its family's closed form."""
     facs = factors(f)[1]
     for a, b in itertools.combinations(range(f.dim), 2):
         assert (facs[a] is facs[b]) == (groups[a] == groups[b])
-    for axis, (cells, profile) in enumerate(facs):
-        assert cells == tuple(f.axis_cells()[axis])
-        xi = np.linspace(cells[0][0], cells[-1][1], 257)
-        assert np.array_equal(profile(xi), f.axis_factor(axis, xi))
+    assert len(facs) == len(want)
+    for (cells, profile), (want_cells, want_profile) in zip(facs, want):
+        assert cells == want_cells
+        xi = np.linspace(cells[0][0] - 1.0, cells[-1][1] + 1.0, 257)
+        np.testing.assert_allclose(profile(xi), want_profile(xi), rtol=1e-13, atol=0.0)
 
 
 def test_spectrum_eval_is_axis_product():
@@ -218,7 +252,9 @@ def test_spectrum_eval_is_axis_product():
     pts = np.array([[2.0**16, cp.D * start],
                     [2.0**16 + 50.0, cp.D * (start + 3) + 0.4]])
     got = spectrum_eval(f, pts)
-    want = f.axis_factor(0, pts[:, 0]) * f.axis_factor(1, pts[:, 1])
+    (_, window), (_, comb) = _case3_axes(cp)
+    want = window(pts[:, 0]) * comb(pts[:, 1])
+    assert np.all(want != 0.0)
     assert np.allclose(got, want, rtol=1e-13)
 
 
@@ -242,7 +278,7 @@ def test_spectrum_vanishes_outside_reported_annulus():
     ]
     rng = np.random.default_rng(5)
     for f in descriptors:
-        inner, outer = f.support_radii()
+        inner, outer = support_annulus(factors(f)[1])
         dirs = rng.normal(size=(2000, f.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = rng.uniform(1.001 * outer, 3.0 * outer, 2000)
@@ -323,10 +359,10 @@ def test_case3_norms_closed_form(R):
 
 
 def _per_box_sobolev(f, s, order=64):
-    """Reference: one fixed tensor Gauss rule on each support box, box by box."""
+    """Reference: one fixed tensor Gauss rule on each support box of the comb data."""
     x, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
-    for box in itertools.product(*f.axis_cells()):
+    for box in itertools.product(*(cells for cells, _ in _case3_axes(f.params))):
         axes = [(0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w)
                 for lo, hi in box]
         pts = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1)
@@ -391,13 +427,15 @@ def test_norms_match_tensor_weight_values(name):
 
 def test_case3_sobolev_d3_full_comb():
     """d=3 at R=2^24: 262 144 comb cells, weighted through per-axis moments."""
-    f = Case3Counterexample(params=_cp(R=2.0**24, d=3))
-    cells = f.axis_cells()
+    cp = _cp(R=2.0**24, d=3)
+    f = Case3Counterexample(params=cp)
+    cells = [c for c, _ in _case3_axes(cp)]
+    assert [c for c, _ in factors(f)[1]] == cells
     assert [len(c) for c in cells] == [1, 512, 512]
     start = time.perf_counter()
     sob = sobolev_norm(f, 1.0 / 3.0)
     assert time.perf_counter() - start < 10.0
-    r_in, r_out = f.support_radii()
+    r_in, r_out = support_annulus(factors(f)[1])
     l2 = l2_norm(f)
     assert (1.0 + r_in**2) ** (1.0 / 6.0) * l2 <= sob <= (1.0 + r_out**2) ** (1.0 / 6.0) * l2
     # every cell carries the unit-mass bump fitted to it, so a fixed Gauss
