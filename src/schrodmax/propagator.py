@@ -27,16 +27,19 @@ sample points, at a cost that scales with the comb length instead of
 the full frequency box.  Its one kernel sums translated bumps:
 translate k integrates bump(u) e^{i x eta + lam eta^2} at
 eta = eta_k + s u, with lam = i t - t^gamma, so the sum over k is a
-polynomial in z = e^{2 Delta lam s u} (Delta the translate spacing),
-evaluated by Horner's rule with one exponential per (sample, node).
-The window factor is one translate of width sqrt(R); each comb factor
-is the lattice of unit translates, whose powers stay bounded as
-|z|^L = e^{-2 t^gamma D u L} with t^gamma D L ~ 1/R; the one-point
-factorized evaluation and the summation-by-parts split of a comb
-factor are calls into it.  Every integral converges to rtol of its
-largest value (per time column in the grid engine) or to a rounding
-floor set by its L1 mass, so a strongly cancelling point costs no more
-than a coherent one.
+polynomial in z = e^{2 Delta lam s u} (Delta the translate spacing).
+A block of translates over which log z moves little is a few Taylor
+moments, formed once per sample and not once per pass, so a pass costs
+about blocks * (_TAYLOR + 2) multiply-adds per (sample, node); blocks
+of one translate are Horner's rule.  The window factor is one
+translate of width sqrt(R); each comb factor is the lattice of unit
+translates, whose powers stay bounded as |z|^L = e^{-2 t^gamma D u L}
+with t^gamma D L ~ 1/R, and at its selected times the whole comb is
+one block.  The one-point factorized evaluation and the
+summation-by-parts split of a comb factor are calls into it.  Every
+integral converges to rtol of its largest value (per time column in
+the grid engine) or to a rounding floor set by its L1 mass, so a
+strongly cancelling point costs no more than a coherent one.
 """
 
 import functools
@@ -309,10 +312,96 @@ def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.nda
 # panel order of the translated-bump rule
 _FACTOR_ORDER = 64
 
+# Taylor radius and order of a block of translates: a block whose log z
+# spread about its centre is at most _RHO leaves a tail below
+# _RHO^(_TAYLOR+1) / (_TAYLOR+1)! < 1e-19 of its coefficients' mass
+_RHO = 1.0 / 64.0
+_TAYLOR = 7
+
+
+def _spans(spread: np.ndarray, size: int) -> np.ndarray:
+    """Translates per block at each sample, spread its bound on |log z| per translate.
+
+    A block of S translates spans spread (S - 1) / 2 of log z about its
+    centre.  All size translates form one block where that is at most
+    _RHO; otherwise the block is the largest power of two for which it
+    is.  A block costs _TAYLOR + 1 multiply-adds per node in place of S,
+    so spans of at most _TAYLOR + 1 run Horner's rule, span 1.
+    """
+    if size <= _TAYLOR + 1:
+        return np.ones(spread.shape, dtype=int)
+    with np.errstate(divide="ignore"):
+        # 2^(e - 1) <= 1 + 2 _RHO / spread < 2^e
+        e = np.frexp(1.0 + 2.0 * _RHO / spread)[1]
+    span = np.where(spread * (size - 1) <= 2.0 * _RHO, size,
+                    np.left_shift(1, np.maximum(e - 1, 0)))
+    return np.where(span <= _TAYLOR + 1, 1, span)
+
+
+@functools.lru_cache(maxsize=32)
+def _powers(span: int) -> np.ndarray:
+    """(j - kappa)^m / m! for j < span, m <= _TAYLOR, kappa = (span - 1) / 2."""
+    j = np.arange(span) - (span - 1) / 2.0
+    table = np.stack([j ** m / math.factorial(m) for m in range(_TAYLOR + 1)], axis=1)
+    table = table.astype(complex)  # a complex product per sample, no cast per call
+    table.setflags(write=False)
+    return table
+
+
+def _moments(coef: np.ndarray, span: int) -> np.ndarray:
+    """(sample, block, power) moments of blocks of span translates; see _block_moments."""
+    if span == 1:
+        return coef[:, :, None]
+    rows, size = coef.shape
+    blocks = -(-size // span)
+    if blocks * span != size:
+        coef = np.concatenate([coef, np.zeros((rows, blocks * span - size), complex)], axis=1)
+    return coef.reshape(rows, blocks, span) @ _powers(span)
+
+
+def _block_moments(lam: np.ndarray, step: float, scale: float, coef: np.ndarray):
+    """The (sample, translate) coefficients as moments of blocks of translates.
+
+    Each sample takes its span S from its own |2 step lam| scale (see
+    _spans), so its moments do not depend on the other samples.  Returns
+    (order, runs): order sorts the samples by span (None when all share
+    one), and each run of equal spans in that order is (stop, S, table),
+    with table[i, b, m] the sum over j < S of coef[bS + j] (j - kappa)^m / m!,
+    kappa = (S - 1) / 2, the top block padded with zeros.  At S = 1 the
+    table is the coefficients themselves, one block per translate.  Every
+    sample's moments are their own matrix product, so they are the same
+    bits whatever rows share the table.
+    """
+    span = _spans(2.0 * step * scale * np.abs(lam), coef.shape[1])
+    if (span == span[0]).all():
+        return None, [(span.size, int(span[0]), _moments(coef, int(span[0])))]
+    order = np.argsort(span, kind="stable")
+    span, coef = span[order], coef[order]
+    bounds = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), span.size]
+    return order, [(hi, int(span[lo]), _moments(coef[lo:hi], int(span[lo])))
+                   for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _taylor(out: np.ndarray, a: np.ndarray, moments: np.ndarray):
+    """out = sum over m of moments[:, m] a^m, by Horner's rule in a."""
+    out[:] = moments[:, -1][:, None]
+    for m in range(moments.shape[1] - 2, -1, -1):
+        out *= a
+        out += moments[:, m][:, None]
+
+
+def _node_sum(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """table @ weights, one product per sample.
+
+    BLAS sums a single row in another order than a matrix of rows, so a
+    matrix product would make a sample's value depend on its batch.
+    """
+    return (weights @ table.view(float).reshape(*table.shape, 2)).view(complex)[:, 0]
+
 
 def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-              scale: float, coef: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums over translates of integrals of the unit bump, by Horner's rule.
+              scale: float, moments, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums over translates of integrals of the unit bump, from block moments.
 
     Translate k is centred at eta_k = center + k step and integrates
     bump(u) e^{i x v + lam v (v + 2 eta_k)} over u, at the offset
@@ -320,34 +409,61 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     coef[k] = e^{i x eta_k + lam eta_k^2} a term is the integral of
     bump(u) e^{i x eta + lam eta^2} at eta = eta_k + v; a caller that
     drops the centre phase passes e^{-t^gamma eta_k^2} alone.  The sum
-    over k is the sum over nodes of B(u) P(z), where z = e^{2 step lam v},
-    B = bump w e^{i x v + lam v (v + 2 center)} and P(z) = sum_k coef[k] z^k.
-    Horner's rule runs from the top translate down in place on one
-    (sample, node) array: no exponential per translate and no
-    (sample, translate, node) array; one translate needs no z table.  On
-    the comb the powers stay bounded: |z|^L = e^{-2 t^gamma D v L} is
-    near one, as t^gamma D L ~ 1/R there.  The samples run in blocks of
-    _CHUNK / nodes rows, so each (sample, node) table holds about _CHUNK
-    entries whatever the sample count; every step is per (sample, node)
-    and each row's node sum is its own dot product, so the blocks change
-    no value.
+    over k is the sum over nodes of F(u) P(z), where z = e^a,
+    a = 2 step lam v, F = bump w e^{i x v + lam v (v + 2 center)} and
+    P(z) = sum_k coef[k] z^k.
+
+    moments is _block_moments of the coefficients.  With blocks of S
+    translates, kappa = (S - 1) / 2 and zeta = e^{a S},
+    P = e^{a kappa} sum_b zeta^b Q_b, where Q_b = sum_{m <= _TAYLOR}
+    a^m M_{b,m} is the Taylor sum of e^{a (j - kappa)} over block b.
+    Horner's rule in zeta runs over the B blocks and Horner's rule in a
+    over each Q_b, in place on (sample, node) tables: about
+    B (_TAYLOR + 2) multiply-adds per (sample, node) in place of the L
+    of Horner's rule over L translates, with B = 1 on the comb at its
+    selected times.  S = 1 is Horner's rule in z, step for step.
+    e^{a kappa} F(u) is F(u) with the centre moved to the first block's,
+    center + kappa step, so the exponent of F is formed in the a table.
+    The samples run in blocks of _CHUNK / nodes rows, so each (sample,
+    node) table holds about _CHUNK entries whatever the sample count;
+    every step is per (sample, node) and each row's node sum is its own
+    product, so the blocks change no value.
     """
+    order, runs = moments
+    if order is not None:
+        x, lam = x[order], lam[order]
     v = scale * u
-    shift = v * (v + 2.0 * center)
     weights = _unit_bump(u) * w
     out = np.empty(x.size, dtype=complex)
     block = max(1, _CHUNK // u.size)
-    for lo in range(0, x.size, block):
-        xb, lb, cb = x[lo:lo + block], lam[lo:lo + block], coef[:, lo:lo + block]
-        poly = np.empty((xb.size, u.size), dtype=complex)
-        poly[:] = cb[-1][:, None]
-        if cb.shape[0] > 1:
-            z = np.exp(np.outer(2.0 * step * lb, v))
-            for row in cb[-2::-1]:
-                poly *= z
-                poly += row[:, None]
-        poly *= np.exp(1j * np.outer(xb, v) + np.outer(lb, shift))
-        out[lo:lo + block] = poly @ weights
+    lo = 0
+    for stop, span, table in runs:
+        shift = v * (v + 2.0 * (center + step * (span - 1) / 2.0))
+        blocks, terms = table.shape[1:]
+        for at in range(lo, stop, block):
+            rows = slice(at, min(at + block, stop))
+            xb, lb, mb = x[rows], lam[rows], table[rows.start - lo:rows.stop - lo]
+            a = np.multiply.outer(2.0 * step * lb, v)
+            poly = np.empty_like(a)
+            _taylor(poly, a, mb[:, -1])
+            if blocks > 1:
+                zeta = a * span
+                np.exp(zeta, out=zeta)
+                q = np.empty_like(a) if terms > 1 else None
+                for b in range(blocks - 2, -1, -1):
+                    poly *= zeta
+                    if terms == 1:
+                        poly += mb[:, b, 0][:, None]
+                    else:
+                        _taylor(q, a, mb[:, b])
+                        poly += q
+            np.multiply.outer(lb, shift, out=a)
+            a.imag += np.outer(xb, v)
+            poly *= np.exp(a, out=a)
+            out[rows] = _node_sum(poly, weights)
+        lo = stop
+    if order is not None:
+        out[order] = out.copy()
     return out
 
 
@@ -355,14 +471,15 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
                   scale: float, coef, size: int, rate: float, rtol: float) -> np.ndarray:
     """Converged _bump_sum values of size translates at paired samples.
 
-    coef(rows) builds the (translate, sample) coefficient table of a
-    slice of the samples.  Each translate's integrand has modulus at
-    most the unit bump, so the sum's L1 mass is at most size; that sets
-    the rounding floor, and the node budget is shared among the
-    translates.  Panels start from rate, a bound on the phase rate in u.
+    coef(rows) builds the (sample, translate) coefficient table of a
+    slice of the samples; its block moments are formed once per slice and
+    read by every pass.  Each translate's integrand has modulus at most
+    the unit bump, so the sum's L1 mass is at most size; that sets the
+    rounding floor, and the node budget is shared among the translates.
+    Panels start from rate, a bound on the phase rate in u.
     """
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
-    # rows per call keep the (translate, sample) coefficient table near
+    # rows per call keep the (sample, translate) coefficient table near
     # _CHUNK entries; the rows of one call converge together, so the chunk
     # also fixes the passes and nodes each sample spends.  _bump_sum holds
     # the (sample, node) tables of a pass near _CHUNK entries by row blocks
@@ -370,8 +487,9 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     out = np.empty(x.size, dtype=complex)
     for lo in range(0, x.size, chunk):
         rows = slice(lo, lo + chunk)
+        moments = _block_moments(lam[rows], step, scale, coef(rows))
         out[rows] = double_panels(
-            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, coef(rows)),
+            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, moments),
             -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
             max_nodes=MAX_NODES // size)
     return out
@@ -419,12 +537,12 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
     i1 = _bump_factors(x[:, 0], 1j * t - decay, band, 0.0, root_r,
-                       lambda rows: np.exp(-decay[rows] * band ** 2)[None, :], 1,
+                       lambda rows: np.exp(-decay[rows] * band ** 2)[:, None], 1,
                        rate1, rtol)
 
     def lattice(xj, rows):
         return (_lattice_phases(cp, xj[rows], t[rows], ells)
-                * np.exp(-np.outer(decay[rows], cp.D ** 2 * ells * ells))).T.copy()
+                * np.exp(-np.outer(decay[rows], cp.D ** 2 * ells * ells)))
 
     ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
                                  functools.partial(lattice, x[:, j]), rtol)
@@ -472,7 +590,7 @@ def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint,
     top, tv = ells[-1:], np.array([t])
     decay = tv ** m.gamma
     g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top,
-                          lambda rows: np.exp(-np.outer(cp.D ** 2 * top * top, decay)),
+                          lambda rows: np.exp(-np.outer(decay, cp.D ** 2 * top * top)),
                           _POINT_RTOL)[0]
     main = complex(partial[-1] * g_top)
     band = cp.band

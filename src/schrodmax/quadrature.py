@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 MAX_NODES = 1 << 26
 
 # entries in one table held at once: an exponential table or GEMM operand
-# of the grid engine, a (sample, node) table or (translate, sample)
+# of the grid engine, a (sample, node) table or (sample, translate)
 # coefficient table of the factorized engine, a (u node, frequency node)
 # table of a norm
 _CHUNK = 1 << 16

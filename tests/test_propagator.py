@@ -30,13 +30,18 @@ from schrodmax.profiles import (
 from schrodmax.propagator import (
     SpaceTimePoint,
     _FACTOR_ORDER,
+    _RHO,
+    _TAYLOR,
+    _block_moments,
     _bump_sum,
     _cell_masses,
     _cell_matrix,
     _decay,
     _factorized_batch,
     _field_grid,
+    _node_sum,
     _plane_phase_sum,
+    _spans,
     _unit_bump,
     abel_main_plus_error,
     evaluate_free,
@@ -473,11 +478,84 @@ def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
         ells = ells[-1:]
     xi, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
     decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
-    coef = (_lattice(cp, x[:, 1], t, ells)
-            * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))).T
-    got = _bump_sum(x[:, 1], 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef, xi, w)
+    lam = 1j * t - decay
+    coef = _lattice(cp, x[:, 1], t, ells) * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))
+    got = _bump_sum(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0,
+                    _block_moments(lam, cp.D, 1.0, coef), xi, w)
     want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _horner(x, lam, center, step, coef, u, w):
+    """The comb sum by Horner's rule in z = e^{2 step lam u} over every translate,
+    summed over the nodes one row at a time as the kernel sums them."""
+    z = np.exp(np.outer(2.0 * step * lam, u))
+    poly = np.repeat(coef[:, -1:], u.size, axis=1)
+    for c in coef[:, -2::-1].T:
+        poly *= z
+        poly += c[:, None]
+    poly *= np.exp(1j * np.outer(x, u) + np.outer(lam, u * (u + 2.0 * center)))
+    return _node_sum(poly, _unit_bump(u) * w)
+
+
+def _comb_inputs(cp, x, t):
+    """Comb-axis arguments of the kernel: lam, the translates' centre and spacing, coef."""
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop, dtype=float)
+    decay = t ** cp.model.gamma
+    coef = _lattice(cp, x[:, 1], t, ells) * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))
+    return 1j * t - decay, cp.D * ells[0], cp.D, coef
+
+
+def test_taylor_tail_is_below_double_rounding():
+    assert _RHO ** (_TAYLOR + 1) / math.factorial(_TAYLOR + 1) < 2.0 ** -60
+
+
+@pytest.mark.parametrize("e", [16, 24, 32, 36])
+def test_block_moments_match_horner_on_the_ladder(e):
+    """At the selected times the whole comb is one block of Taylor moments."""
+    cp, x, t = _ladder_points(2 ** e, 32)
+    lam, center, step, coef = _comb_inputs(cp, x, t)
+    u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
+    moments = _block_moments(lam, step, 1.0, coef)
+    assert moments[0] is None and [r[:2] for r in moments[1]] == [(32, coef.shape[1])]
+    got = _bump_sum(x[:, 1], lam, center, step, 1.0, moments, u, w)
+    want = _horner(x[:, 1], lam, center, step, coef, u, w)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("e", [16, 24])
+def test_mixed_spans_are_the_rows_alone(e):
+    """Ladder points at their selected times (one block), at 4x those times
+    (blocks of 1 < S < L) and at 100x (Horner's rule, S = 1) in one batch.
+
+    At one rule each row is the same bits as alone.  Through the engine,
+    panels start from the batch's rate bound, so the three kinds of rows
+    evaluated apart agree with the mixed batch to the engine's rtol."""
+    cp, x, t = _ladder_points(2 ** e, 16)
+    x, t = np.concatenate([x, x, x]), np.concatenate([t, 4.0 * t, 100.0 * t])
+    shuffle = np.random.default_rng(1).permutation(t.size)
+    x, t = x[shuffle], t[shuffle]
+    lam, center, step, coef = _comb_inputs(cp, x, t)
+    u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
+    span = _spans(2.0 * step * np.abs(lam), coef.shape[1])
+    selected, scaled = shuffle < 16, (16 <= shuffle) & (shuffle < 32)
+    assert np.all(span[selected] == coef.shape[1])
+    assert np.all((1 < span[scaled]) & (span[scaled] < coef.shape[1]))
+    assert np.all(span[shuffle >= 32] == 1)
+    got = _bump_sum(x[:, 1], lam, center, step, 1.0, _block_moments(lam, step, 1.0, coef), u, w)
+    for i in range(t.size):
+        r = slice(i, i + 1)
+        alone = _bump_sum(x[r, 1], lam[r], center, step, 1.0,
+                          _block_moments(lam[r], step, 1.0, coef[r]), u, w)
+        assert np.array_equal(alone, got[r])
+    horner = span == 1
+    assert np.array_equal(got[horner], _horner(x[horner, 1], lam[horner], center, step,
+                                               coef[horner], u, w))
+    ij = _factorized_batch(cp, x, t)[1]
+    for part in (selected, scaled, shuffle >= 32):
+        np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
+                                   rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
 
 
 def _window_integral(cp, x1, t, u, w, gamma_eval=None):
@@ -502,8 +580,10 @@ def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
     decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
     band = cp.model.R ** (cp.model.gamma / 2.0)
-    got = _bump_sum(x[:, 0], 1j * t - decay, band, 0.0, math.sqrt(R),
-                    np.exp(-decay * band ** 2)[None, :], u, w)
+    lam = 1j * t - decay
+    got = _bump_sum(x[:, 0], lam, band, 0.0, math.sqrt(R),
+                    _block_moments(lam, 0.0, math.sqrt(R), np.exp(-decay * band ** 2)[:, None]),
+                    u, w)
     want = _window_integral(cp, x[:, 0], t, u, w, gamma_eval)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
