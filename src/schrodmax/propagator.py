@@ -28,14 +28,14 @@ the full frequency box.  Its one kernel sums translated bumps:
 translate k integrates bump(u) e^{i x eta + lam eta^2} at
 eta = eta_k + s u, with lam = i t - t^gamma, so the sum over k is a
 polynomial in z = e^{2 Delta lam s u} (Delta the translate spacing).
-A block of translates over which log z moves little is a few Taylor
-moments, formed once per sample and not once per pass, so a pass costs
-about blocks * (_TAYLOR + 2) multiply-adds per (sample, node); blocks
-of one translate are Horner's rule.  The window factor is one
-translate of width sqrt(R); each comb factor is the lattice of unit
-translates, whose powers stay bounded as |z|^L = e^{-2 t^gamma D u L}
-with t^gamma D L ~ 1/R, and at its selected times the whole comb is
-one block.  The one-point factorized evaluation and the
+Where log z moves little across the L translates, the polynomial is
+_TAYLOR + 1 Taylor moments about their centre, formed once per sample
+and not once per pass, so a pass costs _TAYLOR + 1 multiply-adds per
+(sample, node); elsewhere it is L, by Horner's rule.  The window
+factor is one translate of width sqrt(R); each comb factor is the
+lattice of unit translates, whose powers stay bounded as
+|z|^L = e^{-2 t^gamma D u L} with t^gamma D L ~ 1/R, which puts every
+comb at its selected times on the moments.  The one-point factorized evaluation and the
 summation-by-parts split of a comb factor are calls into it.  Every
 integral converges to rtol of its largest value (per time column in
 the grid engine) or to a rounding floor set by its L1 mass, so a
@@ -312,100 +312,60 @@ def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.nda
 # panel order of the translated-bump rule
 _FACTOR_ORDER = 64
 
-# Taylor radius and order of a block of translates: a block whose log z
-# spread about its centre is at most _RHO leaves a tail below
-# _RHO^(_TAYLOR+1) / (_TAYLOR+1)! < 1e-19 of its coefficients' mass
+# Taylor radius and order of a comb summed as one block: where log z moves
+# by at most _RHO about the comb's centre, the Taylor tail is below
+# _RHO^(_TAYLOR+1) / (_TAYLOR+1)! < 1e-19 of the coefficients' mass
 _RHO = 1.0 / 64.0
 _TAYLOR = 7
 
 
-def _spans(spread: np.ndarray, size: int) -> np.ndarray:
-    """Translates per block at each sample, spread its bound on |log z| per translate.
-
-    A block of S translates spans spread (S - 1) / 2 of log z about its
-    centre.  All size translates form one block where that is at most
-    _RHO; otherwise the block is the largest power of two for which it
-    is.  A block costs _TAYLOR + 1 multiply-adds per node in place of S,
-    so spans of at most _TAYLOR + 1 run Horner's rule, span 1.
-    """
-    if size <= _TAYLOR + 1:
-        return np.ones(spread.shape, dtype=int)
-    with np.errstate(divide="ignore"):
-        # 2^(e - 1) <= 1 + 2 _RHO / spread < 2^e
-        e = np.frexp(1.0 + 2.0 * _RHO / spread)[1]
-    span = np.where(spread * (size - 1) <= 2.0 * _RHO, size,
-                    np.left_shift(1, np.maximum(e - 1, 0)))
-    return np.where(span <= _TAYLOR + 1, 1, span)
-
-
 @functools.lru_cache(maxsize=32)
-def _powers(span: int) -> np.ndarray:
-    """(j - kappa)^m / m! for j < span, m <= _TAYLOR, kappa = (span - 1) / 2."""
-    j = np.arange(span) - (span - 1) / 2.0
-    table = np.stack([j ** m / math.factorial(m) for m in range(_TAYLOR + 1)], axis=1)
+def _powers(size: int) -> np.ndarray:
+    """(k - kappa)^m / m! for k < size, m <= _TAYLOR, kappa = (size - 1) / 2."""
+    k = np.arange(size) - (size - 1) / 2.0
+    table = np.stack([k ** m / math.factorial(m) for m in range(_TAYLOR + 1)], axis=1)
     table = table.astype(complex)  # a complex product per sample, no cast per call
     table.setflags(write=False)
     return table
 
 
-def _moments(coef: np.ndarray, span: int) -> np.ndarray:
-    """(sample, block, power) moments of blocks of span translates; see _block_moments."""
-    if span == 1:
-        return coef[:, :, None]
-    rows, size = coef.shape
-    blocks = -(-size // span)
-    if blocks * span != size:
-        coef = np.concatenate([coef, np.zeros((rows, blocks * span - size), complex)], axis=1)
-    return coef.reshape(rows, blocks, span) @ _powers(span)
+def _bump_terms(lam: np.ndarray, step: float, scale: float, coef: np.ndarray) -> list:
+    """The (sample, translate) coefficients as the terms _bump_sum sums.
 
-
-def _block_moments(lam: np.ndarray, step: float, scale: float, coef: np.ndarray):
-    """The (sample, translate) coefficients as moments of blocks of translates.
-
-    Each sample takes its span S from its own |2 step lam| scale (see
-    _spans), so its moments do not depend on the other samples.  Returns
-    (order, runs): order sorts the samples by span (None when all share
-    one), and each run of equal spans in that order is (stop, S, table),
-    with table[i, b, m] the sum over j < S of coef[bS + j] (j - kappa)^m / m!,
-    kappa = (S - 1) / 2, the top block padded with zeros.  At S = 1 the
-    table is the coefficients themselves, one block per translate.  Every
-    sample's moments are their own matrix product, so they are the same
-    bits whatever rows share the table.
+    A sample whose log z = 2 step lam v moves by at most _RHO about the
+    centre of its L translates, |step lam scale| (L - 1) <= _RHO, sums
+    them as one block: its terms are the Taylor moments
+    M_m = sum_k coef[k] (k - kappa)^m / m!, kappa = (L - 1) / 2.  The
+    other samples keep their coefficients for Horner's rule, as does
+    every sample when L <= _TAYLOR + 1, where the block would cost more.
+    Returns (rows, kappa, table) parts: kappa is None for coefficients,
+    and rows is every sample when all sum alike, else a boolean mask.
+    Each sample decides from its own lam and its moments are their own
+    matrix product, so its terms do not depend on the other samples.
     """
-    span = _spans(2.0 * step * scale * np.abs(lam), coef.shape[1])
-    if (span == span[0]).all():
-        return None, [(span.size, int(span[0]), _moments(coef, int(span[0])))]
-    order = np.argsort(span, kind="stable")
-    span, coef = span[order], coef[order]
-    bounds = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), span.size]
-    return order, [(hi, int(span[lo]), _moments(coef[lo:hi], int(span[lo])))
-                   for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _taylor(out: np.ndarray, a: np.ndarray, moments: np.ndarray):
-    """out = sum over m of moments[:, m] a^m, by Horner's rule in a."""
-    out[:] = moments[:, -1][:, None]
-    for m in range(moments.shape[1] - 2, -1, -1):
-        out *= a
-        out += moments[:, m][:, None]
-
-
-def _node_sum(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """table @ weights, one product per sample.
-
-    BLAS sums a single row in another order than a matrix of rows, so a
-    matrix product would make a sample's value depend on its batch.
-    """
-    return (weights @ table.view(float).reshape(*table.shape, 2)).view(complex)[:, 0]
+    size = coef.shape[1]
+    one = (size > _TAYLOR + 1) & (np.abs(lam) * (step * scale * (size - 1)) <= _RHO)
+    if one.all() or not one.any():
+        parts = [(slice(None), bool(one.all()))]
+    else:
+        parts = [(~one, False), (one, True)]
+    terms = []
+    for rows, block in parts:
+        if block:
+            moments = (coef[rows][:, None, :] @ _powers(size))[:, 0]
+            terms.append((rows, (size - 1) / 2.0, moments))
+        else:
+            terms.append((rows, None, coef[rows]))
+    return terms
 
 
 def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-              scale: float, moments, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums over translates of integrals of the unit bump, from block moments.
+              scale: float, terms: list, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums over translates of integrals of the unit bump, by Horner's rule.
 
     Translate k is centred at eta_k = center + k step and integrates
     bump(u) e^{i x v + lam v (v + 2 eta_k)} over u, at the offset
-    v = scale u, times coef[k]; lam = i t - t^gamma per sample.  With
+    v = scale u, weighted by coef[k]; with
     coef[k] = e^{i x eta_k + lam eta_k^2} a term is the integral of
     bump(u) e^{i x eta + lam eta^2} at eta = eta_k + v; a caller that
     drops the centre phase passes e^{-t^gamma eta_k^2} alone.  The sum
@@ -413,57 +373,45 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     a = 2 step lam v, F = bump w e^{i x v + lam v (v + 2 center)} and
     P(z) = sum_k coef[k] z^k.
 
-    moments is _block_moments of the coefficients.  With blocks of S
-    translates, kappa = (S - 1) / 2 and zeta = e^{a S},
-    P = e^{a kappa} sum_b zeta^b Q_b, where Q_b = sum_{m <= _TAYLOR}
-    a^m M_{b,m} is the Taylor sum of e^{a (j - kappa)} over block b.
-    Horner's rule in zeta runs over the B blocks and Horner's rule in a
-    over each Q_b, in place on (sample, node) tables: about
-    B (_TAYLOR + 2) multiply-adds per (sample, node) in place of the L
-    of Horner's rule over L translates, with B = 1 on the comb at its
-    selected times.  S = 1 is Horner's rule in z, step for step.
-    e^{a kappa} F(u) is F(u) with the centre moved to the first block's,
-    center + kappa step, so the exponent of F is formed in the a table.
-    The samples run in blocks of _CHUNK / nodes rows, so each (sample,
-    node) table holds about _CHUNK entries whatever the sample count;
-    every step is per (sample, node) and each row's node sum is its own
-    product, so the blocks change no value.
+    terms is _bump_terms of the coefficients.  On coefficients Horner's
+    rule in z runs from the top translate down: L multiply-adds per
+    (sample, node), no exponential per translate and no (sample,
+    translate, node) array; one translate needs no z table.  On a
+    sample's Taylor moments P = e^{a kappa} sum_m a^m M_m, and Horner's
+    rule in a costs _TAYLOR + 1 multiply-adds; e^{a kappa} F is F with
+    the centre moved to center + kappa step.  On the comb at its
+    selected times every sample takes the moments.  The a table becomes
+    the final exponent, so a pass holds two (sample, node) tables.  The
+    samples run in blocks of _CHUNK / nodes rows, so each table holds
+    about _CHUNK entries whatever the sample count; every step is per
+    (sample, node) and each row's node sum is its own product, so the
+    blocks change no value.
     """
-    order, runs = moments
-    if order is not None:
-        x, lam = x[order], lam[order]
     v = scale * u
-    weights = _unit_bump(u) * w
+    weights = (_unit_bump(u) * w)[:, None]
     out = np.empty(x.size, dtype=complex)
     block = max(1, _CHUNK // u.size)
-    lo = 0
-    for stop, span, table in runs:
-        shift = v * (v + 2.0 * (center + step * (span - 1) / 2.0))
-        blocks, terms = table.shape[1:]
-        for at in range(lo, stop, block):
-            rows = slice(at, min(at + block, stop))
-            xb, lb, mb = x[rows], lam[rows], table[rows.start - lo:rows.stop - lo]
+    for rows, kappa, table in terms:
+        xs, ls = x[rows], lam[rows]
+        shift = v * (v + 2.0 * (center if kappa is None else center + step * kappa))
+        part = np.empty(xs.size, dtype=complex)
+        for lo in range(0, xs.size, block):
+            xb, lb, tb = xs[lo:lo + block], ls[lo:lo + block], table[lo:lo + block]
             a = np.multiply.outer(2.0 * step * lb, v)
+            if kappa is None and tb.shape[1] > 1:
+                np.exp(a, out=a)  # z
             poly = np.empty_like(a)
-            _taylor(poly, a, mb[:, -1])
-            if blocks > 1:
-                zeta = a * span
-                np.exp(zeta, out=zeta)
-                q = np.empty_like(a) if terms > 1 else None
-                for b in range(blocks - 2, -1, -1):
-                    poly *= zeta
-                    if terms == 1:
-                        poly += mb[:, b, 0][:, None]
-                    else:
-                        _taylor(q, a, mb[:, b])
-                        poly += q
+            poly[:] = tb[:, -1:]
+            for col in tb[:, -2::-1].T:
+                poly *= a
+                poly += col[:, None]
             np.multiply.outer(lb, shift, out=a)
             a.imag += np.outer(xb, v)
             poly *= np.exp(a, out=a)
-            out[rows] = _node_sum(poly, weights)
-        lo = stop
-    if order is not None:
-        out[order] = out.copy()
+            # one product per row: BLAS sums a matrix of rows in another
+            # order than one row, which would tie a row's value to its batch
+            part[lo:lo + block] = (poly[:, None, :] @ weights)[:, 0, 0]
+        out[rows] = part
     return out
 
 
@@ -472,7 +420,7 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     """Converged _bump_sum values of size translates at paired samples.
 
     coef(rows) builds the (sample, translate) coefficient table of a
-    slice of the samples; its block moments are formed once per slice and
+    slice of the samples; its _bump_terms are formed once per slice and
     read by every pass.  Each translate's integrand has modulus at most
     the unit bump, so the sum's L1 mass is at most size; that sets the
     rounding floor, and the node budget is shared among the translates.
@@ -487,9 +435,9 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     out = np.empty(x.size, dtype=complex)
     for lo in range(0, x.size, chunk):
         rows = slice(lo, lo + chunk)
-        moments = _block_moments(lam[rows], step, scale, coef(rows))
+        terms = _bump_terms(lam[rows], step, scale, coef(rows))
         out[rows] = double_panels(
-            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, moments),
+            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, terms),
             -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
             max_nodes=MAX_NODES // size)
     return out

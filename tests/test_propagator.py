@@ -32,16 +32,14 @@ from schrodmax.propagator import (
     _FACTOR_ORDER,
     _RHO,
     _TAYLOR,
-    _block_moments,
     _bump_sum,
+    _bump_terms,
     _cell_masses,
     _cell_matrix,
     _decay,
     _factorized_batch,
     _field_grid,
-    _node_sum,
     _plane_phase_sum,
-    _spans,
     _unit_bump,
     abel_main_plus_error,
     evaluate_free,
@@ -481,21 +479,22 @@ def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
     lam = 1j * t - decay
     coef = _lattice(cp, x[:, 1], t, ells) * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))
     got = _bump_sum(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0,
-                    _block_moments(lam, cp.D, 1.0, coef), xi, w)
+                    _bump_terms(lam, cp.D, 1.0, coef), xi, w)
     want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _horner(x, lam, center, step, coef, u, w):
     """The comb sum by Horner's rule in z = e^{2 step lam u} over every translate,
-    summed over the nodes one row at a time as the kernel sums them."""
+    summed over the nodes one row at a time."""
     z = np.exp(np.outer(2.0 * step * lam, u))
     poly = np.repeat(coef[:, -1:], u.size, axis=1)
     for c in coef[:, -2::-1].T:
         poly *= z
         poly += c[:, None]
     poly *= np.exp(1j * np.outer(x, u) + np.outer(lam, u * (u + 2.0 * center)))
-    return _node_sum(poly, _unit_bump(u) * w)
+    weights = _unit_bump(u) * w
+    return np.array([row @ weights for row in poly])
 
 
 def _comb_inputs(cp, x, t):
@@ -512,48 +511,47 @@ def test_taylor_tail_is_below_double_rounding():
 
 
 @pytest.mark.parametrize("e", [16, 24, 32, 36])
-def test_block_moments_match_horner_on_the_ladder(e):
-    """At the selected times the whole comb is one block of Taylor moments."""
+def test_taylor_moments_match_horner_on_the_ladder(e):
+    """At the selected times every comb is summed from its Taylor moments."""
     cp, x, t = _ladder_points(2 ** e, 32)
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
-    moments = _block_moments(lam, step, 1.0, coef)
-    assert moments[0] is None and [r[:2] for r in moments[1]] == [(32, coef.shape[1])]
-    got = _bump_sum(x[:, 1], lam, center, step, 1.0, moments, u, w)
+    terms = _bump_terms(lam, step, 1.0, coef)
+    assert [(rows, table.shape) for rows, _, table in terms] == [(slice(None), (32, _TAYLOR + 1))]
+    got = _bump_sum(x[:, 1], lam, center, step, 1.0, terms, u, w)
     want = _horner(x[:, 1], lam, center, step, coef, u, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("e", [16, 24])
-def test_mixed_spans_are_the_rows_alone(e):
-    """Ladder points at their selected times (one block), at 4x those times
-    (blocks of 1 < S < L) and at 100x (Horner's rule, S = 1) in one batch.
+def test_mixed_rules_are_the_rows_alone(e):
+    """Ladder points at their selected times (Taylor moments) and at 4x those
+    times (Horner's rule) in one batch.
 
-    At one rule each row is the same bits as alone.  Through the engine,
-    panels start from the batch's rate bound, so the three kinds of rows
-    evaluated apart agree with the mixed batch to the engine's rtol."""
+    In the kernel each row is the same bits as alone, and each Horner row
+    the same bits as the reference.  Through the engine, panels start from
+    the batch's rate bound and its rows converge together, so each kind of
+    row evaluated apart agrees with the mixed batch to the engine's rtol."""
     cp, x, t = _ladder_points(2 ** e, 16)
-    x, t = np.concatenate([x, x, x]), np.concatenate([t, 4.0 * t, 100.0 * t])
+    x, t = np.concatenate([x, x]), np.concatenate([t, 4.0 * t])
     shuffle = np.random.default_rng(1).permutation(t.size)
     x, t = x[shuffle], t[shuffle]
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
-    span = _spans(2.0 * step * np.abs(lam), coef.shape[1])
-    selected, scaled = shuffle < 16, (16 <= shuffle) & (shuffle < 32)
-    assert np.all(span[selected] == coef.shape[1])
-    assert np.all((1 < span[scaled]) & (span[scaled] < coef.shape[1]))
-    assert np.all(span[shuffle >= 32] == 1)
-    got = _bump_sum(x[:, 1], lam, center, step, 1.0, _block_moments(lam, step, 1.0, coef), u, w)
+    selected = shuffle < 16
+    terms = _bump_terms(lam, step, 1.0, coef)
+    assert [(rows.tolist(), kappa is None) for rows, kappa, _ in terms] == [
+        ((~selected).tolist(), True), (selected.tolist(), False)]
+    got = _bump_sum(x[:, 1], lam, center, step, 1.0, terms, u, w)
     for i in range(t.size):
         r = slice(i, i + 1)
         alone = _bump_sum(x[r, 1], lam[r], center, step, 1.0,
-                          _block_moments(lam[r], step, 1.0, coef[r]), u, w)
+                          _bump_terms(lam[r], step, 1.0, coef[r]), u, w)
         assert np.array_equal(alone, got[r])
-    horner = span == 1
-    assert np.array_equal(got[horner], _horner(x[horner, 1], lam[horner], center, step,
-                                               coef[horner], u, w))
+    assert np.array_equal(got[~selected], _horner(x[~selected, 1], lam[~selected], center,
+                                                  step, coef[~selected], u, w))
     ij = _factorized_batch(cp, x, t)[1]
-    for part in (selected, scaled, shuffle >= 32):
+    for part in (selected, ~selected):
         np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
                                    rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
 
@@ -582,7 +580,7 @@ def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
     band = cp.model.R ** (cp.model.gamma / 2.0)
     lam = 1j * t - decay
     got = _bump_sum(x[:, 0], lam, band, 0.0, math.sqrt(R),
-                    _block_moments(lam, 0.0, math.sqrt(R), np.exp(-decay * band ** 2)[:, None]),
+                    _bump_terms(lam, 0.0, math.sqrt(R), np.exp(-decay * band ** 2)[:, None]),
                     u, w)
     want = _window_integral(cp, x[:, 0], t, u, w, gamma_eval)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
