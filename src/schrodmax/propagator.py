@@ -28,18 +28,25 @@ the full frequency box.  Its one kernel sums translated bumps:
 translate k integrates bump(u) e^{i x eta + lam eta^2} at
 eta = eta_k + s u, with lam = i t - t^gamma, so the sum over k is a
 polynomial in z = e^{2 Delta lam s u} (Delta the translate spacing).
-Where log z moves little across the L translates, the polynomial is
-_TAYLOR + 1 Taylor moments about their centre, formed once per sample
-and not once per pass, so a pass costs _TAYLOR + 1 multiply-adds per
-(sample, node); elsewhere it is L, by Horner's rule.  The window
-factor is one translate of width sqrt(R); each comb factor is the
-lattice of unit translates, whose powers stay bounded as
-|z|^L = e^{-2 t^gamma D u L} with t^gamma D L ~ 1/R, which puts every
-comb at its selected times on the moments.  The one-point factorized evaluation and the
-summation-by-parts split of a comb factor are calls into it.  Every
-integral converges to rtol of its largest value (per time column in
-the grid engine) or to a rounding floor set by its L1 mass, so a
-strongly cancelling point costs no more than a coherent one.
+The window factor is one translate of width sqrt(R); each comb factor
+is the lattice of unit translates.  At a resonant sample the sum has a
+closed form and runs no quadrature.  Where log z moves by at most _RHO
+about the centre of the L translates, the polynomial is its
+_TAYLOR + 1 Taylor moments about that centre; the rest of the
+exponent is beta u + q u^2, and where |beta| + |q| <= _SERIES_RADIUS
+its power series to u-degree 2 _SERIES_ORDER, met with the unit bump's
+moments, leaves a tail below 3.5e-20 of the integrand's mass.  The
+construction makes its points resonant: the time is chosen where the
+window's phase is stationary, and the box keeps |x_j| <= c1, so each
+ladder point at its selected time takes the closed form in both
+factors, with |beta| + |q| below 0.04.  Generic points, as in check 5
+and propagator-check, mostly do not: they run Horner's rule in z on
+doubling panels, L multiply-adds per (sample, node).  The one-point
+factorized evaluation and the summation-by-parts split of a comb
+factor are calls into it.  Every integral converges to rtol of its
+largest value (per time column in the grid engine) or to a rounding
+floor set by its L1 mass, so a strongly cancelling point costs no more
+than a coherent one.
 """
 
 import functools
@@ -59,7 +66,14 @@ from .profiles import (
     factors,
     mollifier_mass,
 )
-from .quadrature import _CHUNK, MAX_NODES, double_panels, panel_nodes, panels_for_rate
+from .quadrature import (
+    _CHUNK,
+    MAX_NODES,
+    double_panels,
+    gauss_legendre,
+    panel_nodes,
+    panels_for_rate,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,18 +319,28 @@ def _check_in_box(cp: CounterexampleParams, x: np.ndarray):
 
 def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.ndarray:
     """e^{i(D l x_j + D^2 l^2 t)}: one row per sample, one column per translate."""
-    return np.exp(1j * (cp.D * np.outer(xj, ells)
-                        + cp.D ** 2 * np.outer(t, ells * ells)))
+    phase = cp.D * np.outer(xj, ells)
+    phase += cp.D ** 2 * np.outer(t, ells * ells)
+    # exponentiated in place: no complex temporary beside the table
+    table = np.zeros(phase.shape, dtype=complex)
+    table.imag = phase
+    return np.exp(table, out=table)
 
 
 # panel order of the translated-bump rule
 _FACTOR_ORDER = 64
 
-# Taylor radius and order of a comb summed as one block: where log z moves
-# by at most _RHO about the comb's centre, the Taylor tail is below
+# Taylor radius and order of a comb summed from its moments: where log z
+# moves by at most _RHO about the comb's centre, the Taylor tail is below
 # _RHO^(_TAYLOR+1) / (_TAYLOR+1)! < 1e-19 of the coefficients' mass
 _RHO = 1.0 / 64.0
 _TAYLOR = 7
+
+# radius and order of the closed form: where r = |beta| + |q| <= _SERIES_RADIUS,
+# the series of e^{beta u + q u^2} to u-degree 2 _SERIES_ORDER leaves a tail
+# below r^(N+1) e^r / (N+1)! < 3.5e-20 (N = _SERIES_ORDER) of the terms' mass
+_SERIES_RADIUS = 1.0 / 8.0
+_SERIES_ORDER = 11
 
 
 @functools.lru_cache(maxsize=32)
@@ -329,38 +353,72 @@ def _powers(size: int) -> np.ndarray:
     return table
 
 
-def _bump_terms(lam: np.ndarray, step: float, scale: float, coef: np.ndarray) -> list:
-    """The (sample, translate) coefficients as the terms _bump_sum sums.
+@functools.lru_cache(maxsize=1)
+def _bump_moments() -> np.ndarray:
+    """mu_k, the integral of _unit_bump(u) u^k, for k <= 2 _SERIES_ORDER + _TAYLOR.
 
-    A sample whose log z = 2 step lam v moves by at most _RHO about the
-    centre of its L translates, |step lam scale| (L - 1) <= _RHO, sums
-    them as one block: its terms are the Taylor moments
-    M_m = sum_k coef[k] (k - kappa)^m / m!, kappa = (L - 1) / 2.  The
-    other samples keep their coefficients for Horner's rule, as does
-    every sample when L <= _TAYLOR + 1, where the block would cost more.
-    Returns (rows, kappa, table) parts: kappa is None for coefficients,
-    and rows is every sample when all sum alike, else a boolean mask.
-    Each sample decides from its own lam and its moments are their own
-    matrix product, so its terms do not depend on the other samples.
+    From the fixed rule of mollifier_mass, so mu_0 = 1 to rounding; the
+    odd moments of the even bump are set to zero.
+    """
+    u, w = gauss_legendre(256)
+    mu = (_unit_bump(u) * w) @ (u[:, None] ** np.arange(2 * _SERIES_ORDER + _TAYLOR + 1))
+    mu[1::2] = 0.0
+    mu.setflags(write=False)
+    return mu
+
+
+def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
+                 scale: float, coef: np.ndarray):
+    """The samples whose sum over translates has a closed form, and its values.
+
+    With the translates' Taylor moments M_m = sum_k coef[k] (k - kappa)^m / m!,
+    kappa = (L - 1) / 2, the sum over translates of _bump_sum is the
+    integral of bump(u) e^{beta u + q u^2} sum_m M_m (alpha u)^m over u,
+    where alpha = 2 step lam scale, beta = scale (i x + 2 lam c) at the
+    translates' centre c = center + kappa step, and q = lam scale^2.  A
+    sample takes it where the moments hold, |alpha| kappa <= _RHO (always
+    for one translate), and r = |beta| + |q| <= _SERIES_RADIUS.  The
+    u-coefficients of e^{beta u + q u^2} follow e_0 = 1, e_1 = beta,
+    (j + 1) e_{j+1} = beta e_j + 2 q e_{j-1}.  Stopped at u-degree
+    2 _SERIES_ORDER, every omitted monomial comes from a term
+    (beta u + q u^2)^n / n! with n > _SERIES_ORDER, so on |u| <= 1 they
+    sum to at most r^(N+1) e^r / (N+1)! times sum_m |M_m alpha^m|, which
+    is at most e^_RHO times the coefficients' L1 mass.  The value is
+    sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
+    Horner's rule in alpha.  Returns a boolean mask of the samples that
+    take it and their values.  Each sample decides from its own values,
+    and every step is elementwise or a product of its own row, so its
+    value does not depend on the other samples.
     """
     size = coef.shape[1]
-    one = (size > _TAYLOR + 1) & (np.abs(lam) * (step * scale * (size - 1)) <= _RHO)
-    if one.all() or not one.any():
-        parts = [(slice(None), bool(one.all()))]
-    else:
-        parts = [(~one, False), (one, True)]
-    terms = []
-    for rows, block in parts:
-        if block:
-            moments = (coef[rows][:, None, :] @ _powers(size))[:, 0]
-            terms.append((rows, (size - 1) / 2.0, moments))
-        else:
-            terms.append((rows, None, coef[rows]))
-    return terms
+    kappa = (size - 1) / 2.0
+    alpha = 2.0 * step * scale * lam
+    beta = scale * (1j * x + 2.0 * lam * (center + kappa * step))
+    q = lam * (scale * scale)
+    take = ((np.abs(alpha) * kappa <= _RHO)
+            & (np.abs(beta) + np.abs(q) <= _SERIES_RADIUS))
+    if not take.any():  # a generic one-point call: skip the series' 100 array steps
+        return take, np.empty(0, dtype=complex)
+    alpha, beta, q = alpha[take], beta[take], q[take]
+    # every row's moments, then the rows taken: no masked copy of the table
+    moments = (coef[:, None, :] @ _powers(size))[take, 0]
+    mu = _bump_moments()
+    width = moments.shape[1]
+    # g[:, m] = sum_j e_j mu_{m+j}
+    g = np.repeat(mu[None, :width].astype(complex), beta.size, axis=0)
+    e_prev, e = np.zeros_like(beta), np.ones_like(beta)
+    for j in range(1, 2 * _SERIES_ORDER + 1):
+        e_prev, e = e, (beta * e + 2.0 * q * e_prev) / j
+        g += e[:, None] * mu[j:j + width]
+    out = moments[:, -1] * g[:, -1]
+    for m in range(width - 2, -1, -1):
+        out *= alpha
+        out += moments[:, m] * g[:, m]
+    return take, out
 
 
 def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-              scale: float, terms: list, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+              scale: float, coef: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sums over translates of integrals of the unit bump, by Horner's rule.
 
     Translate k is centred at eta_k = center + k step and integrates
@@ -369,77 +427,75 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     coef[k] = e^{i x eta_k + lam eta_k^2} a term is the integral of
     bump(u) e^{i x eta + lam eta^2} at eta = eta_k + v; a caller that
     drops the centre phase passes e^{-t^gamma eta_k^2} alone.  The sum
-    over k is the sum over nodes of F(u) P(z), where z = e^a,
-    a = 2 step lam v, F = bump w e^{i x v + lam v (v + 2 center)} and
+    over k is the sum over nodes of F(u) P(z), where z = e^{2 step lam v},
+    F = bump w e^{i x v + lam v (v + 2 center)} and
     P(z) = sum_k coef[k] z^k.
 
-    terms is _bump_terms of the coefficients.  On coefficients Horner's
-    rule in z runs from the top translate down: L multiply-adds per
-    (sample, node), no exponential per translate and no (sample,
-    translate, node) array; one translate needs no z table.  On a
-    sample's Taylor moments P = e^{a kappa} sum_m a^m M_m, and Horner's
-    rule in a costs _TAYLOR + 1 multiply-adds; e^{a kappa} F is F with
-    the centre moved to center + kappa step.  On the comb at its
-    selected times every sample takes the moments.  The a table becomes
-    the final exponent, so a pass holds two (sample, node) tables.  The
-    samples run in blocks of _CHUNK / nodes rows, so each table holds
-    about _CHUNK entries whatever the sample count; every step is per
-    (sample, node) and each row's node sum is its own product, so the
-    blocks change no value.
+    Horner's rule in z runs from the top translate down: L multiply-adds
+    per (sample, node), no exponential per translate and no (sample,
+    translate, node) array; one translate needs no z table.  The z table
+    becomes the final exponent, so a pass holds two (sample, node)
+    tables.  The samples run in blocks of _CHUNK / nodes rows, so each
+    table holds about _CHUNK entries whatever the sample count; every
+    step is per (sample, node) and each row's node sum is its own
+    product, so the blocks change no value.
     """
     v = scale * u
     weights = (_unit_bump(u) * w)[:, None]
+    shift = v * (v + 2.0 * center)
     out = np.empty(x.size, dtype=complex)
     block = max(1, _CHUNK // u.size)
-    for rows, kappa, table in terms:
-        xs, ls = x[rows], lam[rows]
-        shift = v * (v + 2.0 * (center if kappa is None else center + step * kappa))
-        part = np.empty(xs.size, dtype=complex)
-        for lo in range(0, xs.size, block):
-            xb, lb, tb = xs[lo:lo + block], ls[lo:lo + block], table[lo:lo + block]
-            a = np.multiply.outer(2.0 * step * lb, v)
-            if kappa is None and tb.shape[1] > 1:
-                np.exp(a, out=a)  # z
-            poly = np.empty_like(a)
-            poly[:] = tb[:, -1:]
-            for col in tb[:, -2::-1].T:
+    for lo in range(0, x.size, block):
+        xb, lb, cb = x[lo:lo + block], lam[lo:lo + block], coef[lo:lo + block]
+        a = np.multiply.outer(2.0 * step * lb, v)
+        poly = np.empty_like(a)
+        poly[:] = cb[:, -1:]
+        if cb.shape[1] > 1:
+            np.exp(a, out=a)  # z
+            for col in cb[:, -2::-1].T:
                 poly *= a
                 poly += col[:, None]
-            np.multiply.outer(lb, shift, out=a)
-            a.imag += np.outer(xb, v)
-            poly *= np.exp(a, out=a)
-            # one product per row: BLAS sums a matrix of rows in another
-            # order than one row, which would tie a row's value to its batch
-            part[lo:lo + block] = (poly[:, None, :] @ weights)[:, 0, 0]
-        out[rows] = part
+        np.multiply.outer(lb, shift, out=a)
+        a.imag += np.outer(xb, v)
+        poly *= np.exp(a, out=a)
+        # one product per row: BLAS sums a matrix of rows in another
+        # order than one row, which would tie a row's value to its batch
+        out[lo:lo + block] = (poly[:, None, :] @ weights)[:, 0, 0]
     return out
 
 
 def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
                   scale: float, coef, size: int, rate: float, rtol: float) -> np.ndarray:
-    """Converged _bump_sum values of size translates at paired samples.
+    """_bump_sum values of size translates at paired samples, in closed form or converged.
 
     coef(rows) builds the (sample, translate) coefficient table of a
-    slice of the samples; its _bump_terms are formed once per slice and
-    read by every pass.  Each translate's integrand has modulus at most
-    the unit bump, so the sum's L1 mass is at most size; that sets the
-    rounding floor, and the node budget is shared among the translates.
-    Panels start from rate, a bound on the phase rate in u.
+    slice of the samples.  The samples that _bump_series takes get its
+    closed form; the others run _bump_sum on doubling panels.  Each
+    translate's integrand has modulus at most the unit bump, so the
+    sum's L1 mass is at most size; that sets the rounding floor, and the
+    node budget is shared among the translates.  Panels start from rate,
+    a bound on the phase rate in u.
     """
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
     # rows per call keep the (sample, translate) coefficient table near
-    # _CHUNK entries; the rows of one call converge together, so the chunk
-    # also fixes the passes and nodes each sample spends.  _bump_sum holds
-    # the (sample, node) tables of a pass near _CHUNK entries by row blocks
+    # _CHUNK entries; the quadrature rows of one call converge together, so
+    # the chunk also fixes the passes and nodes each of them spends.
+    # _bump_sum holds the (sample, node) tables of a pass near _CHUNK
+    # entries by row blocks
     chunk = max(1, _CHUNK // size)
     out = np.empty(x.size, dtype=complex)
     for lo in range(0, x.size, chunk):
-        rows = slice(lo, lo + chunk)
-        terms = _bump_terms(lam[rows], step, scale, coef(rows))
-        out[rows] = double_panels(
-            functools.partial(_bump_sum, x[rows], lam[rows], center, step, scale, terms),
-            -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
-            max_nodes=MAX_NODES // size)
+        xs, ls, table = x[lo:lo + chunk], lam[lo:lo + chunk], coef(slice(lo, lo + chunk))
+        part = out[lo:lo + chunk]
+        take, values = _bump_series(xs, ls, center, step, scale, table)
+        part[take] = values
+        rest = ~take
+        if rest.any():
+            part[rest] = double_panels(
+                functools.partial(_bump_sum, xs[rest], ls[rest], center, step, scale,
+                                  table[rest]),
+                -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
+                max_nodes=MAX_NODES // size)
     return out
 
 
@@ -450,7 +506,7 @@ def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
     decay is each sample's t^gamma and coef is as in _bump_factors.
     """
     t_max = float(np.max(t, initial=0.0))
-    rate = (float(np.max(np.abs(xj)))
+    rate = (float(np.max(np.abs(xj), initial=0.0))
             + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
     return _bump_factors(xj, 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef,
                          ells.size, rate, rtol)
@@ -462,10 +518,11 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
 
     The window is one translate of width sqrt(R) at R^{gamma/2}, its
     centre phase dropped; each comb axis sums the lattice translates
-    with their lattice phases.  Panel counts start from the worst-case
-    phase rate over the batch and double until the factor values
-    stabilize, to rtol of the batch maximum or to the rounding floor of
-    the integrand's L1 mass (one for the unit-mass window).
+    with their lattice phases.  Resonant points take the closed form;
+    for the others panel counts start from the worst-case phase rate
+    over the batch and double until the factor values stabilize, to
+    rtol of the batch maximum or to the rounding floor of the
+    integrand's L1 mass (one for the unit-mass window).
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -489,8 +546,10 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
                        rate1, rtol)
 
     def lattice(xj, rows):
-        return (_lattice_phases(cp, xj[rows], t[rows], ells)
-                * np.exp(-np.outer(decay[rows], cp.D ** 2 * ells * ells)))
+        table = _lattice_phases(cp, xj[rows], t[rows], ells)
+        damp = np.outer(-decay[rows], cp.D ** 2 * ells * ells)
+        table *= np.exp(damp, out=damp)
+        return table
 
     ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
                                  functools.partial(lattice, x[:, j]), rtol)

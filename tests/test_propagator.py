@@ -31,9 +31,11 @@ from schrodmax.propagator import (
     SpaceTimePoint,
     _FACTOR_ORDER,
     _RHO,
+    _SERIES_ORDER,
+    _SERIES_RADIUS,
     _TAYLOR,
+    _bump_series,
     _bump_sum,
-    _bump_terms,
     _cell_masses,
     _cell_matrix,
     _decay,
@@ -468,7 +470,8 @@ def _per_translate_comb(cp, xj, t, ells, xi, w, gamma_eval=None):
 @pytest.mark.parametrize("one_translate", [False, True], ids=["all", "top"])
 def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
     """The translated-bump kernel on a comb axis, with the lattice coefficients
-    (lattice phase) e^{-t^gamma D^2 l^2} of the translates l."""
+    (lattice phase) e^{-t^gamma D^2 l^2} of the translates l: Horner's rule on
+    the nodes, and the closed form that every such point takes."""
     cp, x, t = _ladder_points(R, 16)
     start, stop = comb_range(cp)
     ells = np.arange(start, stop, dtype=float)
@@ -478,10 +481,12 @@ def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
     decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
     lam = 1j * t - decay
     coef = _lattice(cp, x[:, 1], t, ells) * np.exp(-np.outer(decay, cp.D ** 2 * ells * ells))
-    got = _bump_sum(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0,
-                    _bump_terms(lam, cp.D, 1.0, coef), xi, w)
     want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
+    got = _bump_sum(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0, coef, xi, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    take, closed = _bump_series(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0, coef)
+    assert take.all()
+    assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _horner(x, lam, center, step, coef, u, w):
@@ -510,28 +515,111 @@ def test_taylor_tail_is_below_double_rounding():
     assert _RHO ** (_TAYLOR + 1) / math.factorial(_TAYLOR + 1) < 2.0 ** -60
 
 
+def test_series_tail_is_below_double_rounding():
+    """The closed form's tail at its radius: r^(N+1) e^r / (N+1)! of the terms' mass."""
+    r, n = _SERIES_RADIUS, _SERIES_ORDER
+    assert r ** (n + 1) * math.exp(r) / math.factorial(n + 1) < 2.0 ** -60
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_comb_on_its_moments_is_within_the_series_radius(d):
+    """Where a comb's log z moves by at most rho, 2 |lam| c' <= rho (2 start / (L - 1) + 1)
+    and the box keeps |x_j| <= c1, so no comb on its moments runs quadrature:
+    box points at times from 1e-6 / R to 10 / R, R = 2^8 ... 2^36."""
+    rng = np.random.default_rng(0)
+    for e in range(8, 37, 4):
+        cp = CounterexampleParams.for_experiments(ModelParams(d=d, gamma=2.0, R=2.0 ** e))
+        m = cp.model
+        x = np.zeros((256, d))
+        x[:, 0] = cp.x1_lo * 0.75
+        x[:, 1:] = rng.uniform(-cp.c1, cp.c1, (256, d - 1))
+        t = np.exp(rng.uniform(math.log(1e-6 / m.R), math.log(10.0 / m.R), 256))
+        lam, center, step, coef = _comb_inputs(cp, x, t)
+        size = coef.shape[1]
+        on = np.abs(step * lam) * (size - 1) <= _RHO
+        assert on.any() and not on.all()
+        take = _bump_series(x[:, 1], lam, center, step, 1.0, coef)[0]
+        assert np.array_equal(take, on)
+
+
 @pytest.mark.parametrize("e", [16, 24, 32, 36])
 def test_taylor_moments_match_horner_on_the_ladder(e):
-    """At the selected times every comb is summed from its Taylor moments."""
+    """At the selected times every comb takes the closed form of its Taylor
+    moments, which matches Horner's rule over every translate."""
     cp, x, t = _ladder_points(2 ** e, 32)
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
-    terms = _bump_terms(lam, step, 1.0, coef)
-    assert [(rows, table.shape) for rows, _, table in terms] == [(slice(None), (32, _TAYLOR + 1))]
-    got = _bump_sum(x[:, 1], lam, center, step, 1.0, terms, u, w)
+    take, got = _bump_series(x[:, 1], lam, center, step, 1.0, coef)
+    assert take.all()
     want = _horner(x[:, 1], lam, center, step, coef, u, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _fine_factors(cp, x, t):
+    """Window and first comb factor on one fixed rule of 16 x 64 nodes, no doubling."""
+    m = cp.model
+    u, w = panel_nodes(-1.0, 1.0, 16, _FACTOR_ORDER)
+    decay = t ** m.gamma
+    lam = 1j * t - decay
+    i1 = _bump_sum(x[:, 0], lam, cp.band, 0.0, math.sqrt(m.R),
+                   np.exp(-decay * cp.band ** 2)[:, None], u, w)
+    _, center, step, coef = _comb_inputs(cp, x, t)
+    return i1, _bump_sum(x[:, 1], lam, center, step, 1.0, coef, u, w)
+
+
+def _quadrature_rows(monkeypatch):
+    """Rows that each double_panels call of the factorized engine integrates."""
+    rows = []
+
+    def spy(evaluate, *args, **kwargs):
+        rows.append(evaluate.args[0].size)
+        return double_panels(evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "double_panels", spy)
+    return rows
+
+
+@pytest.mark.parametrize("e", [16, 24, 32, 36])
+def test_closed_form_factors_match_a_fixed_fine_rule(monkeypatch, e):
+    """Ladder points at their selected times run no quadrature, and their
+    factors agree with a fixed 16 x 64-node rule to 1e-14 of the batch maximum."""
+    cp, x, t = _ladder_points(2 ** e, 32)
+    rows = _quadrature_rows(monkeypatch)
+    i1, ij, _ = _factorized_batch(cp, x, t)
+    assert rows == []
+    for got, want in zip((i1, ij[:, 0]), _fine_factors(cp, x, t)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("R", [2 ** 8, 2 ** 11])
+def test_generic_points_run_quadrature(monkeypatch, R):
+    """Check 5-style points, uniform in the box and in t < 2 / R, are not
+    resonant: both factors of every point run on doubling panels."""
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=float(R)))
+    pts = _box_points(cp, 8, seed=11)
+    rows = _quadrature_rows(monkeypatch)
+    _factorized_batch(cp, np.array([p.x for p in pts]), np.array([p.t for p in pts]))
+    assert sum(rows) == 2 * len(pts)
+
+
+@pytest.mark.parametrize("e", [16, 24, 32])
+def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
+    cp, x, t = _ladder_points(2 ** e, 32)
+    rows = _quadrature_rows(monkeypatch)
+    _factorized_batch(cp, x, 4.0 * t)
+    assert sum(rows) == 2 * t.size
+
+
 @pytest.mark.parametrize("e", [16, 24])
 def test_mixed_rules_are_the_rows_alone(e):
-    """Ladder points at their selected times (Taylor moments) and at 4x those
-    times (Horner's rule) in one batch.
+    """Ladder points at their selected times (closed form) and at 4x those
+    times (Horner's rule on the nodes) in one batch.
 
     In the kernel each row is the same bits as alone, and each Horner row
-    the same bits as the reference.  Through the engine, panels start from
-    the batch's rate bound and its rows converge together, so each kind of
-    row evaluated apart agrees with the mixed batch to the engine's rtol."""
+    the same bits as the reference.  Through the engine the closed-form
+    rows are the same bits as alone; the quadrature rows start from the
+    batch's rate bound and converge together, so evaluated apart they
+    agree with the mixed batch to the engine's rtol."""
     cp, x, t = _ladder_points(2 ** e, 16)
     x, t = np.concatenate([x, x]), np.concatenate([t, 4.0 * t])
     shuffle = np.random.default_rng(1).permutation(t.size)
@@ -539,21 +627,27 @@ def test_mixed_rules_are_the_rows_alone(e):
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
     selected = shuffle < 16
-    terms = _bump_terms(lam, step, 1.0, coef)
-    assert [(rows.tolist(), kappa is None) for rows, kappa, _ in terms] == [
-        ((~selected).tolist(), True), (selected.tolist(), False)]
-    got = _bump_sum(x[:, 1], lam, center, step, 1.0, terms, u, w)
-    for i in range(t.size):
-        r = slice(i, i + 1)
-        alone = _bump_sum(x[r, 1], lam[r], center, step, 1.0,
-                          _bump_terms(lam[r], step, 1.0, coef[r]), u, w)
-        assert np.array_equal(alone, got[r])
-    assert np.array_equal(got[~selected], _horner(x[~selected, 1], lam[~selected], center,
-                                                  step, coef[~selected], u, w))
-    ij = _factorized_batch(cp, x, t)[1]
-    for part in (selected, ~selected):
-        np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
-                                   rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
+    take, closed = _bump_series(x[:, 1], lam, center, step, 1.0, coef)
+    assert np.array_equal(take, selected)
+    horner = _bump_sum(x[~selected, 1], lam[~selected], center, step, 1.0,
+                       coef[~selected], u, w)
+    assert np.array_equal(horner, _horner(x[~selected, 1], lam[~selected], center,
+                                          step, coef[~selected], u, w))
+    for i, k in enumerate(np.flatnonzero(selected)):
+        r = slice(k, k + 1)
+        alone = _bump_series(x[r, 1], lam[r], center, step, 1.0, coef[r])
+        assert alone[0].all() and np.array_equal(alone[1], closed[i:i + 1])
+    for i, k in enumerate(np.flatnonzero(~selected)):
+        r = slice(k, k + 1)
+        alone = _bump_sum(x[r, 1], lam[r], center, step, 1.0, coef[r], u, w)
+        assert np.array_equal(alone, horner[i:i + 1])
+    i1, ij, _ = _factorized_batch(cp, x, t)
+    for k in np.flatnonzero(selected):
+        one = _factorized_batch(cp, x[k:k + 1], t[k:k + 1])
+        assert one[0][0] == i1[k] and np.array_equal(one[1][0], ij[k])
+    part = ~selected
+    np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
+                               rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
 
 
 def _window_integral(cp, x1, t, u, w, gamma_eval=None):
@@ -574,16 +668,25 @@ def _window_integral(cp, x1, t, u, w, gamma_eval=None):
 @pytest.mark.parametrize("R", [2 ** 16, 2 ** 24])
 @pytest.mark.parametrize("gamma_eval", [None, 3.0])
 def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
+    """The window on the nodes and in closed form."""
     cp, x, t = _ladder_points(R, 16)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
     decay = t ** (cp.model.gamma if gamma_eval is None else gamma_eval)
     band = cp.model.R ** (cp.model.gamma / 2.0)
     lam = 1j * t - decay
-    got = _bump_sum(x[:, 0], lam, band, 0.0, math.sqrt(R),
-                    _bump_terms(lam, 0.0, math.sqrt(R), np.exp(-decay * band ** 2)[:, None]),
-                    u, w)
+    coef = np.exp(-decay * band ** 2)[:, None]
     want = _window_integral(cp, x[:, 0], t, u, w, gamma_eval)
+    got = _bump_sum(x[:, 0], lam, band, 0.0, math.sqrt(R), coef, u, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    take, closed = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), coef)
+    assert take.all()
+    assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_factorized_batch_of_no_points_is_empty():
+    cp = CounterexampleParams.for_experiments(ModelParams(d=3, gamma=2.0, R=2.0 ** 16))
+    i1, ij, modulus = _factorized_batch(cp, np.zeros((0, 3)), np.zeros(0))
+    assert i1.shape == (0,) and ij.shape == (0, 2) and modulus.shape == (0,)
 
 
 def test_factorized_batch_moduli_are_pinned():
