@@ -256,12 +256,20 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     kj_lo = np.ceil((-cp.c1 * D - yj) / TWO_PI)
     nj = np.maximum(np.floor((cp.c1 * D - yj) / TWO_PI) - kj_lo + 1, 0).astype(np.int64)
 
-    mult = _multiplicity(cp, y1 % TWO_PI, yj % TWO_PI)
-    if np.any(mult < 1):
-        raise RuntimeError("a drawn point fell outside every cell")
+    # every draw lies in its own anchor's cell, so it lies in at least one
+    own1 = np.abs(_wrap(y1 - TWO_PI * a1i / q)) <= A1 + 1e-12
+    ownj = np.abs(_wrap(yj - TWO_PI * resti / q[:, None])) <= Aj + 1e-12
+    if not np.all(own1 & np.all(ownj, axis=1)):
+        raise RuntimeError("a drawn point fell outside its anchor's cell")
 
     v_cell = 2.0 * A1 * (2.0 * Aj) ** (d - 1)
     counts = n1 * np.prod(nj, axis=1)
+    # only a draw with a box preimage carries weight: the cells are counted there
+    carry = counts > 0
+    mult = np.ones(n_samples, dtype=np.int64)
+    mult[carry] = _multiplicity(cp, y1[carry] % TWO_PI, yj[carry] % TWO_PI)
+    if np.any(mult < 1):
+        raise RuntimeError("a drawn point fell outside every cell")
     weight = NA * v_cell * counts / (mult * M1 * D ** (d - 1.0))
 
     k1 = k1_lo + rng.integers(0, np.maximum(n1, 1), size=n_samples)

@@ -3,9 +3,19 @@
 Profiles are symbolic descriptors: a smooth 1d bump, tensor products, a
 translated comb along a frequency lattice, and modulations of any of
 these.  factors, the one family dispatch, gives pointwise values, norms
-and the propagator's grid engine per-axis factors to read.  Norms map
-one composite rule onto all support cells at once, so nothing here ever
-commits to a global sampling grid.
+and the propagator's grid engine per-axis factors to read.
+
+A norm is built from per-factor moment tables, one per node of the
+Sobolev weight's rule.  On each of its cells a profile is a weight times
+the unit-mass bump filling the cell, so where the weight's exponent stays
+within the series radius on every cell of a factor, the factor's table
+is a closed form in each cell's own coordinate: the series of
+e^{beta u + q u^2} (_series_terms) met with the moments of a power of the
+unit bump (_bump_moments), which the propagator's factorized engine reads
+too.  That holds for the comb from R = 2^12 up, for the window from about
+2^19 up, and for every factor at s = 0.  The other factors share one
+composite rule mapped onto their support cells, refined by one doubling
+loop, so nothing here ever commits to a global sampling grid.
 """
 
 import functools
@@ -49,6 +59,62 @@ def mollifier_sq_mass() -> float:
     x, w = gauss_legendre(256)
     v = _mollifier_raw(x)
     return float(np.dot(v * v, w))
+
+
+def _unit_bump(u):
+    """The unit-mass bump on (-1, 1)."""
+    return _mollifier_raw(u) / mollifier_mass()
+
+
+# ---------------------------------------------------------------------------
+# the unit bump against e^{beta u + q u^2}: moments and series
+
+# radius and order of the series: where r = |beta| + |q| <= _SERIES_RADIUS,
+# the series of e^{beta u + q u^2} to u-degree 2 _SERIES_ORDER leaves a tail
+# below r^(N+1) e^r / (N+1)! < 3.5e-20 (N = _SERIES_ORDER) of the terms' mass;
+# at a smaller r, _series_order gives the fewer terms that reach the same tail
+_SERIES_RADIUS = 1.0 / 8.0
+_SERIES_ORDER = 11
+
+
+def _series_order(r: float) -> int:
+    """The least N whose tail r^(N+1) e^r / (N+1)! is within the tail at the radius."""
+    def tail(x, n):
+        return x ** (n + 1) * math.exp(x) / math.factorial(n + 1)
+
+    bound = tail(_SERIES_RADIUS, _SERIES_ORDER)
+    return next(n for n in range(_SERIES_ORDER + 1) if tail(r, n) <= bound)
+
+
+@functools.lru_cache(maxsize=8)
+def _bump_moments(p: float, degree: int) -> np.ndarray:
+    """nu_k, the integral of _unit_bump(u)^p u^k, for k <= degree.
+
+    From the fixed rule of mollifier_mass, so nu_0 = 1 to rounding at
+    p = 1; the odd moments of the even bump are set to zero.
+    """
+    u, w = gauss_legendre(256)
+    nu = (_unit_bump(u) ** p * w) @ (u[:, None] ** np.arange(degree + 1))
+    nu[1::2] = 0.0
+    nu.setflags(write=False)
+    return nu
+
+
+def _series_terms(beta, q):
+    """e_0, ..., e_{2 _SERIES_ORDER}: the u-coefficients of e^{beta u + q u^2}.
+
+    They follow e_0 = 1, e_1 = beta, (j + 1) e_{j+1} = beta e_j + 2 q e_{j-1},
+    elementwise over the arrays beta and q.  Stopped at u-degree
+    2 _SERIES_ORDER, every omitted monomial comes from a term
+    (beta u + q u^2)^n / n! with n > _SERIES_ORDER, so on |u| <= 1 they sum
+    to at most r^(N+1) e^r / (N+1)!, r = |beta| + |q|.
+    """
+    q2 = 2.0 * q
+    e_prev, e = np.zeros_like(beta), np.ones_like(beta)
+    yield e
+    for j in range(1, 2 * _SERIES_ORDER + 1):
+        e_prev, e = e, (beta * e + q2 * e_prev) / j
+        yield e
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +278,11 @@ class SpectrumDescriptor:
     """Base for symbolic frequency profiles.
 
     A family declares its dimension and, in factors_by_axis, one (cells,
-    profile) pair per axis: the axis's support cells and its vectorised
-    profile, which vanishes off those cells.  Axes whose factors are
-    equal share one pair object.  The support annulus is read from the
-    cells (support_annulus).
+    profile) pair per axis: the axis's support Cells and its vectorised
+    profile, which vanishes off those cells and on each cell is a weight
+    times the unit-mass bump filling it, as the norms read it.  Axes
+    whose factors are equal share one pair object.  The support annulus
+    is read from the cells (support_annulus).
     """
 
     @property
@@ -227,10 +294,28 @@ class SpectrumDescriptor:
         raise NotImplementedError
 
 
+class Cells(tuple):
+    """The support cells of one axis factor: a tuple of (lo, hi) pairs.
+
+    Cell i holds one bump of centre centres[i] and half-width half[i],
+    kept as declared: lo and hi are rounded to doubles, so where |xi| is
+    large, (hi - lo) / 2 can differ from the half-width.
+    """
+
+    def __new__(cls, centres, half):
+        centres = np.array(centres, dtype=float)
+        half = np.broadcast_to(np.asarray(half, dtype=float), centres.shape)
+        cells = super().__new__(cls, zip((centres - half).tolist(),
+                                         (centres + half).tolist()))
+        centres.setflags(write=False)
+        cells.centres, cells.half = centres, half
+        return cells
+
+
 def _bump_factor(center: float, width: float, weight=None) -> tuple:
     """(cells, profile) of the bump on one cell, its values times weight if given."""
     b = Bump1D(center=float(center), width=width)
-    cells = ((center - width, center + width),)
+    cells = Cells([center], width)
     if weight is None:
         return cells, functools.partial(bump_eval, b)
     return cells, lambda xi: bump_eval(b, xi) * weight
@@ -312,8 +397,8 @@ class Case3Counterexample(SpectrumDescriptor):
             vals = _mollifier_raw(xi - spacing * k) / mollifier_mass()
             return np.where(valid, vals, 0.0)
 
-        teeth = tuple((spacing * k - 1.0, spacing * k + 1.0) for k in range(start, stop))
-        first = ((center - halfw, center + halfw),), window
+        teeth = Cells(spacing * np.arange(start, stop, dtype=float), 1.0)
+        first = Cells([center], halfw), window
         return (first,) + ((teeth, comb),) * (self.dim - 1)
 
 
@@ -417,26 +502,82 @@ def _weight_rule(a: float, x_min: float, x_max: float) -> tuple[np.ndarray, np.n
             np.concatenate([[tail], h * np.exp(a * u)]) / math.gamma(a))
 
 
+def _cell_moments(cells: Cells, profile, p: float, t: np.ndarray, n: int,
+                  order: int) -> np.ndarray:
+    """m_k(tau) = integral of |profile(xi)|^p xi^{2k} e^{-tau xi^2} / k!, k <= n, per tau in t.
+
+    The factor's cells have centres c and half-widths h, as its Cells
+    declare them, and on each the profile is a weight times the unit-mass
+    bump filling it, so with a = |profile(c)| / _unit_bump(0) a cell gives
+    h a^p e^{-tau c^2} times the integral of
+    nu(u) (c + h u)^{2k} e^{beta u + q u^2} over u, where nu = _unit_bump^p,
+    beta = -2 tau c h and q = -tau h^2.  That is
+    sum_j e_j sum_i C(2k, i) c^{2k-i} h^i nu_{i+j}, with e_j from
+    _series_terms and nu's moments from _bump_moments.  It is exact to
+    rounding where every (cell, tau) has |beta| + |q| <= r <= _SERIES_RADIUS
+    and order = _series_order(r), which the caller sees to.  The cells run
+    in blocks of _CHUNK / t.size, so each (tau, cell) table holds about
+    _CHUNK entries.
+    """
+    centre, half = cells.centres, cells.half
+    degree = 2 * order
+    nu = _bump_moments(p, degree + 2 * n)
+    weight = half * (np.abs(profile(centre)) / _unit_bump(0.0)) ** p
+    out = np.zeros((t.size, n + 1))
+    step = max(1, _CHUNK // t.size)
+    for at in range(0, centre.size, step):
+        c, h = centre[at:at + step], half[at:at + step]
+        # g[j, cell, k] = integral of nu(u) (c + h u)^{2k} u^j / k!
+        g = np.zeros((degree + 1, c.size, n + 1))
+        for k in range(n + 1):
+            for i in range(2 * k + 1):
+                binom = math.comb(2 * k, i) / math.factorial(k)
+                g[:, :, k] += np.multiply.outer(nu[i:i + degree + 1],
+                                                binom * c ** (2 * k - i) * h ** i)
+        scale = np.exp(np.multiply.outer(-t, c * c)) * weight[at:at + step]
+        beta = np.multiply.outer(-2.0 * t, c * h)
+        q = np.multiply.outer(-t, h * h)
+        for j, e in zip(range(degree + 1), _series_terms(beta, q)):
+            out += (scale * e) @ g[j]
+    return out
+
+
 def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     """Integral of (1 + |xi|^2)^s |f(xi)|^p over the support of f.
 
     With n = ceil(s), _weight_rule writes (1+X)^{s-n}, X = |xi|^2, as a
-    sum over u of e^{-e^u (1+X)}, and (1+X)^n e^{-e^u (1+X)} is e^{-e^u}
-    n! times the z^n coefficient of e^z prod_factors sum_{k<=n} m_k z^k,
-    m_k the factor's moments: no table over the cells of all axes, and
-    one moment table per distinct factor object, shared by the axes that
-    carry it.  One rule on [0, 1] is mapped onto every support cell of
-    every factor and refined by one doubling loop, at most
-    MAX_NODES^{1/factors} nodes a cell.
+    sum over tau = e^u of e^{-tau (1+X)}, and (1+X)^n e^{-tau (1+X)} is
+    e^{-tau} n! times the z^n coefficient of e^z prod_factors
+    sum_{k<=n} m_k z^k, m_k(tau) the factor's moments: no table over the
+    cells of all axes, and one moment table per distinct factor object,
+    shared by the axes that carry it.
+
+    A factor takes its table in closed form, cell by cell in the cell's
+    own coordinate (_cell_moments), where r = tau (2 |c| h + h^2) is within
+    _SERIES_RADIUS on all its cells at the largest tau, with the centres c
+    and half-widths h its Cells declare, not the rounded bounds: the comb
+    from R = 2^12 up, the window from about 2^19 up, and every factor at
+    s = 0, where tau = 0 alone.  The series stops at _series_order(r).
+    The others (the window at small R, the product bump and the plane
+    wave at s > 0, the d=3 comb at small R) share one rule on [0, 1]
+    mapped onto each of their support cells at absolute xi, refined by
+    one doubling loop, at most MAX_NODES^{1/factors} nodes a cell.
     """
     _, facs = factors(f)
     n = math.ceil(s)
-    distinct = {id(fac): (np.array(fac[0], dtype=float), fac[1]) for fac in facs}
     r_in, r_out = support_annulus(facs)
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)
     wt = wt * np.exp(-t) * math.factorial(n)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])
     step = max(1, _CHUNK // t.size)
+    closed, looped = {}, {}
+    for key, (cells, profile) in {id(fac): fac for fac in facs}.items():
+        centre, half = cells.centres, cells.half
+        r = t[-1] * np.max(half * (2.0 * np.abs(centre) + half))
+        if r <= _SERIES_RADIUS:
+            closed[key] = _cell_moments(cells, profile, p, t, n, _series_order(r))
+        else:
+            looped[key] = np.array(cells, dtype=float), profile
 
     def moments(e, profile, u, w):
         """m_k(u) = sum wx x^{2k} e^{-e^u x^2} / k! over the factor's nodes x."""
@@ -449,7 +590,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
                    for at in range(0, x.size, step))
 
     def evaluate(u, w):
-        m = {key: moments(e, profile, u, w) for key, (e, profile) in distinct.items()}
+        m = closed | {key: moments(e, profile, u, w) for key, (e, profile) in looped.items()}
         # poly[:, k]: z^k coefficient of e^z times the factors so far, per u
         poly = np.tile(inv_fact, (t.size, 1))
         for fac in facs:
@@ -458,6 +599,8 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
                              for k in range(n + 1)], axis=1)
         return float(wt @ poly[:, n])
 
+    if not looped:
+        return evaluate(None, None)
     return double_panels(evaluate, 0.0, 1.0, 1, rtol=_NORM_RTOL, order=24,
                          max_nodes=int(MAX_NODES ** (1.0 / len(facs))))
 

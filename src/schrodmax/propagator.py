@@ -59,18 +59,20 @@ import numpy as np
 import numpy.ma  # noqa: F401
 
 from .profiles import (
+    _SERIES_ORDER,
+    _SERIES_RADIUS,
     CounterexampleParams,
     SpectrumDescriptor,
-    _mollifier_raw,
+    _bump_moments,
+    _series_terms,
+    _unit_bump,
     comb_range,
     factors,
-    mollifier_mass,
 )
 from .quadrature import (
     _CHUNK,
     MAX_NODES,
     double_panels,
-    gauss_legendre,
     panel_nodes,
     panels_for_rate,
 )
@@ -302,10 +304,6 @@ def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
 # factorized evaluation of the lattice-comb data
 
 
-def _unit_bump(u):
-    return _mollifier_raw(u) / mollifier_mass()
-
-
 def _check_in_box(cp: CounterexampleParams, x: np.ndarray):
     m = cp.model
     x1_lo, slack = cp.x1_lo, 1e-9
@@ -336,12 +334,6 @@ _FACTOR_ORDER = 64
 _RHO = 1.0 / 64.0
 _TAYLOR = 7
 
-# radius and order of the closed form: where r = |beta| + |q| <= _SERIES_RADIUS,
-# the series of e^{beta u + q u^2} to u-degree 2 _SERIES_ORDER leaves a tail
-# below r^(N+1) e^r / (N+1)! < 3.5e-20 (N = _SERIES_ORDER) of the terms' mass
-_SERIES_RADIUS = 1.0 / 8.0
-_SERIES_ORDER = 11
-
 
 @functools.lru_cache(maxsize=32)
 def _powers(size: int) -> np.ndarray:
@@ -351,20 +343,6 @@ def _powers(size: int) -> np.ndarray:
     table = table.astype(complex)  # a complex product per sample, no cast per call
     table.setflags(write=False)
     return table
-
-
-@functools.lru_cache(maxsize=1)
-def _bump_moments() -> np.ndarray:
-    """mu_k, the integral of _unit_bump(u) u^k, for k <= 2 _SERIES_ORDER + _TAYLOR.
-
-    From the fixed rule of mollifier_mass, so mu_0 = 1 to rounding; the
-    odd moments of the even bump are set to zero.
-    """
-    u, w = gauss_legendre(256)
-    mu = (_unit_bump(u) * w) @ (u[:, None] ** np.arange(2 * _SERIES_ORDER + _TAYLOR + 1))
-    mu[1::2] = 0.0
-    mu.setflags(write=False)
-    return mu
 
 
 def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
@@ -378,12 +356,10 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     translates' centre c = center + kappa step, and q = lam scale^2.  A
     sample takes it where the moments hold, |alpha| kappa <= _RHO (always
     for one translate), and r = |beta| + |q| <= _SERIES_RADIUS.  The
-    u-coefficients of e^{beta u + q u^2} follow e_0 = 1, e_1 = beta,
-    (j + 1) e_{j+1} = beta e_j + 2 q e_{j-1}.  Stopped at u-degree
-    2 _SERIES_ORDER, every omitted monomial comes from a term
-    (beta u + q u^2)^n / n! with n > _SERIES_ORDER, so on |u| <= 1 they
-    sum to at most r^(N+1) e^r / (N+1)! times sum_m |M_m alpha^m|, which
-    is at most e^_RHO times the coefficients' L1 mass.  The value is
+    u-coefficients e_j of e^{beta u + q u^2} come from _series_terms, whose
+    omitted monomials sum on |u| <= 1 to at most r^(N+1) e^r / (N+1)!
+    times sum_m |M_m alpha^m|, which is at most e^_RHO times the
+    coefficients' L1 mass.  The value is
     sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
     Horner's rule in alpha.  Returns a boolean mask of the samples that
     take it and their values.  Each sample decides from its own values,
@@ -402,13 +378,11 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     alpha, beta, q = alpha[take], beta[take], q[take]
     # every row's moments, then the rows taken: no masked copy of the table
     moments = (coef[:, None, :] @ _powers(size))[take, 0]
-    mu = _bump_moments()
+    mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR)
     width = moments.shape[1]
     # g[:, m] = sum_j e_j mu_{m+j}
-    g = np.repeat(mu[None, :width].astype(complex), beta.size, axis=0)
-    e_prev, e = np.zeros_like(beta), np.ones_like(beta)
-    for j in range(1, 2 * _SERIES_ORDER + 1):
-        e_prev, e = e, (beta * e + 2.0 * q * e_prev) / j
+    g = np.zeros((beta.size, width), dtype=complex)
+    for j, e in enumerate(_series_terms(beta, q)):
         g += e[:, None] * mu[j:j + width]
     out = moments[:, -1] * g[:, -1]
     for m in range(width - 2, -1, -1):

@@ -208,6 +208,30 @@ def test_multiplicity_counts_match_distance_reference(cp, n):
         assert np.array_equal(got, _multiplicity_reference(cp, y))
 
 
+@pytest.mark.parametrize("e", [16, 24])
+def test_weights_match_an_all_rows_cell_count(e):
+    """The sampler counts cells only at draws with a box preimage; its
+    weights are bit for bit those of a cell count over every draw."""
+    cp = _exp_params(2.0**e)
+    draws = sample_omega_star(cp, 10_000, seed=0)
+    d, D = cp.model.d, cp.D
+    A1, Aj = counterexample._half_widths(cp)
+    NA = int(counterexample._anchor_pairs(cp)[2][-1])
+    M1 = D * D / (2.0 * cp.band)
+    lo_w, hi_w = counterexample._window_bounds(cp)
+    y1, yj = draws.y[:, 0], draws.y[:, 1:]
+    n1 = np.maximum(np.floor((hi_w - y1) / TWO_PI) - np.ceil((lo_w - y1) / TWO_PI) + 1, 0)
+    nj = np.maximum(np.floor((cp.c1 * D - yj) / TWO_PI)
+                    - np.ceil((-cp.c1 * D - yj) / TWO_PI) + 1, 0)
+    counts = n1.astype(np.int64) * np.prod(nj.astype(np.int64), axis=1)
+    mult = _multiplicity(cp, draws.y)
+    assert np.all(mult >= 1)
+    assert 0 < np.count_nonzero(counts) < counts.size
+    want = NA * (2.0 * A1 * (2.0 * Aj) ** (d - 1)) * counts / (mult * M1 * D ** (d - 1.0))
+    assert np.array_equal(draws.valid, counts > 0)
+    assert draws.weight.tobytes() == want.tobytes()
+
+
 def test_sampler_needs_one_lattice_period():
     with pytest.raises(PreconditionError):
         sample_omega_star(_def_params(2.0**10), 16, seed=0)

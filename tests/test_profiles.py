@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrodmax import profiles
 from schrodmax.profiles import (
     Bump1D,
     Case1Product,
@@ -30,7 +31,13 @@ from schrodmax.profiles import (
     spectrum_eval,
     support_annulus,
 )
-from schrodmax.profiles import _mollifier_raw, _weight_rule
+from schrodmax.profiles import (
+    _SERIES_ORDER,
+    _SERIES_RADIUS,
+    _mollifier_raw,
+    _series_order,
+    _weight_rule,
+)
 from schrodmax.quadrature import double_panels
 
 TWO_PI = 2.0 * math.pi
@@ -452,3 +459,115 @@ def test_case3_sobolev_d3_full_comb():
         m2[b] * math.prod(m0[a] for a in range(3) if a != b) for b in range(3)))
     assert sobolev_norm(f, 1.0) ** 2 == pytest.approx(want, rel=1e-10)
 
+
+@pytest.mark.parametrize("f", [
+    Case1Product(ModelParams(d=2, gamma=0.5, R=16.0)),
+    Case3Counterexample(params=_cp()),
+    PlaneWaveSurrogate(xi0=(3.0, -1.0), width=0.5, amplitude=0.7 + 0.2j),
+], ids=["product", "case3", "plane-wave"])
+def test_every_cell_holds_a_weighted_unit_bump(f):
+    """What the closed-form norms read: each cell is its declared centre
+    plus and minus its half-width, and on it the profile is its value at
+    the centre times the unit bump's shape (to 1e-8: the comb profile takes
+    its offset at absolute xi)."""
+    u = np.linspace(-0.9, 0.9, 23)
+    shape = _mollifier_raw(u) / _mollifier_raw(0.0)
+    for cells, profile in {id(fac): fac for fac in factors(f)[1]}.values():
+        assert cells == tuple(zip((cells.centres - cells.half).tolist(),
+                                  (cells.centres + cells.half).tolist()))
+        for centre, half in zip(cells.centres, cells.half):
+            np.testing.assert_allclose(profile(centre + half * u),
+                                       profile(np.array([centre])) * shape, rtol=1e-8)
+
+
+def test_series_order_keeps_the_tail_at_the_radius():
+    """Fewer series terms where |beta| + |q| is smaller, the full order at the radius."""
+    assert _series_order(0.0) == 0
+    assert _series_order(_SERIES_RADIUS) == _SERIES_ORDER
+    orders = [_series_order(r) for r in np.geomspace(1e-15, _SERIES_RADIUS, 60)]
+    assert orders == sorted(orders)
+
+
+def _own_cell_sobolev(cp, ss, order=64):
+    """Reference: the d=2 comb data's Sobolev norm at each s in ss, from one
+    fixed tensor Gauss rule on each (window, tooth) box in the box's own
+    coordinates, so no bump is evaluated at absolute xi."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    bump_sq = (_mollifier_raw(u) / mollifier_mass()) ** 2 * w
+    half = math.sqrt(cp.model.R)
+    xi1_sq = (cp.band + half * u) ** 2
+    wts = np.multiply.outer(bump_sq / half, bump_sq)[:, None, :]
+    start, stop = comb_range(cp)
+    centres = cp.D * np.arange(start, stop, dtype=float)
+    total = np.zeros(len(ss))
+    for at in range(0, centres.size, 64):
+        one_plus = 1.0 + xi1_sq[:, None, None] + (centres[at:at + 64, None] + u) ** 2
+        total += [float(np.sum(wts * one_plus ** s)) for s in ss]
+    return [math.sqrt(TWO_PI**-2 * v) for v in total]
+
+
+@pytest.mark.parametrize("e", [16, 24, 30, 32])
+def test_closed_form_norms_match_a_gauss_rule_per_cell(e):
+    """At R=2^30 the first tooth's centre lies just below 2^30, so its upper
+    bound is rounded to the coarser doubles above: its bounds are not its
+    centre plus and minus its half-width."""
+    cp = _cp(R=2.0**e)
+    ss = (0.0, 1.0 / 3.0, 0.5 + 1e-9, 1.3, 2.5)
+    got = [sobolev_norm(Case3Counterexample(params=cp), s) for s in ss]
+    assert got == pytest.approx(_own_cell_sobolev(cp, ss), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, e, window_loops", [(2, 16, True), (2, 24, False),
+                                                (3, 24, False)])
+def test_comb_norms_run_no_doubling_loop(monkeypatch, d, e, window_loops):
+    """Every comb factor from R = 2^12, and the window from about 2^19, take
+    their moments in closed form: at 2^24 no norm reaches the doubling loop,
+    and at 2^16 only the window does, where s is not an integer (an integer s
+    weighs by (1+|xi|^2)^s alone, tau = 0)."""
+    loops, closed = [], []
+    cell_moments = profiles._cell_moments
+
+    def counting(*args, **kwargs):
+        loops.append(1)
+        return double_panels(*args, **kwargs)
+
+    def recording(cells, *args):
+        closed.append(len(cells))
+        return cell_moments(cells, *args)
+
+    monkeypatch.setattr(profiles, "double_panels", counting)
+    monkeypatch.setattr(profiles, "_cell_moments", recording)
+    cp = _cp(R=2.0**e, d=d)
+    f = Case3Counterexample(params=cp)
+    start, stop = comb_range(cp)
+    for s in _PINNED_S[1:]:
+        loops.clear()
+        closed.clear()
+        sobolev_norm(f, s)
+        loop = window_loops and s != int(s)
+        assert closed == ([stop - start] if loop else [1, stop - start])
+        assert len(loops) == loop
+    loops.clear()
+    closed.clear()
+    l2_norm(f)
+    l1_fourier_mass(f)
+    assert closed == [1, stop - start] * 2 and loops == []
+
+
+def test_norm_at_2_48_lies_within_the_annulus_bounds():
+    """d=2 at R=2^48, 65 536 comb cells: (1+r_in^2)^{s/2} l2 <= sob <= (1+r_out^2)^{s/2} l2,
+    and l2 is the product of the cell sums, although the last tooth's upper
+    bound is rounded to a multiple of 1/8."""
+    cp = _cp(R=2.0**48)
+    f = Case3Counterexample(params=cp)
+    s = 1.0 / 3.0
+    begin = time.perf_counter()
+    sob = sobolev_norm(f, s)
+    assert time.perf_counter() - begin < 10.0
+    r_in, r_out = support_annulus(factors(f)[1])
+    l2 = l2_norm(f)
+    assert (1.0 + r_in**2) ** (s / 2.0) * l2 <= sob <= (1.0 + r_out**2) ** (s / 2.0) * l2
+    start, stop = comb_range(cp)
+    m1, m2 = mollifier_mass(), mollifier_sq_mass()
+    want = math.sqrt(TWO_PI**-2 * m2 / (m1**2 * 2.0**24) * (stop - start) * m2 / m1**2)
+    assert l2 == pytest.approx(want, rel=1e-13)

@@ -610,6 +610,35 @@ def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
     assert sum(rows) == 2 * t.size
 
 
+@pytest.mark.parametrize("e", [16, 20])
+def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
+    """Four ladder points at their selected times take the closed form, and
+    at 4x those times run quadrature; both match the direct grid engine.
+
+    At the selected times the bound is 1e-11 relative.  At 4x the factors
+    cancel far below their L1 mass and converge to its rounding floor, so the
+    bound is 1e-12 of the data's L1 mass, L comb translates.  Over ladder
+    seeds 0-9 the largest differences were 3.0e-13 (2^16) and 2.4e-12 (2^20)
+    relative, and 8.4e-15 and 3.9e-14 of the mass.
+    """
+    cp, x, t = _ladder_points(2 ** e, 4)
+    f = Case3Counterexample(params=cp)
+    mass = l1_fourier_mass(f)
+    for scale, closed in ((1.0, True), (4.0, False)):
+        pts = [SpaceTimePoint(x=tuple(xi.tolist()), t=float(scale * ti))
+               for xi, ti in zip(x, t)]
+        rows = _quadrature_rows(monkeypatch)
+        fac = np.array([factorized_evaluate(cp, p).product_modulus for p in pts])
+        assert sum(rows) == (0 if closed else 2 * len(pts))
+        monkeypatch.undo()
+        direct = TWO_PI**2 * np.abs([evaluate_p_gamma(f, 2.0, p) for p in pts])
+        diff = np.abs(fac - direct)
+        if closed:
+            assert np.all(diff <= 1e-11 * direct)
+        else:
+            assert np.all(diff <= 1e-12 * mass)
+
+
 @pytest.mark.parametrize("e", [16, 24])
 def test_mixed_rules_are_the_rows_alone(e):
     """Ladder points at their selected times (closed form) and at 4x those
