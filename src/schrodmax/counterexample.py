@@ -9,7 +9,11 @@ Anchors are positions in one enumeration order (`_anchor_pairs`), decoded
 with integer arithmetic: the sampler never lists them, and the anchor and
 in-window counts are closed-form sums over the (q, a1) pairs.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
-ladder record.  Per-draw computations (`select_time`, `error_budget`,
+ladder record.  The record keeps each draw's anchor residues and its
+offsets within the anchor's cell as drawn, and a ladder entry hands them
+to the factorized engine, which takes each comb axis's lattice phases
+from these exact residues instead of from the float point and time.
+Per-draw computations (`select_time`, `error_budget`,
 `omega_star_measure`) take the record and return arrays; a single draw
 is the one-row slice draws[i:i + 1].  Iterating the record yields
 OmegaStarSample rows (y, x, weight), built on demand; that slim row view
@@ -74,9 +78,13 @@ class OmegaStarSample:
 class OmegaStarDraws:
     """The draws of `sample_omega_star` as arrays, one row per draw.
 
-    q, a1 and a_rest (n, d-1) are the drawn anchor's residues; y (n, d)
-    is the torus point, x (n, d) its box preimage (NaN where valid is
-    False) and weight the importance weight (zero where valid is False).
+    q, a1 and a_rest (n, d-1) are the drawn anchor's residues and eps
+    (n, d-1) each rest coordinate's offset from its residue, A_j U as
+    drawn, so that y_j = 2 pi a_j / q + eps_j; with these integers and
+    offsets the factorized engine forms each comb translate's phase
+    exactly.  y (n, d) is the torus point, x (n, d) its box preimage (NaN
+    where valid is False) and weight the importance weight (zero where
+    valid is False).
 
     A slice, a boolean mask or an index array selects rows and gives a
     record again; a single integer is refused, as it would drop the row
@@ -86,6 +94,7 @@ class OmegaStarDraws:
     q: np.ndarray
     a1: np.ndarray
     a_rest: np.ndarray
+    eps: np.ndarray
     y: np.ndarray
     x: np.ndarray
     valid: np.ndarray
@@ -248,8 +257,8 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     qi, a1i, resti = _decode_anchors(cp, rng.integers(0, NA, size=n_samples))
     q = qi.astype(float)
     y1 = TWO_PI * a1i / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
-    yj = TWO_PI * resti / q[:, None] \
-        + Aj * rng.uniform(-1.0, 1.0, size=(n_samples, d - 1))
+    eps = Aj * rng.uniform(-1.0, 1.0, size=(n_samples, d - 1))
+    yj = TWO_PI * resti / q[:, None] + eps
 
     k1_lo = np.ceil((lo_w - y1) / TWO_PI)
     n1 = np.maximum(np.floor((hi_w - y1) / TWO_PI) - k1_lo + 1, 0).astype(np.int64)
@@ -287,8 +296,8 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
 
     x = np.column_stack([x1, xj])
     x[~valid] = np.nan
-    return OmegaStarDraws(q=qi, a1=a1i, a_rest=resti, y=np.column_stack([y1, yj]),
-                          x=x, valid=valid, weight=weight)
+    return OmegaStarDraws(q=qi, a1=a1i, a_rest=resti, eps=eps,
+                          y=np.column_stack([y1, yj]), x=x, valid=valid, weight=weight)
 
 
 def omega_star_measure(draws: OmegaStarDraws) -> tuple[float, float]:
@@ -332,33 +341,6 @@ def _check_u(cp, u) -> int:
     if not cp.band / cp.D < u <= stop + 1e-9:
         raise ValueError("u lies outside the translate range")
     return min(int(math.ceil(u - 1e-12)), stop)
-
-
-def lattice_sum_S(cp: CounterexampleParams, x_rest, t: float, u: float):
-    """Partial quadratic lattice sums along each rest axis, and their product.
-
-    Sums run over translates start <= l < u; phases are reduced modulo
-    the circle before exponentiation to keep large arguments accurate.
-    """
-    x_rest = np.asarray(x_rest, dtype=float).reshape(-1)
-    d = cp.model.d
-    if x_rest.size != d - 1:
-        raise ValueError("x_rest must have d-1 coordinates")
-    start, _ = comb_range(cp)
-    stop_at = _check_u(cp, u)
-    ells = np.arange(start, stop_at, dtype=np.int64)
-    if ells.size == 0:
-        return (0j,) * (d - 1), 0j
-    D = cp.D
-    wt = _wrap(D * D * t)
-    ph_t = np.mod(ells.astype(float) ** 2 * wt, TWO_PI)
-    per_axis = []
-    for j in range(d - 1):
-        wx = _wrap(D * x_rest[j])
-        ph = np.mod(ells * wx, TWO_PI) + ph_t
-        per_axis.append(complex(np.sum(np.exp(1j * ph))))
-    prod = complex(np.prod(per_axis))
-    return tuple(per_axis), prod
 
 
 def lattice_sum_S_tilde(cp: CounterexampleParams, q: int, a1: int, a_rest,
@@ -541,7 +523,9 @@ def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
         raise PreconditionError(f"no sampled point had a box preimage at R={mp.R:g}")
     t = select_time(cp, valid)
     e1, e2, admissible = error_budget(cp, valid, t)
-    _, _, modulus = _factorized_batch(cp, valid.x, t, gamma_eval=gamma_eval)
+    _, _, modulus = _factorized_batch(
+        cp, valid.x, t, gamma_eval=gamma_eval,
+        residues=(valid.q, valid.a1, valid.a_rest, valid.eps))
     modulus = modulus * TWO_PI ** -mp.d
     w = valid.weight
     wsum = float(np.sum(w))

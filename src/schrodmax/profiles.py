@@ -77,13 +77,17 @@ _SERIES_RADIUS = 1.0 / 8.0
 _SERIES_ORDER = 11
 
 
-def _series_order(r: float) -> int:
-    """The least N whose tail r^(N+1) e^r / (N+1)! is within the tail at the radius."""
+def _series_order(r):
+    """The least N whose tail r^(N+1) e^r / (N+1)! is within the tail at the radius.
+
+    Elementwise over an array r.  For r <= _SERIES_RADIUS the tail falls
+    as N grows, so N is the count of orders whose tail still exceeds it.
+    """
     def tail(x, n):
-        return x ** (n + 1) * math.exp(x) / math.factorial(n + 1)
+        return x ** (n + 1) * np.exp(x) / math.factorial(n + 1)
 
     bound = tail(_SERIES_RADIUS, _SERIES_ORDER)
-    return next(n for n in range(_SERIES_ORDER + 1) if tail(r, n) <= bound)
+    return sum(tail(r, n) > bound for n in range(_SERIES_ORDER))
 
 
 @functools.lru_cache(maxsize=8)

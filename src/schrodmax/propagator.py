@@ -39,8 +39,14 @@ moments, leaves a tail below 3.5e-20 of the integrand's mass.  The
 construction makes its points resonant: the time is chosen where the
 window's phase is stationary, and the box keeps |x_j| <= c1, so each
 ladder point at its selected time takes the closed form in both
-factors, with |beta| + |q| below 0.04.  Generic points, as in check 5
-and propagator-check, mostly do not: they run Horner's rule in z on
+factors, with |beta| + |q| below 0.04.  There each translate's lattice
+phase is a quadratic residue over the draw's modulus q plus a slow
+drift, so a batch given the draws' residues takes the comb's moments
+folded over q from exact integer phases (_folded_moments), O(q) work per
+sample and no (sample, translate) table.  Points without residues form
+the lattice phases from x and t, a table built only for the samples
+that need it.  Generic points, as in check 5 and propagator-check,
+mostly do not take the closed form: they run Horner's rule in z on
 doubling panels, L multiply-adds per (sample, node).  The one-point
 factorized evaluation and the summation-by-parts split of a comb
 factor are calls into it.  Every integral converges to rtol of its
@@ -64,6 +70,7 @@ from .profiles import (
     CounterexampleParams,
     SpectrumDescriptor,
     _bump_moments,
+    _series_order,
     _series_terms,
     _unit_bump,
     comb_range,
@@ -345,14 +352,23 @@ def _powers(size: int) -> np.ndarray:
     return table
 
 
+def _table_moments(table: np.ndarray) -> np.ndarray:
+    """Taylor moments sum_k table[:, k] (k - kappa)^m / m!, m <= _TAYLOR, of each row.
+
+    One product per row, so a row's moments do not depend on the others.
+    """
+    return (table[:, None, :] @ _powers(table.shape[1]))[:, 0]
+
+
 def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-                 scale: float, coef: np.ndarray):
+                 scale: float, size: int, moments):
     """The samples whose sum over translates has a closed form, and its values.
 
-    With the translates' Taylor moments M_m = sum_k coef[k] (k - kappa)^m / m!,
-    kappa = (L - 1) / 2, the sum over translates of _bump_sum is the
-    integral of bump(u) e^{beta u + q u^2} sum_m M_m (alpha u)^m over u,
-    where alpha = 2 step lam scale, beta = scale (i x + 2 lam c) at the
+    With the Taylor moments M_m = sum_k coef[k] (k - kappa)^m / m! of the
+    size translates' coefficients, kappa = (size - 1) / 2, the sum over
+    translates of _bump_sum is the integral of
+    bump(u) e^{beta u + q u^2} sum_m M_m (alpha u)^m over u, where
+    alpha = 2 step lam scale, beta = scale (i x + 2 lam c) at the
     translates' centre c = center + kappa step, and q = lam scale^2.  A
     sample takes it where the moments hold, |alpha| kappa <= _RHO (always
     for one translate), and r = |beta| + |q| <= _SERIES_RADIUS.  The
@@ -361,12 +377,14 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     times sum_m |M_m alpha^m|, which is at most e^_RHO times the
     coefficients' L1 mass.  The value is
     sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
-    Horner's rule in alpha.  Returns a boolean mask of the samples that
-    take it and their values.  Each sample decides from its own values,
-    and every step is elementwise or a product of its own row, so its
-    value does not depend on the other samples.
+    Horner's rule in alpha.  moments(take) gives the M_m of the samples
+    take, a boolean mask, as rows: from their coefficient table
+    (_table_moments) or folded over the modulus (_folded_moments).
+    Returns the mask of the samples that take the closed form and their
+    values.  Each sample decides from its own values, and every step is
+    elementwise or a product of its own row, so its value does not depend
+    on the other samples.
     """
-    size = coef.shape[1]
     kappa = (size - 1) / 2.0
     alpha = 2.0 * step * scale * lam
     beta = scale * (1j * x + 2.0 * lam * (center + kappa * step))
@@ -376,19 +394,85 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     if not take.any():  # a generic one-point call: skip the series' 100 array steps
         return take, np.empty(0, dtype=complex)
     alpha, beta, q = alpha[take], beta[take], q[take]
-    # every row's moments, then the rows taken: no masked copy of the table
-    moments = (coef[:, None, :] @ _powers(size))[take, 0]
+    taken = moments(take)
     mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR)
-    width = moments.shape[1]
+    width = taken.shape[1]
     # g[:, m] = sum_j e_j mu_{m+j}
     g = np.zeros((beta.size, width), dtype=complex)
     for j, e in enumerate(_series_terms(beta, q)):
         g += e[:, None] * mu[j:j + width]
-    out = moments[:, -1] * g[:, -1]
+    out = taken[:, -1] * g[:, -1]
     for m in range(width - 2, -1, -1):
         out *= alpha
-        out += moments[:, m] * g[:, m]
+        out += taken[:, m] * g[:, m]
     return take, out
+
+
+def _folded_moments(cp: CounterexampleParams, q: np.ndarray, a1: np.ndarray,
+                    a_rest: np.ndarray, eps: np.ndarray, delta: np.ndarray):
+    """Taylor moments of the comb axes' coefficients from the draws' residues.
+
+    At a draw's box preimage at its selected time, translate l of rest
+    axis j has the lattice phase 2 pi phi(l) / q + eps_j l modulo 2 pi,
+    phi(l) = a1 l^2 + a_j l, as select_time makes D^2 t = 2 pi a1 / q and
+    the sampler D x_j = 2 pi a_j / q + eps_j.  In v = (l - lc) / kappa
+    about the comb's centre lc = start + kappa, the translate's coefficient
+    is e(phi(l) / q) e^{i eps_j lc - delta lc^2} e^{b v + c v^2}, with
+    e(y) = e^{2 pi i y}, delta = t^gamma D^2 per sample,
+    b = (i eps_j - 2 delta lc) kappa and c = -delta kappa^2.  With h_n the
+    coefficients of e^{b v + c v^2} from _series_terms,
+    M_m = e^{i eps_j lc - delta lc^2} kappa^m / m! sum_n h_n W_{m+n}, and
+    W_p = sum_l e(phi(l) / q) v^p folds over the period:
+    sum_{r < q} e(phi(r) / q) S_p(r), S_p(r) the sum of v^p over the comb's
+    l = r mod q, binned once per modulus.  A (sample, axis) pair takes it
+    where |b| + |c| <= _SERIES_RADIUS, to v-degree 2 _series_order(|b| + |c|),
+    so its tail is that of _bump_series.  The phases are exact residues and
+    no (sample, translate) table is formed.  Every step is elementwise or a
+    product of the sample's own row, to its own series order, so its
+    moments do not depend on the other samples.  Returns a mask (n, d - 1)
+    of the pairs taken and their moments (n, d - 1, _TAYLOR + 1).
+    """
+    start, stop = comb_range(cp)
+    size = stop - start
+    kappa = (size - 1) / 2.0
+    lc = start + kappa
+    b = (1j * eps - (2.0 * lc) * delta[:, None]) * kappa
+    c = -delta[:, None] * (kappa * kappa)
+    ok = (np.abs(b) + np.abs(c) <= _SERIES_RADIUS) & (size > 1)
+    moments = np.zeros(eps.shape + (_TAYLOR + 1,), dtype=complex)
+    if not ok.any():
+        return ok, moments
+    b, c = np.where(ok, b, 0.0), np.where(ok, c, 0.0)
+    order = _series_order(np.abs(b) + np.abs(c))
+    # w[i, j, p] = W_p of sample i on axis j, up to its own order
+    top = _TAYLOR + 2 * int(np.max(order)) + 1
+    w = np.zeros(eps.shape + (top,), dtype=complex)
+    ells = np.arange(start, stop)
+    powers = ((ells - lc) / kappa) ** np.arange(top)[:, None]
+    for mod in np.unique(q[ok.any(axis=1)]).tolist():
+        pairs = ok & (q == mod)[:, None]
+        res = np.arange(mod)
+        # sums[p, r] = S_p(r), one bin per (power, residue)
+        bins = (ells % mod + mod * np.arange(top)[:, None]).ravel()
+        sums = np.bincount(bins, weights=powers.ravel(), minlength=top * mod)
+        sums = sums.reshape(top, mod).astype(complex)
+        units = np.exp(1j * (TWO_PI / mod) * res)
+        for j in range(eps.shape[1]):
+            for n in np.unique(order[pairs[:, j], j]).tolist():
+                rows = np.flatnonzero(pairs[:, j] & (order[:, j] == n))
+                # W once per anchor (a1, a_j): samples of one anchor share it
+                anchors, which = np.unique(a1[rows] * mod + a_rest[rows, j],
+                                           return_inverse=True)
+                a1u, aju = np.divmod(anchors[:, None], mod)
+                phase = (a1u * res * res + aju * res) % mod
+                width = _TAYLOR + 2 * n + 1
+                w[rows, j, :width] = (sums[:width] @ units[phase][:, :, None])[which, :, 0]
+    for k, h in zip(range(top - _TAYLOR), _series_terms(b, c)):
+        h = np.where(k <= 2 * order, h, 0.0)  # each pair to its own order
+        moments += h[..., None] * w[..., k:k + _TAYLOR + 1]
+    lead = np.exp(1j * lc * eps - (lc * lc) * delta[:, None])
+    scale = np.array([kappa ** m / math.factorial(m) for m in range(_TAYLOR + 1)])
+    return ok, moments * (lead[..., None] * scale)
 
 
 def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
@@ -439,55 +523,71 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
 
 
 def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-                  scale: float, coef, size: int, rate: float, rtol: float) -> np.ndarray:
+                  scale: float, coef, size: int, rate: float, rtol: float,
+                  folded=None) -> np.ndarray:
     """_bump_sum values of size translates at paired samples, in closed form or converged.
 
-    coef(rows) builds the (sample, translate) coefficient table of a
-    slice of the samples.  The samples that _bump_series takes get its
-    closed form; the others run _bump_sum on doubling panels.  Each
-    translate's integrand has modulus at most the unit bump, so the
-    sum's L1 mass is at most size; that sets the rounding floor, and the
-    node budget is shared among the translates.  Panels start from rate,
-    a bound on the phase rate in u.
+    coef(rows) builds the (sample, translate) coefficient table of the
+    samples rows, an index array.  The samples that _bump_series takes
+    get its closed form, from the Taylor moments in folded, a mask of the
+    samples that have them and the moments, or else from their table; the
+    others run _bump_sum on doubling panels.  A table is built only for
+    the samples that need one.  Each translate's integrand has modulus at
+    most the unit bump, so the sum's L1 mass is at most size; that sets
+    the rounding floor, and the node budget is shared among the
+    translates.  Panels start from rate, a bound on the phase rate in u.
     """
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
-    # rows per call keep the (sample, translate) coefficient table near
-    # _CHUNK entries; the quadrature rows of one call converge together, so
-    # the chunk also fixes the passes and nodes each of them spends.
-    # _bump_sum holds the (sample, node) tables of a pass near _CHUNK
-    # entries by row blocks
+    # rows per table keep the (sample, translate) coefficients near _CHUNK
+    # entries; the quadrature rows of one call converge together, so the
+    # chunk also fixes the passes and nodes each of them spends.  _bump_sum
+    # holds the (sample, node) tables of a pass near _CHUNK entries by row
+    # blocks
     chunk = max(1, _CHUNK // size)
+
+    def moments(take):
+        rows = np.flatnonzero(take)
+        if folded is None:
+            known = np.zeros(rows.size, dtype=bool)
+            out = np.empty((rows.size, _TAYLOR + 1), dtype=complex)
+        else:
+            known, out = folded[0][rows], folded[1][rows]
+        need = np.flatnonzero(~known)
+        for lo in range(0, need.size, chunk):
+            out[need[lo:lo + chunk]] = _table_moments(coef(rows[need[lo:lo + chunk]]))
+        return out
+
+    take, values = _bump_series(x, lam, center, step, scale, size, moments)
     out = np.empty(x.size, dtype=complex)
+    out[take] = values
     for lo in range(0, x.size, chunk):
-        xs, ls, table = x[lo:lo + chunk], lam[lo:lo + chunk], coef(slice(lo, lo + chunk))
-        part = out[lo:lo + chunk]
-        take, values = _bump_series(xs, ls, center, step, scale, table)
-        part[take] = values
-        rest = ~take
-        if rest.any():
-            part[rest] = double_panels(
-                functools.partial(_bump_sum, xs[rest], ls[rest], center, step, scale,
-                                  table[rest]),
+        rest = lo + np.flatnonzero(~take[lo:lo + chunk])
+        if rest.size:
+            out[rest] = double_panels(
+                functools.partial(_bump_sum, x[rest], lam[rest], center, step, scale,
+                                  coef(rest)),
                 -1.0, 1.0, panels, rtol=rtol, mass=float(size), order=_FACTOR_ORDER,
                 max_nodes=MAX_NODES // size)
     return out
 
 
 def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
-                  decay: np.ndarray, ells: np.ndarray, coef, rtol: float) -> np.ndarray:
+                  decay: np.ndarray, ells: np.ndarray, coef, rtol: float,
+                  folded=None) -> np.ndarray:
     """Sums of the translates ells of one comb axis at paired samples.
 
-    decay is each sample's t^gamma and coef is as in _bump_factors.
+    decay is each sample's t^gamma; coef and folded are as in _bump_factors.
     """
     t_max = float(np.max(t, initial=0.0))
     rate = (float(np.max(np.abs(xj), initial=0.0))
             + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
     return _bump_factors(xj, 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef,
-                         ells.size, rate, rtol)
+                         ells.size, rate, rtol, folded)
 
 
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
-                      rtol: float = 1e-9, gamma_eval: float | None = None):
+                      rtol: float = 1e-9, gamma_eval: float | None = None,
+                      residues=None):
     """Factor arrays for many points: (i1, ij matrix, modulus product).
 
     The window is one translate of width sqrt(R) at R^{gamma/2}, its
@@ -497,6 +597,13 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     over the batch and double until the factor values stabilize, to
     rtol of the batch maximum or to the rounding floor of the
     integrand's L1 mass (one for the unit-mass window).
+
+    residues, where given, is (q, a1, a_rest, eps) of draws whose box
+    preimages at their selected times are the points, as sample_omega_star
+    records them.  The comb axes then take their Taylor moments from the
+    exact residues, folded over the modulus (_folded_moments), and build no
+    lattice-phase table for the samples that take them.  Without residues,
+    as at generic points, the lattice phases are formed from x and t.
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -525,8 +632,12 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
         table *= np.exp(damp, out=damp)
         return table
 
+    folded = [None] * (m.d - 1)
+    if residues is not None:
+        ok, moments = _folded_moments(cp, *residues, decay * cp.D ** 2)
+        folded = [(ok[:, j], moments[:, j]) for j in range(m.d - 1)]
     ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
-                                 functools.partial(lattice, x[:, j]), rtol)
+                                 functools.partial(lattice, x[:, j]), rtol, folded[j - 1])
                    for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import itertools
 import json
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodmax import counterexample
+from schrodmax import counterexample, propagator
 from schrodmax.counterexample import (
     ExperimentError,
     _translate_moments,
@@ -20,7 +19,6 @@ from schrodmax.counterexample import (
     OmegaStarSample,
     calibration_constants,
     error_budget,
-    lattice_sum_S,
     lattice_sum_S_tilde,
     lower_bound_experiment,
     omega_measure_lower,
@@ -326,50 +324,33 @@ def _full_translate_u(cp):
     return 2.0 * cp.model.R ** (cp.model.gamma / 2.0) / cp.D
 
 
-def test_lattice_sum_brute_force_oracle():
-    cp = _exp_params()
-    start, stop = comb_range(cp)
-    x_rest = (0.0123,)
-    t = 3.7e-9
-    u = start + 7.5
-    per_axis, prod = lattice_sum_S(cp, x_rest, t, u)
-    want = sum(cmath.exp(1j * (cp.D * x_rest[0] * l + cp.D**2 * t * l * l))
-               for l in range(start, start + 8))
-    assert per_axis[0] == pytest.approx(want, rel=1e-9)
-    assert prod == pytest.approx(want, rel=1e-9)
-
-
 def test_lattice_sum_range_handling():
     cp = _exp_params()
     start, stop = comb_range(cp)
     lo_real = cp.model.R ** (cp.model.gamma / 2.0) / cp.D
-    per_axis, prod = lattice_sum_S(cp, (0.0,), 0.0, start + 0.0)
+    per_axis, prod = lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, start + 0.0)
     assert per_axis == (0j,) and prod == 0j
     with pytest.raises(ValueError):
-        lattice_sum_S(cp, (0.0,), 0.0, lo_real - 0.05)
+        lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, lo_real - 0.05)
     with pytest.raises(ValueError):
-        lattice_sum_S(cp, (0.0,), 0.0, stop + 1.0)
+        lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, stop + 1.0)
     with pytest.raises(ValueError):
-        lattice_sum_S(cp, (0.0, 0.0), 0.0, start + 2.0)
-
-
-def test_lattice_sum_counts_at_zero_phase():
-    cp = _exp_params()
-    start, stop = comb_range(cp)
-    per_axis, prod = lattice_sum_S(cp, (0.0,), 0.0, float(stop))
-    assert per_axis[0] == pytest.approx(stop - start)
-    assert prod == pytest.approx(stop - start)
+        lattice_sum_S_tilde(cp, 8, 3, (2, 2), 0.1, start + 2.0)
 
 
 def test_rational_twin_matches_generic_sum_at_anchor():
+    """The rational twin against the lattice phases formed from x and t at
+    the anchor's own point, D x = 2 pi a / q and D^2 t = 2 pi a1 / q."""
     cp = _exp_params()
     q, a1, a_rest = 20, 1, (2,)
     t = TWO_PI * a1 / (q * cp.D**2)
-    x_rest = (TWO_PI * a_rest[0] / (q * cp.D),)
+    x = TWO_PI * a_rest[0] / (q * cp.D)
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop, dtype=float)
+    generic = complex(np.sum(propagator._lattice_phases(cp, x, t, ells)))
     u = _full_translate_u(cp)
-    _, s_prod = lattice_sum_S(cp, x_rest, t, u)
     _, twin_prod = lattice_sum_S_tilde(cp, q, a1, a_rest, TWO_PI * a1 / q, u)
-    assert s_prod == pytest.approx(twin_prod, rel=1e-8)
+    assert generic == pytest.approx(twin_prod, rel=1e-8)
     with pytest.raises(ValueError):
         lattice_sum_S_tilde(cp, 8, 3, (2, 2), 0.1, u)
 
@@ -605,6 +586,28 @@ def test_experiment_entry_builds_no_sample_objects(monkeypatch):
     rec = counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0)
     assert rec.n_valid > 0
     assert built == []
+
+
+def test_experiment_entry_builds_no_lattice_phase_table(monkeypatch):
+    """A ladder entry folds its comb moments over the modulus from the draws'
+    residues; a one-point factorized evaluation still forms the phases."""
+    calls = []
+    phases = propagator._lattice_phases
+
+    def counting(*args):
+        calls.append(1)
+        return phases(*args)
+
+    monkeypatch.setattr(propagator, "_lattice_phases", counting)
+    cp = _exp_params(2.0**19)
+    rec = counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0)
+    assert rec.n_valid > 0
+    assert calls == []
+    draws = sample_omega_star(cp, 200, seed=0)
+    row = draws[draws.valid][:1]
+    (t,) = select_time(cp, row)
+    factorized_evaluate(cp, SpaceTimePoint(x=tuple(row.x[0].tolist()), t=float(t)))
+    assert calls
 
 
 def test_experiment_sobolev_weight_lowers_ratio():

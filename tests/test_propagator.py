@@ -42,6 +42,7 @@ from schrodmax.propagator import (
     _factorized_batch,
     _field_grid,
     _plane_phase_sum,
+    _table_moments,
     _unit_bump,
     abel_main_plus_error,
     evaluate_free,
@@ -439,15 +440,31 @@ def test_factorized_batch_not_degenerate_at_selected_times():
     assert abs(fac.i1) > 1.0 - cp.c0
 
 
-def _ladder_points(R, n, draws=2000, seed=3):
-    """First n box points of a ladder draw at scale R, each at its selected time."""
+def _series(x, lam, center, step, scale, coef):
+    """_bump_series on the Taylor moments of the coefficient table coef."""
+    return _bump_series(x, lam, center, step, scale, coef.shape[1],
+                        lambda take: _table_moments(coef[take]))
+
+
+def _ladder_draws(R, n, draws=2000, seed=3):
+    """First n valid draws of a ladder entry at scale R and their selected times."""
     from schrodmax.counterexample import sample_omega_star, select_time
 
     cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=float(R)))
     record = sample_omega_star(cp, draws, seed)
     valid = record[record.valid][:n]
     assert len(valid) == n
-    return cp, valid.x, select_time(cp, valid)
+    return cp, valid, select_time(cp, valid)
+
+
+def _ladder_points(R, n, draws=2000, seed=3):
+    """First n box points of a ladder draw at scale R, each at its selected time."""
+    cp, valid, t = _ladder_draws(R, n, draws, seed)
+    return cp, valid.x, t
+
+
+def _residues(draws):
+    return draws.q, draws.a1, draws.a_rest, draws.eps
 
 
 def _lattice(cp, xj, t, ells):
@@ -484,7 +501,7 @@ def test_batch_comb_matches_per_translate_sum(R, gamma_eval, one_translate):
     want = _per_translate_comb(cp, x[:, 1], t, ells, xi, w, gamma_eval)
     got = _bump_sum(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0, coef, xi, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    take, closed = _bump_series(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0, coef)
+    take, closed = _series(x[:, 1], lam, cp.D * ells[0], cp.D, 1.0, coef)
     assert take.all()
     assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -538,7 +555,7 @@ def test_comb_on_its_moments_is_within_the_series_radius(d):
         size = coef.shape[1]
         on = np.abs(step * lam) * (size - 1) <= _RHO
         assert on.any() and not on.all()
-        take = _bump_series(x[:, 1], lam, center, step, 1.0, coef)[0]
+        take = _series(x[:, 1], lam, center, step, 1.0, coef)[0]
         assert np.array_equal(take, on)
 
 
@@ -549,10 +566,35 @@ def test_taylor_moments_match_horner_on_the_ladder(e):
     cp, x, t = _ladder_points(2 ** e, 32)
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
-    take, got = _bump_series(x[:, 1], lam, center, step, 1.0, coef)
+    take, got = _series(x[:, 1], lam, center, step, 1.0, coef)
     assert take.all()
     want = _horner(x[:, 1], lam, center, step, coef, u, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("e, gamma_eval", [(16, None), (24, None), (32, None), (40, None),
+                                           (24, 3.0)])
+def test_folded_moments_match_an_exact_residue_sum(e, gamma_eval):
+    """The comb's Taylor moments folded over the modulus against a direct sum
+    over the translates with integer residues,
+    e(((a1 l^2 + a_j l) mod q) / q) e^{i eps l - delta l^2} (l - lc)^m / m!,
+    to 1e-14 of each moment's scale L kappa^m / m!."""
+    cp, draws, t = _ladder_draws(2 ** e, 4, draws=400)
+    delta = t ** (cp.model.gamma if gamma_eval is None else gamma_eval) * cp.D ** 2
+    ok, got = propagator._folded_moments(cp, *_residues(draws), delta)
+    assert ok.all()
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop)
+    lc = (start + stop - 1) / 2.0
+    fact = np.array([math.factorial(m) for m in range(_TAYLOR + 1)])
+    scale = ells.size * (lc - start) ** np.arange(_TAYLOR + 1) / fact
+    for i in range(t.size):
+        q, a1, aj = int(draws.q[i]), int(draws.a1[i]), int(draws.a_rest[i, 0])
+        residue = (a1 * ells * ells + aj * ells) % q
+        coef = np.exp(1j * (TWO_PI * residue / q + draws.eps[i, 0] * ells)
+                      - delta[i] * ells.astype(float) ** 2)
+        want = np.array([np.sum(coef * (ells - lc) ** m) for m in range(_TAYLOR + 1)]) / fact
+        assert np.all(np.abs(got[i, 0] - want) <= 1e-14 * scale)
 
 
 def _fine_factors(cp, x, t):
@@ -612,8 +654,10 @@ def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
 
 @pytest.mark.parametrize("e", [16, 20])
 def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
-    """Four ladder points at their selected times take the closed form, and
-    at 4x those times run quadrature; both match the direct grid engine.
+    """Four ladder points at their selected times take the closed form, with
+    the comb moments from the lattice-phase table and folded over the
+    modulus from the draws' residues, and at 4x those times run quadrature;
+    all match the direct grid engine.
 
     At the selected times the bound is 1e-11 relative.  At 4x the factors
     cancel far below their L1 mass and converge to its rounding floor, so the
@@ -621,7 +665,8 @@ def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
     seeds 0-9 the largest differences were 3.0e-13 (2^16) and 2.4e-12 (2^20)
     relative, and 8.4e-15 and 3.9e-14 of the mass.
     """
-    cp, x, t = _ladder_points(2 ** e, 4)
+    cp, draws, t = _ladder_draws(2 ** e, 4)
+    x = draws.x
     f = Case3Counterexample(params=cp)
     mass = l1_fourier_mass(f)
     for scale, closed in ((1.0, True), (4.0, False)):
@@ -635,6 +680,9 @@ def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
         diff = np.abs(fac - direct)
         if closed:
             assert np.all(diff <= 1e-11 * direct)
+            # the comb moments folded over the modulus from the draws' residues
+            folded = _factorized_batch(cp, x, t, residues=_residues(draws))[2]
+            assert np.all(np.abs(folded - direct) <= 1e-11 * direct)
         else:
             assert np.all(diff <= 1e-12 * mass)
 
@@ -646,9 +694,10 @@ def test_mixed_rules_are_the_rows_alone(e):
 
     In the kernel each row is the same bits as alone, and each Horner row
     the same bits as the reference.  Through the engine the closed-form
-    rows are the same bits as alone; the quadrature rows start from the
-    batch's rate bound and converge together, so evaluated apart they
-    agree with the mixed batch to the engine's rtol."""
+    rows are the same bits as alone, with moments from the table or folded
+    from residues; the quadrature rows start from the batch's rate bound
+    and converge together, so evaluated apart they agree with the mixed
+    batch to the engine's rtol."""
     cp, x, t = _ladder_points(2 ** e, 16)
     x, t = np.concatenate([x, x]), np.concatenate([t, 4.0 * t])
     shuffle = np.random.default_rng(1).permutation(t.size)
@@ -656,7 +705,7 @@ def test_mixed_rules_are_the_rows_alone(e):
     lam, center, step, coef = _comb_inputs(cp, x, t)
     u, w = panel_nodes(-1.0, 1.0, 4, _FACTOR_ORDER)
     selected = shuffle < 16
-    take, closed = _bump_series(x[:, 1], lam, center, step, 1.0, coef)
+    take, closed = _series(x[:, 1], lam, center, step, 1.0, coef)
     assert np.array_equal(take, selected)
     horner = _bump_sum(x[~selected, 1], lam[~selected], center, step, 1.0,
                        coef[~selected], u, w)
@@ -664,7 +713,7 @@ def test_mixed_rules_are_the_rows_alone(e):
                                           step, coef[~selected], u, w))
     for i, k in enumerate(np.flatnonzero(selected)):
         r = slice(k, k + 1)
-        alone = _bump_series(x[r, 1], lam[r], center, step, 1.0, coef[r])
+        alone = _series(x[r, 1], lam[r], center, step, 1.0, coef[r])
         assert alone[0].all() and np.array_equal(alone[1], closed[i:i + 1])
     for i, k in enumerate(np.flatnonzero(~selected)):
         r = slice(k, k + 1)
@@ -677,6 +726,15 @@ def test_mixed_rules_are_the_rows_alone(e):
     part = ~selected
     np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
                                rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
+    # rows with residues fold their comb moments over the modulus: each is
+    # the same bits alone as in a shuffled batch
+    cp, draws, t = _ladder_draws(2 ** e, 16)
+    draws, t = draws[shuffle[selected]], t[shuffle[selected]]
+    i1, ij, _ = _factorized_batch(cp, draws.x, t, residues=_residues(draws))
+    for k in range(t.size):
+        one = draws[k:k + 1]
+        one = _factorized_batch(cp, one.x, t[k:k + 1], residues=_residues(one))
+        assert one[0][0] == i1[k] and np.array_equal(one[1][0], ij[k])
 
 
 def _window_integral(cp, x1, t, u, w, gamma_eval=None):
@@ -707,7 +765,7 @@ def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
     want = _window_integral(cp, x[:, 0], t, u, w, gamma_eval)
     got = _bump_sum(x[:, 0], lam, band, 0.0, math.sqrt(R), coef, u, w)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    take, closed = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), coef)
+    take, closed = _series(x[:, 0], lam, band, 0.0, math.sqrt(R), coef)
     assert take.all()
     assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
 
