@@ -3,19 +3,21 @@
 Profiles are symbolic descriptors: a smooth 1d bump, tensor products, a
 translated comb along a frequency lattice, and modulations of any of
 these.  factors, the one family dispatch, gives pointwise values, norms
-and the propagator's grid engine per-axis factors to read.
+and the propagator's grid engine one Cells per axis to read: the
+centres, half-widths and weights of the weighted unit bumps, one per
+support cell, whose sum is the profile's factor on that axis.  Every
+reader works in a cell's own coordinate u in [-1, 1], xi = c + h u.
 
 A norm is built from per-factor moment tables, one per node of the
-Sobolev weight's rule.  On each of its cells a profile is a weight times
-the unit-mass bump filling the cell, so where the weight's exponent stays
-within the series radius on every cell of a factor, the factor's table
-is a closed form in each cell's own coordinate: the series of
-e^{beta u + q u^2} (_series_terms) met with the moments of a power of the
-unit bump (_bump_moments), which the propagator's factorized engine reads
-too.  That holds for the comb from R = 2^12 up, for the window from about
+Sobolev weight's rule.  Where the weight's exponent stays within the
+series radius on every cell of a factor, the factor's table is a closed
+form in each cell's own coordinate: the series of e^{beta u + q u^2}
+(_series_terms) met with the moments of a power of the unit bump
+(_bump_moments), which the propagator's factorized engine reads too.
+That holds for the comb from R = 2^12 up, for the window from about
 2^19 up, and for every factor at s = 0.  The other factors share one
-composite rule mapped onto their support cells, refined by one doubling
-loop, so nothing here ever commits to a global sampling grid.
+composite rule in u, refined by one doubling loop, so nothing here ever
+commits to a global sampling grid.
 """
 
 import functools
@@ -90,12 +92,13 @@ def _series_order(r):
     return sum(tail(r, n) > bound for n in range(_SERIES_ORDER))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=None)
 def _bump_moments(p: float, degree: int) -> np.ndarray:
     """nu_k, the integral of _unit_bump(u)^p u^k, for k <= degree.
 
     From the fixed rule of mollifier_mass, so nu_0 = 1 to rounding at
-    p = 1; the odd moments of the even bump are set to zero.
+    p = 1; the odd moments of the even bump are set to zero.  Unbounded,
+    as its keys are few: p in {1, 2}, degrees set by a series order.
     """
     u, w = gauss_legendre(256)
     nu = (_unit_bump(u) ** p * w) @ (u[:, None] ** np.arange(degree + 1))
@@ -281,12 +284,10 @@ def comb_range(cp: CounterexampleParams) -> tuple[int, int]:
 class SpectrumDescriptor:
     """Base for symbolic frequency profiles.
 
-    A family declares its dimension and, in factors_by_axis, one (cells,
-    profile) pair per axis: the axis's support Cells and its vectorised
-    profile, which vanishes off those cells and on each cell is a weight
-    times the unit-mass bump filling it, as the norms read it.  Axes
-    whose factors are equal share one pair object.  The support annulus
-    is read from the cells (support_annulus).
+    A family declares its dimension and, in factors_by_axis, one Cells
+    per axis, whose weighted unit bumps are the profile's factor on that
+    axis.  Axes whose factors are equal share one Cells object.  The
+    support annulus is read from the cells (support_annulus).
     """
 
     @property
@@ -294,35 +295,34 @@ class SpectrumDescriptor:
         raise NotImplementedError
 
     def factors_by_axis(self) -> tuple:
-        """((cells, profile), ...), one pair per axis."""
+        """(cells, ...), one Cells per axis."""
         raise NotImplementedError
 
 
-class Cells(tuple):
-    """The support cells of one axis factor: a tuple of (lo, hi) pairs.
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """One axis factor: a weighted unit bump on each of its support cells.
 
-    Cell i holds one bump of centre centres[i] and half-width half[i],
-    kept as declared: lo and hi are rounded to doubles, so where |xi| is
-    large, (hi - lo) / 2 can differ from the half-width.
+    On cell i, of centre centres[i] and half-width half[i], the factor is
+    weight[i] _unit_bump((xi - centres[i]) / half[i]) / half[i], so the
+    cell's L1 mass is |weight[i]|; it vanishes off the cells.  The centres
+    ascend and the cells do not overlap.  half and weight broadcast
+    against the centres; a weight may be complex.
     """
 
-    def __new__(cls, centres, half):
-        centres = np.array(centres, dtype=float)
-        half = np.broadcast_to(np.asarray(half, dtype=float), centres.shape)
-        cells = super().__new__(cls, zip((centres - half).tolist(),
-                                         (centres + half).tolist()))
+    centres: np.ndarray
+    half: np.ndarray
+    weight: np.ndarray = 1.0
+
+    def __post_init__(self):
+        centres = np.array(self.centres, dtype=float, ndmin=1)
         centres.setflags(write=False)
-        cells.centres, cells.half = centres, half
-        return cells
-
-
-def _bump_factor(center: float, width: float, weight=None) -> tuple:
-    """(cells, profile) of the bump on one cell, its values times weight if given."""
-    b = Bump1D(center=float(center), width=width)
-    cells = Cells([center], width)
-    if weight is None:
-        return cells, functools.partial(bump_eval, b)
-    return cells, lambda xi: bump_eval(b, xi) * weight
+        half = np.broadcast_to(np.asarray(self.half, dtype=float), centres.shape)
+        if np.any(centres[1:] - half[1:] < centres[:-1] + half[:-1]):
+            raise ValueError("cells must ascend without overlapping")
+        object.__setattr__(self, "centres", centres)
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "weight", np.broadcast_to(self.weight, centres.shape))
 
 
 @dataclass(frozen=True)
@@ -350,8 +350,8 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     def factors_by_axis(self) -> tuple:
         """The first axis carries the amplitude; later axes with equal centres share a factor."""
         head, *rest = self.xi0
-        shared = {c: _bump_factor(c, self.width) for c in rest}
-        first = _bump_factor(head, self.width, self.amplitude * TWO_PI ** self.dim)
+        shared = {c: Cells(c, self.width) for c in rest}
+        first = Cells(head, self.width, self.amplitude * TWO_PI ** self.dim)
         return (first,) + tuple(shared[c] for c in rest)
 
 
@@ -367,7 +367,7 @@ class Case1Product(SpectrumDescriptor):
 
     def factors_by_axis(self) -> tuple:
         """One bump of width R, shared by every axis."""
-        return (_bump_factor(0.0, self.model.R),) * self.dim
+        return (Cells(0.0, self.model.R),) * self.dim
 
 
 @dataclass(frozen=True)
@@ -386,24 +386,8 @@ class Case3Counterexample(SpectrumDescriptor):
         The comb has a unit bump at D k for each k in comb_range.
         """
         cp = self.params
-        center, halfw = cp.band, math.sqrt(cp.model.R)
-        start, stop = comb_range(cp)
-        spacing = cp.D
-
-        def window(xi):
-            u = (np.asarray(xi, dtype=float) - center) / halfw
-            return _mollifier_raw(u) / (mollifier_mass() * halfw)
-
-        def comb(xi):
-            xi = np.asarray(xi, dtype=float)
-            k = np.round(xi / spacing)
-            valid = (k >= start) & (k < stop)
-            vals = _mollifier_raw(xi - spacing * k) / mollifier_mass()
-            return np.where(valid, vals, 0.0)
-
-        teeth = Cells(spacing * np.arange(start, stop, dtype=float), 1.0)
-        first = Cells([center], halfw), window
-        return (first,) + ((teeth, comb),) * (self.dim - 1)
+        teeth = Cells(cp.D * np.arange(*comb_range(cp), dtype=float), 1.0)
+        return (Cells(cp.band, math.sqrt(cp.model.R)),) + (teeth,) * (self.dim - 1)
 
 
 @dataclass(frozen=True)
@@ -431,13 +415,13 @@ class Modulated(SpectrumDescriptor):
 
 
 def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, tuple]:
-    """The one family dispatch: (shift, ((cells, profile), ...)).
+    """The one family dispatch: (shift, (cells, ...)).
 
-    f(xi) is e^{i xi.shift} times the product over axes a of the
-    vectorised profile of xi_a, each nonzero only on its support cells.
-    Modulations at any depth add up to the shift l/R; the factors are
-    the base family's factors_by_axis, where equal axes share one (cells,
-    profile) object, so readers evaluate each distinct factor once.
+    f(xi) is e^{i xi.shift} times the product over axes a of the factor
+    of xi_a that the axis's Cells describe.  Modulations at any depth add
+    up to the shift l/R; the factors are the base family's
+    factors_by_axis, where equal axes share one Cells object, so readers
+    evaluate each distinct factor once.
     """
     shift = np.zeros(f.dim)
     while isinstance(f, Modulated):
@@ -455,9 +439,21 @@ def support_annulus(facs) -> tuple[float, float]:
     lo_sq = hi_sq = 0.0
     for fac in {id(fac): fac for fac in facs}.values():
         axes = sum(g is fac for g in facs)
-        lo_sq += axes * min(max(lo, -hi, 0.0) for lo, hi in fac[0]) ** 2
-        hi_sq += axes * max(max(-lo, hi) for lo, hi in fac[0]) ** 2
+        lo, hi = fac.centres - fac.half, fac.centres + fac.half
+        lo_sq += axes * float(np.min(np.maximum(np.maximum(lo, -hi), 0.0))) ** 2
+        hi_sq += axes * float(np.max(np.maximum(-lo, hi))) ** 2
     return math.sqrt(lo_sq), math.sqrt(hi_sq)
+
+
+def _cells_eval(cells: Cells, xi: np.ndarray) -> np.ndarray:
+    """The factor that cells describe, at the coordinates xi.
+
+    The last cell whose lower end lies below a coordinate is the only one
+    that can hold it, as the cells ascend without overlapping.
+    """
+    i = np.maximum(np.searchsorted(cells.centres - cells.half, xi) - 1, 0)
+    half = cells.half[i]
+    return cells.weight[i] * _unit_bump((xi - cells.centres[i]) / half) / half
 
 
 def spectrum_eval(f: SpectrumDescriptor, xi):
@@ -467,8 +463,8 @@ def spectrum_eval(f: SpectrumDescriptor, xi):
         raise ValueError(f"xi must have trailing dimension {f.dim}")
     shift, facs = factors(f)
     out = np.ones(xi.shape[:-1], dtype=complex)
-    for (_, profile), coord in zip(facs, np.moveaxis(xi, -1, 0)):
-        out = out * profile(coord)
+    for cells, coord in zip(facs, np.moveaxis(xi, -1, 0)):
+        out = out * _cells_eval(cells, coord)
     out = out * np.exp(1j * (xi @ shift))
     if out.ndim == 0:
         return complex(out)
@@ -506,14 +502,13 @@ def _weight_rule(a: float, x_min: float, x_max: float) -> tuple[np.ndarray, np.n
             np.concatenate([[tail], h * np.exp(a * u)]) / math.gamma(a))
 
 
-def _cell_moments(cells: Cells, profile, p: float, t: np.ndarray, n: int,
+def _cell_moments(cells: Cells, p: float, t: np.ndarray, n: int,
                   order: int) -> np.ndarray:
-    """m_k(tau) = integral of |profile(xi)|^p xi^{2k} e^{-tau xi^2} / k!, k <= n, per tau in t.
+    """m_k(tau) = integral of |factor(xi)|^p xi^{2k} e^{-tau xi^2} / k!, k <= n, per tau in t.
 
-    The factor's cells have centres c and half-widths h, as its Cells
-    declare them, and on each the profile is a weight times the unit-mass
-    bump filling it, so with a = |profile(c)| / _unit_bump(0) a cell gives
-    h a^p e^{-tau c^2} times the integral of
+    On a cell of centre c, half-width h and weight w the factor is
+    w _unit_bump(u) / h at xi = c + h u, so the cell gives
+    h (|w| / h)^p e^{-tau c^2} times the integral of
     nu(u) (c + h u)^{2k} e^{beta u + q u^2} over u, where nu = _unit_bump^p,
     beta = -2 tau c h and q = -tau h^2.  That is
     sum_j e_j sum_i C(2k, i) c^{2k-i} h^i nu_{i+j}, with e_j from
@@ -526,7 +521,7 @@ def _cell_moments(cells: Cells, profile, p: float, t: np.ndarray, n: int,
     centre, half = cells.centres, cells.half
     degree = 2 * order
     nu = _bump_moments(p, degree + 2 * n)
-    weight = half * (np.abs(profile(centre)) / _unit_bump(0.0)) ** p
+    weight = half * (np.abs(cells.weight) / half) ** p
     out = np.zeros((t.size, n + 1))
     step = max(1, _CHUNK // t.size)
     for at in range(0, centre.size, step):
@@ -559,13 +554,13 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     A factor takes its table in closed form, cell by cell in the cell's
     own coordinate (_cell_moments), where r = tau (2 |c| h + h^2) is within
     _SERIES_RADIUS on all its cells at the largest tau, with the centres c
-    and half-widths h its Cells declare, not the rounded bounds: the comb
-    from R = 2^12 up, the window from about 2^19 up, and every factor at
-    s = 0, where tau = 0 alone.  The series stops at _series_order(r).
+    and half-widths h its Cells declare: the comb from R = 2^12 up, the
+    window from about 2^19 up, and every factor at s = 0, where tau = 0
+    alone.  The series stops at _series_order(r).
     The others (the window at small R, the product bump and the plane
-    wave at s > 0, the d=3 comb at small R) share one rule on [0, 1]
-    mapped onto each of their support cells at absolute xi, refined by
-    one doubling loop, at most MAX_NODES^{1/factors} nodes a cell.
+    wave at s > 0, the d=3 comb at small R) share one rule in the cells'
+    own coordinate u in [-1, 1], refined by one doubling loop, at most
+    MAX_NODES^{1/factors} nodes a cell.
     """
     _, facs = factors(f)
     n = math.ceil(s)
@@ -575,26 +570,27 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])
     step = max(1, _CHUNK // t.size)
     closed, looped = {}, {}
-    for key, (cells, profile) in {id(fac): fac for fac in facs}.items():
+    for key, cells in {id(fac): fac for fac in facs}.items():
         centre, half = cells.centres, cells.half
         r = t[-1] * np.max(half * (2.0 * np.abs(centre) + half))
         if r <= _SERIES_RADIUS:
-            closed[key] = _cell_moments(cells, profile, p, t, n, _series_order(r))
+            closed[key] = _cell_moments(cells, p, t, n, _series_order(r))
         else:
-            looped[key] = np.array(cells, dtype=float), profile
+            looped[key] = cells
 
-    def moments(e, profile, u, w):
-        """m_k(u) = sum wx x^{2k} e^{-e^u x^2} / k! over the factor's nodes x."""
-        width = e[:, 1:] - e[:, :1]
-        x = (e[:, :1] + width * u).ravel()
-        wx = np.abs(profile(x)) ** p * (width * w).ravel()
+    def moments(cells, u, w):
+        """m_k(tau) = sum wx x^{2k} e^{-tau x^2} / k! over the factor's nodes x = c + h u."""
+        half = cells.half[:, None]
+        x = (cells.centres[:, None] + half * u).ravel()
+        wx = (half * (np.abs(cells.weight[:, None]) / half) ** p
+              * (_unit_bump(u) ** p * w)).ravel()
         sq = x * x
         rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
         return sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]
                    for at in range(0, x.size, step))
 
     def evaluate(u, w):
-        m = closed | {key: moments(e, profile, u, w) for key, (e, profile) in looped.items()}
+        m = closed | {key: moments(cells, u, w) for key, cells in looped.items()}
         # poly[:, k]: z^k coefficient of e^z times the factors so far, per u
         poly = np.tile(inv_fact, (t.size, 1))
         for fac in facs:
@@ -605,7 +601,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
 
     if not looped:
         return evaluate(None, None)
-    return double_panels(evaluate, 0.0, 1.0, 1, rtol=_NORM_RTOL, order=24,
+    return double_panels(evaluate, -1.0, 1.0, 1, rtol=_NORM_RTOL, order=24,
                          max_nodes=int(MAX_NODES ** (1.0 / len(facs))))
 
 

@@ -11,14 +11,18 @@ coordinates.  Identical factors are evaluated once: axes that share a
 factor object (every axis of the product bump, the comb axes of the
 counterexample data) and their coordinates, as on a meshgrid, share one
 matrix and differ only in their rows.  Every matrix comes from one
-cell x rule loop: per octave of t, each cell is clipped where the
-dissipation leaves nothing and its panels start from the octave's worst
-phase rate, and the octaves that need the same rule share one loop that
-doubles its panels until each time column converges.  As
+cell x rule loop over the axis's Cells: each cell integrates its weighted
+unit bump in its own coordinate u in [-1, 1], xi = c + h u; per octave
+of t it is clipped where the dissipation leaves nothing and its panels
+start from the octave's worst phase rate, and the octaves that need the
+same rule share one loop that doubles its panels until each time column
+converges, to rtol or to the rounding floor of the cell's L1 mass, the
+modulus of its weight.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 the node sum is one exponential table per side met in GEMMs.  On a cell
-symmetric about 0 the time table, even in xi, covers the nonnegative
-nodes only and meets the space table of both signs of xi.
+centred at 0 and clipped symmetrically the time table, even in xi,
+covers the nonnegative nodes only and meets the space table of both
+signs of xi.
 The one-point evaluators (the 1 x 1 case) and the maximal module's
 time suprema use these factors.
 
@@ -32,7 +36,8 @@ The window factor is one translate of width sqrt(R); each comb factor
 is the lattice of unit translates.  At a resonant sample the sum has a
 closed form and runs no quadrature.  Where log z moves by at most _RHO
 about the centre of the L translates, the polynomial is its
-_TAYLOR + 1 Taylor moments about that centre; the rest of the
+_TAYLOR + 1 Taylor moments about that centre (the window's one
+translate has M_0 alone); the rest of the
 exponent is beta u + q u^2, and where |beta| + |q| <= _SERIES_RADIUS
 its power series to u-degree 2 _SERIES_ORDER, met with the unit bump's
 moments, leaves a tail below 3.5e-20 of the integrand's mass.  The
@@ -80,7 +85,6 @@ from .quadrature import (
     _CHUNK,
     MAX_NODES,
     double_panels,
-    panel_nodes,
     panels_for_rate,
 )
 
@@ -144,24 +148,6 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
         yield cols, reach, float(np.max(tv[cols])), 1j * tv[cols] - decay[cols]
 
 
-@functools.lru_cache(maxsize=32)
-def _cell_masses(f: SpectrumDescriptor, axis: int) -> tuple[float, ...]:
-    """Integral of |profile| over each support cell of one axis factor.
-
-    It bounds the L1 mass of every cell integrand, whatever the point,
-    and sets the rounding floor of that cell's convergence test.  Axes
-    that share a factor pass the first of them, so the masses of a
-    factor are computed once.
-    """
-    cells, profile = factors(f)[1][axis]
-    cells = np.array(cells, dtype=float)
-    u, w = panel_nodes(0.0, 1.0, 4)
-    width = cells[:, 1] - cells[:, 0]
-    xi = cells[:, :1] + width[:, None] * u[None, :]
-    vals = np.abs(np.asarray(profile(xi.ravel()))).reshape(xi.shape)
-    return tuple((vals @ w) * width)
-
-
 def _node_blocks(block, xi: np.ndarray, coef: np.ndarray, rows: int):
     """Sum of block(z, c) over blocks z of the nodes, c their coefficients.
 
@@ -212,38 +198,46 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
                         xi, coef, xv.size * lead.size)
 
 
-def _cell_matrix(profile, cells, masses, pts: np.ndarray, tv: np.ndarray,
-                 decay: np.ndarray, rtol: float) -> np.ndarray:
+def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
+                 rtol: float) -> np.ndarray:
     """Sum of the cell integrals at every (point, t): a (pts.size, tv.size) matrix.
 
-    pts are one axis's coordinates.  _plane_phase_sum sums the nodes of
-    each rule, with coefficients profile(xi) times the weights.  Per cell
-    and octave of t, the cell is clipped where the octave's dissipation
-    leaves nothing and its panels start from the octave's worst phase
-    rate; octaves that need the same rule, the same clipped interval and
-    starting panels, share one doubling loop over their columns.  The
-    panels double until every time column is within rtol of its largest
-    modulus or the rounding floor of the cell's mass, each column keeping
-    the pass where it first was, as in a loop of its own octave.
+    pts are one axis's coordinates and cells the axis's Cells.  Each cell
+    integrates in its own coordinate u in [-1, 1], xi = c + h u, where
+    its weighted unit bump is w _unit_bump(u) du: _plane_phase_sum sums
+    the nodes of each rule at xi, with coefficients w _unit_bump(u) times
+    the weights.  Per cell and octave of t, the cell is clipped to
+    |xi| <= reach, where the octave's dissipation leaves something, and
+    its panels start from the octave's worst phase rate in u, h times
+    that in xi; octaves that need the same rule, the same clipped
+    interval and starting panels, share one doubling loop over their
+    columns.  The panels double until every time column is within rtol
+    of its largest modulus or the rounding floor of the cell's L1 mass
+    |w|, each column keeping the pass where it first was, as in a loop of
+    its own octave.  A cell centred at 0 and clipped symmetrically folds
+    its time table (_plane_phase_sum's even).
     """
     out = np.zeros((pts.size, tv.size), dtype=complex)
     x_hi = float(np.max(np.abs(pts)))
     octaves = list(_octaves(tv, decay))
-    for (lo, hi), mass in zip(cells, masses):
+    for c, h, weight in zip(cells.centres.tolist(), cells.half.tolist(),
+                            cells.weight.tolist()):
         rules = {}
         for cols, reach, t_hi, lead in octaves:
-            a, b = max(lo, -reach), min(hi, reach)
+            a, b = max(-1.0, (-reach - c) / h), min(1.0, (reach - c) / h)
             if b <= a:
                 continue
-            rate = x_hi + 2.0 * t_hi * max(abs(a), abs(b))
+            rate = h * (x_hi + 2.0 * t_hi * max(abs(c + h * a), abs(c + h * b)))
             rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append((cols, lead))
         for (a, b, panels), octs in rules.items():
             cols, lead = (np.concatenate(v) for v in zip(*octs))
 
-            def evaluate(xi, w, lead=lead, even=(a == -b)):
-                return _plane_phase_sum(pts, xi, profile(xi) * w, lead, even)
+            def evaluate(u, w, lead=lead, even=(c == 0.0 and a == -b)):
+                return _plane_phase_sum(pts, c + h * u, weight * _unit_bump(u) * w,
+                                        lead, even)
 
-            out[:, cols] += double_panels(evaluate, a, b, panels, rtol=rtol, mass=mass)
+            out[:, cols] += double_panels(evaluate, a, b, panels, rtol=rtol,
+                                          mass=abs(weight))
     return out
 
 
@@ -262,14 +256,11 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray, decay: n
     shift, facs = factors(f)
     x = x + shift[None, :]
     out, matrices = [], {}
-    for axis, fac in enumerate(facs):
+    for axis, cells in enumerate(facs):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
-        first = next(a for a, g in enumerate(facs) if g is fac)
-        key = first, coords.tobytes()
+        key = id(cells), coords.tobytes()
         if key not in matrices:
-            cells, profile = fac
-            matrices[key] = _cell_matrix(profile, cells, _cell_masses(f, first),
-                                         coords, t, decay, rtol)
+            matrices[key] = _cell_matrix(cells, coords, t, decay, rtol)
         out.append((matrices[key], rows))
     return TWO_PI ** -f.dim, out
 
@@ -344,16 +335,21 @@ _TAYLOR = 7
 
 @functools.lru_cache(maxsize=32)
 def _powers(size: int) -> np.ndarray:
-    """(k - kappa)^m / m! for k < size, m <= _TAYLOR, kappa = (size - 1) / 2."""
+    """(k - kappa)^m / m! for k < size, m <= _TAYLOR, kappa = (size - 1) / 2.
+
+    One translate has k = kappa, where every power past m = 0 vanishes, so
+    its table is the column m = 0 alone.
+    """
     k = np.arange(size) - (size - 1) / 2.0
-    table = np.stack([k ** m / math.factorial(m) for m in range(_TAYLOR + 1)], axis=1)
+    orders = _TAYLOR + 1 if size > 1 else 1
+    table = np.stack([k ** m / math.factorial(m) for m in range(orders)], axis=1)
     table = table.astype(complex)  # a complex product per sample, no cast per call
     table.setflags(write=False)
     return table
 
 
 def _table_moments(table: np.ndarray) -> np.ndarray:
-    """Taylor moments sum_k table[:, k] (k - kappa)^m / m!, m <= _TAYLOR, of each row.
+    """Taylor moments sum_k table[:, k] (k - kappa)^m / m! of each row, as _powers gives m.
 
     One product per row, so a row's moments do not depend on the others.
     """
@@ -377,8 +373,9 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     times sum_m |M_m alpha^m|, which is at most e^_RHO times the
     coefficients' L1 mass.  The value is
     sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
-    Horner's rule in alpha.  moments(take) gives the M_m of the samples
-    take, a boolean mask, as rows: from their coefficient table
+    Horner's rule in alpha, which one translate, with M_0 alone, skips.
+    moments(take) gives the M_m of the samples take, a boolean mask, as
+    rows as wide as _powers(size): from their coefficient table
     (_table_moments) or folded over the modulus (_folded_moments).
     Returns the mask of the samples that take the closed form and their
     values.  Each sample decides from its own values, and every step is
@@ -549,7 +546,7 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
         rows = np.flatnonzero(take)
         if folded is None:
             known = np.zeros(rows.size, dtype=bool)
-            out = np.empty((rows.size, _TAYLOR + 1), dtype=complex)
+            out = np.empty((rows.size, _powers(size).shape[1]), dtype=complex)
         else:
             known, out = folded[0][rows], folded[1][rows]
         need = np.flatnonzero(~known)

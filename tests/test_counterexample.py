@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodmax import counterexample, propagator
+from schrodmax import counterexample, profiles, propagator
 from schrodmax.counterexample import (
     ExperimentError,
     _translate_moments,
@@ -568,6 +568,17 @@ def test_ladder_records_pinned(case):
     n_samples, seed = (300, 7) if case == "d2" else (2000, 0)
     rep = lower_bound_experiment(ladder, n_samples, seed, s=1.0 / 3.0)
     assert [dataclasses.asdict(r) for r in rep.records] == pinned[case]
+
+
+def test_second_ladder_pass_adds_no_bump_moment_miss():
+    """The README ladder's nine entries at s=1/3 ask for nine (p, degree)
+    bump-moment keys, one more than a cache of eight holds; a second pass in
+    the same process finds every one."""
+    ladder = _exp_ladder(16, 24)
+    lower_bound_experiment(ladder, 300, 7, s=1.0 / 3.0)
+    misses = profiles._bump_moments.cache_info().misses
+    lower_bound_experiment(ladder, 300, 7, s=1.0 / 3.0)
+    assert profiles._bump_moments.cache_info().misses == misses
 
 
 def test_experiment_entry_builds_no_sample_objects(monkeypatch):

@@ -34,6 +34,7 @@ from schrodmax.profiles import (
 from schrodmax.profiles import (
     _SERIES_ORDER,
     _SERIES_RADIUS,
+    _cells_eval,
     _mollifier_raw,
     _series_order,
     _weight_rule,
@@ -175,14 +176,14 @@ def test_case1_l2_scaling():
 
 
 def _bump_axis(center, width, weight=1.0):
-    """Closed-form (cells, profile) of one bump on one axis."""
+    """Closed-form ((lo, hi) cells, profile) of one bump on one axis."""
     b = Bump1D(center=center, width=width)
     return ((center - width, center + width),), lambda xi: weight * bump_eval(b, xi)
 
 
 def _case3_axes(cp):
-    """Closed-form (cells, profile) per axis of the comb data: the unit-mass
-    window of half-width sqrt(R) at the band, then unit bumps at D k."""
+    """Closed-form ((lo, hi) cells, profile) per axis of the comb data: the
+    unit-mass window of half-width sqrt(R) at the band, then unit bumps at D k."""
     start, stop = comb_range(cp)
     teeth = [Bump1D(center=cp.D * k, width=1.0) for k in range(start, stop)]
     comb = (tuple((b.center - 1.0, b.center + 1.0) for b in teeth),
@@ -190,16 +191,22 @@ def _case3_axes(cp):
     return [_bump_axis(cp.band, math.sqrt(cp.model.R))] + [comb] * (cp.model.d - 1)
 
 
+def _bounds(cells):
+    """The (lo, hi) pairs of a Cells record."""
+    return tuple(zip((cells.centres - cells.half).tolist(),
+                     (cells.centres + cells.half).tolist()))
+
+
 def test_case3_cells_and_window():
     cp = _cp()
     f = Case3Counterexample(params=cp)
     facs = factors(f)[1]
-    assert [cells for cells, _ in facs] == [cells for cells, _ in _case3_axes(cp)]
-    ((lo, hi),), _ = facs[0]
+    assert [_bounds(cells) for cells in facs] == [cells for cells, _ in _case3_axes(cp)]
+    ((lo, hi),) = _bounds(facs[0])
     assert lo == pytest.approx(2.0**16 - 2.0**8)
     assert hi == pytest.approx(2.0**16 + 2.0**8)
     start, stop = comb_range(cp)
-    assert len(facs[1][0]) == stop - start
+    assert facs[1].centres.size == stop - start
     # comb teeth sit at D*l in [R, 2R], so the band lives above R itself
     inner, outer = support_annulus(facs)
     assert 2.0**16 < inner < outer < 3.0 * 2.0**16
@@ -220,15 +227,15 @@ def test_case3_annulus_matches_closed_form(R):
 
 def test_case3_axis_factor_support():
     cp = _cp()
-    _, (_, comb) = factors(Case3Counterexample(params=cp))[1]
+    _, comb = factors(Case3Counterexample(params=cp))[1]
     start, _ = comb_range(cp)
     teeth = cp.D * np.array([start, start + 1], dtype=float)
-    vals = comb(teeth)
+    vals = _cells_eval(comb, teeth)
     assert np.all(vals > 0.0)
     between = cp.D * (start + 0.5)
-    assert comb(np.array([between]))[0] == 0.0
+    assert _cells_eval(comb, np.array([between]))[0] == 0.0
     outside = cp.D * (start - 2)
-    assert comb(np.array([outside]))[0] == 0.0
+    assert _cells_eval(comb, np.array([outside]))[0] == 0.0
 
 
 @pytest.mark.parametrize("f, groups, want", [
@@ -238,18 +245,32 @@ def test_case3_axis_factor_support():
      _case3_axes(_cp(R=2.0**6, d=3))),
     (PlaneWaveSurrogate(xi0=(1.0, 2.0, 2.0, 1.0), width=0.3), [0, 1, 1, 3],
      [_bump_axis(1.0, 0.3, TWO_PI**4)] + [_bump_axis(c, 0.3) for c in (2.0, 2.0, 1.0)]),
-], ids=["product", "case3", "plane-wave"])
+    (PlaneWaveSurrogate(xi0=(-1.5, -1.5), width=0.4, amplitude=0.7 + 0.2j), [0, 1],
+     [_bump_axis(-1.5, 0.4, (0.7 + 0.2j) * TWO_PI**2), _bump_axis(-1.5, 0.4)]),
+], ids=["product", "case3", "plane-wave", "plane-wave-complex"])
 def test_equal_axes_share_one_factor(f, groups, want):
-    """Axes share a (cells, profile) object exactly when their factors are
-    equal, and each factor is its family's closed form."""
+    """Axes share a Cells object exactly when their factors are equal, and
+    each factor is its family's closed form: the same cells and, on a grid
+    across and beyond them, at every cell's edges and just inside them,
+    in the gaps between cells and outside the support, the same values."""
     facs = factors(f)[1]
     for a, b in itertools.combinations(range(f.dim), 2):
         assert (facs[a] is facs[b]) == (groups[a] == groups[b])
     assert len(facs) == len(want)
-    for (cells, profile), (want_cells, want_profile) in zip(facs, want):
-        assert cells == want_cells
-        xi = np.linspace(cells[0][0] - 1.0, cells[-1][1] + 1.0, 257)
-        np.testing.assert_allclose(profile(xi), want_profile(xi), rtol=1e-13, atol=0.0)
+    for cells, (want_cells, want_profile) in zip(facs, want):
+        assert _bounds(cells) == want_cells
+        lo, hi = np.array(want_cells).T
+        centres, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        grid = np.linspace(lo[0] - 1.0, hi[-1] + 1.0, 257)
+        edges = np.concatenate([lo, hi])
+        inside = np.concatenate([centres - 0.999 * half, centres + 0.999 * half])
+        off = np.concatenate([0.5 * (hi[:-1] + lo[1:]), [lo[0] - 0.5, hi[-1] + 0.5, -1e9, 1e9]])
+        for xi in (grid, edges, inside, off):
+            np.testing.assert_allclose(_cells_eval(cells, xi), want_profile(xi),
+                                       rtol=1e-13, atol=0.0)
+        assert np.all(_cells_eval(cells, edges) == 0.0)
+        assert np.all(_cells_eval(cells, inside) != 0.0)
+        assert np.all(_cells_eval(cells, off) == 0.0)
 
 
 def test_spectrum_eval_is_axis_product():
@@ -437,7 +458,7 @@ def test_case3_sobolev_d3_full_comb():
     cp = _cp(R=2.0**24, d=3)
     f = Case3Counterexample(params=cp)
     cells = [c for c, _ in _case3_axes(cp)]
-    assert [c for c, _ in factors(f)[1]] == cells
+    assert [_bounds(c) for c in factors(f)[1]] == cells
     assert [len(c) for c in cells] == [1, 512, 512]
     start = time.perf_counter()
     sob = sobolev_norm(f, 1.0 / 3.0)
@@ -458,26 +479,6 @@ def test_case3_sobolev_d3_full_comb():
     want = TWO_PI**-3 * (math.prod(m0) + sum(
         m2[b] * math.prod(m0[a] for a in range(3) if a != b) for b in range(3)))
     assert sobolev_norm(f, 1.0) ** 2 == pytest.approx(want, rel=1e-10)
-
-
-@pytest.mark.parametrize("f", [
-    Case1Product(ModelParams(d=2, gamma=0.5, R=16.0)),
-    Case3Counterexample(params=_cp()),
-    PlaneWaveSurrogate(xi0=(3.0, -1.0), width=0.5, amplitude=0.7 + 0.2j),
-], ids=["product", "case3", "plane-wave"])
-def test_every_cell_holds_a_weighted_unit_bump(f):
-    """What the closed-form norms read: each cell is its declared centre
-    plus and minus its half-width, and on it the profile is its value at
-    the centre times the unit bump's shape (to 1e-8: the comb profile takes
-    its offset at absolute xi)."""
-    u = np.linspace(-0.9, 0.9, 23)
-    shape = _mollifier_raw(u) / _mollifier_raw(0.0)
-    for cells, profile in {id(fac): fac for fac in factors(f)[1]}.values():
-        assert cells == tuple(zip((cells.centres - cells.half).tolist(),
-                                  (cells.centres + cells.half).tolist()))
-        for centre, half in zip(cells.centres, cells.half):
-            np.testing.assert_allclose(profile(centre + half * u),
-                                       profile(np.array([centre])) * shape, rtol=1e-8)
 
 
 def test_series_order_keeps_the_tail_at_the_radius():
@@ -532,7 +533,7 @@ def test_comb_norms_run_no_doubling_loop(monkeypatch, d, e, window_loops):
         return double_panels(*args, **kwargs)
 
     def recording(cells, *args):
-        closed.append(len(cells))
+        closed.append(cells.centres.size)
         return cell_moments(cells, *args)
 
     monkeypatch.setattr(profiles, "double_panels", counting)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import schrodmax
-from schrodmax import propagator
+from schrodmax import profiles, propagator
 from schrodmax.maximal import SpaceGrid, TimeGrid
 from schrodmax.profiles import (
     Case1Product,
@@ -36,7 +36,6 @@ from schrodmax.propagator import (
     _TAYLOR,
     _bump_series,
     _bump_sum,
-    _cell_masses,
     _cell_matrix,
     _decay,
     _factorized_batch,
@@ -281,10 +280,9 @@ def test_shared_field_matrix_equals_per_axis_matrices():
     t = np.array([0.0, 0.01, 0.2])
     decay = _decay(t, 0.5)
     per_axis = []
-    for axis, (cells, profile) in enumerate(factors(f)[1]):
+    for axis, cells in enumerate(factors(f)[1]):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
-        per_axis.append(_cell_matrix(profile, cells, _cell_masses(f, axis),
-                                     coords, t, decay, 1e-9)[rows])
+        per_axis.append(_cell_matrix(cells, coords, t, decay, 1e-9)[rows])
     want = per_axis[0] * TWO_PI**-2 * per_axis[1]
     assert np.array_equal(_field_grid(f, x, t, decay, 1e-9), want)
 
@@ -295,8 +293,7 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
     Each of their columns keeps the value a loop of its own time gives.
     """
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    (cells, profile), _ = factors(f)[1]
-    masses = _cell_masses(f, 0)
+    cells, _ = factors(f)[1]
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
     decay = _decay(t, 0.5)
@@ -313,11 +310,11 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
 
     monkeypatch.setattr(propagator, "double_panels", counting)
     monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
-    matrix = _cell_matrix(profile, cells, masses, xv, t, decay, 1e-9)
+    matrix = _cell_matrix(cells, xv, t, decay, 1e-9)
     sharing = [times for times in calls if times & geometric]
     assert len(sharing) == 1 and geometric <= sharing[0]
     for k in range(64):
-        alone = _cell_matrix(profile, cells, masses, xv, t[k:k + 1], decay[k:k + 1], 1e-9)
+        alone = _cell_matrix(cells, xv, t[k:k + 1], decay[k:k + 1], 1e-9)
         np.testing.assert_allclose(matrix[:, k], alone[:, 0], rtol=1e-13, atol=0.0)
 
 
@@ -336,12 +333,12 @@ def time_table_rows(monkeypatch):
 
 
 def test_symmetric_cell_folds_its_time_table(time_table_rows):
-    """On a cell symmetric about 0 the time table covers the nonnegative nodes only."""
+    """On a cell centred at 0 the time table covers the nonnegative nodes only."""
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    (((lo, hi),), profile), _ = factors(f)[1]
-    assert lo == -hi
-    xi, w = panel_nodes(lo, hi, 3)
-    coef = profile(xi) * w
+    cells, _ = factors(f)[1]
+    assert cells.centres.tolist() == [0.0]
+    u, w = panel_nodes(-1.0, 1.0, 3)
+    xi, coef = cells.half[0] * u, _unit_bump(u) * w
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
     lead = 1j * t - _decay(t, 0.5)
@@ -356,7 +353,7 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
 def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows):
     """A plane-wave axis's cell is not symmetric about 0: each pass tables all its nodes."""
     f = PlaneWaveSurrogate(xi0=(2.0, 1.0), width=0.3)
-    cells, profile = factors(f)[1][0]
+    cells = factors(f)[1][0]
     nodes = []
 
     def spy(pts, xi, coef, lead, even):
@@ -366,9 +363,35 @@ def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows
 
     monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
     t = np.array([0.01, 0.2, 0.5])
-    _cell_matrix(profile, cells, _cell_masses(f, 0), _mesh(1)[:, 0], t,
-                 _decay(t, 0.5), 1e-9)
+    _cell_matrix(cells, _mesh(1)[:, 0], t, _decay(t, 0.5), 1e-9)
     assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
+
+
+@pytest.mark.parametrize("f", [
+    Case1Product(ModelParams(d=2, gamma=0.5, R=4.0)),
+    Case3Counterexample(params=CounterexampleParams.for_experiments(
+        ModelParams(d=2, gamma=2.0, R=64.0))),
+    PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3, amplitude=0.7 + 0.2j),
+], ids=["product", "case3", "plane-wave"])
+def test_cell_rounding_floor_is_the_cell_mass(monkeypatch, f):
+    """Each cell's doubling loop takes the modulus of the cell's weight as the
+    L1 mass of its integrand, which a fine Gauss rule over the cell confirms."""
+    masses = []
+
+    def spy(*args, mass, **kwargs):
+        masses.append(mass)
+        return double_panels(*args, mass=mass, **kwargs)
+
+    monkeypatch.setattr(propagator, "double_panels", spy)
+    u, w = np.polynomial.legendre.leggauss(300)
+    t = np.zeros(1)
+    for cells in {id(c): c for c in factors(f)[1]}.values():
+        masses.clear()
+        _cell_matrix(cells, np.array([0.1, 0.4]), t, t, 1e-9)
+        assert masses == np.abs(cells.weight).tolist()
+        for c, h, mass in zip(cells.centres, cells.half, masses):
+            l1 = np.abs(profiles._cells_eval(cells, c + h * u)) @ (h * w)
+            assert l1 == pytest.approx(mass, rel=1e-12)
 
 
 def _box_points(cp, n, seed):
@@ -768,6 +791,11 @@ def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
     take, closed = _series(x[:, 0], lam, band, 0.0, math.sqrt(R), coef)
     assert take.all()
     assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
+    # one translate carries M_0 alone: the same bits as with M_1 ... M_K = 0
+    assert _table_moments(coef).shape == (t.size, 1)
+    padded = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), 1,
+                          lambda take: np.pad(_table_moments(coef[take]), ((0, 0), (0, _TAYLOR))))
+    assert np.array_equal(padded[1], closed)
 
 
 def test_factorized_batch_of_no_points_is_empty():
