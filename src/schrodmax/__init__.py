@@ -58,7 +58,6 @@ from .counterexample import (
     OmegaStarDraws,
     OmegaStarSample,
     error_budget,
-    lattice_sum_S_tilde,
     lower_bound_experiment,
     omega_measure_lower,
     sample_omega_star,

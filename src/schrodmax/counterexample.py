@@ -13,9 +13,11 @@ ladder record.  The record keeps each draw's anchor residues and its
 offsets within the anchor's cell as drawn, and a ladder entry hands them
 to the factorized engine, which takes each comb axis's lattice phases
 from these exact residues instead of from the float point and time.
-Per-draw computations (`select_time`, `error_budget`,
-`omega_star_measure`) take the record and return arrays; a single draw
-is the one-row slice draws[i:i + 1].  Iterating the record yields
+The calibration's complete comb sums are integer residues too, summed by
+the Weyl window kernel (`numbertheory._window_sums`).  Per-draw
+computations (`select_time`, `error_budget`, `omega_star_measure`) take
+the record and return arrays; a single draw is the one-row slice
+draws[i:i + 1].  Iterating the record yields
 OmegaStarSample rows (y, x, weight), built on demand; that slim row view
 stays because the benchmark harness (`perfbench`) still reads the draws
 row by row, and a ladder entry builds none.
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .maximal import check_ladder, fit_loglog
-from .numbertheory import PreconditionError, totient
+from .numbertheory import PreconditionError, _window_sums, totient
 from .profiles import (
     Case3Counterexample,
     CounterexampleParams,
@@ -309,7 +311,7 @@ def omega_star_measure(draws: OmegaStarDraws) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# resonant times and lattice sums
+# resonant times
 
 
 def select_time(cp: CounterexampleParams, draws: OmegaStarDraws) -> np.ndarray:
@@ -336,50 +338,6 @@ def select_time(cp: CounterexampleParams, draws: OmegaStarDraws) -> np.ndarray:
     return t
 
 
-def _check_u(cp, u) -> int:
-    _, stop = comb_range(cp)
-    if not cp.band / cp.D < u <= stop + 1e-9:
-        raise ValueError("u lies outside the translate range")
-    return min(int(math.ceil(u - 1e-12)), stop)
-
-
-def lattice_sum_S_tilde(cp: CounterexampleParams, q: int, a1: int, a_rest,
-                        y1_plus_s: float, u: float):
-    """Rational-phase twins of the lattice sums, per rest axis and product.
-
-    The anchor is the modulus q, a leading residue a1 coprime to q and
-    d-1 even rest residues in [2, q/2].  The quadratic phase splits into
-    an exact residue part at the anchor plus the small remainder of
-    y1_plus_s, so rational inputs evaluate without large-argument loss.
-    """
-    d = cp.model.d
-    if len(a_rest) != d - 1:
-        raise ValueError("anchor has the wrong number of rest residues")
-    if not (isinstance(q, int) and q >= 4 and q % 4 == 0):
-        raise ValueError("q must be a multiple of 4, at least 4")
-    if not (isinstance(a1, int) and 1 <= a1 < q):
-        raise ValueError("a1 must lie in [1, q)")
-    if math.gcd(a1, q) != 1:
-        raise ValueError("a1 must be coprime to q")
-    for a in a_rest:
-        if not (isinstance(a, int) and a % 2 == 0 and 2 <= a <= q // 2):
-            raise ValueError("rest residues must be even in [2, q/2]")
-    start, _ = comb_range(cp)
-    stop_at = _check_u(cp, u)
-    ells = np.arange(start, stop_at, dtype=np.int64)
-    if ells.size == 0:
-        return (0j,) * (d - 1), 0j
-    rem = _wrap(y1_plus_s - TWO_PI * a1 / q)
-    sq = (ells * ells) % q
-    ph_quad = TWO_PI * ((sq * a1) % q) / q + ells.astype(float) ** 2 * rem
-    per_axis = []
-    for a in a_rest:
-        ph_lin = TWO_PI * ((ells * a) % q) / q
-        per_axis.append(complex(np.sum(np.exp(1j * (ph_lin + ph_quad)))))
-    prod = complex(np.prod(per_axis))
-    return tuple(per_axis), prod
-
-
 # ---------------------------------------------------------------------------
 # calibration and error budgets
 
@@ -388,8 +346,13 @@ def lattice_sum_S_tilde(cp: CounterexampleParams, q: int, a1: int, a_rest,
 def calibration_constants(d: int, gamma: float) -> dict:
     """Sweep small scales to calibrate the lattice-sum residual constants.
 
-    c_gauss normalizes the complete-sum residual by sqrt(q log q);
-    c_delta0 normalizes the same residual by the main-term law rate.
+    A case is a modulus q, a leading residue a1 in {1, q - 1} and a rest
+    residue a_j in {2, q/2}, and its complete comb sum is
+    sum_l e((a1 l^2 + a_j l) / q) over the translates l below 2 band / D,
+    in exact residues from _window_sums, both a1 in one call.
+    c_gauss normalizes the residual against sqrt(2) band / (D sqrt(q)) by
+    sqrt(q log q); c_delta0 normalizes the same residual by the main-term
+    law rate.
     """
     cg, cd = 0.0, 0.0
     swept = 0
@@ -399,21 +362,19 @@ def calibration_constants(d: int, gamma: float) -> dict:
         start, stop = comb_range(cp)
         if stop - start < 2:
             continue
-        band = cp.band
-        count = band / cp.D
-        scale = count / math.sqrt(cp.Q)
-        rate = scale * R ** -cp.delta0
-        u_full = 2.0 * band / cp.D
+        count = cp.band / cp.D
+        rate = count / math.sqrt(cp.Q) * R ** -cp.delta0
+        # translates below 2 band / D: where band / D rounds up past an
+        # integer, one short of comb_range's stop
+        n = min(math.ceil(2.0 * count - 1e-12), stop) - start
         for q in _admissible_moduli(cp):
-            evens = (2, q // 2) if q // 2 >= 2 else (2,)
-            for a1 in {1, q - 1}:
-                for aj in set(evens):
-                    per_axis, _ = lattice_sum_S_tilde(
-                        cp, q, a1, (aj,) * (d - 1), TWO_PI * a1 / q, u_full)
-                    resid = abs(abs(per_axis[0]) - math.sqrt(2.0) * count / math.sqrt(q))
-                    cg = max(cg, resid / math.sqrt(q * math.log(q)))
-                    cd = max(cd, resid / rate)
-                    swept += 1
+            main = math.sqrt(2.0) * count / math.sqrt(q)
+            for aj in {2, q // 2}:
+                sums = _window_sums(np.array([1, q - 1]), aj, q, start, n)
+                resid = float(np.max(np.abs(np.abs(sums) - main)))
+                cg = max(cg, resid / math.sqrt(q * math.log(q)))
+                cd = max(cd, resid / rate)
+                swept += sums.size
     if swept == 0:
         raise PreconditionError("calibration sweep found no usable scales")
     return {"c_gauss": cg, "c_delta0": cd, "cases": swept}

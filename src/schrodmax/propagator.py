@@ -36,8 +36,7 @@ The window factor is one translate of width sqrt(R); each comb factor
 is the lattice of unit translates.  At a resonant sample the sum has a
 closed form and runs no quadrature.  Where log z moves by at most _RHO
 about the centre of the L translates, the polynomial is its
-_TAYLOR + 1 Taylor moments about that centre (the window's one
-translate has M_0 alone); the rest of the
+_TAYLOR + 1 Taylor moments about that centre; the rest of the
 exponent is beta u + q u^2, and where |beta| + |q| <= _SERIES_RADIUS
 its power series to u-degree 2 _SERIES_ORDER, met with the unit bump's
 moments, leaves a tail below 3.5e-20 of the integrand's mass.  The
@@ -48,13 +47,15 @@ factors, with |beta| + |q| below 0.04.  There each translate's lattice
 phase is a quadratic residue over the draw's modulus q plus a slow
 drift, so a batch given the draws' residues takes the comb's moments
 folded over q from exact integer phases (_folded_moments), O(q) work per
-sample and no (sample, translate) table.  Points without residues form
-the lattice phases from x and t, a table built only for the samples
-that need it.  Generic points, as in check 5 and propagator-check,
-mostly do not take the closed form: they run Horner's rule in z on
-doubling panels, L multiply-adds per (sample, node).  The one-point
-factorized evaluation and the summation-by-parts split of a comb
-factor are calls into it.  Every integral converges to rtol of its
+sample and no (sample, translate) table.  These are the comb's only
+moments: a comb sample without residues, as in check 5,
+propagator-check and every one-point evaluation, runs Horner's rule in z
+on doubling panels, L multiply-adds per (sample, node), over the lattice
+phases formed from x and t.  One translate (the window, and the top
+translate of the summation-by-parts split) has its coefficient as its
+one moment M_0, so it takes the closed form wherever its series
+converges.  The one-point factorized evaluation and that split are calls
+into the kernel.  Every integral converges to rtol of its
 largest value (per time column in the grid engine) or to a rounding
 floor set by its L1 mass, so a strongly cancelling point costs no more
 than a coherent one.
@@ -333,31 +334,8 @@ _RHO = 1.0 / 64.0
 _TAYLOR = 7
 
 
-@functools.lru_cache(maxsize=32)
-def _powers(size: int) -> np.ndarray:
-    """(k - kappa)^m / m! for k < size, m <= _TAYLOR, kappa = (size - 1) / 2.
-
-    One translate has k = kappa, where every power past m = 0 vanishes, so
-    its table is the column m = 0 alone.
-    """
-    k = np.arange(size) - (size - 1) / 2.0
-    orders = _TAYLOR + 1 if size > 1 else 1
-    table = np.stack([k ** m / math.factorial(m) for m in range(orders)], axis=1)
-    table = table.astype(complex)  # a complex product per sample, no cast per call
-    table.setflags(write=False)
-    return table
-
-
-def _table_moments(table: np.ndarray) -> np.ndarray:
-    """Taylor moments sum_k table[:, k] (k - kappa)^m / m! of each row, as _powers gives m.
-
-    One product per row, so a row's moments do not depend on the others.
-    """
-    return (table[:, None, :] @ _powers(table.shape[1]))[:, 0]
-
-
 def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
-                 scale: float, size: int, moments):
+                 scale: float, size: int, known: np.ndarray, moments):
     """The samples whose sum over translates has a closed form, and its values.
 
     With the Taylor moments M_m = sum_k coef[k] (k - kappa)^m / m! of the
@@ -366,7 +344,7 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     bump(u) e^{beta u + q u^2} sum_m M_m (alpha u)^m over u, where
     alpha = 2 step lam scale, beta = scale (i x + 2 lam c) at the
     translates' centre c = center + kappa step, and q = lam scale^2.  A
-    sample takes it where the moments hold, |alpha| kappa <= _RHO (always
+    sample takes it where it has moments, |alpha| kappa <= _RHO (always
     for one translate), and r = |beta| + |q| <= _SERIES_RADIUS.  The
     u-coefficients e_j of e^{beta u + q u^2} come from _series_terms, whose
     omitted monomials sum on |u| <= 1 to at most r^(N+1) e^r / (N+1)!
@@ -374,9 +352,9 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     coefficients' L1 mass.  The value is
     sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
     Horner's rule in alpha, which one translate, with M_0 alone, skips.
-    moments(take) gives the M_m of the samples take, a boolean mask, as
-    rows as wide as _powers(size): from their coefficient table
-    (_table_moments) or folded over the modulus (_folded_moments).
+    known masks the samples that have moments, and the rows of moments
+    are their M_m: a comb's _TAYLOR + 1 folded over the modulus
+    (_folded_moments), or one translate's coefficient as M_0 alone.
     Returns the mask of the samples that take the closed form and their
     values.  Each sample decides from its own values, and every step is
     elementwise or a product of its own row, so its value does not depend
@@ -386,12 +364,12 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     alpha = 2.0 * step * scale * lam
     beta = scale * (1j * x + 2.0 * lam * (center + kappa * step))
     q = lam * (scale * scale)
-    take = ((np.abs(alpha) * kappa <= _RHO)
+    take = (known & (np.abs(alpha) * kappa <= _RHO)
             & (np.abs(beta) + np.abs(q) <= _SERIES_RADIUS))
     if not take.any():  # a generic one-point call: skip the series' 100 array steps
         return take, np.empty(0, dtype=complex)
     alpha, beta, q = alpha[take], beta[take], q[take]
-    taken = moments(take)
+    taken = moments[take]
     mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR)
     width = taken.shape[1]
     # g[:, m] = sum_j e_j mu_{m+j}
@@ -521,18 +499,17 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
 
 def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
                   scale: float, coef, size: int, rate: float, rtol: float,
-                  folded=None) -> np.ndarray:
+                  known: np.ndarray, moments) -> np.ndarray:
     """_bump_sum values of size translates at paired samples, in closed form or converged.
 
     coef(rows) builds the (sample, translate) coefficient table of the
     samples rows, an index array.  The samples that _bump_series takes
-    get its closed form, from the Taylor moments in folded, a mask of the
-    samples that have them and the moments, or else from their table; the
-    others run _bump_sum on doubling panels.  A table is built only for
-    the samples that need one.  Each translate's integrand has modulus at
-    most the unit bump, so the sum's L1 mass is at most size; that sets
-    the rounding floor, and the node budget is shared among the
-    translates.  Panels start from rate, a bound on the phase rate in u.
+    get its closed form from their Taylor moments, known and moments as
+    _bump_series reads them; the others run _bump_sum on doubling panels,
+    and only they build a table.  Each translate's integrand has modulus at most
+    the unit bump, so the sum's L1 mass is at most size; that sets the
+    rounding floor, and the node budget is shared among the translates.
+    Panels start from rate, a bound on the phase rate in u.
     """
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
     # rows per table keep the (sample, translate) coefficients near _CHUNK
@@ -541,20 +518,7 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     # holds the (sample, node) tables of a pass near _CHUNK entries by row
     # blocks
     chunk = max(1, _CHUNK // size)
-
-    def moments(take):
-        rows = np.flatnonzero(take)
-        if folded is None:
-            known = np.zeros(rows.size, dtype=bool)
-            out = np.empty((rows.size, _powers(size).shape[1]), dtype=complex)
-        else:
-            known, out = folded[0][rows], folded[1][rows]
-        need = np.flatnonzero(~known)
-        for lo in range(0, need.size, chunk):
-            out[need[lo:lo + chunk]] = _table_moments(coef(rows[need[lo:lo + chunk]]))
-        return out
-
-    take, values = _bump_series(x, lam, center, step, scale, size, moments)
+    take, values = _bump_series(x, lam, center, step, scale, size, known, moments)
     out = np.empty(x.size, dtype=complex)
     out[take] = values
     for lo in range(0, x.size, chunk):
@@ -570,16 +534,17 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
 
 def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
                   decay: np.ndarray, ells: np.ndarray, coef, rtol: float,
-                  folded=None) -> np.ndarray:
+                  known: np.ndarray, moments) -> np.ndarray:
     """Sums of the translates ells of one comb axis at paired samples.
 
-    decay is each sample's t^gamma; coef and folded are as in _bump_factors.
+    decay is each sample's t^gamma; coef, known and moments are as in
+    _bump_factors.
     """
     t_max = float(np.max(t, initial=0.0))
     rate = (float(np.max(np.abs(xj), initial=0.0))
             + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
     return _bump_factors(xj, 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef,
-                         ells.size, rate, rtol, folded)
+                         ells.size, rate, rtol, known, moments)
 
 
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
@@ -588,19 +553,21 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     """Factor arrays for many points: (i1, ij matrix, modulus product).
 
     The window is one translate of width sqrt(R) at R^{gamma/2}, its
-    centre phase dropped; each comb axis sums the lattice translates
-    with their lattice phases.  Resonant points take the closed form;
-    for the others panel counts start from the worst-case phase rate
-    over the batch and double until the factor values stabilize, to
-    rtol of the batch maximum or to the rounding floor of the
-    integrand's L1 mass (one for the unit-mass window).
+    centre phase dropped, and its coefficient is its one moment.  Each
+    comb axis sums the lattice translates with their lattice phases.
+    Resonant points take the closed form; for the others panel counts
+    start from the worst-case phase rate over the batch and double until
+    the factor values stabilize, to rtol of the batch maximum or to the
+    rounding floor of the integrand's L1 mass (one for the unit-mass
+    window).
 
     residues, where given, is (q, a1, a_rest, eps) of draws whose box
     preimages at their selected times are the points, as sample_omega_star
-    records them.  The comb axes then take their Taylor moments from the
+    records them.  The comb axes take their Taylor moments only from these
     exact residues, folded over the modulus (_folded_moments), and build no
-    lattice-phase table for the samples that take them.  Without residues,
-    as at generic points, the lattice phases are formed from x and t.
+    lattice-phase table for the samples that take them.  A comb sample
+    without them, as at generic points, runs quadrature on the lattice
+    phases formed from x and t.
     """
     m = cp.model
     x = np.asarray(x, dtype=float)
@@ -619,9 +586,9 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
 
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
-    i1 = _bump_factors(x[:, 0], 1j * t - decay, band, 0.0, root_r,
-                       lambda rows: np.exp(-decay[rows] * band ** 2)[:, None], 1,
-                       rate1, rtol)
+    m0 = np.exp(-decay * band ** 2)[:, None]
+    i1 = _bump_factors(x[:, 0], 1j * t - decay, band, 0.0, root_r, lambda rows: m0[rows],
+                       1, rate1, rtol, np.ones(t.size, dtype=bool), m0)
 
     def lattice(xj, rows):
         table = _lattice_phases(cp, xj[rows], t[rows], ells)
@@ -629,12 +596,14 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
         table *= np.exp(damp, out=damp)
         return table
 
-    folded = [None] * (m.d - 1)
-    if residues is not None:
-        ok, moments = _folded_moments(cp, *residues, decay * cp.D ** 2)
-        folded = [(ok[:, j], moments[:, j]) for j in range(m.d - 1)]
+    if residues is None:
+        known = np.zeros((t.size, m.d - 1), dtype=bool)
+        moments = np.zeros(known.shape + (_TAYLOR + 1,), dtype=complex)
+    else:
+        known, moments = _folded_moments(cp, *residues, decay * cp.D ** 2)
     ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
-                                 functools.partial(lattice, x[:, j]), rtol, folded[j - 1])
+                                 functools.partial(lattice, x[:, j]), rtol,
+                                 known[:, j - 1], moments[:, j - 1])
                    for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus
@@ -678,9 +647,9 @@ def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint,
     sup_s = float(np.max(np.abs(partial)))
     top, tv = ells[-1:], np.array([t])
     decay = tv ** m.gamma
-    g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top,
-                          lambda rows: np.exp(-np.outer(decay, cp.D ** 2 * top * top)),
-                          _POINT_RTOL)[0]
+    coef = np.exp(-np.outer(decay, cp.D ** 2 * top * top))
+    g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top, lambda rows: coef,
+                          _POINT_RTOL, np.ones(1, dtype=bool), coef)[0]
     main = complex(partial[-1] * g_top)
     band = cp.band
     e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s

@@ -19,7 +19,6 @@ from schrodmax.counterexample import (
     OmegaStarSample,
     calibration_constants,
     error_budget,
-    lattice_sum_S_tilde,
     lower_bound_experiment,
     omega_measure_lower,
     omega_star_chain_bound,
@@ -29,7 +28,7 @@ from schrodmax.counterexample import (
     v2_measure_lower,
 )
 from schrodmax.maximal import fit_loglog
-from schrodmax.numbertheory import PreconditionError
+from schrodmax.numbertheory import PreconditionError, _window_sums
 from schrodmax.profiles import (
     Case3Counterexample,
     CounterexampleParams,
@@ -65,17 +64,6 @@ def _in_window_count(cp):
 
 
 def test_rational_anchor_validation():
-    cp = _exp_params()
-    u = _full_translate_u(cp)
-    lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, u)
-    for q, a1, rest in [(6, 1, (2,)),      # q not a multiple of 4
-                        (8, 2, (2,)),      # a1 not a unit
-                        (8, 3, (3,)),      # odd rest residue
-                        (8, 3, (6,)),      # rest residue above q/2
-                        (8, 0, (2,)),      # a1 = 0
-                        (8, 3, (2, 2))]:   # wrong rest count at d=2
-        with pytest.raises(ValueError):
-            lattice_sum_S_tilde(cp, q, a1, rest, 0.1, u)
     for d in (2, 3):
         q, a1, rest = _anchors(_exp_params(2.0**16, d=d))
         assert rest.shape == (q.size, d - 1)
@@ -320,47 +308,39 @@ def test_selected_time_is_resonant():
         select_time(cp, draws[missing:missing + 1])
 
 
-def _full_translate_u(cp):
-    return 2.0 * cp.model.R ** (cp.model.gamma / 2.0) / cp.D
-
-
-def test_lattice_sum_range_handling():
-    cp = _exp_params()
-    start, stop = comb_range(cp)
-    lo_real = cp.model.R ** (cp.model.gamma / 2.0) / cp.D
-    per_axis, prod = lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, start + 0.0)
-    assert per_axis == (0j,) and prod == 0j
-    with pytest.raises(ValueError):
-        lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, lo_real - 0.05)
-    with pytest.raises(ValueError):
-        lattice_sum_S_tilde(cp, 8, 3, (2,), 0.1, stop + 1.0)
-    with pytest.raises(ValueError):
-        lattice_sum_S_tilde(cp, 8, 3, (2, 2), 0.1, start + 2.0)
-
-
 def test_rational_twin_matches_generic_sum_at_anchor():
-    """The rational twin against the lattice phases formed from x and t at
-    the anchor's own point, D x = 2 pi a / q and D^2 t = 2 pi a1 / q."""
+    """The comb's lattice sum in exact residues against the lattice phases
+    formed from x and t at the anchor's own point, D x = 2 pi a / q and
+    D^2 t = 2 pi a1 / q."""
     cp = _exp_params()
-    q, a1, a_rest = 20, 1, (2,)
+    q, a1, aj = 20, 1, 2
     t = TWO_PI * a1 / (q * cp.D**2)
-    x = TWO_PI * a_rest[0] / (q * cp.D)
+    x = TWO_PI * aj / (q * cp.D)
     start, stop = comb_range(cp)
     ells = np.arange(start, stop, dtype=float)
     generic = complex(np.sum(propagator._lattice_phases(cp, x, t, ells)))
-    u = _full_translate_u(cp)
-    _, twin_prod = lattice_sum_S_tilde(cp, q, a1, a_rest, TWO_PI * a1 / q, u)
-    assert generic == pytest.approx(twin_prod, rel=1e-8)
-    with pytest.raises(ValueError):
-        lattice_sum_S_tilde(cp, 8, 3, (2, 2), 0.1, u)
+    twin = complex(_window_sums(a1, aj, q, start, stop - start))
+    assert generic == pytest.approx(twin, rel=1e-8)
 
 
-def test_calibration_constants_frozen():
-    cal = calibration_constants(2, 2.0)
-    assert cal["c_gauss"] == pytest.approx(0.3365303166018033, rel=1e-12)
-    assert cal["c_delta0"] == pytest.approx(0.2944772402556042, rel=1e-12)
-    assert cal["cases"] == 202
-    assert calibration_constants(2, 2.0) is cal
+# (c_gauss, c_delta0, cases) per (d, gamma), recorded with a direct sum of
+# the lattice phases per (q, a1, a_j)
+_CALIBRATION = {
+    (2, 2.0): (0.3365303166018033, 0.2944772402556042, 202),
+    (3, 2.0): (0.346731737021645, 0.4222467926206061, 606),
+    (2, 1.75): (0.3318991868351755, 0.3595256822741687, 114),
+    (2, 1.5): (0.293313111827481, 0.3505709117952168, 58),
+}
+
+
+@pytest.mark.parametrize("d, gamma", list(_CALIBRATION))
+def test_calibration_constants_frozen(d, gamma):
+    c_gauss, c_delta0, cases = _CALIBRATION[d, gamma]
+    cal = calibration_constants(d, gamma)
+    assert cal["c_gauss"] == pytest.approx(c_gauss, rel=1e-12)
+    assert cal["c_delta0"] == pytest.approx(c_delta0, rel=1e-12)
+    assert cal["cases"] == cases
+    assert calibration_constants(d, gamma) is cal
 
 
 def test_error_budget_flag_matches_threshold():

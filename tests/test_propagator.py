@@ -41,7 +41,6 @@ from schrodmax.propagator import (
     _factorized_batch,
     _field_grid,
     _plane_phase_sum,
-    _table_moments,
     _unit_bump,
     abel_main_plus_error,
     evaluate_free,
@@ -463,10 +462,23 @@ def test_factorized_batch_not_degenerate_at_selected_times():
     assert abs(fac.i1) > 1.0 - cp.c0
 
 
+def _moments(coef):
+    """Taylor moments sum_k coef[:, k] (k - kappa)^m / m!, kappa = (L - 1) / 2, of
+    each row of the coefficient table coef: M_0 alone for one translate.
+
+    One product per row, so a row's moments do not depend on the others.
+    """
+    size = coef.shape[1]
+    k = np.arange(size) - (size - 1) / 2.0
+    orders = _TAYLOR + 1 if size > 1 else 1
+    powers = np.stack([k ** m / math.factorial(m) for m in range(orders)], axis=1)
+    return (coef[:, None, :] @ powers.astype(complex))[:, 0]
+
+
 def _series(x, lam, center, step, scale, coef):
     """_bump_series on the Taylor moments of the coefficient table coef."""
     return _bump_series(x, lam, center, step, scale, coef.shape[1],
-                        lambda take: _table_moments(coef[take]))
+                        np.ones(x.size, dtype=bool), _moments(coef))
 
 
 def _ladder_draws(R, n, draws=2000, seed=3):
@@ -611,24 +623,36 @@ def test_folded_moments_match_an_exact_residue_sum(e, gamma_eval):
     lc = (start + stop - 1) / 2.0
     fact = np.array([math.factorial(m) for m in range(_TAYLOR + 1)])
     scale = ells.size * (lc - start) ** np.arange(_TAYLOR + 1) / fact
+    coef = _residue_coef(cp, draws, delta)
     for i in range(t.size):
-        q, a1, aj = int(draws.q[i]), int(draws.a1[i]), int(draws.a_rest[i, 0])
-        residue = (a1 * ells * ells + aj * ells) % q
-        coef = np.exp(1j * (TWO_PI * residue / q + draws.eps[i, 0] * ells)
-                      - delta[i] * ells.astype(float) ** 2)
-        want = np.array([np.sum(coef * (ells - lc) ** m) for m in range(_TAYLOR + 1)]) / fact
+        want = np.array([np.sum(coef[i] * (ells - lc) ** m) for m in range(_TAYLOR + 1)]) / fact
         assert np.all(np.abs(got[i, 0] - want) <= 1e-14 * scale)
 
 
-def _fine_factors(cp, x, t):
-    """Window and first comb factor on one fixed rule of 16 x 64 nodes, no doubling."""
+def _residue_coef(cp, draws, delta):
+    """First comb axis's coefficients from the draws' integer residues,
+    e(((a1 l^2 + a_j l) mod q) / q) e^{i eps l - delta l^2}: one row per draw,
+    one column per translate."""
+    start, stop = comb_range(cp)
+    ells = np.arange(start, stop)
+    q = draws.q[:, None]
+    residue = (draws.a1[:, None] * ells * ells + draws.a_rest[:, :1] * ells) % q
+    return np.exp(1j * (TWO_PI * residue / q + draws.eps[:, :1] * ells)
+                  - delta[:, None] * ells.astype(float) ** 2)
+
+
+def _fine_factors(cp, draws, t):
+    """Window and first comb factor on one fixed rule of 16 x 64 nodes, no
+    doubling, the comb's coefficients from the draws' residues."""
     m = cp.model
+    x = draws.x
     u, w = panel_nodes(-1.0, 1.0, 16, _FACTOR_ORDER)
     decay = t ** m.gamma
     lam = 1j * t - decay
     i1 = _bump_sum(x[:, 0], lam, cp.band, 0.0, math.sqrt(m.R),
                    np.exp(-decay * cp.band ** 2)[:, None], u, w)
-    _, center, step, coef = _comb_inputs(cp, x, t)
+    _, center, step, _ = _comb_inputs(cp, x, t)
+    coef = _residue_coef(cp, draws, decay * cp.D ** 2)
     return i1, _bump_sum(x[:, 1], lam, center, step, 1.0, coef, u, w)
 
 
@@ -646,13 +670,14 @@ def _quadrature_rows(monkeypatch):
 
 @pytest.mark.parametrize("e", [16, 24, 32, 36])
 def test_closed_form_factors_match_a_fixed_fine_rule(monkeypatch, e):
-    """Ladder points at their selected times run no quadrature, and their
-    factors agree with a fixed 16 x 64-node rule to 1e-14 of the batch maximum."""
-    cp, x, t = _ladder_points(2 ** e, 32)
+    """Ladder points at their selected times, given their draws' residues,
+    run no quadrature, and their factors agree with a fixed 16 x 64-node
+    rule on the same residues to 1e-14 of the batch maximum."""
+    cp, draws, t = _ladder_draws(2 ** e, 32)
     rows = _quadrature_rows(monkeypatch)
-    i1, ij, _ = _factorized_batch(cp, x, t)
+    i1, ij, _ = _factorized_batch(cp, draws.x, t, residues=_residues(draws))
     assert rows == []
-    for got, want in zip((i1, ij[:, 0]), _fine_factors(cp, x, t)):
+    for got, want in zip((i1, ij[:, 0]), _fine_factors(cp, draws, t)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -677,10 +702,11 @@ def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
 
 @pytest.mark.parametrize("e", [16, 20])
 def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
-    """Four ladder points at their selected times take the closed form, with
-    the comb moments from the lattice-phase table and folded over the
-    modulus from the draws' residues, and at 4x those times run quadrature;
-    all match the direct grid engine.
+    """Four ladder points at their selected times, and at 4x those times, all
+    match the direct grid engine.  At their selected times the window takes
+    the closed form, and the comb takes it from the moments folded over the
+    modulus from the draws' residues; a one-point evaluation has no residues,
+    so its comb runs quadrature there.  At 4x both factors run quadrature.
 
     At the selected times the bound is 1e-11 relative.  At 4x the factors
     cancel far below their L1 mass and converge to its rounding floor, so the
@@ -697,17 +723,18 @@ def test_factorized_matches_direct_field_at_ladder_points(monkeypatch, e):
                for xi, ti in zip(x, t)]
         rows = _quadrature_rows(monkeypatch)
         fac = np.array([factorized_evaluate(cp, p).product_modulus for p in pts])
-        assert sum(rows) == (0 if closed else 2 * len(pts))
+        assert sum(rows) == (1 if closed else 2) * len(pts)
+        if closed:
+            rows.clear()
+            folded = _factorized_batch(cp, x, t, residues=_residues(draws))[2]
+            assert rows == []
         monkeypatch.undo()
         direct = TWO_PI**2 * np.abs([evaluate_p_gamma(f, 2.0, p) for p in pts])
-        diff = np.abs(fac - direct)
         if closed:
-            assert np.all(diff <= 1e-11 * direct)
-            # the comb moments folded over the modulus from the draws' residues
-            folded = _factorized_batch(cp, x, t, residues=_residues(draws))[2]
+            assert np.all(np.abs(fac - direct) <= 1e-11 * direct)
             assert np.all(np.abs(folded - direct) <= 1e-11 * direct)
         else:
-            assert np.all(diff <= 1e-12 * mass)
+            assert np.all(np.abs(fac - direct) <= 1e-12 * mass)
 
 
 @pytest.mark.parametrize("e", [16, 24])
@@ -716,11 +743,12 @@ def test_mixed_rules_are_the_rows_alone(e):
     times (Horner's rule on the nodes) in one batch.
 
     In the kernel each row is the same bits as alone, and each Horner row
-    the same bits as the reference.  Through the engine the closed-form
-    rows are the same bits as alone, with moments from the table or folded
-    from residues; the quadrature rows start from the batch's rate bound
-    and converge together, so evaluated apart they agree with the mixed
-    batch to the engine's rtol."""
+    the same bits as the reference.  Through the engine a window in closed
+    form is the same bits as alone, and so is a comb with its moments
+    folded from residues; without residues every comb row runs quadrature,
+    and the quadrature rows start from the batch's rate bound and converge
+    together, so evaluated apart they agree with the mixed batch to the
+    engine's rtol."""
     cp, x, t = _ladder_points(2 ** e, 16)
     x, t = np.concatenate([x, x]), np.concatenate([t, 4.0 * t])
     shuffle = np.random.default_rng(1).permutation(t.size)
@@ -744,11 +772,10 @@ def test_mixed_rules_are_the_rows_alone(e):
         assert np.array_equal(alone, horner[i:i + 1])
     i1, ij, _ = _factorized_batch(cp, x, t)
     for k in np.flatnonzero(selected):
-        one = _factorized_batch(cp, x[k:k + 1], t[k:k + 1])
-        assert one[0][0] == i1[k] and np.array_equal(one[1][0], ij[k])
-    part = ~selected
-    np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
-                               rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
+        assert _factorized_batch(cp, x[k:k + 1], t[k:k + 1])[0][0] == i1[k]
+    for part in (selected, ~selected):
+        np.testing.assert_allclose(_factorized_batch(cp, x[part], t[part])[1], ij[part],
+                                   rtol=1e-9, atol=1e-9 * np.max(np.abs(ij[part])))
     # rows with residues fold their comb moments over the modulus: each is
     # the same bits alone as in a shuffled batch
     cp, draws, t = _ladder_draws(2 ** e, 16)
@@ -791,11 +818,13 @@ def test_bump_sum_one_translate_is_the_window_integral(R, gamma_eval):
     take, closed = _series(x[:, 0], lam, band, 0.0, math.sqrt(R), coef)
     assert take.all()
     assert np.max(np.abs(closed - want)) <= 1e-13 * np.max(np.abs(want))
-    # one translate carries M_0 alone: the same bits as with M_1 ... M_K = 0
-    assert _table_moments(coef).shape == (t.size, 1)
-    padded = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), 1,
-                          lambda take: np.pad(_table_moments(coef[take]), ((0, 0), (0, _TAYLOR))))
-    assert np.array_equal(padded[1], closed)
+    # one translate carries its coefficient as M_0 alone: the same bits as
+    # with M_1 ... M_K = 0
+    known = np.ones(t.size, dtype=bool)
+    alone = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), 1, known, coef)
+    padded = _bump_series(x[:, 0], lam, band, 0.0, math.sqrt(R), 1, known,
+                          np.pad(coef, ((0, 0), (0, _TAYLOR))))
+    assert np.array_equal(alone[1], closed) and np.array_equal(padded[1], closed)
 
 
 def test_factorized_batch_of_no_points_is_empty():
