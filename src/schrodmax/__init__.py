@@ -9,15 +9,12 @@ threshold for pointwise convergence.
 __version__ = "0.1.0"
 
 from .profiles import (
-    Bump1D,
     Case1Product,
     Case3Counterexample,
     CounterexampleParams,
     ModelParams,
-    Modulated,
     PlaneWaveSurrogate,
     SpectrumDescriptor,
-    bump_eval,
     l2_norm,
     sobolev_norm,
     spectrum_eval,

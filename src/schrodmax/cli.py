@@ -45,6 +45,7 @@ from .maximal import (
 from .numbertheory import (
     CubeFamily,
     GaussSumParams,
+    PreconditionError,
     abel_sum_identity,
     dirichlet_simultaneous,
     gauss_modulus_law,
@@ -241,12 +242,11 @@ class RunReport:
 
 
 def _json_safe(value):
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
@@ -322,6 +322,11 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
         report = lower_bound_experiment(
             ladder_params, cfg["samples"], cfg["seed"], s=cfg["s"],
             gamma_eval=gamma if gamma > 2.0 else None, map_fn=map_fn)
+    except PreconditionError as exc:
+        # the entries' own preconditions abort inside them; this one is
+        # the calibration sweep, which finds no scale near gamma = 1
+        raise ConfigError(f"model.gamma: no calibration at gamma={_fmt(gamma_c)}, "
+                          f"d={cfg['model.d']}: {exc}") from None
     except ExperimentError as exc:
         raise RunFailed(exc, [], {"aborted": [[R, why] for R, why in exc.aborted]},
                         _CE_FIELDS) from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import SpectrumDescriptor, factors, l2_norm, support_annulus
+from .profiles import SpectrumDescriptor, l2_norm, support_annulus
 from .propagator import _DECAY_CUTOFF, _decay, _field_factors
 from .quadrature import _CHUNK
 
@@ -150,7 +150,7 @@ def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
         return scale, [(mods[id(m)], rows) for m, rows in facs]
 
     ts = np.asarray(tg.points, dtype=float)
-    lo_support = support_annulus(factors(f)[1])[0]
+    lo_support = support_annulus(f.factors_by_axis())[0]
     live = int(np.count_nonzero(_decay(ts, gamma) * lo_support ** 2 <= _DECAY_CUTOFF))
     sup, arg = _column_max(moduli, ts[:live], x.shape[0])
     near = ts[np.clip(np.unique(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
@@ -292,9 +292,8 @@ def exponent_sweep(family, gamma: float, ladder, grids, *,
     """
     ladder = sorted(float(R) for R in ladder)
     check_ladder(ladder)
-    probe = family(ladder[0])
-    target = theoretical_exponent(probe.dim, gamma)
     tasks = [(family(R), gamma, grids, R) for R in ladder]
+    target = theoretical_exponent(tasks[0][0].dim, gamma)
     entries = []
     for R, (status, payload) in zip(ladder, map_fn(_sweep_task, tasks)):
         if status == "err":

@@ -1,8 +1,8 @@
 """Frequency-side data profiles and their L2 / Sobolev norms.
 
-Profiles are symbolic descriptors: a smooth 1d bump, tensor products, a
-translated comb along a frequency lattice, and modulations of any of
-these.  factors, the one family dispatch, gives pointwise values, norms
+Profiles are symbolic descriptors: a smooth 1d bump, tensor products and
+a translated comb along a frequency lattice.  A profile's
+factors_by_axis, the one family dispatch, gives pointwise values, norms
 and the propagator's grid engine one Cells per axis to read: the
 centres, half-widths and weights of the weighted unit bumps, one per
 support cell, whose sum is the profile's factor on that axis.  Every
@@ -53,14 +53,6 @@ def mollifier_mass() -> float:
     """Integral of exp(-1/(1-u^2)) over (-1, 1), fixed once at high order."""
     x, w = gauss_legendre(256)
     return float(np.dot(_mollifier_raw(x), w))
-
-
-@functools.lru_cache(maxsize=1)
-def mollifier_sq_mass() -> float:
-    """Integral of exp(-2/(1-u^2)) over (-1, 1)."""
-    x, w = gauss_legendre(256)
-    v = _mollifier_raw(x)
-    return float(np.dot(v * v, w))
 
 
 def _unit_bump(u):
@@ -122,41 +114,6 @@ def _series_terms(beta, q):
     for j in range(1, 2 * _SERIES_ORDER + 1):
         e_prev, e = e, (beta * e + q2 * e_prev) / j
         yield e
-
-
-# ---------------------------------------------------------------------------
-# bump building blocks
-
-
-@dataclass(frozen=True)
-class Bump1D:
-    """Smooth unit-integral bump supported on (center - width, center + width)."""
-
-    center: float = 0.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
-
-    @property
-    def normalization(self) -> float:
-        """The unit-integral constant 1/(width * mass)."""
-        return 1.0 / (self.width * mollifier_mass())
-
-
-def bump_eval(b: Bump1D, x):
-    """Evaluate the bump; returns a float for scalar x, an array otherwise."""
-    u = (np.asarray(x, dtype=float) - b.center) / b.width
-    out = b.normalization * _mollifier_raw(u)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def bump_sq_integral(b: Bump1D) -> float:
-    """Exact integral of the squared bump over its support."""
-    return b.normalization ** 2 * b.width * mollifier_sq_mass()
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +243,10 @@ class SpectrumDescriptor:
 
     A family declares its dimension and, in factors_by_axis, one Cells
     per axis, whose weighted unit bumps are the profile's factor on that
-    axis.  Axes whose factors are equal share one Cells object.  The
-    support annulus is read from the cells (support_annulus).
+    axis: f(xi) is the product over axes of those factors.  Axes whose
+    factors are equal share one Cells object, so readers evaluate each
+    distinct factor once.  The support annulus is read from the cells
+    (support_annulus).
     """
 
     @property
@@ -390,46 +349,6 @@ class Case3Counterexample(SpectrumDescriptor):
         return (Cells(cp.band, math.sqrt(cp.model.R)),) + (teeth,) * (self.dim - 1)
 
 
-@dataclass(frozen=True)
-class Modulated(SpectrumDescriptor):
-    """Phase twist e^{i xi . l / R} applied to a base profile."""
-
-    base: SpectrumDescriptor
-    l: tuple[float, ...]
-    R: float
-
-    def __post_init__(self):
-        if len(self.l) != self.base.dim:
-            raise ValueError("modulation vector dimension mismatch")
-        if not self.R > 0.0:
-            raise ValueError("R must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def shift(self) -> np.ndarray:
-        """Spatial translation the modulation produces."""
-        return np.asarray(self.l, dtype=float) / self.R
-
-
-def factors(f: SpectrumDescriptor) -> tuple[np.ndarray, tuple]:
-    """The one family dispatch: (shift, (cells, ...)).
-
-    f(xi) is e^{i xi.shift} times the product over axes a of the factor
-    of xi_a that the axis's Cells describe.  Modulations at any depth add
-    up to the shift l/R; the factors are the base family's
-    factors_by_axis, where equal axes share one Cells object, so readers
-    evaluate each distinct factor once.
-    """
-    shift = np.zeros(f.dim)
-    while isinstance(f, Modulated):
-        shift = shift + f.shift
-        f = f.base
-    return shift, f.factors_by_axis()
-
-
 def support_annulus(facs) -> tuple[float, float]:
     """Radii (inner, outer) of the annulus holding the support of the factors facs.
 
@@ -461,11 +380,9 @@ def spectrum_eval(f: SpectrumDescriptor, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0 or xi.shape[-1] != f.dim:
         raise ValueError(f"xi must have trailing dimension {f.dim}")
-    shift, facs = factors(f)
     out = np.ones(xi.shape[:-1], dtype=complex)
-    for cells, coord in zip(facs, np.moveaxis(xi, -1, 0)):
+    for cells, coord in zip(f.factors_by_axis(), np.moveaxis(xi, -1, 0)):
         out = out * _cells_eval(cells, coord)
-    out = out * np.exp(1j * (xi @ shift))
     if out.ndim == 0:
         return complex(out)
     return out
@@ -562,7 +479,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
     own coordinate u in [-1, 1], refined by one doubling loop, at most
     MAX_NODES^{1/factors} nodes a cell.
     """
-    _, facs = factors(f)
+    facs = f.factors_by_axis()
     n = math.ceil(s)
     r_in, r_out = support_annulus(facs)
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)

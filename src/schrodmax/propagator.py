@@ -4,13 +4,13 @@ Two engines, each with one integration loop.
 
 The grid engine evaluates separable profiles as matrices over a point
 set times a time set.  _field_factors reads the data's one factor
-description, profiles.factors, which is where the data families are
-told apart: it adds the spatial shift to the points and turns each axis
-factor into a (matrix, rows) pair over that axis's distinct
-coordinates.  Identical factors are evaluated once: axes that share a
-factor object (every axis of the product bump, the comb axes of the
-counterexample data) and their coordinates, as on a meshgrid, share one
-matrix and differ only in their rows.  Every matrix comes from one
+description, the profile's factors_by_axis, which is where the data
+families are told apart, and turns each axis factor into a
+(matrix, rows) pair over that axis's distinct coordinates.  Identical
+factors are evaluated once: axes that share a factor object (every axis
+of the product bump, the comb axes of the counterexample data) and their
+coordinates, as on a meshgrid, share one matrix and differ only in their
+rows.  Every matrix comes from one
 cell x rule loop over the axis's Cells: each cell integrates its weighted
 unit bump in its own coordinate u in [-1, 1], xi = c + h u; per octave
 of t it is clipped where the dissipation leaves nothing and its panels
@@ -80,7 +80,6 @@ from .profiles import (
     _series_terms,
     _unit_bump,
     comb_range,
-    factors,
 )
 from .quadrature import (
     _CHUNK,
@@ -249,15 +248,12 @@ def _field_factors(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray, decay: n
     The field at point i is the scale times the product over factors of
     row rows[i] of their matrix, multiplied in that order.  decay is each
     time's dissipation t^gamma (zeros for the free evolution).  The
-    data's spatial shift is added to x.  The scale is (2 pi)^{-d}, and
-    there is one factor per axis over that axis's distinct coordinates;
-    axes that share a factor object and their coordinates share one
-    matrix.
+    scale is (2 pi)^{-d}, and there is one factor per axis over that
+    axis's distinct coordinates; axes that share a factor object and
+    their coordinates share one matrix.
     """
-    shift, facs = factors(f)
-    x = x + shift[None, :]
     out, matrices = [], {}
-    for axis, cells in enumerate(facs):
+    for axis, cells in enumerate(f.factors_by_axis()):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
         key = id(cells), coords.tobytes()
         if key not in matrices:
@@ -292,7 +288,7 @@ def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint) -> complex:
 
 
 def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
-                     rtol: float = 1e-10) -> complex:
+                     rtol: float = _POINT_RTOL) -> complex:
     """Dissipative evolution: the free phase damped by e^{-t^gamma |xi|^2}."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

@@ -9,6 +9,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schrodmax import cli, counterexample, maximal
@@ -170,6 +171,7 @@ def test_report_json_excludes_wall_clock():
     assert payload["passed"] is False
     assert rep.passed is False
     assert _json_safe(math.inf) == "inf"
+    assert _json_safe(np.float64("inf")) == "inf"
     assert _json_safe({"x": (1, math.nan)}) == {"x": [1, "nan"]}
 
 
@@ -452,19 +454,21 @@ def test_main_ladder_out_of_range_is_a_config_error(tmp_path, capsys, argv, cond
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, condition", [
-    (["counterexample", "--d", "1", "--ladder", "2^16 2^17 2^18 2^19"], "d >= 2"),
+@pytest.mark.parametrize("argv, where, condition", [
+    (["counterexample", "--d", "1", "--ladder", "2^16 2^17 2^18 2^19"], "R=65536:", "d >= 2"),
     (["counterexample", "--set", "ce.c1=0.5", "--ladder", "2^16 2^17 2^18 2^19"],
-     "c2 < c1/2 < c0/4"),
-    (["propagator-check", "--R", "2"], "comb spacing D must exceed the bump diameter"),
-], ids=["d1", "c1", "R2"])
-def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, condition):
+     "R=65536:", "c2 < c1/2 < c0/4"),
+    (["propagator-check", "--R", "2"], "R=2:", "comb spacing D must exceed the bump diameter"),
+    (["counterexample", "--gamma", "1.05", "--ladder", "2^16 2^17 2^18 2^19",
+      "--samples", "200"], "model.gamma:", "calibration sweep found no usable scales"),
+], ids=["d1", "c1", "R2", "gamma-near-one"])
+def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, where,
+                                                          condition):
     out = tmp_path / "out"
     rc = main(argv + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    R = "2" if argv[0] == "propagator-check" else "65536"
-    assert err.startswith("config error") and f"R={R}:" in err and condition in err
+    assert err.startswith("config error") and where in err and condition in err
     assert not out.exists()
 
 

@@ -27,7 +27,6 @@ from schrodmax.maximal import (
 from schrodmax.profiles import (
     Case1Product,
     ModelParams,
-    Modulated,
     PlaneWaveSurrogate,
     l2_norm,
 )
@@ -131,17 +130,6 @@ def test_sup_over_time_validation():
         sup_over_time(f, 2.0, (0.0, 0.0), tg)
 
 
-def test_sup_over_time_modulation_shift_identity():
-    base = PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3)
-    mod = Modulated(base=base, l=(3.0, 2.0), R=8.0)
-    tg = TimeGrid.hybrid(4.0, geometric=6, cap=24)
-    x = (0.2, -0.3)
-    shifted = (x[0] + 3.0 / 8.0, x[1] + 2.0 / 8.0)
-    a = sup_over_time(mod, 2.0, x, tg)
-    b = sup_over_time(base, 2.0, shifted, tg)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_sup_over_time_refines_to_a_64x_denser_grid():
     """A smooth 1-d maximum inside the grid: the in-bracket refinement
     reaches the maximum over a 64x denser grid, the coarse grid alone not."""
@@ -164,19 +152,10 @@ def _small_grids(per_axis=7):
             SpaceGrid(radius=1.0, per_axis=per_axis))
 
 
-def test_maximal_ratio_shifted_separable_path():
-    base = Case1Product(ModelParams(d=2, gamma=1.0, R=4.0))
-    mod = Modulated(base=base, l=(2.0, 0.0), R=4.0)
-    got = maximal_ratio(mod, 1.0, _small_grids(per_axis=5))
-    assert got > 0.0 and math.isfinite(got)
-
-
 @pytest.mark.parametrize("f, gamma, per_axis", [
     (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, 5),
-    (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
-               l=(2.0, 0.0), R=4.0), 1.0, 5),
     (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, 5),
-], ids=["product", "shifted-product", "plane-wave"])
+], ids=["product", "plane-wave"])
 def test_maximal_ratio_matches_per_point_sup_over_time(f, gamma, per_axis):
     """The grid sup loop agrees with sup_over_time taken point by point."""
     tg, sg = _small_grids(per_axis=per_axis)
@@ -201,8 +180,6 @@ def test_sweep_ratio_is_pinned(e):
 
 _SUP_CASES = {
     "product": (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0),
-    "shifted-product": (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
-                                  l=(2.0, 0.0), R=4.0), 1.0),
     "plane-wave": (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0),
 }
 

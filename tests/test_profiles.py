@@ -12,21 +12,16 @@ from hypothesis import strategies as st
 
 from schrodmax import profiles
 from schrodmax.profiles import (
-    Bump1D,
     Case1Product,
     Case3Counterexample,
+    Cells,
     CounterexampleParams,
     ModelParams,
-    Modulated,
     PlaneWaveSurrogate,
-    bump_eval,
-    bump_sq_integral,
     comb_range,
-    factors,
     l1_fourier_mass,
     l2_norm,
     mollifier_mass,
-    mollifier_sq_mass,
     sobolev_norm,
     spectrum_eval,
     support_annulus,
@@ -34,6 +29,7 @@ from schrodmax.profiles import (
 from schrodmax.profiles import (
     _SERIES_ORDER,
     _SERIES_RADIUS,
+    _bump_moments,
     _cells_eval,
     _mollifier_raw,
     _series_order,
@@ -48,29 +44,38 @@ MOLLIFIER_MASS = 0.4439938161680794
 MOLLIFIER_SQ_MASS = 0.13308612084499427
 
 
+def _sq_mass():
+    """Integral of exp(-2/(1-u^2)) over (-1, 1), from the unit bump's squared mass."""
+    return _bump_moments(2, 0)[0] * mollifier_mass() ** 2
+
+
+def _bump(center, width):
+    """Closed form of the unit-mass bump on (center - width, center + width)."""
+    return lambda x: _mollifier_raw((np.asarray(x) - center) / width) / (width * mollifier_mass())
+
+
 def test_mollifier_integrals_match_oracle():
     assert mollifier_mass() == pytest.approx(MOLLIFIER_MASS, rel=1e-13)
-    assert mollifier_sq_mass() == pytest.approx(MOLLIFIER_SQ_MASS, rel=1e-13)
+    assert _sq_mass() == pytest.approx(MOLLIFIER_SQ_MASS, rel=1e-13)
 
 
 def test_bump_unit_integral():
-    b = Bump1D(center=1.2, width=0.7)
-    val = double_panels(lambda x, w: bump_eval(b, x) @ w, 0.5, 1.9, 1, rtol=1e-12)
+    cells = Cells(1.2, 0.7)
+    val = double_panels(lambda x, w: _cells_eval(cells, x) @ w, 0.5, 1.9, 1, rtol=1e-12)
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
 def test_bump_sq_integral_matches_quadrature():
-    b = Bump1D(center=-0.4, width=2.5)
-    val = double_panels(lambda x, w: bump_eval(b, x) ** 2 @ w, -2.9, 2.1, 1, rtol=1e-12)
-    assert bump_sq_integral(b) == pytest.approx(val, rel=1e-10)
+    cells = Cells(-0.4, 2.5)
+    val = double_panels(lambda x, w: _cells_eval(cells, x) ** 2 @ w, -2.9, 2.1, 1, rtol=1e-12)
+    assert _bump_moments(2, 0)[0] / 2.5 == pytest.approx(val, rel=1e-10)
 
 
 @given(center=st.floats(min_value=-5, max_value=5),
        width=st.floats(min_value=0.05, max_value=4.0),
        x=st.floats(min_value=-10, max_value=10))
 def test_bump_support(center, width, x):
-    b = Bump1D(center=center, width=width)
-    v = bump_eval(b, x)
+    v = _cells_eval(Cells(center, width), np.array([x]))[0]
     if abs(x - center) >= width:
         assert v == 0.0
     elif abs(x - center) <= 0.999 * width:
@@ -81,8 +86,12 @@ def test_bump_support(center, width, x):
 
 
 def test_bump_validation():
+    """Cells must ascend without overlapping."""
+    Cells([0.0, 2.0], 1.0)
     with pytest.raises(ValueError):
-        Bump1D(width=0.0)
+        Cells([0.0, 1.5], 1.0)
+    with pytest.raises(ValueError):
+        Cells([2.0, 0.0], 0.5)
 
 
 def test_model_params_validation():
@@ -156,9 +165,9 @@ def test_comb_range_frozen_counts():
 def test_plane_wave_l2_matches_plancherel_product():
     amp = 0.7 + 0.2j
     pw = PlaneWaveSurrogate(xi0=(3.0, -1.0), width=0.5, amplitude=amp)
-    bs1 = bump_sq_integral(Bump1D(center=3.0, width=0.5))
-    bs2 = bump_sq_integral(Bump1D(center=-1.0, width=0.5))
-    want = math.sqrt(TWO_PI**-2 * abs(amp) ** 2 * TWO_PI**4 * bs1 * bs2)
+    # each axis's squared unit-mass bump of half-width 0.5
+    bs = _bump_moments(2, 0)[0] / 0.5
+    want = math.sqrt(TWO_PI**-2 * abs(amp) ** 2 * TWO_PI**4 * bs * bs)
     assert l2_norm(pw) == pytest.approx(want, rel=1e-10)
 
 
@@ -177,17 +186,17 @@ def test_case1_l2_scaling():
 
 def _bump_axis(center, width, weight=1.0):
     """Closed-form ((lo, hi) cells, profile) of one bump on one axis."""
-    b = Bump1D(center=center, width=width)
-    return ((center - width, center + width),), lambda xi: weight * bump_eval(b, xi)
+    bump = _bump(center, width)
+    return ((center - width, center + width),), lambda xi: weight * bump(xi)
 
 
 def _case3_axes(cp):
     """Closed-form ((lo, hi) cells, profile) per axis of the comb data: the
     unit-mass window of half-width sqrt(R) at the band, then unit bumps at D k."""
     start, stop = comb_range(cp)
-    teeth = [Bump1D(center=cp.D * k, width=1.0) for k in range(start, stop)]
-    comb = (tuple((b.center - 1.0, b.center + 1.0) for b in teeth),
-            lambda xi: sum(bump_eval(b, xi) for b in teeth))
+    centres = [cp.D * k for k in range(start, stop)]
+    comb = (tuple((c - 1.0, c + 1.0) for c in centres),
+            lambda xi: sum(_bump(c, 1.0)(xi) for c in centres))
     return [_bump_axis(cp.band, math.sqrt(cp.model.R))] + [comb] * (cp.model.d - 1)
 
 
@@ -200,7 +209,7 @@ def _bounds(cells):
 def test_case3_cells_and_window():
     cp = _cp()
     f = Case3Counterexample(params=cp)
-    facs = factors(f)[1]
+    facs = f.factors_by_axis()
     assert [_bounds(cells) for cells in facs] == [cells for cells, _ in _case3_axes(cp)]
     ((lo, hi),) = _bounds(facs[0])
     assert lo == pytest.approx(2.0**16 - 2.0**8)
@@ -222,12 +231,12 @@ def test_case3_annulus_matches_closed_form(R):
     start, stop = comb_range(cp)
     inner = math.sqrt((center - halfw) ** 2 + (d - 1) * (cp.D * start - 1.0) ** 2)
     outer = math.sqrt((center + halfw) ** 2 + (d - 1) * (cp.D * (stop - 1) + 1.0) ** 2)
-    assert support_annulus(factors(Case3Counterexample(params=cp))[1]) == (inner, outer)
+    assert support_annulus(Case3Counterexample(params=cp).factors_by_axis()) == (inner, outer)
 
 
 def test_case3_axis_factor_support():
     cp = _cp()
-    _, comb = factors(Case3Counterexample(params=cp))[1]
+    _, comb = Case3Counterexample(params=cp).factors_by_axis()
     start, _ = comb_range(cp)
     teeth = cp.D * np.array([start, start + 1], dtype=float)
     vals = _cells_eval(comb, teeth)
@@ -253,7 +262,7 @@ def test_equal_axes_share_one_factor(f, groups, want):
     each factor is its family's closed form: the same cells and, on a grid
     across and beyond them, at every cell's edges and just inside them,
     in the gaps between cells and outside the support, the same values."""
-    facs = factors(f)[1]
+    facs = f.factors_by_axis()
     for a, b in itertools.combinations(range(f.dim), 2):
         assert (facs[a] is facs[b]) == (groups[a] == groups[b])
     assert len(facs) == len(want)
@@ -295,18 +304,16 @@ def test_spectrum_eval_validates_shape():
 
 
 def test_spectrum_vanishes_outside_reported_annulus():
-    base = PlaneWaveSurrogate(xi0=(4.0, -2.0), width=0.5)
     descriptors = [
         Case1Product(ModelParams(d=3, gamma=2.0, R=16.0)),
         Case3Counterexample(params=_cp(R=2.0**6, d=3)),
-        base,
-        Modulated(base=base, l=(1.0, 2.0), R=8.0),
+        PlaneWaveSurrogate(xi0=(4.0, -2.0), width=0.5),
         Case1Product(ModelParams(d=2, gamma=2.0, R=32.0)),
         Case3Counterexample(params=_cp()),
     ]
     rng = np.random.default_rng(5)
     for f in descriptors:
-        inner, outer = support_annulus(factors(f)[1])
+        inner, outer = support_annulus(f.factors_by_axis())
         dirs = rng.normal(size=(2000, f.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = rng.uniform(1.001 * outer, 3.0 * outer, 2000)
@@ -314,20 +321,6 @@ def test_spectrum_vanishes_outside_reported_annulus():
             hole = rng.uniform(0.0, 0.999 * inner, 2000)
             radii = np.where(rng.random(2000) < 0.5, hole, radii)
         assert np.all(spectrum_eval(f, dirs * radii[:, None]) == 0.0)
-
-
-def test_modulated_preserves_norms():
-    base = PlaneWaveSurrogate(xi0=(4.0, 2.0), width=0.6)
-    mod = Modulated(base=base, l=(3.0, -5.0), R=8.0)
-    assert np.allclose(mod.shift, [3.0 / 8.0, -5.0 / 8.0])
-    assert l2_norm(mod) == pytest.approx(l2_norm(base), rel=1e-11)
-    assert sobolev_norm(mod, 0.7) == pytest.approx(sobolev_norm(base, 0.7),
-                                                   rel=1e-11)
-    xi = np.array([[4.1, 1.9], [3.7, 2.2]])
-    assert np.allclose(np.abs(spectrum_eval(mod, xi)),
-                       np.abs(spectrum_eval(base, xi)), rtol=1e-13)
-    with pytest.raises(ValueError):
-        Modulated(base=base, l=(1.0,), R=8.0)
 
 
 def test_sobolev_reduces_to_l2_at_zero():
@@ -379,7 +372,7 @@ def test_case3_norms_closed_form(R):
     f = Case3Counterexample(params=cp)
     start, stop = comb_range(cp)
     n = stop - start
-    m1, m2 = mollifier_mass(), mollifier_sq_mass()
+    m1, m2 = mollifier_mass(), _sq_mass()
     assert l1_fourier_mass(f) == pytest.approx(n ** (d - 1), rel=1e-10)
     want = math.sqrt(TWO_PI**-d * m2 / (m1**2 * math.sqrt(R))
                      * (n * m2 / m1**2) ** (d - 1))
@@ -458,12 +451,12 @@ def test_case3_sobolev_d3_full_comb():
     cp = _cp(R=2.0**24, d=3)
     f = Case3Counterexample(params=cp)
     cells = [c for c, _ in _case3_axes(cp)]
-    assert [_bounds(c) for c in factors(f)[1]] == cells
+    assert [_bounds(c) for c in f.factors_by_axis()] == cells
     assert [len(c) for c in cells] == [1, 512, 512]
     start = time.perf_counter()
     sob = sobolev_norm(f, 1.0 / 3.0)
     assert time.perf_counter() - start < 10.0
-    r_in, r_out = support_annulus(factors(f)[1])
+    r_in, r_out = support_annulus(f.factors_by_axis())
     l2 = l2_norm(f)
     assert (1.0 + r_in**2) ** (1.0 / 6.0) * l2 <= sob <= (1.0 + r_out**2) ** (1.0 / 6.0) * l2
     # every cell carries the unit-mass bump fitted to it, so a fixed Gauss
@@ -565,10 +558,10 @@ def test_norm_at_2_48_lies_within_the_annulus_bounds():
     begin = time.perf_counter()
     sob = sobolev_norm(f, s)
     assert time.perf_counter() - begin < 10.0
-    r_in, r_out = support_annulus(factors(f)[1])
+    r_in, r_out = support_annulus(f.factors_by_axis())
     l2 = l2_norm(f)
     assert (1.0 + r_in**2) ** (s / 2.0) * l2 <= sob <= (1.0 + r_out**2) ** (s / 2.0) * l2
     start, stop = comb_range(cp)
-    m1, m2 = mollifier_mass(), mollifier_sq_mass()
+    m1, m2 = mollifier_mass(), _sq_mass()
     want = math.sqrt(TWO_PI**-2 * m2 / (m1**2 * 2.0**24) * (stop - start) * m2 / m1**2)
     assert l2 == pytest.approx(want, rel=1e-13)

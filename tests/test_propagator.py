@@ -20,10 +20,8 @@ from schrodmax.profiles import (
     Case3Counterexample,
     CounterexampleParams,
     ModelParams,
-    Modulated,
     PlaneWaveSurrogate,
     comb_range,
-    factors,
     l1_fourier_mass,
     spectrum_eval,
 )
@@ -191,18 +189,6 @@ def test_case1_profile_stays_order_one_near_origin():
     assert origins[0] == pytest.approx(origins[1], rel=1e-12)
 
 
-def test_modulation_is_spatial_shift():
-    base = PlaneWaveSurrogate(xi0=(2.0, 1.0), width=0.4)
-    l, R = (3.0, -1.0), 8.0
-    mod = Modulated(base=base, l=l, R=R)
-    t = 0.05
-    x = (0.25, -0.15)
-    shifted = (x[0] + l[0] / R, x[1] + l[1] / R)
-    a = evaluate_p_gamma(mod, 2.0, SpaceTimePoint(x=x, t=t))
-    b = evaluate_p_gamma(base, 2.0, SpaceTimePoint(x=shifted, t=t))
-    assert a == pytest.approx(b, rel=1e-9)
-
-
 def _gauss(a, b, panels, order):
     u, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
@@ -224,11 +210,9 @@ def _box_reference(f, x, t, decay, box):
 @pytest.mark.parametrize("f, gamma, reference, box", [
     (Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)), 1.0, _box_reference,
      [(-4.0, 4.0)] * 2),
-    (Modulated(base=Case1Product(ModelParams(d=2, gamma=1.0, R=4.0)),
-               l=(2.0, -1.0), R=4.0), 1.0, _box_reference, [(-4.0, 4.0)] * 2),
     (PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3), 2.0, _box_reference,
      [(1.7, 2.3), (-1.3, -0.7)]),
-], ids=["product", "shifted-product", "plane-wave"])
+], ids=["product", "plane-wave"])
 def test_field_grid_matches_fixed_gauss_sum(f, gamma, reference, box):
     """Engine matrices on a 3 x 3 grid of points and times, and point by point."""
     x = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.0]])
@@ -279,7 +263,7 @@ def test_shared_field_matrix_equals_per_axis_matrices():
     t = np.array([0.0, 0.01, 0.2])
     decay = _decay(t, 0.5)
     per_axis = []
-    for axis, cells in enumerate(factors(f)[1]):
+    for axis, cells in enumerate(f.factors_by_axis()):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
         per_axis.append(_cell_matrix(cells, coords, t, decay, 1e-9)[rows])
     want = per_axis[0] * TWO_PI**-2 * per_axis[1]
@@ -292,7 +276,7 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
     Each of their columns keeps the value a loop of its own time gives.
     """
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    cells, _ = factors(f)[1]
+    cells, _ = f.factors_by_axis()
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
     decay = _decay(t, 0.5)
@@ -334,7 +318,7 @@ def time_table_rows(monkeypatch):
 def test_symmetric_cell_folds_its_time_table(time_table_rows):
     """On a cell centred at 0 the time table covers the nonnegative nodes only."""
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
-    cells, _ = factors(f)[1]
+    cells, _ = f.factors_by_axis()
     assert cells.centres.tolist() == [0.0]
     u, w = panel_nodes(-1.0, 1.0, 3)
     xi, coef = cells.half[0] * u, _unit_bump(u) * w
@@ -352,7 +336,7 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
 def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows):
     """A plane-wave axis's cell is not symmetric about 0: each pass tables all its nodes."""
     f = PlaneWaveSurrogate(xi0=(2.0, 1.0), width=0.3)
-    cells = factors(f)[1][0]
+    cells = f.factors_by_axis()[0]
     nodes = []
 
     def spy(pts, xi, coef, lead, even):
@@ -384,7 +368,7 @@ def test_cell_rounding_floor_is_the_cell_mass(monkeypatch, f):
     monkeypatch.setattr(propagator, "double_panels", spy)
     u, w = np.polynomial.legendre.leggauss(300)
     t = np.zeros(1)
-    for cells in {id(c): c for c in factors(f)[1]}.values():
+    for cells in {id(c): c for c in f.factors_by_axis()}.values():
         masses.clear()
         _cell_matrix(cells, np.array([0.1, 0.4]), t, t, 1e-9)
         assert masses == np.abs(cells.weight).tolist()
