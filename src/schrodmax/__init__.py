@@ -44,6 +44,7 @@ from .numbertheory import (
     abel_sum_identity,
     dirichlet_simultaneous,
     gauss_modulus_law,
+    gauss_modulus_worst,
     gauss_sum,
     totient,
     vitali_scaled_union,

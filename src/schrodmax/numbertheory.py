@@ -3,10 +3,12 @@
 Quadratic phases become exact integer residues before any root of unity is
 taken, and both quadratic sums fold over their period: G(a, b, q) for every
 b is one length-q DFT row per (a mod q, q), and a window of a rational Weyl
-sum is whole periods plus two prefix sums of one period.  The Weyl
-calibration sweeps rational phases exhaustively, folding all reduced a of
-one q and all windows into one call per (q, beta), and reports the worst
-ratio against the square-root bound shape.
+sum is whole periods plus two prefix sums of one period.  The modulus law
+|G| = sqrt(2q) is one table of DFT rows per modulus, over every unit a and
+every b, built once and read per case.  The Weyl calibration sweeps
+rational phases exhaustively, folding all reduced a of one q and all
+windows into one call per (q, beta), and reports the worst ratio against
+the square-root bound shape.
 """
 
 import functools
@@ -14,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.fft import ifft
@@ -50,15 +52,20 @@ class GaussSumParams:
             raise ValueError("q must be a positive integer")
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_row(a: int, q: int) -> tuple[complex, ...]:
-    """G(a, b, q) for b = 0..q-1: q ifft(e(a l^2 / q)) over l < q.
+def _gauss_rows(a, q: int) -> np.ndarray:
+    """G(a, b, q) for b = 0..q-1 at each a: q ifft(e(a l^2 / q)) over l < q.
 
-    Held as Python complex numbers, so a lookup converts nothing.
+    a is one residue or an array of them; the result has shape a.shape + (q,).
     """
     l = np.arange(q, dtype=np.int64)
-    row = q * ifft(np.exp(2j * np.pi * np.arange(q) / q)[(a * ((l * l) % q)) % q])
-    return tuple(row.tolist())
+    res = np.multiply.outer(a, (l * l) % q) % q
+    return q * ifft(np.exp(2j * np.pi * np.arange(q) / q)[res], axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_row(a: int, q: int) -> tuple[complex, ...]:
+    """G(a, b, q) for b = 0..q-1, held as Python complex numbers so a lookup converts nothing."""
+    return tuple(_gauss_rows(a, q).tolist())
 
 
 def gauss_sum(p: GaussSumParams) -> complex:
@@ -74,20 +81,86 @@ def gauss_sum(p: GaussSumParams) -> complex:
     return _gauss_row(p.a % q, q)[p.b % q]
 
 
+# complex entries per block of DFT rows in a law table: the rows of one
+# modulus are never all held at once
+_LAW_BLOCK = 1 << 12
+
+
+class _LawTable(NamedTuple):
+    verdict: list  # [a mod q][b mod q]: the law's verdict; None at non-units a
+    worst: np.ndarray  # per b mod q: max over units a of ||G| - sqrt(2q)| / sqrt(q)
+
+
+@functools.lru_cache(maxsize=1)
+def _law_table(q: int) -> _LawTable:
+    """The modulus law at every unit a and every b of one modulus q.
+
+    The rows come from one batched DFT over the units, in blocks of at most
+    _LAW_BLOCK entries (one row where q exceeds it).  Verdicts are Python bools, so a lookup
+    converts nothing, and equal verdict rows share one tuple: the law gives
+    the same row at nearly every unit.  Only the last modulus is kept, since
+    the sweeps go through the moduli in order.  The table is read, never
+    written, by its callers.
+    """
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    root, tol = math.sqrt(2.0 * q), 1e-9 * math.sqrt(q)
+    # the table is made before the blocks and filled in place: made after
+    # them, it would sit above their freed temporaries on the heap and keep
+    # those resident
+    verdict = [None] * q
+    worst = np.zeros(q)
+    rows = {}
+    step = max(1, _LAW_BLOCK // q)
+    for lo in range(0, units.size, step):
+        a = units[lo:lo + step]
+        dev = np.abs(np.abs(_gauss_rows(a, q)) - root)
+        np.maximum(worst, dev.max(axis=0), out=worst)
+        # keyed by the row's bytes: only a new row becomes Python objects
+        for ai, row in zip(a.tolist(), dev <= tol):
+            key = row.tobytes()
+            if key not in rows:
+                rows[key] = tuple(row.tolist())
+            verdict[ai] = rows[key]
+    worst /= math.sqrt(q)
+    return _LawTable(verdict, worst)
+
+
 def gauss_modulus_law(p: GaussSumParams) -> bool:
-    """Whether |gauss_sum| matches sqrt(2q) to 1e-9 sqrt(q).
+    """Whether |G(a, b, q)| matches sqrt(2q) to 1e-9 sqrt(q).
 
     The law is asserted for q divisible by 4, a coprime to q, and even b;
-    anything else raises PreconditionError rather than failing the law.
+    anything else raises PreconditionError rather than failing the law.  The
+    verdict is entry [a mod q][b mod q] of the table of q, built once per
+    modulus from one DFT over its units, so a lone case at a large modulus
+    pays for every unit; gauss_sum computes one row.
     """
-    if p.q % 4 != 0:
+    q = p.q
+    if q % 4 != 0:
         raise PreconditionError("q must be divisible by 4")
-    if math.gcd(p.a, p.q) != 1:
+    if math.gcd(p.a, q) != 1:
         raise PreconditionError("a must be coprime to q")
     if p.b % 2 != 0:
         raise PreconditionError("b must be even")
-    g = gauss_sum(p)
-    return abs(abs(g) - math.sqrt(2.0 * p.q)) <= 1e-9 * math.sqrt(p.q)
+    if q >= 1 << 31:
+        raise ValueError("q too large for exact residue arithmetic")
+    return _law_table(q).verdict[p.a % q][p.b % q]
+
+
+def gauss_modulus_worst(q: int, b: Sequence[int]) -> float:
+    """Worst ||G(a, b, q)| - sqrt(2q)| / sqrt(q) over every unit a of q and the given b.
+
+    The modulus law for a whole modulus in one call, under its preconditions
+    (q divisible by 4, every b even), read from the table gauss_modulus_law
+    reads.
+    """
+    if q % 4 != 0:
+        raise PreconditionError("q must be divisible by 4")
+    b = np.asarray(b, dtype=np.int64)
+    if np.any(b % 2 != 0):
+        raise PreconditionError("b must be even")
+    if q >= 1 << 31:
+        raise ValueError("q too large for exact residue arithmetic")
+    return float(_law_table(q).worst[b % q].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ def test_main_lemmas_verify_end_to_end(tmp_path, capsys):
     rows = parse_csv((out / "records.csv").read_text())
     assert [r["suite"] for r in rows] == [
         "gauss", "weyl", "abel", "vitali", "dirichlet"]
+    gauss = payload["records"][0]
+    assert gauss["cases"] == 2434
+    assert 0.0 <= gauss["worst"] <= 1e-9
 
 
 def test_main_propagator_check(tmp_path, capsys):

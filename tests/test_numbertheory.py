@@ -15,13 +15,14 @@ from schrodmax.numbertheory import (
     abel_sum_identity,
     dirichlet_simultaneous,
     gauss_modulus_law,
+    gauss_modulus_worst,
     gauss_sum,
     totient,
     vitali_scaled_union,
     weyl_bound_rhs,
     weyl_calibration,
 )
-from schrodmax.numbertheory import _window_sums
+from schrodmax.numbertheory import _law_table, _window_sums
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +66,52 @@ def test_gauss_sum_matches_residue_reference_large_q(q):
 def test_gauss_sum_refuses_moduli_beyond_exact_residues():
     with pytest.raises(ValueError, match="too large"):
         gauss_sum(GaussSumParams(a=1, b=0, q=1 << 31))
+    built = _law_table.cache_info().misses
+    with pytest.raises(ValueError, match="too large"):
+        gauss_modulus_law(GaussSumParams(a=1, b=0, q=1 << 31))
+    with pytest.raises(ValueError, match="too large"):
+        gauss_modulus_worst(1 << 31, [0, 2])
+    assert _law_table.cache_info().misses == built
+
+
+def test_gauss_sum_is_the_single_row_dft_bit_for_bit():
+    def row(a, q):
+        l = np.arange(q, dtype=np.int64)
+        return q * np.fft.ifft(np.exp(2j * np.pi * np.arange(q) / q)[(a * ((l * l) % q)) % q])
+
+    for a, b, q in [(3, 2, 8), (-5, 7, 12), (1, 0, 1), (17, -40, 1000), (1234, 99, 2999)]:
+        assert gauss_sum(GaussSumParams(a=a, b=b, q=q)) == complex(row(a % q, q)[b % q])
+
+
+def test_gauss_modulus_law_table_matches_gauss_sum():
+    """Every unit a and even b of q <= 64, outside [0, q) and negative too."""
+    for q in range(4, 65, 4):
+        root, tol = math.sqrt(2 * q), 1e-9 * math.sqrt(q)
+        units = [a for a in range(-q - 3, 2 * q + 3) if math.gcd(a, q) == 1]
+        evens = range(-q - 4, 2 * q + 4, 2)
+        worst = 0.0
+        for a in units:
+            for b in evens:
+                p = GaussSumParams(a=a, b=b, q=q)
+                dev = abs(abs(gauss_sum(p)) - root)
+                assert gauss_modulus_law(p) is (dev <= tol), (a, b, q)
+                worst = max(worst, dev / math.sqrt(q))
+        # numpy's complex modulus may differ from abs() by one ulp of sqrt(2q)
+        assert gauss_modulus_worst(q, evens) == pytest.approx(
+            worst, rel=0, abs=2 * np.finfo(float).eps)
+
+
+def test_gauss_modulus_law_builds_one_table_per_modulus():
+    """Check 1's sweep order builds each modulus's table once; nothing else rebuilds it."""
+    _law_table.cache_clear()
+    for q in range(4, 257, 4):
+        for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
+            for b in range(0, q, 2):
+                gauss_modulus_law(GaussSumParams(a=a, b=b, q=q))
+    assert _law_table.cache_info().misses == 64
+    gauss_modulus_law(GaussSumParams(a=3, b=2, q=256))
+    gauss_modulus_worst(256, range(0, 256, 2))
+    assert _law_table.cache_info().misses == 64
 
 
 def test_gauss_modulus_law_small_exhaustive():
@@ -94,12 +141,18 @@ def test_gauss_sum_modulus_trivial_bound(a, b, q):
 
 
 def test_gauss_modulus_law_preconditions():
-    with pytest.raises(PreconditionError):
+    built = _law_table.cache_info().misses
+    with pytest.raises(PreconditionError, match="divisible by 4"):
         gauss_modulus_law(GaussSumParams(a=1, b=2, q=6))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="coprime"):
         gauss_modulus_law(GaussSumParams(a=2, b=2, q=8))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="even"):
         gauss_modulus_law(GaussSumParams(a=1, b=3, q=8))
+    with pytest.raises(PreconditionError, match="divisible by 4"):
+        gauss_modulus_worst(6, [2])
+    with pytest.raises(PreconditionError, match="even"):
+        gauss_modulus_worst(8, [2, 3])
+    assert _law_table.cache_info().misses == built
     with pytest.raises(ValueError):
         GaussSumParams(a=1, b=2, q=0)
 
