@@ -5,10 +5,12 @@ taken, and both quadratic sums fold over their period: G(a, b, q) for every
 b is one length-q DFT row per (a mod q, q), and a window of a rational Weyl
 sum is whole periods plus two prefix sums of one period.  The modulus law
 |G| = sqrt(2q) is one table of DFT rows per modulus, over every unit a and
-every b, built once and read per case.  The Weyl calibration sweeps
-rational phases exhaustively, folding all reduced a of one q and all
-windows into one call per (q, beta), and reports the worst ratio against
-the square-root bound shape.
+every b, read per case: a sweep checks each modulus once and builds its
+table at the second unit it reads there, while a lone case computes the
+one row of its unit.  The Weyl calibration sweeps rational phases
+exhaustively, folding all reduced a of one q and all windows into one
+call per (q, beta), and reports the worst ratio against the square-root
+bound shape.
 """
 
 import functools
@@ -91,6 +93,15 @@ class _LawTable(NamedTuple):
     worst: np.ndarray  # per b mod q: max over units a of ||G| - sqrt(2q)| / sqrt(q)
 
 
+def _law_deviations(a, q: int) -> np.ndarray:
+    """||G(a, b, q)| - sqrt(2q)| / sqrt(q) for b = 0..q-1 at each a, shaped as _gauss_rows."""
+    dev = np.abs(_gauss_rows(a, q))
+    dev -= math.sqrt(2.0 * q)
+    np.abs(dev, out=dev)
+    dev /= math.sqrt(q)
+    return dev
+
+
 @functools.lru_cache(maxsize=1)
 def _law_table(q: int) -> _LawTable:
     """The modulus law at every unit a and every b of one modulus q.
@@ -103,7 +114,6 @@ def _law_table(q: int) -> _LawTable:
     written, by its callers.
     """
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-    root, tol = math.sqrt(2.0 * q), 1e-9 * math.sqrt(q)
     # the table is made before the blocks and filled in place: made after
     # them, it would sit above their freed temporaries on the heap and keep
     # those resident
@@ -113,37 +123,72 @@ def _law_table(q: int) -> _LawTable:
     step = max(1, _LAW_BLOCK // q)
     for lo in range(0, units.size, step):
         a = units[lo:lo + step]
-        dev = np.abs(np.abs(_gauss_rows(a, q)) - root)
+        dev = _law_deviations(a, q)
         np.maximum(worst, dev.max(axis=0), out=worst)
         # keyed by the row's bytes: only a new row becomes Python objects
-        for ai, row in zip(a.tolist(), dev <= tol):
+        for ai, row in zip(a.tolist(), dev <= 1e-9):
             key = row.tobytes()
             if key not in rows:
                 rows[key] = tuple(row.tolist())
             verdict[ai] = rows[key]
-    worst /= math.sqrt(q)
     return _LawTable(verdict, worst)
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_verdicts(a: int, q: int) -> tuple[bool, ...]:
+    """The law's verdicts at one unit a of q and every b mod q, from a's DFT row alone."""
+    return tuple((_law_deviations(a, q) <= 1e-9).tolist())
+
+
+# the modulus the law read last, the first unit read there, and the table
+# of that modulus once a second unit was read; replaced whole, so each call
+# reads the state of one modulus
+_last = (0, None, None)
 
 
 def gauss_modulus_law(p: GaussSumParams) -> bool:
     """Whether |G(a, b, q)| matches sqrt(2q) to 1e-9 sqrt(q).
 
     The law is asserted for q divisible by 4, a coprime to q, and even b;
-    anything else raises PreconditionError rather than failing the law.  The
-    verdict is entry [a mod q][b mod q] of the table of q, built once per
-    modulus from one DFT over its units, so a lone case at a large modulus
-    pays for every unit; gauss_sum computes one row.
+    anything else raises PreconditionError rather than failing the law.
+    The sweeps read one modulus after another, so q is checked only when
+    it differs from the last modulus read.  The first unit read at a
+    modulus takes its verdicts from its own DFT row; from the second
+    distinct unit on, a case reads entry [a mod q][b mod q] of the table
+    of q, built once from one DFT over every unit, where a non-unit has
+    no row.  A lone case at a large modulus so computes one row, not the
+    table.
     """
+    global _last
     q = p.q
-    if q % 4 != 0:
-        raise PreconditionError("q must be divisible by 4")
-    if math.gcd(p.a, q) != 1:
+    a = p.a % q
+    last_q, first, verdict = _last
+    if q != last_q:
+        if q % 4 != 0:
+            raise PreconditionError("q must be divisible by 4")
+        if math.gcd(a, q) != 1:
+            raise PreconditionError("a must be coprime to q")
+        if p.b % 2 != 0:
+            raise PreconditionError("b must be even")
+        if q >= 1 << 31:
+            raise ValueError("q too large for exact residue arithmetic")
+        first, verdict = a, None
+        _last = (q, first, verdict)
+    if verdict is not None:
+        row = verdict[a]
+    elif a == first:
+        row = _unit_verdicts(a, q)
+    elif math.gcd(a, q) == 1:
+        verdict = _law_table(q).verdict
+        _last = (q, first, verdict)
+        row = verdict[a]
+    else:
+        row = None
+    if row is None:
         raise PreconditionError("a must be coprime to q")
     if p.b % 2 != 0:
         raise PreconditionError("b must be even")
-    if q >= 1 << 31:
-        raise ValueError("q too large for exact residue arithmetic")
-    return _law_table(q).verdict[p.a % q][p.b % q]
+    return row[p.b % q]
 
 
 def gauss_modulus_worst(q: int, b: Sequence[int]) -> float:

@@ -11,13 +11,15 @@ factors are evaluated once: axes that share a factor object (every axis
 of the product bump, the comb axes of the counterexample data) and their
 coordinates, as on a meshgrid, share one matrix and differ only in their
 rows.  Every matrix comes from one
-cell x rule loop over the axis's Cells: each cell integrates its weighted
+loop per rule over the axis's Cells: each cell integrates its weighted
 unit bump in its own coordinate u in [-1, 1], xi = c + h u; per octave
 of t it is clipped where the dissipation leaves nothing and its panels
-start from the octave's worst phase rate, and the octaves that need the
-same rule share one loop that doubles its panels until each time column
-converges, to rtol or to the rounding floor of the cell's L1 mass, the
-modulus of its weight.  As
+start from the octave's worst phase rate, and the cells and octaves
+that need the same rule over the same time columns share one loop.  It
+evaluates those cells at once on the shared nodes u and doubles its
+panels until each (cell, time) column converges, to rtol or to the
+rounding floor of its cell's L1 mass, the modulus of its weight, so a
+comb's teeth and a geometric grid's octaves cost one loop per rule.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 the node sum is one exponential table per side met in GEMMs.  On a cell
 centred at 0 and clipped symmetrically the time table, even in xi,
@@ -136,8 +138,8 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
     weakest dissipation leaves less than e^-_DECAY_CUTOFF (inf without
     dissipation), the largest t, and i t - t^gamma per column.  Octaves
     set the rules, not the loops: _cell_matrix runs one doubling loop
-    per rule a cell needs, over every octave that needs it, so the one
-    time per octave of a geometric grid costs no loop of its own.
+    per rule, over every cell and octave that need it, so the one time
+    per octave of a geometric grid costs no loop of its own.
     """
     octave = np.full(tv.shape, -np.inf)
     octave[tv > 0.0] = np.floor(np.log2(tv[tv > 0.0]))
@@ -151,13 +153,13 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
 def _node_blocks(block, xi: np.ndarray, coef: np.ndarray, rows: int):
     """Sum of block(z, c) over blocks z of the nodes, c their coefficients.
 
-    A block holds about _CHUNK / rows nodes, so tables with rows rows
-    stay near _CHUNK entries.
+    Nodes run along the last axis.  A block holds about _CHUNK / rows
+    nodes, so tables with rows rows stay near _CHUNK entries.
     """
     step = max(1, _CHUNK // rows)
-    out = block(xi[:step], coef[:step])
-    for at in range(step, xi.size, step):
-        out += block(xi[at:at + step], coef[at:at + step])
+    out = block(xi[..., :step], coef[..., :step])
+    for at in range(step, xi.shape[-1], step):
+        out += block(xi[..., at:at + step], coef[..., at:at + step])
     return out
 
 
@@ -169,33 +171,51 @@ def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
 
 def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
                      lead: np.ndarray, even: bool) -> np.ndarray:
-    """Sum over nodes of coef e^{i x xi + lead xi^2} at every (x, t).
+    """Sum over nodes of coef e^{i x xi + lead xi^2} at every (member, x, t).
 
-    lead holds i t - t^gamma per time.  The tables e^{i x xi} and
+    xi and coef hold one row of nodes and coefficients per member, shaped
+    (members, nodes), and lead holds i t - t^gamma per time; the result is
+    (members, xv.size, lead.size).  Per member the tables e^{i x xi} and
     e^{lead xi^2} meet in a GEMM, unless one table over every
-    (x, t, node) is no larger, as at a single point.  With even set, xi
-    is a rule on a cell symmetric about 0, ascending and of even count,
-    so node k from the top mirrors node k from the bottom.  As
+    (x, t, node) is no larger, as at a single point.  Members run in
+    blocks whose stacked tables hold about _CHUNK entries; a member
+    whose own tables exceed that runs alone, its nodes in blocks.  With
+    even set, the one member's xi is
+    a rule on a cell symmetric about 0, ascending and of even count, so
+    node k from the top mirrors node k from the bottom.  As
     e^{lead xi^2} is even in xi, the time table over the nonnegative
     half then meets e^{i x xi} c(xi) + e^{-i x xi} c(-xi) in a GEMM:
     half the exponentials in either table and half the GEMM depth, and
     at a single point no more exponentials than the one table.
     """
     if even:
-        half = xi.size // 2
-        pair = np.stack([coef[half:], coef[half - 1::-1]], axis=1)
+        half = xi.shape[1] // 2
+        # one row per sign of xi
+        pair = np.stack([coef[0, half:], coef[0, half - 1::-1]])
 
         def block(z, c):
             phase = np.exp(1j * np.multiply.outer(xv, z))
-            return (phase * c[:, 0] + phase.conj() * c[:, 1]) @ _time_table(z, lead)
+            return (phase * c[0] + phase.conj() * c[1]) @ _time_table(z, lead)
 
-        return _node_blocks(block, xi[half:], pair, max(xv.size, lead.size))
+        return _node_blocks(block, xi[0, half:], pair, max(xv.size, lead.size))[None]
     if xv.size * lead.size > xv.size + lead.size:
-        return _node_blocks(lambda z, c: (np.exp(1j * np.multiply.outer(xv, z)) * c)
-                            @ _time_table(z, lead), xi, coef, max(xv.size, lead.size))
-    return _node_blocks(lambda z, c: np.exp(1j * np.multiply.outer(xv, z)[:, None, :]
-                                            + np.multiply.outer(lead, z * z)) @ c,
-                        xi, coef, xv.size * lead.size)
+        rows = max(xv.size, lead.size)
+
+        def block(z, c):
+            phase = np.exp(1j * (z[:, None, :] * xv[:, None]))
+            return (phase * c[:, None, :]) @ _time_table(z, lead)
+    else:
+        rows = xv.size * lead.size
+
+        def block(z, c):
+            table = np.exp(1j * (z[:, None, None, :] * xv[:, None, None])
+                           + (z * z)[:, None, None, :] * lead[:, None])
+            return (table @ c[:, None, :, None])[..., 0]
+    step = max(1, _CHUNK // (rows * xi.shape[1]))
+    return np.concatenate([
+        _node_blocks(block, xi[lo:lo + step], coef[lo:lo + step],
+                     rows * min(step, xi.shape[0] - lo))
+        for lo in range(0, xi.shape[0], step)])
 
 
 def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
@@ -209,19 +229,25 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
     the weights.  Per cell and octave of t, the cell is clipped to
     |xi| <= reach, where the octave's dissipation leaves something, and
     its panels start from the octave's worst phase rate in u, h times
-    that in xi; octaves that need the same rule, the same clipped
-    interval and starting panels, share one doubling loop over their
-    columns.  The panels double until every time column is within rtol
-    of its largest modulus or the rounding floor of the cell's L1 mass
-    |w|, each column keeping the pass where it first was, as in a loop of
-    its own octave.  A cell centred at 0 and clipped symmetrically folds
-    its time table (_plane_phase_sum's even).
+    that in xi.  A rule is the clipped interval and starting panels; a
+    cell's octaves that need the same rule merge their time columns, and
+    every cell whose merged columns need the same rule joins one doubling
+    loop, which evaluates its cells at once on the shared nodes u.  The
+    panels double until every (cell, time) column is within rtol of its
+    largest modulus or the rounding floor of its cell's L1 mass |w|, each
+    column keeping the pass where it first was, as in a loop of its own
+    cell and octave.  A cell centred at 0 and clipped symmetrically folds
+    its time table (_plane_phase_sum's even) in a loop of its own.  The
+    columns are added in the order of the cells, then of each cell's
+    rules.
     """
     out = np.zeros((pts.size, tv.size), dtype=complex)
     x_hi = float(np.max(np.abs(pts)))
     octaves = list(_octaves(tv, decay))
-    for c, h, weight in zip(cells.centres.tolist(), cells.half.tolist(),
-                            cells.weight.tolist()):
+    # per loop, keyed by its rule, columns and evenness: its columns, their
+    # i t - t^gamma and its cells; per (cell, rule): its loop and place there
+    loops, order = {}, []
+    for i, (c, h) in enumerate(zip(cells.centres.tolist(), cells.half.tolist())):
         rules = {}
         for cols, reach, t_hi, lead in octaves:
             a, b = max(-1.0, (-reach - c) / h), min(1.0, (reach - c) / h)
@@ -229,15 +255,25 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
                 continue
             rate = h * (x_hi + 2.0 * t_hi * max(abs(c + h * a), abs(c + h * b)))
             rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append((cols, lead))
-        for (a, b, panels), octs in rules.items():
+        for rule, octs in rules.items():
             cols, lead = (np.concatenate(v) for v in zip(*octs))
+            key = rule + (cols.tobytes(), c == 0.0 and rule[0] == -rule[1])
+            members = loops.setdefault(key, (cols, lead, []))[2]
+            order.append((key, len(members)))
+            members.append(i)
+    values = {}
+    for key, (cols, lead, members) in loops.items():
+        a, b, panels, _, even = key
+        c, h, weight = (v[members, None] for v in (cells.centres, cells.half, cells.weight))
 
-            def evaluate(u, w, lead=lead, even=(c == 0.0 and a == -b)):
-                return _plane_phase_sum(pts, c + h * u, weight * _unit_bump(u) * w,
-                                        lead, even)
+        def evaluate(u, w, c=c, h=h, weight=weight, lead=lead, even=even):
+            # (point, cell, time): points lead, so each (cell, time) column converges alone
+            return _plane_phase_sum(pts, c + h * u, weight * _unit_bump(u) * w,
+                                    lead, even).transpose(1, 0, 2)
 
-            out[:, cols] += double_panels(evaluate, a, b, panels, rtol=rtol,
-                                          mass=abs(weight))
+        values[key] = double_panels(evaluate, a, b, panels, rtol=rtol, mass=np.abs(weight))
+    for key, m in order:
+        out[:, loops[key][0]] += values[key][:, m]
     return out
 
 

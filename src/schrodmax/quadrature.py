@@ -7,10 +7,11 @@ and then double panels until two refinements agree; double_panels is the
 one doubling loop behind every adaptive integral in the package.  Its
 stopping rule has a rounding floor proportional to the integrand's L1
 mass, so an integral that cancels far below its mass still converges,
-and each column of a matrix of integrals meets it on its own: the
-column's value is the one from the pass where it first met it, so
-columns that share a rule and converge at different passes can share
-one loop and still get the values that separate loops would give.
+and each column of a matrix of integrals meets it on its own, against
+its own mass where the columns' integrands differ: the column's value
+is the one from the pass where it first met it, so columns that share
+a rule and converge at different passes can share one loop and still
+get the values that separate loops would give.
 """
 
 import functools
@@ -70,7 +71,7 @@ def panels_for_rate(a: float, b: float, phase_rate: float, order: int = 32) -> i
 
 
 def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
-                  mass: float = 0.0, order: int = 32, max_nodes: int = MAX_NODES):
+                  mass: float | np.ndarray = 0.0, order: int = 32, max_nodes: int = MAX_NODES):
     """Evaluate on composite rules over [a, b], doubling panels until two agree.
 
     evaluate(x, w) maps the nodes and weights of one rule to a value, an
@@ -79,10 +80,14 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
     modulus plus 64 eps times mass, a bound on the L1 mass of each
     integrand that the caller works out: below that, passes differ by
     rounding alone.  A value or an array converges as a whole, its
-    maxima over every entry.  A matrix's maxima run over its leading
-    axis: each column returns from the pass where it first converged,
-    and the loop doubles until every column has.  Raises QuadratureError
-    once panels * order would pass max_nodes.
+    maxima over every entry, against a scalar mass.  A matrix's maxima
+    run over its leading axis, and its columns are the rest, of any
+    shape: each column returns from the pass where it first converged,
+    and the loop doubles until every column has.  For a matrix, mass is
+    a scalar or an array of per-column masses broadcasting against the
+    columns, so columns with their own floors share one loop and each
+    gets the value its own loop would.  Raises QuadratureError once
+    panels * order would pass max_nodes.
     """
     prev = None
     floor = _ROUNDING * mass

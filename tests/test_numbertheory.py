@@ -22,6 +22,7 @@ from schrodmax.numbertheory import (
     weyl_bound_rhs,
     weyl_calibration,
 )
+from schrodmax import numbertheory
 from schrodmax.numbertheory import _law_table, _window_sums
 
 TWO_PI = 2.0 * math.pi
@@ -101,8 +102,9 @@ def test_gauss_modulus_law_table_matches_gauss_sum():
             worst, rel=0, abs=2 * np.finfo(float).eps)
 
 
-def test_gauss_modulus_law_builds_one_table_per_modulus():
+def test_gauss_modulus_law_builds_one_table_per_modulus(monkeypatch):
     """Check 1's sweep order builds each modulus's table once; nothing else rebuilds it."""
+    monkeypatch.setattr(numbertheory, "_last", (0, None, None))
     _law_table.cache_clear()
     for q in range(4, 257, 4):
         for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
@@ -112,6 +114,28 @@ def test_gauss_modulus_law_builds_one_table_per_modulus():
     gauss_modulus_law(GaussSumParams(a=3, b=2, q=256))
     gauss_modulus_worst(256, range(0, 256, 2))
     assert _law_table.cache_info().misses == 64
+
+
+def test_gauss_modulus_law_lone_case_builds_no_table(monkeypatch):
+    """A lone case reads its unit's own row; the second distinct unit builds the table."""
+    monkeypatch.setattr(numbertheory, "_last", (0, None, None))
+    built = _law_table.cache_info().misses
+    q = 16384
+    root, tol = math.sqrt(2 * q), 1e-9 * math.sqrt(q)
+    for a, b in [(1, 2), (1 + q, -6), (1, 4 * q + 10)]:
+        p = GaussSumParams(a=a, b=b, q=q)
+        assert gauss_modulus_law(p) is (abs(abs(gauss_sum(p)) - root) <= tol)
+    with pytest.raises(PreconditionError, match="coprime"):
+        gauss_modulus_law(GaussSumParams(a=2, b=2, q=q))
+    with pytest.raises(PreconditionError, match="even"):
+        gauss_modulus_law(GaussSumParams(a=1, b=3, q=q))
+    assert _law_table.cache_info().misses == built
+    assert gauss_modulus_law(GaussSumParams(a=5, b=2, q=64))
+    assert _law_table.cache_info().misses == built
+    assert gauss_modulus_law(GaussSumParams(a=7, b=2, q=64))
+    assert _law_table.cache_info().misses == built + 1
+    with pytest.raises(PreconditionError, match="coprime"):
+        gauss_modulus_law(GaussSumParams(a=6, b=2, q=64))
 
 
 def test_gauss_modulus_law_small_exhaustive():

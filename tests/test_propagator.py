@@ -321,7 +321,8 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
     cells, _ = f.factors_by_axis()
     assert cells.centres.tolist() == [0.0]
     u, w = panel_nodes(-1.0, 1.0, 3)
-    xi, coef = cells.half[0] * u, _unit_bump(u) * w
+    # one member: a row of nodes and one of coefficients
+    xi, coef = cells.half[:1, None] * u, _unit_bump(u) * w[None]
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
     lead = 1j * t - _decay(t, 0.5)
@@ -357,24 +358,127 @@ def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows
     PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3, amplitude=0.7 + 0.2j),
 ], ids=["product", "case3", "plane-wave"])
 def test_cell_rounding_floor_is_the_cell_mass(monkeypatch, f):
-    """Each cell's doubling loop takes the modulus of the cell's weight as the
-    L1 mass of its integrand, which a fine Gauss rule over the cell confirms."""
-    masses = []
+    """Each (cell, time) column of a doubling loop takes the modulus of its
+    cell's weight as the L1 mass of its integrand, which a fine Gauss rule
+    over the cell confirms."""
+    masses = {}
+    nodes = []
 
-    def spy(*args, mass, **kwargs):
-        masses.append(mass)
-        return double_panels(*args, mass=mass, **kwargs)
+    def phase_spy(pts, xi, coef, lead, even):
+        nodes.append(xi)
+        return _plane_phase_sum(pts, xi, coef, lead, even)
 
-    monkeypatch.setattr(propagator, "double_panels", spy)
+    def loop_spy(*args, mass, **kwargs):
+        nodes.clear()
+        out = double_panels(*args, mass=mass, **kwargs)
+        # the first pass's nodes, one row per cell, tell the loop's cells apart
+        for row, column_masses in zip(nodes[0], np.broadcast_to(mass, out.shape[1:])):
+            inside = (cells.centres - cells.half <= row.min()) & (
+                row.max() <= cells.centres + cells.half)
+            (i,) = np.flatnonzero(inside)
+            masses.setdefault(int(i), []).extend(column_masses.tolist())
+        return out
+
+    monkeypatch.setattr(propagator, "_plane_phase_sum", phase_spy)
+    monkeypatch.setattr(propagator, "double_panels", loop_spy)
     u, w = np.polynomial.legendre.leggauss(300)
     t = np.zeros(1)
     for cells in {id(c): c for c in f.factors_by_axis()}.values():
         masses.clear()
         _cell_matrix(cells, np.array([0.1, 0.4]), t, t, 1e-9)
-        assert masses == np.abs(cells.weight).tolist()
-        for c, h, mass in zip(cells.centres, cells.half, masses):
+        assert masses == {i: [abs(v)] for i, v in enumerate(cells.weight.tolist())}
+        for c, h, (mass,) in zip(cells.centres, cells.half, masses.values()):
             l1 = np.abs(profiles._cells_eval(cells, c + h * u)) @ (h * w)
             assert l1 == pytest.approx(mass, rel=1e-12)
+
+
+def _per_cell_matrix(cells, pts, t, decay, rtol):
+    """The sum of one-cell _cell_matrix calls, one loop per cell, in cell order."""
+    out = np.zeros((pts.size, t.size), dtype=complex)
+    for c, h, w in zip(cells.centres, cells.half, cells.weight):
+        out += _cell_matrix(profiles.Cells(c, h, w), pts, t, decay, rtol)
+    return out
+
+
+@pytest.mark.parametrize("R", [64.0, 2048.0])
+@pytest.mark.parametrize("points, times", [(1, 1), (5, 6)], ids=["point", "grid"])
+def test_cells_sharing_a_rule_match_their_own_loops(monkeypatch, R, points, times):
+    """Cells that share one doubling loop give what a loop per cell gives.
+
+    Case3Counterexample's comb teeth share loops and stay within 1e-12
+    relative of the per-cell sum.  Where every loop has one cell (the
+    window, teeth whose widths set distinct panel counts) or the one cell
+    is centred at 0 (Case1Product), the matrix is the per-cell sum bit
+    for bit.
+    """
+    members = []
+
+    def loop_spy(*args, mass, **kwargs):
+        members.append(np.shape(mass)[0])
+        return double_panels(*args, mass=mass, **kwargs)
+
+    monkeypatch.setattr(propagator, "double_panels", loop_spy)
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=R))
+    window, comb = Case3Counterexample(params=cp).factors_by_axis()
+    rng = np.random.default_rng(int(R) + points)
+    t = np.sort(rng.uniform(0.0, 2.0 / R, times))
+    t[0] = 0.0 if times > 1 else t[0]
+    decay = _decay(t, 2.0)
+    x1 = np.sort(rng.uniform(cp.x1_lo, cp.x1_lo / 2.0, points))
+    xj = np.sort(rng.uniform(-cp.c1, cp.c1, points))
+    grouped = _cell_matrix(comb, xj, t, decay, 1e-10)
+    assert max(members) > 1
+    alone = _per_cell_matrix(comb, xj, t, decay, 1e-10)
+    assert np.max(np.abs(grouped - alone)) <= 1e-12 * np.max(np.abs(alone))
+    # half-widths 1.5 apart in ratio, met at |x| up to 40, need distinct panels
+    size = comb.centres.size
+    distinct = profiles.Cells(comb.centres, 0.5 * 1.5 ** np.arange(size),
+                              np.exp(1j * np.arange(size)))
+    product, _ = Case1Product(ModelParams(d=2, gamma=2.0, R=R)).factors_by_axis()
+    for cells, pts in [(window, x1), (distinct, np.linspace(-40.0, 40.0, points)),
+                       (product, xj)]:
+        members.clear()
+        matrix = _cell_matrix(cells, pts, t, decay, 1e-10)
+        assert set(members) == {1}
+        assert np.array_equal(matrix, _per_cell_matrix(cells, pts, t, decay, 1e-10))
+
+
+def test_check_5_runs_one_loop_per_rule(monkeypatch):
+    """On check 5's data every _cell_matrix call runs one double_panels loop
+    per distinct rule, however many cells need it."""
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=256.0))
+    f = Case3Counterexample(params=cp)
+    rules, loops, calls = set(), [], []
+    cell_matrix, rule_for = propagator._cell_matrix, propagator.panels_for_rate
+
+    def rule_spy(a, b, rate, *args):
+        panels = rule_for(a, b, rate, *args)
+        rules.add((a, b, panels))
+        return panels
+
+    def loop_spy(*args, **kwargs):
+        loops.append(1)
+        return double_panels(*args, **kwargs)
+
+    def matrix_spy(cells, *args):
+        rules.clear()
+        loops.clear()
+        assert not np.any(cells.centres == 0.0)  # no cell folds a loop of its own
+        out = cell_matrix(cells, *args)
+        calls.append((len(loops), len(rules), cells.centres.size))
+        return out
+
+    monkeypatch.setattr(propagator, "panels_for_rate", rule_spy)
+    monkeypatch.setattr(propagator, "double_panels", loop_spy)
+    monkeypatch.setattr(propagator, "_cell_matrix", matrix_spy)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = (float(rng.uniform(cp.x1_lo, cp.x1_lo / 2.0)), float(rng.uniform(-cp.c1, cp.c1)))
+        evaluate_p_gamma(f, 2.0, SpaceTimePoint(x=x, t=float(rng.uniform(0.0, 2.0 / 256.0))),
+                         rtol=1e-8)
+    assert len(calls) == 40
+    assert all(n_loops == n_rules for n_loops, n_rules, _ in calls)
+    assert sum(n for n, _, _ in calls) < sum(cells for _, _, cells in calls)
 
 
 def _box_points(cp, n, seed):

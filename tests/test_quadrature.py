@@ -188,3 +188,31 @@ def test_double_panels_returns_each_column_from_its_own_pass():
     flat, calls = run(range(3), lambda v: v)
     assert len(calls) == max(passes)
     assert np.array_equal(flat, calls[-1])
+
+
+def test_double_panels_takes_a_mass_per_column():
+    """Columns with their own masses in one loop equal one loop per column.
+
+    Every column integrates the same oscillation to a small rtol, so the
+    rounding floor decides each column's pass: the heavy column stops
+    passes before the light one, and one scalar mass for both would
+    return the light column from the heavy one's pass.
+    """
+    masses = np.array([1.0, 1e7])
+    shifts = np.array([[0.0], [0.3], [-1.1]])
+
+    def column(x, w):
+        return np.cos(150.0 * x + shifts) @ w
+
+    def evaluate(x, w):
+        return np.stack([column(x, w)] * masses.size, axis=1)
+
+    def run(mass, columns=evaluate):
+        return double_panels(columns, -1.0, 1.0, 1, rtol=1e-15, mass=mass)
+
+    val = run(masses)
+    for j, mass in enumerate(masses.tolist()):
+        alone = run(mass, lambda x, w: column(x, w)[:, None])
+        assert np.array_equal(val[:, j], alone[:, 0])
+    assert not np.array_equal(val[:, 0], val[:, 1])
+    assert not np.array_equal(run(masses.max())[:, 0], val[:, 0])
