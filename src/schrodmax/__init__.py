@@ -22,7 +22,6 @@ from .profiles import (
 from .propagator import (
     FactorizedEvaluation,
     SpaceTimePoint,
-    abel_main_plus_error,
     evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,

@@ -127,11 +127,8 @@ def _half_widths(cp: CounterexampleParams) -> tuple[float, float]:
 
 def _admissible_moduli(cp: CounterexampleParams) -> tuple[int, ...]:
     Q = cp.Q
-    top = int(math.floor(Q))
-    if top < 1:
-        raise PreconditionError("no modulus is admissible at this scale")
     lo = 4.0 * cp.mu0 * Q
-    mods = tuple(4 * k for k in range(1, top + 1) if 4 * k >= lo)
+    mods = tuple(4 * k for k in range(1, int(math.floor(Q)) + 1) if 4 * k >= lo)
     if not mods:
         raise PreconditionError("no modulus is admissible at this scale")
     return mods

@@ -20,6 +20,7 @@ composite rule in u, refined by one doubling loop, so nothing here ever
 commits to a global sampling grid.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -131,10 +132,10 @@ class ModelParams:
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
             raise ValueError("d must be an integer >= 1")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if not self.R >= 1.0:
-            raise ValueError("R must be >= 1")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError("gamma must be finite and positive")
+        if not (math.isfinite(self.R) and self.R >= 1.0):
+            raise ValueError("R must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ class CounterexampleParams:
             raise ValueError("c0 out of range")
         if not (self.c2 < self.c1 / 2.0 < self.c0 / 4.0):
             raise ValueError("need c2 < c1/2 < c0/4")
+        if self.c2 <= 0.0:
+            raise ValueError("c2 must be positive")
         if not 0.0 < self.c3 < min(self.c2 / 4.0, 1.0 / TWO_PI):
             raise ValueError("c3 out of range")
         if not 0.0 < self.c4 < 0.5:
@@ -199,8 +202,6 @@ class CounterexampleParams:
             raise ValueError("mu0 must be positive")
         if not 0.0 < self.delta0 < (m.gamma - 1.0) / (4.0 * (m.d + 1)):
             raise ValueError("delta0 out of range")
-        if self.c2 <= 0.0:
-            raise ValueError("c2 must be positive")
         if not self.D > 2.0:
             raise ValueError("comb spacing D must exceed the bump diameter")
         rel = abs(self.Q ** (m.d / (m.d - 1)) * self.D / self.band - 1.0)
@@ -266,7 +267,8 @@ class Cells:
     weight[i] _unit_bump((xi - centres[i]) / half[i]) / half[i], so the
     cell's L1 mass is |weight[i]|; it vanishes off the cells.  The centres
     ascend and the cells do not overlap.  half and weight broadcast
-    against the centres; a weight may be complex.
+    against the centres; a weight may be complex.  Centres and weights
+    are finite, and half-widths finite and positive.
     """
 
     centres: np.ndarray
@@ -277,11 +279,16 @@ class Cells:
         centres = np.array(self.centres, dtype=float, ndmin=1)
         centres.setflags(write=False)
         half = np.broadcast_to(np.asarray(self.half, dtype=float), centres.shape)
+        weight = np.broadcast_to(self.weight, centres.shape)
+        if not (np.all(np.isfinite(centres)) and np.all(np.isfinite(weight))):
+            raise ValueError("cell centres and weights must be finite")
+        if not np.all(np.isfinite(half) & (half > 0.0)):
+            raise ValueError("cell half-widths must be finite and positive")
         if np.any(centres[1:] - half[1:] < centres[:-1] + half[:-1]):
             raise ValueError("cells must ascend without overlapping")
         object.__setattr__(self, "centres", centres)
         object.__setattr__(self, "half", half)
-        object.__setattr__(self, "weight", np.broadcast_to(self.weight, centres.shape))
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -297,10 +304,14 @@ class PlaneWaveSurrogate(SpectrumDescriptor):
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ValueError("width must be finite and positive")
         if len(self.xi0) < 1:
             raise ValueError("xi0 must be a nonempty vector")
+        if not all(math.isfinite(c) for c in self.xi0):
+            raise ValueError("xi0 must be finite")
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
     @property
     def dim(self) -> int:
@@ -419,14 +430,13 @@ def _weight_rule(a: float, x_min: float, x_max: float) -> tuple[np.ndarray, np.n
             np.concatenate([[tail], h * np.exp(a * u)]) / math.gamma(a))
 
 
-def _cell_moments(cells: Cells, p: float, t: np.ndarray, n: int,
-                  order: int) -> np.ndarray:
-    """m_k(tau) = integral of |factor(xi)|^p xi^{2k} e^{-tau xi^2} / k!, k <= n, per tau in t.
+def _cell_moments(cells: Cells, t: np.ndarray, n: int, order: int) -> np.ndarray:
+    """m_k(tau) = integral of |factor(xi)|^2 xi^{2k} e^{-tau xi^2} / k!, k <= n, per tau in t.
 
     On a cell of centre c, half-width h and weight w the factor is
     w _unit_bump(u) / h at xi = c + h u, so the cell gives
-    h (|w| / h)^p e^{-tau c^2} times the integral of
-    nu(u) (c + h u)^{2k} e^{beta u + q u^2} over u, where nu = _unit_bump^p,
+    h (|w| / h)^2 e^{-tau c^2} times the integral of
+    nu(u) (c + h u)^{2k} e^{beta u + q u^2} over u, where nu = _unit_bump^2,
     beta = -2 tau c h and q = -tau h^2.  That is
     sum_j e_j sum_i C(2k, i) c^{2k-i} h^i nu_{i+j}, with e_j from
     _series_terms and nu's moments from _bump_moments.  It is exact to
@@ -437,8 +447,8 @@ def _cell_moments(cells: Cells, p: float, t: np.ndarray, n: int,
     """
     centre, half = cells.centres, cells.half
     degree = 2 * order
-    nu = _bump_moments(p, degree + 2 * n)
-    weight = half * (np.abs(cells.weight) / half) ** p
+    nu = _bump_moments(2, degree + 2 * n)
+    weight = half * (np.abs(cells.weight) / half) ** 2
     out = np.zeros((t.size, n + 1))
     step = max(1, _CHUNK // t.size)
     for at in range(0, centre.size, step):
@@ -458,8 +468,8 @@ def _cell_moments(cells: Cells, p: float, t: np.ndarray, n: int,
     return out
 
 
-def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
-    """Integral of (1 + |xi|^2)^s |f(xi)|^p over the support of f.
+def _support_integral(f: SpectrumDescriptor, s: float) -> float:
+    """Integral of (1 + |xi|^2)^s |f(xi)|^2 over the support of f.
 
     With n = ceil(s), _weight_rule writes (1+X)^{s-n}, X = |xi|^2, as a
     sum over tau = e^u of e^{-tau (1+X)}, and (1+X)^n e^{-tau (1+X)} is
@@ -491,7 +501,7 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
         centre, half = cells.centres, cells.half
         r = t[-1] * np.max(half * (2.0 * np.abs(centre) + half))
         if r <= _SERIES_RADIUS:
-            closed[key] = _cell_moments(cells, p, t, n, _series_order(r))
+            closed[key] = _cell_moments(cells, t, n, _series_order(r))
         else:
             looped[key] = cells
 
@@ -499,8 +509,8 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
         """m_k(tau) = sum wx x^{2k} e^{-tau x^2} / k! over the factor's nodes x = c + h u."""
         half = cells.half[:, None]
         x = (cells.centres[:, None] + half * u).ravel()
-        wx = (half * (np.abs(cells.weight[:, None]) / half) ** p
-              * (_unit_bump(u) ** p * w)).ravel()
+        wx = (half * (np.abs(cells.weight[:, None]) / half) ** 2
+              * (_unit_bump(u) ** 2 * w)).ravel()
         sq = x * x
         rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
         return sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]
@@ -524,16 +534,20 @@ def _support_integral(f: SpectrumDescriptor, p: float, s: float) -> float:
 
 def l2_norm(f: SpectrumDescriptor) -> float:
     """((2 pi)^{-d} integral |f|^2)^{1/2} by adaptive quadrature."""
-    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, 0.0), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 0.0), 0.0))
 
 
 def sobolev_norm(f: SpectrumDescriptor, s: float) -> float:
     """((2 pi)^{-d} integral (1+|xi|^2)^s |f|^2)^{1/2}; s=0 reduces to l2_norm."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, 2, s), 0.0))
+    return math.sqrt(max(TWO_PI ** -f.dim * _support_integral(f, s), 0.0))
 
 
 def l1_fourier_mass(f: SpectrumDescriptor) -> float:
-    """Integral of |f| over the support; the trivial sup bound on evolutions."""
-    return _support_integral(f, 1, 0.0)
+    """Integral of |f| over the support; the trivial sup bound on evolutions.
+
+    The product over axes of the factors' masses, each the sum of its
+    cells' |weight|, as each cell is a weighted unit bump.
+    """
+    return math.prod(float(np.sum(np.abs(cells.weight))) for cells in f.factors_by_axis())

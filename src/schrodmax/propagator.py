@@ -53,10 +53,9 @@ sample and no (sample, translate) table.  These are the comb's only
 moments: a comb sample without residues, as in check 5,
 propagator-check and every one-point evaluation, runs Horner's rule in z
 on doubling panels, L multiply-adds per (sample, node), over the lattice
-phases formed from x and t.  One translate (the window, and the top
-translate of the summation-by-parts split) has its coefficient as its
-one moment M_0, so it takes the closed form wherever its series
-converges.  The one-point factorized evaluation and that split are calls
+phases formed from x and t.  One translate, the window, has its
+coefficient as its one moment M_0, so it takes the closed form wherever
+its series converges.  The one-point factorized evaluation is a call
 into the kernel.  Every integral converges to rtol of its
 largest value (per time column in the grid engine) or to a rounding
 floor set by its L1 mass, so a strongly cancelling point costs no more
@@ -564,21 +563,6 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     return out
 
 
-def _comb_factors(cp: CounterexampleParams, xj: np.ndarray, t: np.ndarray,
-                  decay: np.ndarray, ells: np.ndarray, coef, rtol: float,
-                  known: np.ndarray, moments) -> np.ndarray:
-    """Sums of the translates ells of one comb axis at paired samples.
-
-    decay is each sample's t^gamma; coef, known and moments are as in
-    _bump_factors.
-    """
-    t_max = float(np.max(t, initial=0.0))
-    rate = (float(np.max(np.abs(xj), initial=0.0))
-            + 2.0 * cp.D * t_max * (float(np.max(ells)) + 1.0) + 2.0 * t_max)
-    return _bump_factors(xj, 1j * t - decay, cp.D * ells[0], cp.D, 1.0, coef,
-                         ells.size, rate, rtol, known, moments)
-
-
 def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
                       rtol: float = 1e-9, gamma_eval: float | None = None,
                       residues=None):
@@ -615,11 +599,12 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     root_r = math.sqrt(m.R)
     t_max = float(np.max(t, initial=0.0))
     decay = t ** (m.gamma if gamma_eval is None else gamma_eval)
+    lam = 1j * t - decay
 
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
     m0 = np.exp(-decay * band ** 2)[:, None]
-    i1 = _bump_factors(x[:, 0], 1j * t - decay, band, 0.0, root_r, lambda rows: m0[rows],
+    i1 = _bump_factors(x[:, 0], lam, band, 0.0, root_r, lambda rows: m0[rows],
                        1, rate1, rtol, np.ones(t.size, dtype=bool), m0)
 
     def lattice(xj, rows):
@@ -633,10 +618,13 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
         moments = np.zeros(known.shape + (_TAYLOR + 1,), dtype=complex)
     else:
         known, moments = _folded_moments(cp, *residues, decay * cp.D ** 2)
-    ij = np.stack([_comb_factors(cp, x[:, j], t, decay, ells,
-                                 functools.partial(lattice, x[:, j]), rtol,
-                                 known[:, j - 1], moments[:, j - 1])
-                   for j in range(1, m.d)], axis=1)
+    # a comb axis's phase rate in u is at most |x_j| + 2 D t (max ell + 1) + 2 t
+    drift = 2.0 * cp.D * t_max * stop
+    ij = np.stack([
+        _bump_factors(x[:, j], lam, cp.D * start, cp.D, 1.0, functools.partial(lattice, x[:, j]),
+                      ells.size, float(np.max(np.abs(x[:, j]), initial=0.0)) + drift + 2.0 * t_max,
+                      rtol, known[:, j - 1], moments[:, j - 1])
+        for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus
 
@@ -657,32 +645,3 @@ def factorized_evaluate(cp: CounterexampleParams, p: SpaceTimePoint, *,
     return FactorizedEvaluation(i1=complex(i1[0]), ij=tuple(complex(v) for v in ij[0]),
                                 product_modulus=float(modulus[0]))
 
-
-def abel_main_plus_error(cp: CounterexampleParams, p: SpaceTimePoint,
-                         j: int) -> tuple[complex, float]:
-    """Dominant term and remainder bound for one comb factor.
-
-    j is the 0-based spatial axis; axes 1 .. d-1 carry comb factors.
-    Returns (main, e1_bound) with main the full lattice sum times the
-    inner integral at the top translate, and e1_bound an a-priori bound
-    on |factor - main| via summation by parts.
-    """
-    m = cp.model
-    if not 1 <= j < m.d:
-        raise ValueError(f"axis j must be in [1, {m.d - 1}]")
-    x = np.asarray(p.x, dtype=float)
-    _check_in_box(cp, x)
-    x_j, t = float(x[j]), p.t
-    start, stop = comb_range(cp)
-    ells = np.arange(start, stop, dtype=float)
-    partial = np.cumsum(_lattice_phases(cp, x_j, t, ells)[0])
-    sup_s = float(np.max(np.abs(partial)))
-    top, tv = ells[-1:], np.array([t])
-    decay = tv ** m.gamma
-    coef = np.exp(-np.outer(decay, cp.D ** 2 * top * top))
-    g_top = _comb_factors(cp, x[j:j + 1], tv, decay, top, lambda rows: coef,
-                          _POINT_RTOL, np.ones(1, dtype=bool), coef)[0]
-    main = complex(partial[-1] * g_top)
-    band = cp.band
-    e1_bound = 4.0 * (band * t + (t * m.R) ** m.gamma) * sup_s
-    return main, e1_bound

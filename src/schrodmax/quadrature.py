@@ -6,12 +6,13 @@ helpers here pick panel counts from an a-priori bound on the phase rate
 and then double panels until two refinements agree; double_panels is the
 one doubling loop behind every adaptive integral in the package.  Its
 stopping rule has a rounding floor proportional to the integrand's L1
-mass, so an integral that cancels far below its mass still converges,
-and each column of a matrix of integrals meets it on its own, against
-its own mass where the columns' integrands differ: the column's value
-is the one from the pass where it first met it, so columns that share
-a rule and converge at different passes can share one loop and still
-get the values that separate loops would give.
+mass, so an integral that cancels far below its mass still converges.
+It has one rule: each column of a matrix of integrals meets it on its
+own, against its own mass where the columns' integrands differ, and
+keeps its value from the pass where it first met it, so columns that
+share a rule and converge at different passes can share one loop and
+still get the values that separate loops would give.  A single
+integral, or a 1-D array that converges as a whole, is one column.
 """
 
 import functools
@@ -74,20 +75,19 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
                   mass: float | np.ndarray = 0.0, order: int = 32, max_nodes: int = MAX_NODES):
     """Evaluate on composite rules over [a, b], doubling panels until two agree.
 
-    evaluate(x, w) maps the nodes and weights of one rule to a value, an
-    array of values, or a matrix whose columns converge on their own.
-    Converged when the largest change is within rtol of the largest new
-    modulus plus 64 eps times mass, a bound on the L1 mass of each
-    integrand that the caller works out: below that, passes differ by
-    rounding alone.  A value or an array converges as a whole, its
-    maxima over every entry, against a scalar mass.  A matrix's maxima
-    run over its leading axis, and its columns are the rest, of any
-    shape: each column returns from the pass where it first converged,
-    and the loop doubles until every column has.  For a matrix, mass is
-    a scalar or an array of per-column masses broadcasting against the
-    columns, so columns with their own floors share one loop and each
-    gets the value its own loop would.  Raises QuadratureError once
-    panels * order would pass max_nodes.
+    evaluate(x, w) maps the nodes and weights of one rule to a matrix
+    of values: its maxima run over its leading axis, and its columns are
+    the rest, of any shape.  A column has converged when its largest
+    change is within rtol of its largest new modulus plus 64 eps times
+    mass, a bound on the L1 mass of its integrand that the caller works
+    out: below that, passes differ by rounding alone.  Each column
+    returns from the pass where it first converged, and the loop doubles
+    until every column has.  A value or a 1-D array is a matrix with no
+    column axes: one column, converging as a whole and returned in its
+    own shape.  mass is a scalar or an array of per-column masses
+    broadcasting against the columns, so columns with their own floors
+    share one loop and each gets the value its own loop would.  Raises
+    QuadratureError once panels * order would pass max_nodes.
     """
     prev = None
     floor = _ROUNDING * mass
@@ -96,17 +96,13 @@ def double_panels(evaluate, a: float, b: float, panels: int, *, rtol: float,
         if prev is None:
             out, done = vals, np.zeros(np.shape(vals)[1:], dtype=bool)
         else:
-            lead = 0 if np.ndim(vals) > 1 else None
+            lead = 0 if np.ndim(vals) else None
             change = np.abs(vals - prev).max(axis=lead)
             met = change <= rtol * np.abs(vals).max(axis=lead) + floor
-            if lead is None:
-                if met:
-                    return vals
-            else:
-                out = np.where(met & ~done, vals, out)
-                done |= met
-                if done.all():
-                    return out
+            out = np.where(met & ~done, vals, out)
+            done |= met
+            if done.all():
+                return out[()]
         prev = vals
         panels *= 2
     raise QuadratureError(

@@ -161,6 +161,17 @@ def test_write_atomic_leaves_no_temp(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["report.json"]
 
 
+def test_write_atomic_removes_its_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("read-only")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    target = tmp_path / "report.json"
+    with pytest.raises(OSError, match="read-only"):
+        _write_atomic(str(target), "{}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_json_excludes_wall_clock():
     rep = RunReport(verb="lemmas-verify", config_echo={"verb": "lemmas-verify"},
                     records=({"suite": "x", "worst": 0.0},),
@@ -183,6 +194,19 @@ def test_main_rejects_bad_values(tmp_path, capsys):
     rc = main(["lemmas-verify", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+    rc = main(["lemmas-verify", "--set", "seed", "--out", str(tmp_path / "y")])
+    assert rc == 2
+    assert "--set needs KEY=VALUE, got 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
+def test_main_exits_3_on_an_unexpected_exception(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["lemmas-verify", "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == "run failed: RuntimeError: disk gone\n"
 
 
 def test_main_lemmas_verify_end_to_end(tmp_path, capsys):
@@ -464,7 +488,12 @@ def test_main_ladder_out_of_range_is_a_config_error(tmp_path, capsys, argv, cond
     (["propagator-check", "--R", "2"], "R=2:", "comb spacing D must exceed the bump diameter"),
     (["counterexample", "--gamma", "1.05", "--ladder", "2^16 2^17 2^18 2^19",
       "--samples", "200"], "model.gamma:", "calibration sweep found no usable scales"),
-], ids=["d1", "c1", "R2", "gamma-near-one"])
+    (["counterexample", "--gamma", "1", "--ladder", "2^16 2^17 2^18 2^19"], "model.gamma:",
+     "counterexample needs gamma > 1"),
+    (["propagator-check", "--R", "256", "--set", "model.gamma=0.5"], "model.gamma:",
+     "propagator-check needs gamma > 1"),
+], ids=["d1", "c1", "R2", "gamma-near-one", "counterexample-gamma-one",
+        "propagator-check-gamma-half"])
 def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, where,
                                                           condition):
     out = tmp_path / "out"

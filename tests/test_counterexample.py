@@ -223,6 +223,15 @@ def test_sampler_needs_one_lattice_period():
         sample_omega_star(_def_params(2.0**10), 16, seed=0)
 
 
+def test_no_admissible_modulus_is_a_precondition_error():
+    """With mu0 = 10 the least admissible modulus, 4 mu0 Q, lies above 4 floor(Q)."""
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=2.0**16), mu0=10.0)
+    with pytest.raises(PreconditionError, match="no modulus is admissible"):
+        counterexample._admissible_moduli(cp)
+    with pytest.raises(PreconditionError, match="no modulus is admissible"):
+        sample_omega_star(cp, 16, seed=0)
+
+
 def test_sampled_points_satisfy_congruences():
     cp = _exp_params()
     samples = sample_omega_star(cp, 500, seed=2)

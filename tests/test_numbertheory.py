@@ -304,6 +304,18 @@ def test_weyl_calibration_growth():
     assert rho[512] < 2.0 * rho[128]
 
 
+@pytest.mark.parametrize("caps", [(), (0, 256), (-4,)])
+def test_weyl_calibration_refuses_non_positive_caps(caps):
+    with pytest.raises(ValueError, match="n_caps must be positive"):
+        weyl_calibration(n_caps=caps, q_max=4)
+
+
+def test_window_sums_refuse_a_period_beyond_residue_arithmetic():
+    """The refusal comes before any table over the period is built."""
+    with pytest.raises(ValueError, match="too large"):
+        _window_sums(1, 0, 1 << 31, 0, 1)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_abel_identity_exact(data):
@@ -411,6 +423,10 @@ def test_cube_family_validation():
         CubeFamily(cubes=(((0.0,), 0.0),), scale=0.5)
     with pytest.raises(ValueError):
         CubeFamily(cubes=(((0.0,), 1.0), ((0.0, 0.0), 1.0)), scale=0.5)
+
+
+def test_union_measure_of_no_boxes_is_zero():
+    assert numbertheory._union_measure([]) == 0.0
 
 
 def test_vitali_single_cube_exact():

@@ -104,6 +104,32 @@ def test_model_params_validation():
         ModelParams(d=2, gamma=2.0, R=0.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Cells([0.0, math.nan], 0.1),
+    lambda: Cells([0.0, math.inf], 0.1),
+    lambda: Cells(0.0, 1.0, math.nan),
+    lambda: Cells(0.0, 1.0, complex(0.0, math.inf)),
+    lambda: Cells(0.0, 0.0),
+    lambda: Cells(0.0, -1.0),
+    lambda: Cells(0.0, math.inf),
+    lambda: Cells(0.0, math.nan),
+    lambda: PlaneWaveSurrogate(xi0=(math.nan,), width=1.0),
+    lambda: PlaneWaveSurrogate(xi0=(0.0, -math.inf), width=1.0),
+    lambda: PlaneWaveSurrogate(xi0=(0.0,), width=math.inf),
+    lambda: PlaneWaveSurrogate(xi0=(0.0,), width=1.0, amplitude=math.nan),
+    lambda: PlaneWaveSurrogate(xi0=(0.0,), width=1.0, amplitude=complex(1.0, math.inf)),
+    lambda: ModelParams(d=2, gamma=math.inf, R=16.0),
+    lambda: ModelParams(d=2, gamma=2.0, R=math.inf),
+], ids=["centre-nan", "centre-inf", "weight-nan", "weight-complex-inf", "half-zero",
+        "half-negative", "half-inf", "half-nan", "xi0-nan", "xi0-inf", "width-inf",
+        "amplitude-nan", "amplitude-inf", "gamma-inf", "R-inf"])
+def test_non_finite_data_is_refused_on_construction(build):
+    """Data that no norm or field could be computed from is refused when it
+    is built, not after a quadrature has spent its node budget on it."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def _cp(R=float(2**16), d=2, gamma=2.0, experiment=False, **kw):
     m = ModelParams(d=d, gamma=gamma, R=R)
     if experiment:
@@ -150,6 +176,24 @@ def test_counterexample_validation():
         _cp(c4=0.7)
     with pytest.raises(ValueError):
         _cp(R=2.0)
+    with pytest.raises(ValueError, match="c2 must be positive"):
+        _cp(c2=-1e-3)
+    with pytest.raises(ValueError, match="c3 out of range"):
+        _cp(c3=0.5)
+    with pytest.raises(ValueError, match="mu0"):
+        _cp(mu0=0.0)
+    with pytest.raises(ValueError, match="delta0"):
+        _cp(delta0=1.0)
+    with pytest.raises(TypeError, match="unknown overrides"):
+        _cp(c5=1.0)
+
+
+def test_counterexample_refuses_a_broken_scale_identity(monkeypatch):
+    """Q and D are derived so that Q^{d/(d-1)} D = R^{gamma/2}; a Q off that
+    identity is refused."""
+    monkeypatch.setattr(CounterexampleParams, "Q", property(lambda self: 1.5))
+    with pytest.raises(ValueError, match="scale identity violated"):
+        _cp()
 
 
 def test_comb_range_frozen_counts():
@@ -326,6 +370,8 @@ def test_spectrum_vanishes_outside_reported_annulus():
 def test_sobolev_reduces_to_l2_at_zero():
     f = Case1Product(ModelParams(d=2, gamma=2.0, R=16.0))
     assert sobolev_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sobolev_norm(f, -0.5)
 
 
 def test_sobolev_narrow_band_weight():
@@ -517,7 +563,8 @@ def test_comb_norms_run_no_doubling_loop(monkeypatch, d, e, window_loops):
     """Every comb factor from R = 2^12, and the window from about 2^19, take
     their moments in closed form: at 2^24 no norm reaches the doubling loop,
     and at 2^16 only the window does, where s is not an integer (an integer s
-    weighs by (1+|xi|^2)^s alone, tau = 0)."""
+    weighs by (1+|xi|^2)^s alone, tau = 0).  The L1 mass reads its cells'
+    weights: no moment table and no loop."""
     loops, closed = [], []
     cell_moments = profiles._cell_moments
 
@@ -544,8 +591,10 @@ def test_comb_norms_run_no_doubling_loop(monkeypatch, d, e, window_loops):
     loops.clear()
     closed.clear()
     l2_norm(f)
+    assert closed == [1, stop - start] and loops == []
+    closed.clear()
     l1_fourier_mass(f)
-    assert closed == [1, stop - start] * 2 and loops == []
+    assert closed == [] and loops == []
 
 
 def test_norm_at_2_48_lies_within_the_annulus_bounds():

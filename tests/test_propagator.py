@@ -18,6 +18,7 @@ from schrodmax.maximal import SpaceGrid, TimeGrid
 from schrodmax.profiles import (
     Case1Product,
     Case3Counterexample,
+    Cells,
     CounterexampleParams,
     ModelParams,
     PlaneWaveSurrogate,
@@ -40,7 +41,6 @@ from schrodmax.propagator import (
     _field_grid,
     _plane_phase_sum,
     _unit_bump,
-    abel_main_plus_error,
     evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,
@@ -506,11 +506,40 @@ def test_factorized_matches_direct_evaluation():
             abs(fac.i1) * abs(fac.ij[0]), rel=1e-13)
 
 
+def test_cell_clipped_away_in_an_octave_adds_nothing():
+    """At t = 1, gamma = 2, the dissipation leaves nothing beyond
+    |xi| = sqrt(46), so a cell on [99, 101] is skipped in that octave and its
+    column is exactly zero; the t = 0 column is that of the cell alone."""
+    cells = Cells(100.0, 1.0)
+    pts = np.array([0.0, 0.5])
+    tv = np.array([0.0, 1.0])
+    out = _cell_matrix(cells, pts, tv, _decay(tv, 2.0), 1e-10)
+    assert np.all(out[:, 1] == 0.0)
+    free = _cell_matrix(cells, pts, tv[:1], _decay(tv[:1], 2.0), 1e-10)
+    assert np.array_equal(out[:, :1], free) and np.all(np.abs(free) > 0.0)
+
+
 def test_factorized_rejects_points_outside_box():
     cp = CounterexampleParams.for_experiments(
         ModelParams(d=2, gamma=2.0, R=256.0))
     with pytest.raises(ValueError):
         factorized_evaluate(cp, SpaceTimePoint(x=(0.5, 0.0), t=1e-3))
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda cp, x: _factorized_batch(cp, np.zeros((2, 3)), np.zeros(2)), "x must be"),
+    (lambda cp, x: _factorized_batch(cp, x[0], np.zeros(2)), "x must be"),
+    (lambda cp, x: _factorized_batch(cp, x, np.zeros(3)), "x must be"),
+    (lambda cp, x: _factorized_batch(cp, x, np.array([0.0, -1e-3])), "finite and nonnegative"),
+    (lambda cp, x: _factorized_batch(cp, x, np.array([0.0, math.nan])), "finite and nonnegative"),
+    (lambda cp, x: factorized_evaluate(cp, SpaceTimePoint(x=(*x[0], 0.0), t=0.0)),
+     "point dimension"),
+], ids=["x-width", "x-one-dimensional", "t-length", "t-negative", "t-nan", "point-dimension"])
+def test_factorized_refuses_bad_shapes_and_times(call, text):
+    cp = CounterexampleParams.for_experiments(ModelParams(d=2, gamma=2.0, R=256.0))
+    x = np.array([[0.75 * cp.x1_lo, 0.0], [0.6 * cp.x1_lo, 0.5 * cp.c1]])
+    with pytest.raises(ValueError, match=text):
+        call(cp, x)
 
 
 def test_factorized_gamma_eval_threading():
@@ -523,17 +552,6 @@ def test_factorized_gamma_eval_threading():
     direct = evaluate_p_gamma(f, 3.0, p, rtol=1e-10)
     assert fac.product_modulus == pytest.approx(TWO_PI**2 * abs(direct),
                                                 rel=1e-8)
-
-
-def test_abel_main_term_brackets_comb_factor():
-    cp = CounterexampleParams.for_experiments(
-        ModelParams(d=2, gamma=2.0, R=1024.0))
-    for p in _box_points(cp, 3, seed=3):
-        fac = factorized_evaluate(cp, p)
-        main, e1 = abel_main_plus_error(cp, p, 1)
-        assert abs(fac.ij[0] - main) <= e1 + 1e-12
-    with pytest.raises(ValueError):
-        abel_main_plus_error(cp, _box_points(cp, 1, seed=3)[0], 0)
 
 
 def test_factorized_batch_not_degenerate_at_selected_times():
@@ -715,6 +733,21 @@ def test_folded_moments_match_an_exact_residue_sum(e, gamma_eval):
     for i in range(t.size):
         want = np.array([np.sum(coef[i] * (ells - lc) ** m) for m in range(_TAYLOR + 1)]) / fact
         assert np.all(np.abs(got[i, 0] - want) <= 1e-14 * scale)
+
+
+def test_residues_beyond_the_series_radius_take_the_quadrature_path():
+    """Where no (sample, axis) pair of the residues is within the series
+    radius, the folded moments are all refused and the batch equals one
+    without residues, bit for bit."""
+    cp, draws, t = _ladder_draws(2 ** 16, 4, draws=400)
+    q, a1, a_rest, eps = _residues(draws)
+    far = np.full_like(eps, 0.1)  # |b| = 0.1 kappa, about 2 at R = 2^16
+    ok, moments = propagator._folded_moments(cp, q, a1, a_rest, far, t ** 2 * cp.D ** 2)
+    assert ok.shape == eps.shape and not ok.any()
+    assert moments.shape == eps.shape + (_TAYLOR + 1,) and not moments.any()
+    with_residues = _factorized_batch(cp, draws.x, t, residues=(q, a1, a_rest, far))
+    for got, want in zip(with_residues, _factorized_batch(cp, draws.x, t)):
+        assert np.array_equal(got, want)
 
 
 def _residue_coef(cp, draws, delta):

@@ -190,6 +190,28 @@ def test_double_panels_returns_each_column_from_its_own_pass():
     assert np.array_equal(flat, calls[-1])
 
 
+@pytest.mark.parametrize("shape", [lambda v: v, lambda v: complex(v[1] - 0.5j * v[2]),
+                                   lambda v: float(v[2])], ids=["array", "complex", "float"])
+def test_double_panels_returns_a_value_or_an_array_as_one_column(shape):
+    """A 1-D array or a single value is one column: it returns from the first
+    pass whose largest change is within rtol of its largest modulus plus the
+    rounding floor, as that pass's value in its own shape."""
+    fns = [lambda x: np.exp(-x * x), lambda x: np.cos(20.0 * x), lambda x: np.cos(90.0 * x)]
+    rtol, mass = 1e-10, 4.0
+    calls = []
+
+    def evaluate(x, w):
+        calls.append(shape(np.array([fn(x) @ w for fn in fns])))
+        return calls[-1]
+
+    val = double_panels(evaluate, 0.0, 4.0, 1, rtol=rtol, mass=mass)
+    floor = 64.0 * np.finfo(float).eps * mass
+    met = [np.max(np.abs(np.subtract(new, old))) <= rtol * np.max(np.abs(new)) + floor
+           for old, new in zip(calls, calls[1:])]
+    assert len(calls) > 2 and met.index(True) == len(met) - 1
+    assert np.ndim(val) == np.ndim(calls[-1]) and np.array_equal(val, calls[-1])
+
+
 def test_double_panels_takes_a_mass_per_column():
     """Columns with their own masses in one loop equal one loop per column.
 
