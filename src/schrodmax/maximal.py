@@ -3,7 +3,11 @@
 The field is sampled on hybrid time grids and midpoint space grids.
 The moduli come from the propagator's field factors at the grid points,
 whatever the data family: the modulus at a point is the product of one
-row of each factor, multiplied out one block of times at a time.  The
+row of each factor, multiplied out one block of times at a time.  On an
+axis whose cells are all centred at 0 the data are even, and so are the
+field and its supremum, so the points fold to |x_j| there and each
+distinct folded point is evaluated and maximised once (every axis of
+the product bump; the comb and an off-centre plane wave fold none).  The
 supremum over time is refined on _REFINE-fold sub-times of the two grid
 intervals beside each distinct argmax time.  sup_over_time is the same
 code at one point.  Ratios over frequency ladders are reduced to
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import SpectrumDescriptor, l2_norm, support_annulus
-from .propagator import _DECAY_CUTOFF, _decay, _field_factors
+from .propagator import _DECAY_CUTOFF, _decay, _even_cells, _field_factors
 from .quadrature import _CHUNK
 
 
@@ -85,8 +89,8 @@ class SpaceGrid:
     per_axis: int = 128
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be finite and positive")
         if self.per_axis < 1:
             raise ValueError("per_axis must be >= 1")
 
@@ -136,27 +140,35 @@ def _column_max(moduli, ts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 
 def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
                rtol: float) -> np.ndarray:
-    """Time-sup of |field| at the points x, shaped (n, d).
+    """Time-sup of |field| at the finite points x, shaped (n, d).
 
+    On every even axis (one whose cells _even_cells finds all even) the
+    points fold to |x_j|, and the sup is taken once per distinct folded
+    point and scattered back: data with no even axis fold nothing.
     Moduli come from the grid engine's field factors, one modulus
     matrix per distinct field matrix.  Times past the dissipation cutoff
     of the support are skipped.  Each point's grid maximum is then
     raised to its maximum over the _REFINE-fold sub-times of the two
     grid intervals beside every distinct argmax time.
     """
+    axes = f.factors_by_axis()
+    even = [_even_cells(cells).all() for cells in axes]
+    x, back = np.unique(np.where(even, np.abs(x), x), axis=0, return_inverse=True)
+
     def moduli(tq):
         scale, facs = _field_factors(f, x, tq, _decay(tq, gamma), rtol)
         mods = {id(m): np.abs(m) for m, _ in facs}
         return scale, [(mods[id(m)], rows) for m, rows in facs]
 
     ts = np.asarray(tg.points, dtype=float)
-    lo_support = support_annulus(f.factors_by_axis())[0]
+    lo_support = support_annulus(axes)[0]
     live = int(np.count_nonzero(_decay(ts, gamma) * lo_support ** 2 <= _DECAY_CUTOFF))
     sup, arg = _column_max(moduli, ts[:live], x.shape[0])
     near = ts[np.clip(np.unique(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
     frac = np.arange(1, _REFINE) / _REFINE
     sub = near[:, :2, None] + np.diff(near, axis=1)[:, :, None] * frac
-    return np.maximum(sup, _column_max(moduli, np.unique(sub), x.shape[0])[0])
+    sup = np.maximum(sup, _column_max(moduli, np.unique(sub), x.shape[0])[0])
+    return sup[back]
 
 
 def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
@@ -167,6 +179,8 @@ def sup_over_time(f: SpectrumDescriptor, gamma: float, x, tg: TimeGrid, *,
     xv = np.asarray(x, dtype=float).ravel()
     if xv.size != f.dim:
         raise ValueError("x dimension mismatch")
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("x must be finite")
     return _sup_field(f, xv[None, :], gamma, tg, rtol).item()
 
 

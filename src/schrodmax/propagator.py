@@ -22,9 +22,9 @@ rounding floor of its cell's L1 mass, the modulus of its weight, so a
 comb's teeth and a geometric grid's octaves cost one loop per rule.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 the node sum is one exponential table per side met in GEMMs.  On a cell
-centred at 0 and clipped symmetrically the time table, even in xi,
-covers the nonnegative nodes only and meets the space table of both
-signs of xi.
+centred at 0 (_even_cells), whose clipped rules stay symmetric, the time
+table, even in xi, covers the nonnegative nodes only and meets the space
+table of both signs of xi.
 The one-point evaluators (the 1 x 1 case) and the maximal module's
 time suprema use these factors.
 
@@ -217,6 +217,18 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
         for lo in range(0, xi.shape[0], step)])
 
 
+def _even_cells(cells) -> np.ndarray:
+    """Which of cells are even in xi: those centred at 0.
+
+    A unit bump is even, so such a cell's factor is, and so is its field
+    in x.  Clipped to |xi| <= reach its rule stays symmetric about 0:
+    (-reach - 0) / h is exactly -(reach / h).  _cell_matrix folds these
+    cells' time tables, and the maximal module folds x_j -> |x_j| on an
+    axis whose cells are all even.
+    """
+    return cells.centres == 0.0
+
+
 def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
                  rtol: float) -> np.ndarray:
     """Sum of the cell integrals at every (point, t): a (pts.size, tv.size) matrix.
@@ -235,8 +247,8 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
     panels double until every (cell, time) column is within rtol of its
     largest modulus or the rounding floor of its cell's L1 mass |w|, each
     column keeping the pass where it first was, as in a loop of its own
-    cell and octave.  A cell centred at 0 and clipped symmetrically folds
-    its time table (_plane_phase_sum's even) in a loop of its own.  The
+    cell and octave.  An even cell (_even_cells) folds its time table
+    (_plane_phase_sum's even) in a loop of its own.  The
     columns are added in the order of the cells, then of each cell's
     rules.
     """
@@ -246,7 +258,8 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
     # per loop, keyed by its rule, columns and evenness: its columns, their
     # i t - t^gamma and its cells; per (cell, rule): its loop and place there
     loops, order = {}, []
-    for i, (c, h) in enumerate(zip(cells.centres.tolist(), cells.half.tolist())):
+    for i, (c, h, even) in enumerate(zip(cells.centres.tolist(), cells.half.tolist(),
+                                         _even_cells(cells).tolist())):
         rules = {}
         for cols, reach, t_hi, lead in octaves:
             a, b = max(-1.0, (-reach - c) / h), min(1.0, (reach - c) / h)
@@ -256,7 +269,7 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
             rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append((cols, lead))
         for rule, octs in rules.items():
             cols, lead = (np.concatenate(v) for v in zip(*octs))
-            key = rule + (cols.tobytes(), c == 0.0 and rule[0] == -rule[1])
+            key = rule + (cols.tobytes(), even)
             members = loops.setdefault(key, (cols, lead, []))[2]
             order.append((key, len(members)))
             members.append(i)

@@ -48,14 +48,24 @@ def gauss_legendre(order: int):
     return nodes, weights
 
 
+# doubling loops ask for the same composite rules again: a `checks`
+# benchmark round makes 394 requests for 37 rules.  The last 16 rules
+# caught 333 of those requests and held at most 0.1 MB of nodes in any
+# benchmark workload (every rule of the sweep: 0.34 MB).
+@functools.lru_cache(maxsize=16)
 def panel_nodes(a: float, b: float, panels: int, order: int = 32):
-    """Composite rule on [a, b]: `panels` equal panels of the given order."""
+    """Composite rule on [a, b]: `panels` equal panels of the given order.
+
+    Cached like gauss_legendre, so the nodes and weights are read-only.
+    """
     base_x, base_w = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (b - a) / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
     x = (mids[:, None] + half * base_x[None, :]).ravel()
     w = np.tile(half * base_w, panels)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

@@ -26,11 +26,13 @@ from schrodmax.maximal import (
 )
 from schrodmax.profiles import (
     Case1Product,
+    Case3Counterexample,
+    CounterexampleParams,
     ModelParams,
     PlaneWaveSurrogate,
     l2_norm,
 )
-from schrodmax.propagator import _decay, _field_grid
+from schrodmax.propagator import _decay, _field_factors, _field_grid
 
 
 def test_time_grid_validation():
@@ -86,6 +88,10 @@ def test_space_grid_midpoints():
     assert sg.cell_volume(2) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         SpaceGrid(radius=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        SpaceGrid(radius=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SpaceGrid(radius=math.nan)
     with pytest.raises(ValueError):
         SpaceGrid(per_axis=0)
 
@@ -128,6 +134,10 @@ def test_sup_over_time_validation():
         sup_over_time(f, 0.0, (0.0,), tg)
     with pytest.raises(ValueError):
         sup_over_time(f, 2.0, (0.0, 0.0), tg)
+    with pytest.raises(ValueError, match="x must be finite"):
+        sup_over_time(f, 2.0, (math.nan,), tg)
+    with pytest.raises(ValueError, match="x must be finite"):
+        sup_over_time(f, 2.0, (math.inf,), tg)
 
 
 def test_sup_over_time_refines_to_a_64x_denser_grid():
@@ -165,6 +175,67 @@ def test_maximal_ratio_matches_per_point_sup_over_time(f, gamma, per_axis):
     want = l2_ball_norm(field, sg) / l2_norm(f)
     got = maximal_ratio(f, gamma, (tg, sg))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _mesh(per_axis, d):
+    pts = SpaceGrid(1.0, per_axis).axis_points()
+    return np.stack([g.ravel() for g in np.meshgrid(*([pts] * d), indexing="ij")], axis=1)
+
+
+_FOLD_CASES = {
+    "product-d1-odd": (Case1Product(ModelParams(d=1, gamma=1.0, R=8.0)), 1.0, 33),
+    "product-d2": (Case1Product(ModelParams(d=2, gamma=0.5, R=16.0)), 0.5, 12),
+    "product-d3": (Case1Product(ModelParams(d=3, gamma=1.0, R=4.0)), 1.0, 5),
+    "plane-wave-at-0": (PlaneWaveSurrogate(xi0=(0.0, 0.0), width=0.3,
+                                           amplitude=0.7 + 0.2j), 2.0, 7),
+    "plane-wave-one-even-axis": (PlaneWaveSurrogate(xi0=(0.0, 1.5), width=0.3), 2.0, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_CASES))
+def test_sup_field_fold_matches_the_unfolded_evaluation(monkeypatch, name):
+    """Folding x_j -> |x_j| on the even axes changes no sup by a bit: the
+    same code with no axis taken as even evaluates every point."""
+    f, gamma, per_axis = _FOLD_CASES[name]
+    x = _mesh(per_axis, f.dim)
+    tg = TimeGrid.hybrid(4.0, geometric=6, cap=20)
+    folded = maximal._sup_field(f, x, gamma, tg, 1e-8)
+    monkeypatch.setattr(maximal, "_even_cells",
+                        lambda cells: np.zeros(cells.centres.shape, dtype=bool))
+    assert np.array_equal(folded, maximal._sup_field(f, x, gamma, tg, 1e-8))
+
+
+def _engine_calls(monkeypatch):
+    """Spy on the field factors _sup_field asks for: (points, matrix rows) per call."""
+    calls = []
+
+    def spy(f, x, t, decay, rtol):
+        scale, facs = _field_factors(f, x, t, decay, rtol)
+        calls.append((x.shape[0], [m.shape[0] for m, _ in facs]))
+        return scale, facs
+
+    monkeypatch.setattr(maximal, "_field_factors", spy)
+    return calls
+
+
+def test_sweep_grid_folds_to_a_quarter_of_its_points(monkeypatch):
+    """The sweep's 32^2 grid of the product bump, even in both axes: the
+    engine sees the 256 distinct |x| and 16-row axis matrices."""
+    calls = _engine_calls(monkeypatch)
+    grids = (TimeGrid.hybrid(16.0, geometric=6, cap=20), SpaceGrid(1.0, 32))
+    maximal_ratio(Case1Product(ModelParams(d=2, gamma=0.5, R=16.0)), 0.5, grids)
+    assert calls and all(c == (256, [16, 16]) for c in calls)
+
+
+@pytest.mark.parametrize("f", [
+    Case3Counterexample(CounterexampleParams.for_experiments(
+        ModelParams(d=2, gamma=2.0, R=16.0))),
+    PlaneWaveSurrogate(xi0=(2.0, -1.0), width=0.3),
+], ids=["case3", "plane-wave-off-centre"])
+def test_data_with_no_even_axis_evaluate_every_point(monkeypatch, f):
+    calls = _engine_calls(monkeypatch)
+    maximal_ratio(f, 2.0, _small_grids(per_axis=6))
+    assert calls and all(c == (36, [6, 6]) for c in calls)
 
 
 _PINNED = json.loads(Path(__file__).with_name("maximal_values.json").read_text())

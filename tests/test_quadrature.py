@@ -46,6 +46,15 @@ def test_panel_nodes_weights_cover_interval():
     assert np.all(x > -1.5) and np.all(x < 4.0)
 
 
+def test_panel_nodes_repeated_rule_is_the_same_frozen_arrays():
+    x, w = panel_nodes(-0.75, 2.0, 5, 16)
+    again = panel_nodes(-0.75, 2.0, 5, 16)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_panels_for_rate_degenerate_width():
     assert panels_for_rate(2.0, 2.0, 1e9) == 1
     assert panels_for_rate(3.0, 2.0, 1e9) == 1
