@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .counterexample import ExperimentError, lower_bound_experiment
+from .counterexample import ExperimentError, anchor_counts, lower_bound_experiment
 from .maximal import (
     SpaceGrid,
     SweepError,
@@ -259,8 +259,7 @@ def _json_safe(value):
 
 
 def _default_grids(R: float, cfg: ExperimentConfig):
-    tg = TimeGrid.hybrid(R, t_max=cfg["time.t_max"],
-                         geometric=cfg["time.geometric"], cap=cfg["time.cap"])
+    tg = TimeGrid.hybrid(R, geometric=cfg["time.geometric"], cap=cfg["time.cap"])
     sg = SpaceGrid(radius=cfg["space.radius"], per_axis=cfg["space.per_axis"])
     return tg, sg
 
@@ -311,6 +310,14 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
     return records, summary, verdicts
 
 
+def _anchored(cp: CounterexampleParams) -> bool:
+    """Whether an anchor meets the sampling window; none does without a modulus."""
+    try:
+        return anchor_counts(cp)[1] > 0
+    except PreconditionError:
+        return False
+
+
 def _run_counterexample(cfg: ExperimentConfig, map_fn):
     gamma = cfg["model.gamma"]
     gamma_c = min(gamma, 2.0)
@@ -328,6 +335,13 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
         raise ConfigError(f"model.gamma: no calibration at gamma={_fmt(gamma_c)}, "
                           f"d={cfg['model.d']}: {exc}") from None
     except ExperimentError as exc:
+        # a ladder with no anchor in any entry's window cannot sample at all;
+        # one whose boxes all miss a lattice period could not with anchors
+        # either, and stays a runtime failure
+        if (any(cp.spans_lattice_period for cp in ladder_params)
+                and not any(map(_anchored, ladder_params))):
+            raise ConfigError(f"ladder: no entry has a rational anchor in its sampling "
+                              f"window at d={cfg['model.d']}, gamma={_fmt(gamma_c)}") from None
         raise RunFailed(exc, [], {"aborted": [[R, why] for R, why in exc.aborted]},
                         _CE_FIELDS) from exc
     records = [dict(zip(_CE_FIELDS, (r.R, r.mean_modulus, r.measure_estimate,
@@ -564,7 +578,6 @@ _KEYS: dict[str, _Key] = {
     "out": _Key(str, "a directory path", bool, None, "out", "output directory"),
     "time.geometric": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
     "time.cap": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "16384"),
-    "time.t_max": _Key(_as_real, "a real in (0, 1]", lambda v: 0.0 < v <= 1.0, "1.0"),
     "space.radius": _Key(_as_real, "a positive real", lambda v: v > 0.0, "1.0"),
     "space.per_axis": _Key(_as_int, "an integer >= 2", lambda v: v >= 2, "64"),
     **{f"ce.{name}": _Key(_as_real, "a positive real", lambda v: v > 0.0)

@@ -467,10 +467,15 @@ class LowerBoundReport:
     c_delta0: float
 
 
+def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
+    """How many anchors there are, and how many meet the sampling window."""
+    q, a1, starts = _anchor_pairs(cp)
+    return int(starts[-1]), int(np.sum(np.diff(starts)[_in_window(cp, q, a1)]))
+
+
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    q, a1, starts = _anchor_pairs(cp)
-    in_window = int(np.sum(np.diff(starts)[_in_window(cp, q, a1)]))
+    total, in_window = anchor_counts(cp)
     if not in_window:
         raise PreconditionError(
             f"no rational anchor meets the sampling window at R={mp.R:g}")
@@ -500,8 +505,7 @@ def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
         mean_modulus=mean_mod, mean_sq_modulus=mean_sq, sobolev=sob,
         ratio_estimate=ratio, e1_max=float(np.max(e1)), e2_max=float(np.max(e2)),
         admissible_fraction=int(np.count_nonzero(admissible)) / len(valid),
-        anchors_total=int(starts[-1]),
-        anchors_in_window=in_window)
+        anchors_total=total, anchors_in_window=in_window)
 
 
 def _entry_task(task):

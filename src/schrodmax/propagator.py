@@ -21,11 +21,12 @@ panels until each (cell, time) column converges, to rtol or to the
 rounding floor of its cell's L1 mass, the modulus of its weight, so a
 comb's teeth and a geometric grid's octaves cost one loop per rule.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
-the node sum is one exponential table per side met in GEMMs.  On a cell
-centred at 0 (_even_cells), whose clipped rules stay symmetric, the time
-table, even in xi, covers the nonnegative nodes only and meets the space
-table of both signs of xi.
-The one-point evaluators (the 1 x 1 case) and the maximal module's
+the node sum has one kernel: per cell, the table e^{i x xi} times the
+coefficients meets the table e^{(i t - t^gamma) xi^2} in a stacked GEMM,
+and a single point or time is its one-row case.  On a cell centred at 0
+(_even_cells), whose clipped rules stay symmetric, the same GEMM runs
+over the nonnegative nodes only, with one coefficient row per sign of
+xi.  The one-point evaluators (the 1 x 1 case) and the maximal module's
 time suprema use these factors.
 
 The factorized engine evaluates the lattice-comb data, batched over
@@ -135,10 +136,10 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
 
     Yields the columns, the frequency reach past which the octave's
     weakest dissipation leaves less than e^-_DECAY_CUTOFF (inf without
-    dissipation), the largest t, and i t - t^gamma per column.  Octaves
-    set the rules, not the loops: _cell_matrix runs one doubling loop
-    per rule, over every cell and octave that need it, so the one time
-    per octave of a geometric grid costs no loop of its own.
+    dissipation) and the largest t.  Octaves set the rules, not the
+    loops: _cell_matrix runs one doubling loop per rule, over every cell
+    and octave that need it, so the one time per octave of a geometric
+    grid costs no loop of its own.
     """
     octave = np.full(tv.shape, -np.inf)
     octave[tv > 0.0] = np.floor(np.log2(tv[tv > 0.0]))
@@ -146,20 +147,7 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
         cols = np.nonzero(octave == o)[0]
         d_min = float(np.min(decay[cols]))
         reach = math.sqrt(_DECAY_CUTOFF / d_min) if d_min > 0.0 else math.inf
-        yield cols, reach, float(np.max(tv[cols])), 1j * tv[cols] - decay[cols]
-
-
-def _node_blocks(block, xi: np.ndarray, coef: np.ndarray, rows: int):
-    """Sum of block(z, c) over blocks z of the nodes, c their coefficients.
-
-    Nodes run along the last axis.  A block holds about _CHUNK / rows
-    nodes, so tables with rows rows stay near _CHUNK entries.
-    """
-    step = max(1, _CHUNK // rows)
-    out = block(xi[..., :step], coef[..., :step])
-    for at in range(step, xi.shape[-1], step):
-        out += block(xi[..., at:at + step], coef[..., at:at + step])
-    return out
+        yield cols, reach, float(np.max(tv[cols]))
 
 
 def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
@@ -174,47 +162,38 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
 
     xi and coef hold one row of nodes and coefficients per member, shaped
     (members, nodes), and lead holds i t - t^gamma per time; the result is
-    (members, xv.size, lead.size).  Per member the tables e^{i x xi} and
-    e^{lead xi^2} meet in a GEMM, unless one table over every
-    (x, t, node) is no larger, as at a single point.  Members run in
-    blocks whose stacked tables hold about _CHUNK entries; a member
-    whose own tables exceed that runs alone, its nodes in blocks.  With
-    even set, the one member's xi is
-    a rule on a cell symmetric about 0, ascending and of even count, so
-    node k from the top mirrors node k from the bottom.  As
-    e^{lead xi^2} is even in xi, the time table over the nonnegative
-    half then meets e^{i x xi} c(xi) + e^{-i x xi} c(-xi) in a GEMM:
-    half the exponentials in either table and half the GEMM depth, and
-    at a single point no more exponentials than the one table.
+    (members, xv.size, lead.size).  Per member the tables e^{i x xi} c and
+    e^{lead xi^2} meet in a stacked GEMM; a single point or time is its
+    one-row case.  With even set, each member's xi is a rule on a cell
+    symmetric about 0, ascending and of even count, so node k from the
+    top mirrors node k from the bottom.  As e^{lead xi^2} is even in xi,
+    the same GEMM then runs over the nonnegative half with two
+    coefficient rows, c(xi) against e^{i x xi} and c(-xi) against
+    e^{-i x xi}: half the exponentials in either table and half the GEMM
+    depth.  Members run in blocks whose stacked tables hold about _CHUNK
+    entries, max(xv.size, lead.size) per node; a member whose own tables
+    exceed that runs alone, its nodes in blocks.
     """
     if even:
         half = xi.shape[1] // 2
-        # one row per sign of xi
-        pair = np.stack([coef[0, half:], coef[0, half - 1::-1]])
-
-        def block(z, c):
-            phase = np.exp(1j * np.multiply.outer(xv, z))
-            return (phase * c[0] + phase.conj() * c[1]) @ _time_table(z, lead)
-
-        return _node_blocks(block, xi[0, half:], pair, max(xv.size, lead.size))[None]
-    if xv.size * lead.size > xv.size + lead.size:
-        rows = max(xv.size, lead.size)
-
-        def block(z, c):
-            phase = np.exp(1j * (z[:, None, :] * xv[:, None]))
-            return (phase * c[:, None, :]) @ _time_table(z, lead)
+        # one coefficient row per sign of xi
+        xi, coef = xi[:, half:], np.stack([coef[:, half:], coef[:, half - 1::-1]], axis=1)
     else:
-        rows = xv.size * lead.size
-
-        def block(z, c):
-            table = np.exp(1j * (z[:, None, None, :] * xv[:, None, None])
-                           + (z * z)[:, None, None, :] * lead[:, None])
-            return (table @ c[:, None, :, None])[..., 0]
-    step = max(1, _CHUNK // (rows * xi.shape[1]))
-    return np.concatenate([
-        _node_blocks(block, xi[lo:lo + step], coef[lo:lo + step],
-                     rows * min(step, xi.shape[0] - lo))
-        for lo in range(0, xi.shape[0], step)])
+        coef = coef[:, None]
+    rows = max(xv.size, lead.size)
+    members = max(1, _CHUNK // (rows * xi.shape[1]))
+    nodes = max(1, _CHUNK // (rows * members))
+    out = np.zeros((xi.shape[0], xv.size, lead.size), dtype=complex)
+    for lo in range(0, xi.shape[0], members):
+        for at in range(0, xi.shape[1], nodes):
+            z, c = xi[lo:lo + members, at:at + nodes], coef[lo:lo + members, :, at:at + nodes]
+            phase = np.exp(1j * (z[:, None, :] * xv[:, None]))
+            if even:
+                phase = phase * c[:, :1] + phase.conj() * c[:, 1:]
+            else:
+                phase *= c
+            out[lo:lo + members] += phase @ _time_table(z, lead)
+    return out
 
 
 def _even_cells(cells) -> np.ndarray:
@@ -248,44 +227,38 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
     largest modulus or the rounding floor of its cell's L1 mass |w|, each
     column keeping the pass where it first was, as in a loop of its own
     cell and octave.  An even cell (_even_cells) folds its time table
-    (_plane_phase_sum's even) in a loop of its own.  The
-    columns are added in the order of the cells, then of each cell's
-    rules.
+    (_plane_phase_sum's even) in a loop of its own.  Each loop's cells
+    are added to its columns as the loop returns them.
     """
     out = np.zeros((pts.size, tv.size), dtype=complex)
     x_hi = float(np.max(np.abs(pts)))
     octaves = list(_octaves(tv, decay))
-    # per loop, keyed by its rule, columns and evenness: its columns, their
-    # i t - t^gamma and its cells; per (cell, rule): its loop and place there
-    loops, order = {}, []
+    # per loop, keyed by its rule, columns and evenness: its columns and cells
+    loops = {}
     for i, (c, h, even) in enumerate(zip(cells.centres.tolist(), cells.half.tolist(),
                                          _even_cells(cells).tolist())):
         rules = {}
-        for cols, reach, t_hi, lead in octaves:
+        for cols, reach, t_hi in octaves:
             a, b = max(-1.0, (-reach - c) / h), min(1.0, (reach - c) / h)
             if b <= a:
                 continue
             rate = h * (x_hi + 2.0 * t_hi * max(abs(c + h * a), abs(c + h * b)))
-            rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append((cols, lead))
+            rules.setdefault((a, b, panels_for_rate(a, b, rate)), []).append(cols)
         for rule, octs in rules.items():
-            cols, lead = (np.concatenate(v) for v in zip(*octs))
-            key = rule + (cols.tobytes(), even)
-            members = loops.setdefault(key, (cols, lead, []))[2]
-            order.append((key, len(members)))
-            members.append(i)
-    values = {}
-    for key, (cols, lead, members) in loops.items():
-        a, b, panels, _, even = key
+            cols = np.concatenate(octs)
+            loops.setdefault(rule + (cols.tobytes(), even), (cols, []))[1].append(i)
+    for (a, b, panels, _, even), (cols, members) in loops.items():
         c, h, weight = (v[members, None] for v in (cells.centres, cells.half, cells.weight))
+        lead = 1j * tv[cols] - decay[cols]
 
-        def evaluate(u, w, c=c, h=h, weight=weight, lead=lead, even=even):
+        def evaluate(u, w):
             # (point, cell, time): points lead, so each (cell, time) column converges alone
             return _plane_phase_sum(pts, c + h * u, weight * _unit_bump(u) * w,
                                     lead, even).transpose(1, 0, 2)
 
-        values[key] = double_panels(evaluate, a, b, panels, rtol=rtol, mass=np.abs(weight))
-    for key, m in order:
-        out[:, loops[key][0]] += values[key][:, m]
+        values = double_panels(evaluate, a, b, panels, rtol=rtol, mass=np.abs(weight))
+        for m in range(len(members)):
+            out[:, cols] += values[:, m]
     return out
 
 

@@ -63,6 +63,8 @@ def test_unknown_and_missing_keys():
         _base(verb="maximal-sweep")
     with pytest.raises(ConfigError, match="model.R"):
         _base(verb="propagator-check")
+    with pytest.raises(ConfigError, match="unknown key 'time.t_max'"):
+        _base(verb="maximal-sweep", ladder="2^2 2^3 2^4 2^5", **{"time.t_max": "0.5"})
 
 
 def test_field_level_messages():
@@ -492,8 +494,17 @@ def test_main_ladder_out_of_range_is_a_config_error(tmp_path, capsys, argv, cond
      "counterexample needs gamma > 1"),
     (["propagator-check", "--R", "256", "--set", "model.gamma=0.5"], "model.gamma:",
      "propagator-check needs gamma > 1"),
+    (["counterexample", "--gamma", "1.2", "--ladder", "2^16 2^17 2^18 2^19",
+      "--samples", "200"], "ladder: no entry has a rational anchor", "d=2, gamma=1.2"),
+    (["counterexample", "--d", "2", "--gamma", "1.09", "--ladder", "2^16 2^17 2^18 2^19",
+      "--samples", "200"], "ladder: no entry has a rational anchor", "d=2, gamma=1.09"),
+    (["counterexample", "--d", "3", "--gamma", "1.08", "--ladder", "2^16 2^17 2^18 2^19",
+      "--samples", "200"], "ladder: no entry has a rational anchor", "d=3, gamma=1.08"),
+    (["counterexample", "--set", "ce.mu0=10", "--ladder", "2^16 2^17 2^18 2^19",
+      "--samples", "200"], "ladder: no entry has a rational anchor", "d=2, gamma=2"),
 ], ids=["d1", "c1", "R2", "gamma-near-one", "counterexample-gamma-one",
-        "propagator-check-gamma-half"])
+        "propagator-check-gamma-half", "no-anchor-gamma-1.2", "no-anchor-d2-gamma-1.09",
+        "no-anchor-d3-gamma-1.08", "no-admissible-modulus"])
 def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, where,
                                                           condition):
     out = tmp_path / "out"
