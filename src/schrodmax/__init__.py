@@ -22,7 +22,6 @@ from .profiles import (
 from .propagator import (
     FactorizedEvaluation,
     SpaceTimePoint,
-    evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,
 )

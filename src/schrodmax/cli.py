@@ -165,32 +165,6 @@ def emit_csv(records, fieldnames=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[dict]:
-    """Invert emit_csv: numbers come back as int or float, rest as str."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        raise ValueError("empty CSV text")
-    fieldnames = lines[0].split(",")
-
-    def convert(cell: str):
-        try:
-            return int(cell)
-        except ValueError:
-            pass
-        try:
-            return float(cell)
-        except ValueError:
-            return cell
-
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(fieldnames):
-            raise ValueError(f"row width {len(cells)} != header {len(fieldnames)}")
-        out.append({k: convert(c) for k, c in zip(fieldnames, cells)})
-    return out
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a stub."""
     directory = os.path.dirname(path) or "."

@@ -40,6 +40,7 @@ from .profiles import (
     sobolev_norm,
 )
 from .propagator import _factorized_batch
+from .quadrature import _CHUNK
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +109,8 @@ class OmegaStarDraws:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             raise TypeError(f"draws[{key}]: select rows with a slice or a boolean mask")
+        if getattr(key, "dtype", None) == bool and key.shape == self.weight.shape:
+            key = np.flatnonzero(key)  # the mask's rows found once, not once per field
         return OmegaStarDraws(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
     def __iter__(self):
@@ -134,6 +137,7 @@ def _admissible_moduli(cp: CounterexampleParams) -> tuple[int, ...]:
     return mods
 
 
+@lru_cache(maxsize=1)
 def _anchor_pairs(cp: CounterexampleParams):
     """The one anchor enumeration order, as arrays over its (q, a1) pairs.
 
@@ -141,25 +145,41 @@ def _anchor_pairs(cp: CounterexampleParams):
     of q ascending, then the (q/4)^(d-1) even rest tuples with the first
     rest axis most significant.  Returns each pair's q and a1 and the
     position of its first anchor; the last start is the anchor count.
+    Cached for the last parameters, so a ladder entry (its anchor counts,
+    its sampler and its decoding) builds the arrays once; they are
+    read-only, and the entry drops them once it has its draws.
     """
     mods = _admissible_moduli(cp)
     q = np.concatenate([np.full(totient(m), m, dtype=np.int64) for m in mods])
     a1 = np.concatenate([np.flatnonzero(np.gcd(np.arange(m), m) == 1) for m in mods])
     starts = np.concatenate(([0], np.cumsum((q // 4) ** (cp.model.d - 1))))
+    for arr in (q, a1, starts):
+        arr.setflags(write=False)
     return q, a1, starts
 
 
 def _decode_anchors(cp: CounterexampleParams, index):
-    """(q, a1, rest) integer arrays of the anchors at enumeration positions."""
+    """(q, a1, rest) integer arrays of the anchors at enumeration positions.
+
+    The modulus comes first, by a search over the starts of the moduli
+    alone (the first pair of each); within the modulus every pair holds
+    (q/4)^(d-1) anchors, so a division gives the pair and the rest tuple.
+    """
     q_pair, a1_pair, starts = _anchor_pairs(cp)
+    d = cp.model.d
     index = np.asarray(index, dtype=np.int64)
-    pair = np.searchsorted(starts, index, side="right") - 1
-    q = q_pair[pair]
-    within = index - starts[pair]
+    # each modulus's first pair
+    first = np.flatnonzero(np.diff(q_pair, prepend=0))
+    head = first[np.searchsorted(starts[first], index, side="right") - 1]
+    q = q_pair[head]
     k = q // 4
-    rest = np.stack([within // k ** (cp.model.d - 2 - j) % k
-                     for j in range(cp.model.d - 1)], axis=-1)
-    return q, a1_pair[pair], 2 * rest + 2
+    pair, within = np.divmod(index - starts[head], k ** (d - 1))
+    # the rest tuple's digits in base q/4, the last rest axis least significant
+    digits = []
+    for _ in range(d - 1):
+        within, digit = np.divmod(within, k)
+        digits.append(digit)
+    return q, a1_pair[head + pair], 2 * np.stack(digits[::-1], axis=-1) + 2
 
 
 def _window_bounds(cp: CounterexampleParams) -> tuple[float, float]:
@@ -213,25 +233,42 @@ def omega_star_chain_bound(cp: CounterexampleParams) -> float:
 def _multiplicity(cp, y1n, yjn):
     """Cells containing each point (y1n, yjn), both reduced to [0, 2 pi).
 
-    The rest-axis positions 4 pi k / q, k = 1..q/4, are evenly spaced, so
-    those within A = Aj + 1e-12 of y + s are the k in
+    Per admissible modulus q, a point's leading coordinate lies in at
+    most one leading cell, that of the residue a1 nearest to q y1 / 2 pi,
+    and counts where a1 is a unit within A1 of it.  The rest-axis
+    positions 4 pi k / q, k = 1..q/4, are evenly spaced, so those within
+    A = Aj + 1e-12 of y + s are the k in
     [ceil((y + s - A) q / 4 pi), floor((y + s + A) q / 4 pi)].  Summed over
     s in {-2 pi, 0, 2 pi} this counts each position once while A < pi; for
     A >= pi it covers every position, and the count is capped at q/4.
+    The leading test runs on (modulus, point) tables, in blocks of moduli
+    that hold about _CHUNK entries, with the gcd taken only where a point
+    is within A1 of a residue; the rest axes are counted at the (modulus,
+    point) pairs that pass it.
     """
     A1, Aj = _half_widths(cp)
     reach = Aj + 1e-12
+    mods = np.array(_admissible_moduli(cp), dtype=np.int64)
     m = np.zeros(y1n.size, dtype=np.int64)
-    near = yjn[:, :, None] + np.array([-TWO_PI, 0.0, TWO_PI])
-    for q in _admissible_moduli(cp):
-        a1c = np.round(q * y1n / TWO_PI).astype(np.int64) % q
-        dist1 = np.abs(_wrap(y1n - TWO_PI * a1c / q))
-        hit1 = (np.gcd(a1c, q) == 1) & (dist1 <= A1 + 1e-12)
-        scale = q / (4.0 * math.pi)
-        lo = np.maximum(np.ceil((near - reach) * scale), 1.0)
-        hi = np.minimum(np.floor((near + reach) * scale), q // 4)
-        per_axis = np.minimum(np.sum(np.maximum(hi - lo + 1.0, 0.0), axis=2), q // 4)
-        m += hit1 * np.prod(per_axis, axis=1).astype(np.int64)
+    block = max(1, _CHUNK // max(y1n.size, 1))
+    for lo in range(0, mods.size, block):
+        q = mods[lo:lo + block, None]
+        # the nearest residue: round(q y1 / 2 pi) lies in [0, q], and q is residue 0
+        a1c = np.round(q * y1n / TWO_PI)
+        a1c[a1c == q] = 0.0
+        near = np.abs(_wrap(y1n - TWO_PI * a1c / q)) <= A1 + 1e-12
+        mod, row = np.nonzero(near)
+        unit = np.gcd(a1c[mod, row].astype(np.int64), q[mod, 0]) == 1
+        qh, row = q[mod[unit]], row[unit]
+        yj = yjn[row]
+        scale = qh / (4.0 * math.pi)
+        per_axis = 0.0
+        for s in (-TWO_PI, 0.0, TWO_PI):
+            lo_k = np.maximum(np.ceil((yj + s - reach) * scale), 1.0)
+            hi_k = np.minimum(np.floor((yj + s + reach) * scale), qh // 4)
+            per_axis = per_axis + np.maximum(hi_k - lo_k + 1.0, 0.0)
+        per_axis = np.minimum(per_axis, qh // 4)
+        np.add.at(m, row, np.prod(per_axis, axis=1).astype(np.int64))
     return m
 
 
@@ -293,8 +330,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
         if worst > 1e-9:
             raise RuntimeError(f"congruence residual {worst:g} exceeds 1e-9")
 
-    x = np.column_stack([x1, xj])
-    x[~valid] = np.nan
+    x = np.where(valid[:, None], np.column_stack([x1, xj]), np.nan)
     return OmegaStarDraws(q=qi, a1=a1i, a_rest=resti, eps=eps,
                           y=np.column_stack([y1, yj]), x=x, valid=valid, weight=weight)
 
@@ -475,11 +511,14 @@ def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
 
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    total, in_window = anchor_counts(cp)
-    if not in_window:
-        raise PreconditionError(
-            f"no rational anchor meets the sampling window at R={mp.R:g}")
-    samples = sample_omega_star(cp, n_samples, seed)
+    try:
+        total, in_window = anchor_counts(cp)
+        if not in_window:
+            raise PreconditionError(
+                f"no rational anchor meets the sampling window at R={mp.R:g}")
+        samples = sample_omega_star(cp, n_samples, seed)
+    finally:
+        _anchor_pairs.cache_clear()  # the pair arrays outlive no entry
     measure_est, measure_err = omega_star_measure(samples)
     valid = samples[samples.valid]
     if not len(valid):

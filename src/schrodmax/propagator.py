@@ -40,9 +40,11 @@ is the lattice of unit translates.  At a resonant sample the sum has a
 closed form and runs no quadrature.  Where log z moves by at most _RHO
 about the centre of the L translates, the polynomial is its
 _TAYLOR + 1 Taylor moments about that centre; the rest of the
-exponent is beta u + q u^2, and where |beta| + |q| <= _SERIES_RADIUS
-its power series to u-degree 2 _SERIES_ORDER, met with the unit bump's
-moments, leaves a tail below 3.5e-20 of the integrand's mass.  The
+exponent is beta u + q u^2, and where r = |beta| + |q| <= _SERIES_RADIUS
+its power series, met with the unit bump's moments, leaves a tail below
+3.5e-20 of the integrand's mass at each sample's own u-degree
+2 _series_order(r): 2 _SERIES_ORDER at the radius, 14 and 18 at the
+ladder's windows and combs.  The
 construction makes its points resonant: the time is chosen where the
 window's phase is stationary, and the box keeps |x_j| <= c1, so each
 ladder point at its selected time takes the closed form in both
@@ -294,26 +296,20 @@ def _field_grid(f: SpectrumDescriptor, x: np.ndarray, t: np.ndarray,
     return out
 
 
-def _evaluate_point(f: SpectrumDescriptor, p: SpaceTimePoint, decay: float,
-                    rtol: float) -> complex:
+def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
+                     rtol: float = _POINT_RTOL) -> complex:
+    """Dissipative evolution: the free phase damped by e^{-t^gamma |xi|^2}.
+
+    The grid engine's 1 x 1 case.
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     x = np.asarray(p.x, dtype=float)
     if x.size != f.dim:
         raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
+    decay = p.t ** gamma if p.t > 0.0 else 0.0
     return complex(_field_grid(f, x[None, :], np.array([p.t]), np.array([decay]),
                                rtol)[0, 0])
-
-
-def evaluate_free(f: SpectrumDescriptor, p: SpaceTimePoint) -> complex:
-    """Free evolution (2 pi)^{-d} integral of e^{i(x.xi + t|xi|^2)} f(xi)."""
-    return _evaluate_point(f, p, 0.0, _POINT_RTOL)
-
-
-def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
-                     rtol: float = _POINT_RTOL) -> complex:
-    """Dissipative evolution: the free phase damped by e^{-t^gamma |xi|^2}."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return _evaluate_point(f, p, p.t ** gamma if p.t > 0.0 else 0.0, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +359,10 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     translates' centre c = center + kappa step, and q = lam scale^2.  A
     sample takes it where it has moments, |alpha| kappa <= _RHO (always
     for one translate), and r = |beta| + |q| <= _SERIES_RADIUS.  The
-    u-coefficients e_j of e^{beta u + q u^2} come from _series_terms, whose
-    omitted monomials sum on |u| <= 1 to at most r^(N+1) e^r / (N+1)!
-    times sum_m |M_m alpha^m|, which is at most e^_RHO times the
+    u-coefficients e_j of e^{beta u + q u^2} come from _series_terms, to
+    each sample's own u-degree 2 _series_order(r), whose omitted
+    monomials sum on |u| <= 1 to at most the tail at the radius,
+    3.5e-20, times sum_m |M_m alpha^m|, which is at most e^_RHO times the
     coefficients' L1 mass.  The value is
     sum_{m,j} M_m alpha^m e_j mu_{m+j} over the bump moments mu, by
     Horner's rule in alpha, which one translate, with M_0 alone, skips.
@@ -373,30 +370,40 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     are their M_m: a comb's _TAYLOR + 1 folded over the modulus
     (_folded_moments), or one translate's coefficient as M_0 alone.
     Returns the mask of the samples that take the closed form and their
-    values.  Each sample decides from its own values, and every step is
-    elementwise or a product of its own row, so its value does not depend
-    on the other samples.
+    values.  Each sample decides from its own values, its terms past its
+    own order are zeros in a row of fixed length, and every step is
+    elementwise or a product of its own row, one per moment, so its value
+    depends neither on the other samples nor on how many moments they
+    carry.
     """
     kappa = (size - 1) / 2.0
     alpha = 2.0 * step * scale * lam
     beta = scale * (1j * x + 2.0 * lam * (center + kappa * step))
     q = lam * (scale * scale)
-    take = (known & (np.abs(alpha) * kappa <= _RHO)
-            & (np.abs(beta) + np.abs(q) <= _SERIES_RADIUS))
-    if not take.any():  # a generic one-point call: skip the series' 100 array steps
+    r = np.abs(beta) + np.abs(q)
+    take = known & (np.abs(alpha) * kappa <= _RHO) & (r <= _SERIES_RADIUS)
+    if not take.any():  # a generic one-point call: skip the series' array steps
         return take, np.empty(0, dtype=complex)
-    alpha, beta, q = alpha[take], beta[take], q[take]
-    taken = moments[take]
-    mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR)
+    alpha, beta, q, taken = alpha[take], beta[take], q[take], moments[take]
+    order = _series_order(r[take])
+    # terms[:, 0, j] = e_j up to each sample's own degree 2 order, zero past it
+    terms = np.zeros((beta.size, 1, 2 * _SERIES_ORDER + 1), dtype=complex)
+    top = int(np.max(order))
+    for j, e in zip(range(2 * top + 1), _series_terms(beta, q)):
+        terms[:, 0, j] = e
+    for n in range(int(np.min(order)), top):
+        terms[order == n, 0, 2 * n + 1:2 * top + 1] = 0.0
+    mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR).astype(complex)
+
+    def g(m):
+        """sum_j e_j mu_{m+j}: one product per row."""
+        return (terms @ mu[m:m + terms.shape[2], None])[:, 0, 0]
+
     width = taken.shape[1]
-    # g[:, m] = sum_j e_j mu_{m+j}
-    g = np.zeros((beta.size, width), dtype=complex)
-    for j, e in enumerate(_series_terms(beta, q)):
-        g += e[:, None] * mu[j:j + width]
-    out = taken[:, -1] * g[:, -1]
+    out = taken[:, -1] * g(width - 1)
     for m in range(width - 2, -1, -1):
         out *= alpha
-        out += taken[:, m] * g[:, m]
+        out += taken[:, m] * g(m)
     return take, out
 
 

@@ -22,9 +22,34 @@ from schrodmax.cli import (
     emit_csv,
     main,
     parse_config_text,
-    parse_csv,
 )
 from schrodmax.quadrature import QuadratureError
+
+
+def parse_csv(text: str) -> list[dict]:
+    """Invert emit_csv: numbers come back as int or float, rest as str."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError("empty CSV text")
+    fieldnames = lines[0].split(",")
+
+    def convert(cell: str):
+        try:
+            return int(cell)
+        except ValueError:
+            pass
+        try:
+            return float(cell)
+        except ValueError:
+            return cell
+
+    out = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(fieldnames):
+            raise ValueError(f"row width {len(cells)} != header {len(fieldnames)}")
+        out.append({k: convert(c) for k, c in zip(fieldnames, cells)})
+    return out
 
 
 def _base(verb="lemmas-verify", **extra):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrodmax import counterexample, profiles, propagator
+from schrodmax import counterexample, profiles, propagator, quadrature
 from schrodmax.counterexample import (
     ExperimentError,
     _translate_moments,
@@ -192,6 +193,82 @@ def test_multiplicity_counts_match_distance_reference(cp, n):
         got = _multiplicity(cp, y)
         assert got.dtype == np.int64
         assert np.array_equal(got, _multiplicity_reference(cp, y))
+
+
+def _multiplicity_per_modulus(cp, y1n, yjn):
+    """The sampler's cell count one admissible modulus at a time, each modulus
+    over every point, in the floor arithmetic of the blocked count."""
+    A1, Aj = counterexample._half_widths(cp)
+    reach = Aj + 1e-12
+    m = np.zeros(y1n.size, dtype=np.int64)
+    near = yjn[:, :, None] + np.array([-TWO_PI, 0.0, TWO_PI])
+    for q in counterexample._admissible_moduli(cp):
+        a1c = np.round(q * y1n / TWO_PI).astype(np.int64) % q
+        dist1 = np.abs(counterexample._wrap(y1n - TWO_PI * a1c / q))
+        hit1 = (np.gcd(a1c, q) == 1) & (dist1 <= A1 + 1e-12)
+        scale = q / (4.0 * math.pi)
+        lo = np.maximum(np.ceil((near - reach) * scale), 1.0)
+        hi = np.minimum(np.floor((near + reach) * scale), q // 4)
+        per_axis = np.minimum(np.sum(np.maximum(hi - lo + 1.0, 0.0), axis=2), q // 4)
+        m += hit1 * np.prod(per_axis, axis=1).astype(np.int64)
+    return m
+
+
+@pytest.mark.parametrize("cp", [_exp_params(2.0**40), _def_params(2.0**22, d=3)],
+                         ids=["d2-2^40", "d3-2^22-wide-rest"])
+@pytest.mark.parametrize("chunk", [None, 1, 50_000])
+def test_blocked_multiplicity_is_the_per_modulus_loop(monkeypatch, cp, chunk):
+    """Cell counts over (modulus, point) tables in blocks of moduli equal the
+    per-modulus loop exactly, at drawn points and at uniform torus points,
+    with the table budget's own blocks, one modulus a block, and a few."""
+    draws = sample_omega_star(cp, 10_000, seed=0)
+    uniform = np.random.default_rng(2).uniform(0.0, TWO_PI, draws.y.shape)
+    y = np.concatenate([draws.y % TWO_PI, uniform])
+    moduli = len(counterexample._admissible_moduli(cp))
+    if chunk is not None:
+        monkeypatch.setattr(counterexample, "_CHUNK", chunk)
+    assert moduli > 2 * max(1, counterexample._CHUNK // len(y))
+    got = counterexample._multiplicity(cp, y[:, 0], y[:, 1:])
+    assert got.dtype == np.int64 and np.count_nonzero(got) >= len(draws)
+    assert np.array_equal(got, _multiplicity_per_modulus(cp, y[:, 0], y[:, 1:]))
+
+
+def test_ladder_entry_solves_no_large_legendre_rule(monkeypatch):
+    """With the bump's caches cleared, a ladder entry takes the bump's mass and
+    moments from its fixed trapezoid rule, and asks numpy for no Gauss-Legendre
+    rule of order 128 or more, whose nodes come from an eigen-solve."""
+    orders = []
+    leggauss = quadrature.leggauss
+
+    def counting(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(quadrature, "leggauss", counting)
+    for cached in (profiles._bump_rule, profiles.mollifier_mass, profiles._bump_moments,
+                   quadrature.gauss_legendre, quadrature.panel_nodes):
+        cached.cache_clear()
+    rec = counterexample._experiment_entry(_exp_params(2.0**19), 2000, 0, 1.0 / 3.0, 2.0)
+    assert rec.n_valid > 0
+    assert max(orders, default=0) < 128
+
+
+def test_ladder_entry_builds_its_anchor_pairs_once(monkeypatch):
+    """An entry's anchor counts, sampler and decoding share one build of the
+    (q, a1) pair arrays, and the entry releases them once it has its draws."""
+    built = []
+    build = counterexample._anchor_pairs.__wrapped__
+
+    def counting(cp):
+        built.append(cp)
+        return build(cp)
+
+    cached = functools.lru_cache(maxsize=1)(counting)
+    monkeypatch.setattr(counterexample, "_anchor_pairs", cached)
+    cp = _exp_params(2.0**19)
+    assert counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0).n_valid > 0
+    assert built == [cp]
+    assert cached.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("e", [16, 24])

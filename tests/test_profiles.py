@@ -59,6 +59,71 @@ def test_mollifier_integrals_match_oracle():
     assert _sq_mass() == pytest.approx(MOLLIFIER_SQ_MASS, rel=1e-13)
 
 
+# the bump's integrals to 32 digits, computed once with mpmath (60-digit
+# tanh-sinh quadrature): the mass of exp(-1/(1-u^2)) over (-1, 1), and
+# nu_k(p), the integral of _unit_bump(u)^p u^k, for even k <= 40
+_MASS_32 = 0.4439938161680794378230489211705527
+_NU_32 = {
+    1: (
+        1.0,
+        0.15811363626379823022805042815906,
+        0.05298181802207716836488068505449,
+        0.023062986781933047099202419453816,
+        0.011566522044504767973648365109845,
+        0.0063535939469603663435045787291082,
+        0.0037221197174235292677903541161532,
+        0.0022886545780863193146386366154732,
+        0.0014617288336621375051271628344207,
+        0.0009627589126601137086841217266867,
+        0.00065052220638801003620014766106266,
+        0.0004491546843708817881655732295526,
+        0.00031593834062616460286977656544835,
+        0.00022586059155667697116371100457794,
+        0.00016378395212137225218701386621228,
+        0.00012028390823393731967098822093975,
+        0.000089346530771278580167268000605689,
+        0.000067050369634139615473531119772993,
+        0.000050788948600158355907416124423453,
+        0.000038799927087619192497180417028914,
+        0.000029873245580577469053659433137692,
+    ),
+    2: (
+        0.67511681300969752898743321024416,
+        0.077589315943183739075430308590705,
+        0.020155269284427972353373975132578,
+        0.0070579745932057708172778180119965,
+        0.002918577361729334771570094283672,
+        0.0013457163459640881139633952869826,
+        0.00067087913380786753991672530065388,
+        0.00035489961390873712959362739085382,
+        0.00019677400784675202278034719885467,
+        0.00011336410997607999588151487861423,
+        0.000067434975504789306655129643869907,
+        0.000041221338420642964538573083667192,
+        0.000025797297417262911486837266483663,
+        0.000016480121365089223551927091324902,
+        0.000010721193232538006166925504646647,
+        0.0000070887323729015273047532200748313,
+        0.0000047558100869060188870567542480634,
+        0.0000032330286435278278756177992869904,
+        0.0000022243888311665037708876826230054,
+        0.000001547341700192649191861955629481,
+        0.0000010873081137228437612155147455181,
+    ),
+}
+
+
+def test_bump_rule_meets_high_precision_integrals():
+    """The bump's fixed rule, the trapezoid rule on 512 steps, against
+    32-digit integrals: the mass to 1e-15 relative and every even moment to
+    1e-15 of nu_0 (2e-14 at 256 steps); the odd moments are zero."""
+    assert abs(mollifier_mass() - _MASS_32) <= 1e-15 * _MASS_32
+    for p, want in _NU_32.items():
+        nu = _bump_moments(p, 40)
+        assert np.max(np.abs(nu[::2] - np.array(want))) <= 1e-15 * want[0]
+        assert not np.any(nu[1::2])
+
+
 def test_bump_unit_integral():
     cells = Cells(1.2, 0.7)
     val = double_panels(lambda x, w: _cells_eval(cells, x) @ w, 0.5, 1.9, 1, rtol=1e-12)
@@ -526,6 +591,22 @@ def test_series_order_keeps_the_tail_at_the_radius():
     assert _series_order(_SERIES_RADIUS) == _SERIES_ORDER
     orders = [_series_order(r) for r in np.geomspace(1e-15, _SERIES_RADIUS, 60)]
     assert orders == sorted(orders)
+
+
+def test_series_order_is_the_least_order_within_the_tail():
+    """Over an array of r, the order's tail r^(N+1) e^r / (N+1)! is within the
+    tail at the radius and that of N - 1 is not, each to 1e-12 relative."""
+    def tail(r, n):
+        return r ** (n + 1) * np.exp(r) / np.array([math.factorial(k + 1) for k in n])
+
+    r = np.concatenate([np.geomspace(1e-30, _SERIES_RADIUS, 2000),
+                        np.random.default_rng(0).uniform(0.0, _SERIES_RADIUS, 2000)])
+    order = _series_order(r)
+    bound = _SERIES_RADIUS ** (_SERIES_ORDER + 1) * math.exp(_SERIES_RADIUS) \
+        / math.factorial(_SERIES_ORDER + 1)
+    assert np.all(tail(r, order) <= bound * (1.0 + 1e-12))
+    some = order > 0
+    assert np.all(tail(r[some], order[some] - 1) > bound * (1.0 - 1e-12))
 
 
 def _own_cell_sobolev(cp, ss, order=64):

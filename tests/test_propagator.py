@@ -41,13 +41,19 @@ from schrodmax.propagator import (
     _field_grid,
     _plane_phase_sum,
     _unit_bump,
-    evaluate_free,
     evaluate_p_gamma,
     factorized_evaluate,
 )
 from schrodmax.quadrature import double_panels, panel_nodes
 
 TWO_PI = 2.0 * math.pi
+
+
+def _free(f, p):
+    """The free evolution at one point: the grid engine's 1 x 1 case without dissipation."""
+    x = np.asarray(p.x, dtype=float)
+    return complex(_field_grid(f, x[None, :], np.array([p.t]), np.zeros(1),
+                               propagator._POINT_RTOL)[0, 0])
 
 
 def test_space_time_point_validation():
@@ -79,7 +85,7 @@ def test_evaluate_dimension_and_gamma_checks():
     f = PlaneWaveSurrogate(xi0=(3.0, 1.0), width=0.1)
     p = SpaceTimePoint(x=(0.0,), t=0.1)
     with pytest.raises(ValueError):
-        evaluate_free(f, p)
+        evaluate_p_gamma(f, 2.0, p)
     with pytest.raises(ValueError):
         evaluate_p_gamma(f, 0.0, SpaceTimePoint(x=(0.0, 0.0), t=0.1))
 
@@ -90,7 +96,7 @@ def test_plane_wave_free_evolution_oracle():
     amp = 0.8 - 0.3j
     f = PlaneWaveSurrogate(xi0=xi0, width=0.05, amplitude=amp)
     for x, t in [((0.3, -0.2), 0.07), ((0.0, 0.0), 0.0), ((-0.5, 0.4), 0.2)]:
-        got = evaluate_free(f, SpaceTimePoint(x=x, t=t))
+        got = _free(f, SpaceTimePoint(x=x, t=t))
         phase = x[0] * xi0[0] + x[1] * xi0[1] + t * (xi0[0] ** 2 + xi0[1] ** 2)
         want = amp * cmath.exp(1j * phase)
         assert got == pytest.approx(want, rel=2e-3)
@@ -101,7 +107,7 @@ def test_dissipation_ratio_matches_center_decay():
     f = PlaneWaveSurrogate(xi0=xi0, width=0.05)
     p = SpaceTimePoint(x=(0.1, 0.2), t=0.3)
     gamma = 1.5
-    free = evaluate_free(f, p)
+    free = _free(f, p)
     damped = evaluate_p_gamma(f, gamma, p)
     want = math.exp(-p.t**gamma * (xi0[0] ** 2 + xi0[1] ** 2))
     assert abs(damped) / abs(free) == pytest.approx(want, rel=2e-3)
@@ -110,7 +116,7 @@ def test_dissipation_ratio_matches_center_decay():
 def test_zero_time_dissipation_is_identity():
     f = Case1Product(ModelParams(d=2, gamma=2.0, R=4.0))
     p = SpaceTimePoint(x=(0.2, -0.1), t=0.0)
-    assert evaluate_p_gamma(f, 2.0, p) == evaluate_free(f, p)
+    assert evaluate_p_gamma(f, 2.0, p) == _free(f, p)
 
 
 _COLD_IMPORT = """
@@ -119,9 +125,9 @@ import schrodmax, schrodmax.cli
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
 from schrodmax.profiles import Case1Product, ModelParams
-from schrodmax.propagator import SpaceTimePoint, evaluate_free
-v = evaluate_free(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)),
-                  SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+from schrodmax.propagator import SpaceTimePoint, evaluate_p_gamma
+v = evaluate_p_gamma(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)), 2.0,
+                     SpaceTimePoint(x=(0.2, -0.1), t=0.3))
 after = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"at_import": loaded, "after_field": after, "value": [v.real, v.imag]}))
 """
@@ -136,8 +142,8 @@ def test_import_loads_neither_scipy_nor_process_pool():
     got = json.loads(out.splitlines()[-1])
     assert got["at_import"] == []
     assert got["after_field"] == []
-    want = evaluate_free(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)),
-                         SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+    want = evaluate_p_gamma(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)), 2.0,
+                            SpaceTimePoint(x=(0.2, -0.1), t=0.3))
     assert complex(*got["value"]) == want
 
 
@@ -160,7 +166,7 @@ def test_modulus_never_exceeds_spectral_mass():
 def test_small_time_recovery_of_free_field():
     f = Case1Product(ModelParams(d=1, gamma=2.0, R=4.0))
     x = (0.3,)
-    free0 = evaluate_free(f, SpaceTimePoint(x=x, t=0.0))
+    free0 = _free(f, SpaceTimePoint(x=x, t=0.0))
     t = 2.0**-20
     diff = abs(evaluate_p_gamma(f, 2.0, SpaceTimePoint(x=x, t=t)) - free0)
     assert diff <= 1e-3 * l1_fourier_mass(f) * max(1.0, 16.0 * t)
@@ -953,6 +959,66 @@ def _window_integral(cp, x1, t, u, w, gamma_eval=None):
     co = band + u * root_r
     decay = (t ** ge)[:, None] * (co * co)[None, :]
     return (_unit_bump(u)[None, :] * np.exp(1j * phase - decay)) @ w
+
+
+def _full_series(x, lam, center, step, scale, coef):
+    """The closed form with all 2 _SERIES_ORDER + 1 series terms in every row:
+    sum_{m,j} M_m alpha^m e_j mu_{m+j} over the Taylor moments M_m of coef."""
+    moments = _moments(coef)
+    kappa = (coef.shape[1] - 1) / 2.0
+    alpha = 2.0 * step * scale * lam
+    beta = scale * (1j * x + 2.0 * lam * (center + kappa * step))
+    e = np.stack(list(profiles._series_terms(beta, lam * (scale * scale))), axis=1)
+    mu = profiles._bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR)
+    return sum(moments[:, m] * alpha ** m * (e @ mu[m:m + e.shape[1]])
+               for m in range(moments.shape[1]))
+
+
+def _factor_inputs(cp, x, t):
+    """(x_j, lam, centre, step, scale, coef) of the window and of one comb axis."""
+    decay = t ** cp.model.gamma
+    lam = 1j * t - decay
+    window = (x[:, 0], lam, cp.band, 0.0, math.sqrt(cp.model.R),
+              np.exp(-decay * cp.band ** 2)[:, None])
+    _, center, step, coef = _comb_inputs(cp, x, t)
+    return window, (x[:, 1], lam, center, step, 1.0, coef)
+
+
+@pytest.mark.parametrize("e", range(16, 25))
+def test_series_to_its_own_order_matches_the_full_series(e):
+    """At README-ladder points each closed form, every row to its own series
+    order, is within 1e-15 of its coefficients' L1 mass of the full 23-term
+    series, in the window and on a comb axis."""
+    cp, x, t = _ladder_points(2 ** e, 64)
+    for xj, lam, center, step, scale, coef in _factor_inputs(cp, x, t):
+        take, got = _series(xj, lam, center, step, scale, coef)
+        assert take.all()
+        want = _full_series(xj, lam, center, step, scale, coef)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.sum(np.abs(coef), axis=1))
+
+
+def test_series_draws_terms_to_its_batch_order_only(monkeypatch):
+    """_bump_series draws 2 N + 1 series terms, N the largest own order
+    _series_order(|beta| + |q|) of its rows: 15 in the window and 19 on a
+    comb axis at ladder points, of the 23 at the series radius."""
+    counts = []
+    series_terms = propagator._series_terms
+
+    def counting(beta, q):
+        counts.append(0)
+        for e in series_terms(beta, q):
+            counts[-1] += 1
+            yield e
+
+    monkeypatch.setattr(propagator, "_series_terms", counting)
+    for e in (16, 20, 24):
+        cp, x, t = _ladder_points(2 ** e, 64)
+        for xj, lam, center, step, scale, coef in _factor_inputs(cp, x, t):
+            kappa = (coef.shape[1] - 1) / 2.0
+            beta = scale * (1j * xj + 2.0 * lam * (center + kappa * step))
+            order = profiles._series_order(np.abs(beta) + np.abs(lam * (scale * scale)))
+            _series(xj, lam, center, step, scale, coef)
+            assert counts[-1] == 2 * int(np.max(order)) + 1 < 2 * _SERIES_ORDER + 1
 
 
 @pytest.mark.parametrize("R", [2 ** 16, 2 ** 24])
