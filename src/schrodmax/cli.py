@@ -285,11 +285,17 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
 
 
 def _anchored(cp: CounterexampleParams) -> bool:
-    """Whether an anchor meets the sampling window; none does without a modulus."""
+    """Whether an anchor meets the sampling window; none does without a modulus.
+
+    Anchors too many to number in int64 are not none: such an entry fails
+    at runtime, naming its count.
+    """
     try:
         return anchor_counts(cp)[1] > 0
     except PreconditionError:
         return False
+    except OverflowError:
+        return True
 
 
 def _run_counterexample(cfg: ExperimentConfig, map_fn):
@@ -309,11 +315,8 @@ def _run_counterexample(cfg: ExperimentConfig, map_fn):
         raise ConfigError(f"model.gamma: no calibration at gamma={_fmt(gamma_c)}, "
                           f"d={cfg['model.d']}: {exc}") from None
     except ExperimentError as exc:
-        # a ladder with no anchor in any entry's window cannot sample at all;
-        # one whose boxes all miss a lattice period could not with anchors
-        # either, and stays a runtime failure
-        if (any(cp.spans_lattice_period for cp in ladder_params)
-                and not any(map(_anchored, ladder_params))):
+        # a ladder with no anchor in any entry's window cannot sample at all
+        if not any(map(_anchored, ladder_params)):
             raise ConfigError(f"ladder: no entry has a rational anchor in its sampling "
                               f"window at d={cfg['model.d']}, gamma={_fmt(gamma_c)}") from None
         raise RunFailed(exc, [], {"aborted": [[R, why] for R, why in exc.aborted]},

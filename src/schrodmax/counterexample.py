@@ -148,9 +148,17 @@ def _anchor_pairs(cp: CounterexampleParams):
     Cached for the last parameters, so a ladder entry (its anchor counts,
     its sampler and its decoding) builds the arrays once; they are
     read-only, and the entry drops them once it has its draws.
+
+    The count is taken first, in exact integers: a count past int64 would
+    wrap the starts without a warning, so it raises OverflowError naming
+    the count, before any pair array is built.
     """
     mods = _admissible_moduli(cp)
-    q = np.concatenate([np.full(totient(m), m, dtype=np.int64) for m in mods])
+    units = [totient(m) for m in mods]
+    count = sum(n * (m // 4) ** (cp.model.d - 1) for m, n in zip(mods, units))
+    if count >= 2 ** 63:
+        raise OverflowError(f"{count} anchors at R={cp.model.R:g} cannot be numbered in int64")
+    q = np.concatenate([np.full(n, m, dtype=np.int64) for m, n in zip(mods, units)])
     a1 = np.concatenate([np.flatnonzero(np.gcd(np.arange(m), m) == 1) for m in mods])
     starts = np.concatenate(([0], np.cumsum((q // 4) ** (cp.model.d - 1))))
     for arr in (q, a1, starts):

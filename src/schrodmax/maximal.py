@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import SpectrumDescriptor, l2_norm, support_annulus
-from .propagator import _DECAY_CUTOFF, _decay, _even_cells, _field_factors
+from .propagator import _DECAY_CUTOFF, _even_cells, _field_factors
 from .quadrature import _CHUNK
 
 
@@ -156,13 +156,13 @@ def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
     x, back = np.unique(np.where(even, np.abs(x), x), axis=0, return_inverse=True)
 
     def moduli(tq):
-        scale, facs = _field_factors(f, x, tq, _decay(tq, gamma), rtol)
+        scale, facs = _field_factors(f, x, tq, tq ** gamma, rtol)
         mods = {id(m): np.abs(m) for m, _ in facs}
         return scale, [(mods[id(m)], rows) for m, rows in facs]
 
     ts = np.asarray(tg.points, dtype=float)
     lo_support = support_annulus(axes)[0]
-    live = int(np.count_nonzero(_decay(ts, gamma) * lo_support ** 2 <= _DECAY_CUTOFF))
+    live = int(np.count_nonzero(ts ** gamma * lo_support ** 2 <= _DECAY_CUTOFF))
     sup, arg = _column_max(moduli, ts[:live], x.shape[0])
     near = ts[np.clip(np.unique(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
     frac = np.arange(1, _REFINE) / _REFINE

@@ -51,8 +51,9 @@ ladder point at its selected time takes the closed form in both
 factors, with |beta| + |q| below 0.04.  There each translate's lattice
 phase is a quadratic residue over the draw's modulus q plus a slow
 drift, so a batch given the draws' residues takes the comb's moments
-folded over q from exact integer phases (_folded_moments), O(q) work per
-sample and no (sample, translate) table.  These are the comb's only
+folded over q from exact integer phases (_folded_moments): one pass per
+drawn modulus over every (sample, rest axis) pair, O(q) work per drawn
+anchor and no (sample, translate) table.  These are the comb's only
 moments: a comb sample without residues, as in check 5,
 propagator-check and every one-point evaluation, runs Horner's rule in z
 on doubling panels, L multiply-adds per (sample, node), over the lattice
@@ -126,11 +127,6 @@ class FactorizedEvaluation:
 
 # ---------------------------------------------------------------------------
 # the grid engine: field matrices over a point set times a time set
-
-
-def _decay(t: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-time dissipation t^gamma, zero at t = 0."""
-    return np.where(t > 0.0, t, 1.0) ** gamma * (t > 0.0)
 
 
 def _octaves(tv: np.ndarray, decay: np.ndarray):
@@ -307,8 +303,7 @@ def evaluate_p_gamma(f: SpectrumDescriptor, gamma: float, p: SpaceTimePoint, *,
     x = np.asarray(p.x, dtype=float)
     if x.size != f.dim:
         raise ValueError(f"point dimension {x.size} does not match profile {f.dim}")
-    decay = p.t ** gamma if p.t > 0.0 else 0.0
-    return complex(_field_grid(f, x[None, :], np.array([p.t]), np.array([decay]),
+    return complex(_field_grid(f, x[None, :], np.array([p.t]), np.array([p.t ** gamma]),
                                rtol)[0, 0])
 
 
@@ -388,11 +383,8 @@ def _bump_series(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     order = _series_order(r[take])
     # terms[:, 0, j] = e_j up to each sample's own degree 2 order, zero past it
     terms = np.zeros((beta.size, 1, 2 * _SERIES_ORDER + 1), dtype=complex)
-    top = int(np.max(order))
-    for j, e in zip(range(2 * top + 1), _series_terms(beta, q)):
-        terms[:, 0, j] = e
-    for n in range(int(np.min(order)), top):
-        terms[order == n, 0, 2 * n + 1:2 * top + 1] = 0.0
+    for j, e in zip(range(2 * int(np.max(order)) + 1), _series_terms(beta, q)):
+        terms[:, 0, j] = np.where(j <= 2 * order, e, 0.0)
     mu = _bump_moments(1, 2 * _SERIES_ORDER + _TAYLOR).astype(complex)
 
     def g(m):
@@ -426,10 +418,14 @@ def _folded_moments(cp: CounterexampleParams, q: np.ndarray, a1: np.ndarray,
     l = r mod q, binned once per modulus.  A (sample, axis) pair takes it
     where |b| + |c| <= _SERIES_RADIUS, to v-degree 2 _series_order(|b| + |c|),
     so its tail is that of _bump_series.  The phases are exact residues and
-    no (sample, translate) table is formed.  Every step is elementwise or a
-    product of the sample's own row, to its own series order, so its
-    moments do not depend on the other samples.  Returns a mask (n, d - 1)
-    of the pairs taken and their moments (n, d - 1, _TAYLOR + 1).
+    no (sample, translate) table is formed.  The fold is one pass per drawn
+    modulus over every (sample, rest axis) pair: one binning, and W once
+    per anchor (a1, a_j), to the batch's top order, as one product of the
+    bins with that anchor's own phase column.  A pair's series terms past
+    its own order are zeros, so the W past it add nothing, and every other
+    step is elementwise: a pair's moments do not depend on the other
+    samples.  Returns a mask (n, d - 1) of the pairs taken and their
+    moments (n, d - 1, _TAYLOR + 1).
     """
     start, stop = comb_range(cp)
     size = stop - start
@@ -443,29 +439,24 @@ def _folded_moments(cp: CounterexampleParams, q: np.ndarray, a1: np.ndarray,
         return ok, moments
     b, c = np.where(ok, b, 0.0), np.where(ok, c, 0.0)
     order = _series_order(np.abs(b) + np.abs(c))
-    # w[i, j, p] = W_p of sample i on axis j, up to its own order
+    # w[i, j, p] = W_p of sample i on rest axis j, to the batch's top order
     top = _TAYLOR + 2 * int(np.max(order)) + 1
     w = np.zeros(eps.shape + (top,), dtype=complex)
     ells = np.arange(start, stop)
     powers = ((ells - lc) / kappa) ** np.arange(top)[:, None]
     for mod in np.unique(q[ok.any(axis=1)]).tolist():
-        pairs = ok & (q == mod)[:, None]
+        rows, axes = np.nonzero(ok & (q == mod)[:, None])
         res = np.arange(mod)
         # sums[p, r] = S_p(r), one bin per (power, residue)
         bins = (ells % mod + mod * np.arange(top)[:, None]).ravel()
         sums = np.bincount(bins, weights=powers.ravel(), minlength=top * mod)
         sums = sums.reshape(top, mod).astype(complex)
         units = np.exp(1j * (TWO_PI / mod) * res)
-        for j in range(eps.shape[1]):
-            for n in np.unique(order[pairs[:, j], j]).tolist():
-                rows = np.flatnonzero(pairs[:, j] & (order[:, j] == n))
-                # W once per anchor (a1, a_j): samples of one anchor share it
-                anchors, which = np.unique(a1[rows] * mod + a_rest[rows, j],
-                                           return_inverse=True)
-                a1u, aju = np.divmod(anchors[:, None], mod)
-                phase = (a1u * res * res + aju * res) % mod
-                width = _TAYLOR + 2 * n + 1
-                w[rows, j, :width] = (sums[:width] @ units[phase][:, :, None])[which, :, 0]
+        # W once per anchor (a1, a_j): pairs of one anchor share it
+        anchors, which = np.unique(a1[rows] * mod + a_rest[rows, axes], return_inverse=True)
+        a1u, aju = np.divmod(anchors[:, None], mod)
+        phase = (a1u * res * res + aju * res) % mod
+        w[rows, axes] = (sums @ units[phase][:, :, None])[which, :, 0]
     for k, h in zip(range(top - _TAYLOR), _series_terms(b, c)):
         h = np.where(k <= 2 * order, h, 0.0)  # each pair to its own order
         moments += h[..., None] * w[..., k:k + _TAYLOR + 1]

@@ -362,19 +362,36 @@ def test_main_counterexample_clamps_gamma_above_two(tmp_path, capsys):
 
 
 def test_main_counterexample_runtime_failure(tmp_path, capsys):
-    rc = main(["counterexample", "--ladder", "2^8 2^9 2^10 2^11",
-               "--set", "ce.c4=0.125", "--samples", "50",
+    """Only the top entry has anchors in its window, so the ladder is too short to fit."""
+    rc = main(["counterexample", "--ladder", "2^13 2^14 2^15 2^16",
+               "--set", "ce.c4=0.125", "--samples", "200",
                "--out", str(tmp_path / "fail")])
     assert rc == 3
     assert "run failed" in capsys.readouterr().err
     payload = json.loads((tmp_path / "fail" / "report.json").read_text())
     assert payload["passed"] is False
-    assert payload["failure"] == "ExperimentError: only 0 ladder entries survived"
+    assert payload["failure"] == "ExperimentError: only 1 ladder entries survived"
     assert payload["verdicts"] == {} and payload["records"] == []
     aborted = payload["summary"]["aborted"]
-    assert [R for R, _ in aborted] == [2.0**8, 2.0**9, 2.0**10, 2.0**11]
+    assert [R for R, _ in aborted] == [2.0**13, 2.0**14, 2.0**15]
     assert all("no rational anchor" in why for _, why in aborted)
     assert parse_csv((tmp_path / "fail" / "records.csv").read_text()) == []
+
+
+def test_main_counterexample_anchor_count_past_int64_is_a_runtime_failure(tmp_path, capsys):
+    """At d=4 from R = 2^44 the anchors cannot be numbered in int64: the first
+    entry fails naming its exact count, and the ladder is not taken for one
+    without anchors."""
+    out = tmp_path / "fail"
+    rc = main(["counterexample", "--d", "4", "--ladder", "2^44 2^45 2^46 2^47",
+               "--samples", "10", "--out", str(out)])
+    assert rc == 3
+    assert "run failed" in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and payload["summary"]["aborted"] == []
+    assert payload["failure"].startswith(
+        f"ExperimentError: ladder entry R={2.0**44:g} failed: OverflowError: "
+        "23929298206718678046 anchors")
 
 
 def test_main_counterexample_entry_failure_still_writes_the_report(tmp_path, capsys,
@@ -527,9 +544,11 @@ def test_main_ladder_out_of_range_is_a_config_error(tmp_path, capsys, argv, cond
       "--samples", "200"], "ladder: no entry has a rational anchor", "d=3, gamma=1.08"),
     (["counterexample", "--set", "ce.mu0=10", "--ladder", "2^16 2^17 2^18 2^19",
       "--samples", "200"], "ladder: no entry has a rational anchor", "d=2, gamma=2"),
+    (["counterexample", "--ladder", "2^8 2^9 2^10 2^11", "--set", "ce.c4=0.125",
+      "--samples", "50"], "ladder: no entry has a rational anchor", "d=2, gamma=2"),
 ], ids=["d1", "c1", "R2", "gamma-near-one", "counterexample-gamma-one",
         "propagator-check-gamma-half", "no-anchor-gamma-1.2", "no-anchor-d2-gamma-1.09",
-        "no-anchor-d3-gamma-1.08", "no-admissible-modulus"])
+        "no-anchor-d3-gamma-1.08", "no-admissible-modulus", "no-anchor-below-a-lattice-period"])
 def test_main_construction_out_of_range_is_a_config_error(tmp_path, capsys, argv, where,
                                                           condition):
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from schrodmax.counterexample import (
     v2_measure_lower,
 )
 from schrodmax.maximal import fit_loglog
-from schrodmax.numbertheory import PreconditionError, _window_sums
+from schrodmax.numbertheory import PreconditionError, _window_sums, totient
 from schrodmax.profiles import (
     Case3Counterexample,
     CounterexampleParams,
@@ -99,6 +100,34 @@ def test_anchor_index_matches_nested_loops(d, k):
     q, a1, rest = _anchors(cp)
     decoded = tuple(zip(q.tolist(), a1.tolist(), map(tuple, rest.tolist())))
     assert decoded == _nested_loop_anchors(cp)
+
+
+@pytest.mark.parametrize("d,ks", [(2, range(16, 25)), (3, range(20, 24))])
+def test_anchor_starts_end_at_the_exact_count(d, ks):
+    """Where the count fits in int64, the int64 starts end at the exact count,
+    summed over the moduli in integers."""
+    for k in ks:
+        cp = _exp_params(2.0**k, d=d)
+        exact = sum(totient(m) * (m // 4) ** (d - 1)
+                    for m in counterexample._admissible_moduli(cp))
+        assert int(counterexample._anchor_pairs(cp)[2][-1]) == exact
+
+
+def test_anchor_count_past_int64_raises_before_building_pairs():
+    """At d=4, R = 2^44 there are about 2.39e19 anchors, past int64: the
+    count is refused, naming it, within a second and before any pair
+    array is allocated."""
+    cp = _exp_params(2.0**44, d=4)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(OverflowError, match="^23929298206718678046 anchors"):
+            counterexample.anchor_counts(cp)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 2**20
 
 
 def test_ladder_anchor_counts_in_closed_form():

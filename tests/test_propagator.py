@@ -36,7 +36,6 @@ from schrodmax.propagator import (
     _bump_series,
     _bump_sum,
     _cell_matrix,
-    _decay,
     _factorized_batch,
     _field_grid,
     _plane_phase_sum,
@@ -223,7 +222,7 @@ def test_field_grid_matches_fixed_gauss_sum(f, gamma, reference, box):
     """Engine matrices on a 3 x 3 grid of points and times, and point by point."""
     x = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.0]])
     t = np.array([0.0, 0.05, 0.3])
-    decay = _decay(t, gamma)
+    decay = t ** gamma
     want = reference(f, x, t, decay, box)
     tol = 1e-10 * np.max(np.abs(want))
     assert np.max(np.abs(_field_grid(f, x, t, decay, 1e-10) - want)) <= tol
@@ -258,7 +257,7 @@ def test_field_matrix_per_distinct_factor_and_coordinates(monkeypatch, f, x, cal
 
     monkeypatch.setattr(propagator, "_cell_matrix", counting)
     t = np.array([0.0, 0.01, 0.2])
-    _field_grid(f, x, t, _decay(t, 0.5), 1e-9)
+    _field_grid(f, x, t, t ** 0.5, 1e-9)
     assert len(seen) == calls
 
 
@@ -267,7 +266,7 @@ def test_shared_field_matrix_equals_per_axis_matrices():
     f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
     x = _mesh(2)
     t = np.array([0.0, 0.01, 0.2])
-    decay = _decay(t, 0.5)
+    decay = t ** 0.5
     per_axis = []
     for axis, cells in enumerate(f.factors_by_axis()):
         coords, rows = np.unique(x[:, axis], return_inverse=True)
@@ -285,7 +284,7 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
     cells, _ = f.factors_by_axis()
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
-    decay = _decay(t, 0.5)
+    decay = t ** 0.5
     geometric = set(t[:64].tolist())
     calls = []
 
@@ -329,7 +328,7 @@ def test_plane_phase_sum_matches_a_direct_node_sum(monkeypatch, points, times, m
     coef = rng.standard_normal(xi.shape) + 1j * rng.standard_normal(xi.shape)
     xv = rng.uniform(-2.0, 2.0, points)
     t = rng.uniform(0.0, 0.5, times)
-    lead = 1j * t - _decay(t, 0.5)
+    lead = 1j * t - t ** 0.5
     want = np.zeros((members, points, times), dtype=complex)
     for z, c in zip(xi.T, coef.T):
         want += c[:, None, None] * np.exp(1j * np.multiply.outer(z, xv)[..., None]
@@ -363,7 +362,7 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
     xi, coef = cells.half[:1, None] * u, _unit_bump(u) * w[None]
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
-    lead = 1j * t - _decay(t, 0.5)
+    lead = 1j * t - t ** 0.5
     folded = _plane_phase_sum(xv, xi, coef, lead, True)
     assert sum(time_table_rows) == xi.size // 2
     time_table_rows.clear()
@@ -385,7 +384,7 @@ def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows
 
     monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
     t = np.array([0.01, 0.2, 0.5])
-    _cell_matrix(cells, _mesh(1)[:, 0], t, _decay(t, 0.5), 1e-9)
+    _cell_matrix(cells, _mesh(1)[:, 0], t, t ** 0.5, 1e-9)
     assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
 
 
@@ -461,7 +460,7 @@ def test_cells_sharing_a_rule_match_their_own_loops(monkeypatch, R, points, time
     rng = np.random.default_rng(int(R) + points)
     t = np.sort(rng.uniform(0.0, 2.0 / R, times))
     t[0] = 0.0 if times > 1 else t[0]
-    decay = _decay(t, 2.0)
+    decay = t ** 2.0
     x1 = np.sort(rng.uniform(cp.x1_lo, cp.x1_lo / 2.0, points))
     xj = np.sort(rng.uniform(-cp.c1, cp.c1, points))
     grouped = _cell_matrix(comb, xj, t, decay, 1e-10)
@@ -551,9 +550,9 @@ def test_cell_clipped_away_in_an_octave_adds_nothing():
     cells = Cells(100.0, 1.0)
     pts = np.array([0.0, 0.5])
     tv = np.array([0.0, 1.0])
-    out = _cell_matrix(cells, pts, tv, _decay(tv, 2.0), 1e-10)
+    out = _cell_matrix(cells, pts, tv, tv ** 2.0, 1e-10)
     assert np.all(out[:, 1] == 0.0)
-    free = _cell_matrix(cells, pts, tv[:1], _decay(tv[:1], 2.0), 1e-10)
+    free = _cell_matrix(cells, pts, tv[:1], tv[:1] ** 2.0, 1e-10)
     assert np.array_equal(out[:, :1], free) and np.all(np.abs(free) > 0.0)
 
 
@@ -786,6 +785,39 @@ def test_residues_beyond_the_series_radius_take_the_quadrature_path():
     with_residues = _factorized_batch(cp, draws.x, t, residues=(q, a1, a_rest, far))
     for got, want in zip(with_residues, _factorized_batch(cp, draws.x, t)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_folded_moments_of_a_batch_are_its_rows_alone(d):
+    """The fold over each modulus takes every (sample, rest axis) pair of
+    the batch at once: each row's mask and moments are the same bits as the
+    row folded alone.  The batch holds at least three moduli, pairs of
+    several series orders, one anchor drawn twice at two orders, and pairs
+    past the series radius, whose moments are zero."""
+    from schrodmax.counterexample import sample_omega_star, select_time
+
+    cp = CounterexampleParams.for_experiments(ModelParams(d=d, gamma=2.0, R=2.0 ** 20))
+    record = sample_omega_star(cp, 4000, 3)
+    # rows 6 and 7 repeat the anchors of rows 0 and 1
+    draws = record[record.valid][np.array([0, 1, 2, 3, 4, 5, 0, 1])]
+    delta = select_time(cp, draws) ** 2 * cp.D ** 2
+    eps = draws.eps * np.array([1, 1, 30, 1, 300, 1, 100, 3000])[:, None]
+    eps[5, -1] *= 3000  # at d=3 one rest axis of the row taken, the other not
+    q, a1, a_rest = draws.q, draws.a1, draws.a_rest
+    ok, moments = propagator._folded_moments(cp, q, a1, a_rest, eps, delta)
+    start, stop = comb_range(cp)
+    kappa = (stop - start - 1) / 2.0
+    r = np.abs((1j * eps - (2.0 * (start + kappa)) * delta[:, None]) * kappa)
+    r += delta[:, None] * kappa ** 2
+    order = np.where(ok, profiles._series_order(r), -1)
+    assert np.unique(q[ok.any(axis=1)]).size >= 3 and np.unique(order[ok]).size >= 2
+    assert np.any(ok[0] & ok[6] & (order[0] != order[6]))
+    assert not ok.all() and not moments[~ok].any()
+    for k in range(q.size):
+        row = slice(k, k + 1)
+        alone = propagator._folded_moments(cp, q[row], a1[row], a_rest[row], eps[row],
+                                           delta[row])
+        assert np.array_equal(alone[0][0], ok[k]) and np.array_equal(alone[1][0], moments[k])
 
 
 def _residue_coef(cp, draws, delta):
