@@ -262,6 +262,10 @@ def _run_maximal_sweep(cfg: ExperimentConfig, map_fn):
         # box, which a ball grid cannot resolve at any scale
         raise ConfigError("model.gamma: maximal-sweep needs gamma <= 1; "
                           "measure gamma > 1 growth with the counterexample verb")
+    if cfg["time.cap"] <= cfg["time.geometric"]:
+        # a ladder has scales above 1, whose grids need uniform times to reach t = 1
+        raise ConfigError(f"time.cap: must exceed time.geometric={cfg['time.geometric']}, "
+                          f"got {cfg['time.cap']}")
     family = functools.partial(_case1_family, cfg["model.d"], gamma)
     grids = functools.partial(_default_grids, cfg=cfg)
     try:

@@ -5,9 +5,11 @@ a quadratic Gauss sum; cells around the anchors are sampled, pulled
 back to a spatial box, and the evolved field is evaluated there through
 the factorized path.  Measures, error budgets, and scaling fits follow.
 
-Anchors are positions in one enumeration order (`_anchor_pairs`), decoded
-with integer arithmetic: the sampler never lists them, and the anchor and
-in-window counts are closed-form sums over the (q, a1) pairs.  The draws
+Anchors are positions in one enumeration order, numbered by modulus
+(`_moduli_table`) and decoded with integer arithmetic: the sampler never
+lists them, nor their (q, a1) pairs.  The anchor count is a closed-form
+sum over the moduli, the in-window count one over the units of blocks of
+moduli, and a decoding lists the units of the drawn moduli alone.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
 ladder record.  The record keeps each draw's anchor residues and its
 offsets within the anchor's cell as drawn, and a ladder entry hands them
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .maximal import check_ladder, fit_loglog
-from .numbertheory import PreconditionError, _window_sums, totient
+from .numbertheory import PreconditionError, _units, _window_sums, totient
 from .profiles import (
     Case3Counterexample,
     CounterexampleParams,
@@ -137,57 +139,71 @@ def _admissible_moduli(cp: CounterexampleParams) -> tuple[int, ...]:
     return mods
 
 
-@lru_cache(maxsize=1)
-def _anchor_pairs(cp: CounterexampleParams):
-    """The one anchor enumeration order, as arrays over its (q, a1) pairs.
+def _moduli_table(cp: CounterexampleParams) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible moduli and the position of each one's first anchor.
 
     Anchors run over the admissible q ascending, then a1 over the units
     of q ascending, then the (q/4)^(d-1) even rest tuples with the first
-    rest axis most significant.  Returns each pair's q and a1 and the
-    position of its first anchor; the last start is the anchor count.
-    Cached for the last parameters, so a ladder entry (its anchor counts,
-    its sampler and its decoding) builds the arrays once; they are
-    read-only, and the entry drops them once it has its draws.
+    rest axis most significant, so modulus q holds phi(q) (q/4)^(d-1)
+    anchors.  Returns the moduli and their starts, one entry longer: the
+    last start is the anchor count.
 
     The count is taken first, in exact integers: a count past int64 would
     wrap the starts without a warning, so it raises OverflowError naming
-    the count, before any pair array is built.
+    the count.
     """
     mods = _admissible_moduli(cp)
-    units = [totient(m) for m in mods]
-    count = sum(n * (m // 4) ** (cp.model.d - 1) for m, n in zip(mods, units))
+    sizes = [totient(m) * (m // 4) ** (cp.model.d - 1) for m in mods]
+    count = sum(sizes)
     if count >= 2 ** 63:
         raise OverflowError(f"{count} anchors at R={cp.model.R:g} cannot be numbered in int64")
-    q = np.concatenate([np.full(n, m, dtype=np.int64) for m, n in zip(mods, units)])
-    a1 = np.concatenate([np.flatnonzero(np.gcd(np.arange(m), m) == 1) for m in mods])
-    starts = np.concatenate(([0], np.cumsum((q // 4) ** (cp.model.d - 1))))
-    for arr in (q, a1, starts):
-        arr.setflags(write=False)
-    return q, a1, starts
+    return (np.array(mods, dtype=np.int64),
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))))
+
+
+def _unit_blocks(mods: np.ndarray, chosen: np.ndarray):
+    """The units of the chosen moduli, in blocks that hold fewer than _CHUNK.
+
+    chosen indexes mods, ascending.  Yields each block's indices into mods,
+    its moduli's units concatenated in order, and how many each has; a
+    modulus q has fewer than q units, so a block holds _CHUNK // max(q)
+    moduli, or one.
+    """
+    step = max(1, _CHUNK // int(mods[-1]))
+    for lo in range(0, chosen.size, step):
+        block = chosen[lo:lo + step]
+        units = [_units(m) for m in mods[block].tolist()]
+        yield block, np.concatenate(units), np.array([u.size for u in units])
 
 
 def _decode_anchors(cp: CounterexampleParams, index):
     """(q, a1, rest) integer arrays of the anchors at enumeration positions.
 
-    The modulus comes first, by a search over the starts of the moduli
-    alone (the first pair of each); within the modulus every pair holds
-    (q/4)^(d-1) anchors, so a division gives the pair and the rest tuple.
+    The modulus comes first, by a search over the moduli's starts; within
+    the modulus every unit holds (q/4)^(d-1) anchors, so a division gives
+    the unit's rank and the rest tuple.  Only the drawn moduli's units are
+    listed, and a1 is read from them at each modulus's offset plus the rank.
     """
-    q_pair, a1_pair, starts = _anchor_pairs(cp)
+    mods, starts = _moduli_table(cp)
     d = cp.model.d
     index = np.asarray(index, dtype=np.int64)
-    # each modulus's first pair
-    first = np.flatnonzero(np.diff(q_pair, prepend=0))
-    head = first[np.searchsorted(starts[first], index, side="right") - 1]
-    q = q_pair[head]
+    which = np.searchsorted(starts, index, side="right") - 1
+    q = mods[which]
     k = q // 4
-    pair, within = np.divmod(index - starts[head], k ** (d - 1))
+    rank, within = np.divmod(index - starts[which], k ** (d - 1))
+    drawn = np.flatnonzero(np.bincount(which, minlength=mods.size))
+    offset = np.zeros(mods.size, dtype=np.int64)
+    a1 = np.empty_like(rank)
+    for block, units, size in _unit_blocks(mods, drawn):
+        offset[block] = np.cumsum(size) - size
+        rows = np.flatnonzero((which >= block[0]) & (which <= block[-1]))
+        a1[rows] = units[offset[which[rows]] + rank[rows]]
     # the rest tuple's digits in base q/4, the last rest axis least significant
     digits = []
     for _ in range(d - 1):
         within, digit = np.divmod(within, k)
         digits.append(digit)
-    return q, a1_pair[head + pair], 2 * np.stack(digits[::-1], axis=-1) + 2
+    return q, a1, 2 * np.stack(digits[::-1], axis=-1) + 2
 
 
 def _window_bounds(cp: CounterexampleParams) -> tuple[float, float]:
@@ -292,7 +308,7 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     if not cp.spans_lattice_period:
         raise PreconditionError(
             "spatial box spans less than one lattice period per rest axis")
-    NA = int(_anchor_pairs(cp)[2][-1])
+    NA = int(_moduli_table(cp)[1][-1])
     A1, Aj = _half_widths(cp)
     M1 = D * D / (2.0 * band)
     lo_w, hi_w = _window_bounds(cp)
@@ -512,21 +528,27 @@ class LowerBoundReport:
 
 
 def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
-    """How many anchors there are, and how many meet the sampling window."""
-    q, a1, starts = _anchor_pairs(cp)
-    return int(starts[-1]), int(np.sum(np.diff(starts)[_in_window(cp, q, a1)]))
+    """How many anchors there are, and how many meet the sampling window.
+
+    Each unit a1 of q whose leading cell meets the window brings its
+    (q/4)^(d-1) anchors; the units are tested a block of moduli at a time.
+    """
+    mods, starts = _moduli_table(cp)
+    per_unit = (mods // 4) ** (cp.model.d - 1)
+    in_window = 0
+    for block, units, size in _unit_blocks(mods, np.arange(mods.size)):
+        kept = _in_window(cp, np.repeat(mods[block], size), units)
+        in_window += int(np.sum(np.repeat(per_unit[block], size)[kept]))
+    return int(starts[-1]), in_window
 
 
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    try:
-        total, in_window = anchor_counts(cp)
-        if not in_window:
-            raise PreconditionError(
-                f"no rational anchor meets the sampling window at R={mp.R:g}")
-        samples = sample_omega_star(cp, n_samples, seed)
-    finally:
-        _anchor_pairs.cache_clear()  # the pair arrays outlive no entry
+    total, in_window = anchor_counts(cp)
+    if not in_window:
+        raise PreconditionError(
+            f"no rational anchor meets the sampling window at R={mp.R:g}")
+    samples = sample_omega_star(cp, n_samples, seed)
     measure_est, measure_err = omega_star_measure(samples)
     valid = samples[samples.valid]
     if not len(valid):

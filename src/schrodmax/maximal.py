@@ -64,18 +64,26 @@ class TimeGrid:
         """Geometric points in (0, R^-2] then uniform spacing R^-2/4 up to t_max.
 
         The uniform part is thinned to keep the total at or below cap.
-        Raises ValueError once the smallest geometric time or the step
-        R^-2/4 leaves the normal doubles (R > 2^479 at 64 geometric times),
-        where times turn subnormal, merge at 0 or the step count overflows.
+        Raises ValueError where cap holds fewer than the geometric times or
+        leaves none of the uniform ones to reach t_max, and once
+        the smallest geometric time or the step R^-2/4 leaves the normal
+        doubles (R > 2^479 at 64 geometric times), where times turn
+        subnormal, merge at 0 or the step count overflows.
         """
         if R < 1.0 or not 0.0 < t_max <= 1.0:
             raise ValueError("need R >= 1 and t_max in (0, 1]")
         knee = min(R ** -2.0, t_max)
+        if cap < geometric:
+            raise ValueError(f"cap={cap} holds fewer than the {geometric} geometric times")
+        if cap == geometric and knee < t_max:
+            raise ValueError(f"cap={cap} leaves no uniform time past R^-2 to reach "
+                             f"t_max={t_max:g}")
         if min(knee * 2.0 ** -(geometric - 1), knee / 4.0) < sys.float_info.min:
             raise ValueError(f"R={R:g} too large: the smallest time underflows")
         geo = knee * 2.0 ** -np.arange(geometric - 1, -1, -1, dtype=float)
         n_uni = int(math.floor((t_max - knee) / (knee / 4.0)))
-        n_uni = min(n_uni, max(cap - geometric, 0))
+        # past the knee at least t_max itself, however close it lies
+        n_uni = min(max(n_uni, int(knee < t_max)), cap - geometric)
         uni = knee + (t_max - knee) * (np.arange(1, n_uni + 1) / max(n_uni, 1))
         pts = np.unique(np.concatenate([geo, uni]))
         return cls(points=tuple(float(t) for t in pts))

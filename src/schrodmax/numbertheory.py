@@ -113,7 +113,7 @@ def _law_table(q: int) -> _LawTable:
     the sweeps go through the moduli in order.  The table is read, never
     written, by its callers.
     """
-    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    units = _units(q)
     # the table is made before the blocks and filled in place: made after
     # them, it would sit above their freed temporaries on the heap and keep
     # those resident
@@ -260,7 +260,7 @@ def weyl_calibration(n_caps: Sequence[int] = (256, 4096), q_max: int = 64) -> di
     worst = np.zeros(N.size)
     for q in range(2, q_max + 1):
         rhs = np.array([weyl_bound_rhs(int(n), q) for n in N])
-        units = np.array([a for a in range(1, q) if math.gcd(a, q) == 1], dtype=np.int64)
+        units = _units(q)
         for beta in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             L = math.lcm(q, beta.denominator)
             B = beta.numerator * (L // beta.denominator)
@@ -299,21 +299,40 @@ def abel_sum_identity(a: Sequence[complex], h: Callable[[float], complex],
 # totient and simultaneous rational approximation
 
 
+def _prime_factors(q: int) -> list[int]:
+    """The distinct primes dividing q, ascending, by trial division."""
+    primes, n, p = [], q, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def totient(q: int) -> int:
     """Euler totient by trial-division factorization."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    result, n = q, q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    result = q
+    for p in _prime_factors(q):
+        result -= result // p
     return result
+
+
+def _units(q: int) -> np.ndarray:
+    """The units of q, the residues 0 <= a < q coprime to q, ascending.
+
+    The multiples of each prime factor of q are struck out, so q = 1 keeps
+    its one residue, 0.
+    """
+    keep = np.ones(q, dtype=bool)
+    for p in _prime_factors(q):
+        keep[::p] = False
+    return keep.nonzero()[0]
 
 
 def dirichlet_simultaneous(target: Sequence[float], Q: float) -> tuple[int, tuple[int, ...]]:

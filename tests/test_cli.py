@@ -510,6 +510,23 @@ def test_main_maximal_sweep_refuses_gamma_above_one_below_validity(tmp_path, cap
 _SWEEP = ["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder"]
 
 
+@pytest.mark.parametrize("cap, geometric", [("64", "64"), ("16", "20")],
+                         ids=["cap-equals-geometric", "cap-below-geometric"])
+def test_main_maximal_sweep_cap_without_uniform_times_is_a_config_error(
+        tmp_path, capsys, cap, geometric):
+    """A time cap with no room past the geometric times would end every grid
+    at R^-2 and report a ratio over the truncated grid (1.0342 against
+    1.0366 at R = 32 for the sweep benchmark's command); it is refused."""
+    out = tmp_path / "out"
+    rc = main(_SWEEP + ["2^2 2^3 2^4 2^5", "--set", "space.per_axis=32",
+                        "--set", f"time.cap={cap}", "--set", f"time.geometric={geometric}",
+                        "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: time.cap: must exceed time.geometric={geometric}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, condition", [
     (_SWEEP + ["0.125 0.25 0.5 1"], "R must be >= 1"),
     (_SWEEP + ["4 8 16 64"], "ladder must be geometric"),

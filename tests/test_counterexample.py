@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -30,7 +29,8 @@ from schrodmax.counterexample import (
     v2_measure_lower,
 )
 from schrodmax.maximal import fit_loglog
-from schrodmax.numbertheory import PreconditionError, _window_sums, totient
+# _units is pinned to the gcd definition in test_numbertheory
+from schrodmax.numbertheory import PreconditionError, _units, _window_sums, totient
 from schrodmax.profiles import (
     Case3Counterexample,
     CounterexampleParams,
@@ -54,15 +54,22 @@ def _def_params(R=2.0**16, d=2, gamma=2.0):
         ModelParams(d=d, gamma=gamma, R=float(R)))
 
 
+def _anchor_count(cp):
+    """The anchor count, the last of the moduli table's starts."""
+    return int(counterexample._moduli_table(cp)[1][-1])
+
+
 def _anchors(cp):
     """Every anchor's (q, a1, rest) arrays, decoded in enumeration order."""
-    total = int(counterexample._anchor_pairs(cp)[2][-1])
-    return counterexample._decode_anchors(cp, np.arange(total))
+    return counterexample._decode_anchors(cp, np.arange(_anchor_count(cp)))
 
 
 def _in_window_count(cp):
-    q, a1, starts = counterexample._anchor_pairs(cp)
-    return int(np.sum(np.diff(starts)[counterexample._in_window(cp, q, a1)]))
+    """Anchors meeting the window, summed one modulus at a time in Python
+    integers: (q/4)^(d-1) for each unit whose leading cell meets it."""
+    return sum(int(np.count_nonzero(counterexample._in_window(cp, q, _units(q))))
+               * (q // 4) ** (cp.model.d - 1)
+               for q in counterexample._admissible_moduli(cp))
 
 
 def test_rational_anchor_validation():
@@ -104,13 +111,13 @@ def test_anchor_index_matches_nested_loops(d, k):
 
 @pytest.mark.parametrize("d,ks", [(2, range(16, 25)), (3, range(20, 24))])
 def test_anchor_starts_end_at_the_exact_count(d, ks):
-    """Where the count fits in int64, the int64 starts end at the exact count,
-    summed over the moduli in integers."""
+    """Where the count fits in int64, the moduli's int64 starts end at the
+    exact count, summed over the moduli in integers."""
     for k in ks:
         cp = _exp_params(2.0**k, d=d)
         exact = sum(totient(m) * (m // 4) ** (d - 1)
                     for m in counterexample._admissible_moduli(cp))
-        assert int(counterexample._anchor_pairs(cp)[2][-1]) == exact
+        assert _anchor_count(cp) == exact
 
 
 def test_anchor_count_past_int64_raises_before_building_pairs():
@@ -282,22 +289,99 @@ def test_ladder_entry_solves_no_large_legendre_rule(monkeypatch):
     assert max(orders, default=0) < 128
 
 
-def test_ladder_entry_builds_its_anchor_pairs_once(monkeypatch):
-    """An entry's anchor counts, sampler and decoding share one build of the
-    (q, a1) pair arrays, and the entry releases them once it has its draws."""
-    built = []
-    build = counterexample._anchor_pairs.__wrapped__
+def test_ladder_entry_builds_no_array_over_anchor_pairs(monkeypatch):
+    """At d=3, R = 2^40 there are 850 962 (q, a1) pairs.  An entry's anchor
+    counts, sampling, times and budgets, all of the entry before its field
+    evaluation, peak below one int64 array over the pairs, and the entry
+    holds nothing once it returns."""
+    cp = _exp_params(2.0**40, d=3)
+    pairs = sum(totient(q) for q in counterexample._admissible_moduli(cp))
+    assert pairs == 850_962
+    peaks = []
+    batch = counterexample._factorized_batch
 
-    def counting(cp):
-        built.append(cp)
-        return build(cp)
+    def recording(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return batch(*args, **kwargs)
 
-    cached = functools.lru_cache(maxsize=1)(counting)
-    monkeypatch.setattr(counterexample, "_anchor_pairs", cached)
-    cp = _exp_params(2.0**19)
-    assert counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0).n_valid > 0
-    assert built == [cp]
-    assert cached.cache_info().currsize == 0
+    monkeypatch.setattr(counterexample, "_factorized_batch", recording)
+    tracemalloc.start()
+    try:
+        rec = counterexample._experiment_entry(cp, 200, 0, 1.0 / 3.0, 2.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rec.n_valid > 0 and len(peaks) == 1
+    assert peaks[0] < 8 * pairs
+    assert held < 2**18
+
+
+_FAR = [(3, 40), (4, 36), (4, 40)]
+
+
+def _encode_anchors(cp, q, a1, rest):
+    """Enumeration positions of (q, a1, rest) anchors, in Python integers:
+    the anchors of the smaller moduli, then (q/4)^(d-1) per smaller unit
+    of q, then the rest tuple's digits (a_j - 2) / 2 in base q/4, the first
+    rest axis most significant."""
+    d = cp.model.d
+    start, before = {}, 0
+    for m in counterexample._admissible_moduli(cp):
+        start[m] = before
+        before += totient(m) * (m // 4) ** (d - 1)
+    rank = np.empty_like(a1)
+    for m in np.unique(q).tolist():
+        units = _units(m)
+        at = q == m
+        rank[at] = np.searchsorted(units, a1[at])
+        assert np.array_equal(units[rank[at]], a1[at])  # a1 is a unit of q
+    out = []
+    for qi, ri, rest_i in zip(q.tolist(), rank.tolist(), rest.tolist()):
+        k = qi // 4
+        within = 0
+        for a in rest_i:
+            assert a % 2 == 0 and 2 <= a <= qi // 2
+            within = within * k + (a - 2) // 2
+        out.append(start[qi] + ri * k ** (d - 1) + within)
+    return out
+
+
+@pytest.mark.parametrize("d,k", _FAR)
+def test_far_anchor_positions_round_trip(d, k):
+    """10 000 random positions decode to anchors that encode back to them,
+    and ascending positions decode to lexicographically ascending anchors."""
+    cp = _exp_params(2.0**k, d=d)
+    index = np.sort(np.random.default_rng(k).integers(0, _anchor_count(cp), size=10_000))
+    q, a1, rest = counterexample._decode_anchors(cp, index)
+    assert _encode_anchors(cp, q, a1, rest) == index.tolist()
+    anchors = list(zip(q.tolist(), a1.tolist(), map(tuple, rest.tolist())))
+    assert anchors == sorted(anchors)
+
+
+@pytest.mark.parametrize("d,k", _FAR)
+def test_far_anchor_counts_are_per_modulus_sums(d, k):
+    cp = _exp_params(2.0**k, d=d)
+    total = sum(totient(q) * (q // 4) ** (d - 1)
+                for q in counterexample._admissible_moduli(cp))
+    assert counterexample.anchor_counts(cp) == (total, _in_window_count(cp))
+
+
+def test_far_anchor_work_stays_small():
+    """At d=3, R = 2^40 (850 962 (q, a1) pairs) the anchor counts and the
+    decoding of 10 000 positions peak under 2 MB traced, and hold nothing
+    once their results are dropped."""
+    cp = _exp_params(2.0**40, d=3)
+    index = np.random.default_rng(0).integers(0, _anchor_count(cp), size=10_000)
+    tracemalloc.start()
+    try:
+        counterexample.anchor_counts(cp)
+        decoded = counterexample._decode_anchors(cp, index)
+        del decoded
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert held < 2**16
 
 
 @pytest.mark.parametrize("e", [16, 24])
@@ -308,7 +392,7 @@ def test_weights_match_an_all_rows_cell_count(e):
     draws = sample_omega_star(cp, 10_000, seed=0)
     d, D = cp.model.d, cp.D
     A1, Aj = counterexample._half_widths(cp)
-    NA = int(counterexample._anchor_pairs(cp)[2][-1])
+    NA = _anchor_count(cp)
     M1 = D * D / (2.0 * cp.band)
     lo_w, hi_w = counterexample._window_bounds(cp)
     y1, yj = draws.y[:, 0], draws.y[:, 1:]

@@ -79,6 +79,31 @@ def test_time_grid_hybrid_cap_thins_uniform_part():
     assert g.count <= 40
 
 
+def test_time_grid_hybrid_refuses_a_cap_that_truncates():
+    """A cap with no room past the geometric times would end the grid at
+    R^-2 (0.0039 at R = 16) instead of t_max, and one below them would
+    hold more points than the cap: both are refused.  Where R^-2 is t_max
+    the geometric times alone reach it."""
+    with pytest.raises(ValueError, match="no uniform time"):
+        TimeGrid.hybrid(16.0, geometric=12, cap=12)
+    with pytest.raises(ValueError, match="fewer than the 12 geometric times"):
+        TimeGrid.hybrid(16.0, geometric=12, cap=8)
+    with pytest.raises(ValueError, match="fewer than the 12 geometric times"):
+        TimeGrid.hybrid(1.0, geometric=12, cap=11)
+    g = TimeGrid.hybrid(16.0, geometric=12, cap=13)
+    assert g.count == 13 and g.t_max == 1.0
+    g = TimeGrid.hybrid(1.0, geometric=12, cap=12)
+    assert g.count == 12 and g.t_max == 1.0
+
+
+@pytest.mark.parametrize("R, t_max", [(1.05, 1.0), (4.0, 0.07)])
+def test_time_grid_hybrid_reaches_t_max_within_a_quarter_step_of_the_knee(R, t_max):
+    """Where t_max lies less than R^-2/4 past the knee R^-2, the grid still
+    ends at t_max (it ended at the knee, 0.907 for R = 1.05)."""
+    g = TimeGrid.hybrid(R, t_max=t_max, geometric=8)
+    assert g.t_max == t_max and g.count == 9
+
+
 def test_space_grid_midpoints():
     sg = SpaceGrid(radius=2.0, per_axis=8)
     pts = sg.axis_points()

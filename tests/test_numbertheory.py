@@ -374,6 +374,16 @@ def test_totient_frozen_values():
         totient(0)
 
 
+def test_units_match_the_gcd_definition():
+    """The units of q, struck out by q's prime factors, are the residues
+    0 <= a < q with gcd(a, q) = 1, for every q < 3000; q = 1 has the one unit 0."""
+    assert numbertheory._units(1).tolist() == [0]
+    for q in range(1, 3000):
+        units = numbertheory._units(q)
+        assert units.dtype == np.int64 and units.size == totient(q)
+        assert np.array_equal(units, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
+
+
 @given(n=st.integers(min_value=1, max_value=300))
 def test_totient_divisor_sum(n):
     """Gauss: sum of phi(d) over divisors d of n equals n."""
