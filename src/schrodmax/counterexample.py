@@ -6,8 +6,8 @@ back to a spatial box, and the evolved field is evaluated there through
 the factorized path.  Measures, error budgets, and scaling fits follow.
 
 Anchors are positions in one enumeration order, numbered by modulus
-(`_moduli_table`) and decoded with integer arithmetic: the sampler never
-lists them, nor their (q, a1) pairs.  The anchor count is a closed-form
+(`_moduli_table`, built once per ladder entry) and decoded with integer
+arithmetic: the sampler never lists them, nor their (q, a1) pairs.  The anchor count is a closed-form
 sum over the moduli, the in-window count one over the units of blocks of
 moduli, and a decoding lists the units of the drawn moduli alone.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
@@ -176,15 +176,16 @@ def _unit_blocks(mods: np.ndarray, chosen: np.ndarray):
         yield block, np.concatenate(units), np.array([u.size for u in units])
 
 
-def _decode_anchors(cp: CounterexampleParams, index):
+def _decode_anchors(cp: CounterexampleParams, table, index):
     """(q, a1, rest) integer arrays of the anchors at enumeration positions.
 
-    The modulus comes first, by a search over the moduli's starts; within
-    the modulus every unit holds (q/4)^(d-1) anchors, so a division gives
-    the unit's rank and the rest tuple.  Only the drawn moduli's units are
-    listed, and a1 is read from them at each modulus's offset plus the rank.
+    table is cp's _moduli_table.  The modulus comes first, by a search over
+    the moduli's starts; within the modulus every unit holds (q/4)^(d-1)
+    anchors, so a division gives the unit's rank and the rest tuple.  Only
+    the drawn moduli's units are listed, and a1 is read from them at each
+    modulus's offset plus the rank.
     """
-    mods, starts = _moduli_table(cp)
+    mods, starts = table
     d = cp.model.d
     index = np.asarray(index, dtype=np.int64)
     which = np.searchsorted(starts, index, side="right") - 1
@@ -304,17 +305,23 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     point has no preimage in the box carry weight zero.  Weighted means
     over the full set give unbiased integrals over the preimage region.
     """
+    return _sample_omega_star(cp, _moduli_table(cp), n_samples, seed)
+
+
+def _sample_omega_star(cp: CounterexampleParams, table, n_samples: int,
+                       seed) -> OmegaStarDraws:
+    """sample_omega_star given cp's _moduli_table."""
     d, D, band = cp.model.d, cp.D, cp.band
     if not cp.spans_lattice_period:
         raise PreconditionError(
             "spatial box spans less than one lattice period per rest axis")
-    NA = int(_moduli_table(cp)[1][-1])
+    NA = int(table[1][-1])
     A1, Aj = _half_widths(cp)
     M1 = D * D / (2.0 * band)
     lo_w, hi_w = _window_bounds(cp)
     rng = default_rng(seed)
 
-    qi, a1i, resti = _decode_anchors(cp, rng.integers(0, NA, size=n_samples))
+    qi, a1i, resti = _decode_anchors(cp, table, rng.integers(0, NA, size=n_samples))
     q = qi.astype(float)
     y1 = TWO_PI * a1i / q + A1 * rng.uniform(-1.0, 1.0, size=n_samples)
     eps = Aj * rng.uniform(-1.0, 1.0, size=(n_samples, d - 1))
@@ -533,7 +540,12 @@ def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
     Each unit a1 of q whose leading cell meets the window brings its
     (q/4)^(d-1) anchors; the units are tested a block of moduli at a time.
     """
-    mods, starts = _moduli_table(cp)
+    return _anchor_counts(cp, _moduli_table(cp))
+
+
+def _anchor_counts(cp: CounterexampleParams, table) -> tuple[int, int]:
+    """anchor_counts given cp's _moduli_table."""
+    mods, starts = table
     per_unit = (mods // 4) ** (cp.model.d - 1)
     in_window = 0
     for block, units, size in _unit_blocks(mods, np.arange(mods.size)):
@@ -544,11 +556,13 @@ def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
 
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    total, in_window = anchor_counts(cp)
+    # one moduli table for the counts, the sampler and its decoding
+    table = _moduli_table(cp)
+    total, in_window = _anchor_counts(cp, table)
     if not in_window:
         raise PreconditionError(
             f"no rational anchor meets the sampling window at R={mp.R:g}")
-    samples = sample_omega_star(cp, n_samples, seed)
+    samples = _sample_omega_star(cp, table, n_samples, seed)
     measure_est, measure_err = omega_star_measure(samples)
     valid = samples[samples.valid]
     if not len(valid):

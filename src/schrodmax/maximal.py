@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import SpectrumDescriptor, l2_norm, support_annulus
-from .propagator import _DECAY_CUTOFF, _even_cells, _field_factors
+from .propagator import _DECAY_CUTOFF, _distinct, _even_cells, _field_factors
 from .quadrature import _CHUNK
 
 
@@ -85,7 +85,7 @@ class TimeGrid:
         # past the knee at least t_max itself, however close it lies
         n_uni = min(max(n_uni, int(knee < t_max)), cap - geometric)
         uni = knee + (t_max - knee) * (np.arange(1, n_uni + 1) / max(n_uni, 1))
-        pts = np.unique(np.concatenate([geo, uni]))
+        pts = _distinct(np.concatenate([geo, uni]))
         return cls(points=tuple(float(t) for t in pts))
 
 
@@ -172,10 +172,10 @@ def _sup_field(f: SpectrumDescriptor, x: np.ndarray, gamma: float, tg: TimeGrid,
     lo_support = support_annulus(axes)[0]
     live = int(np.count_nonzero(ts ** gamma * lo_support ** 2 <= _DECAY_CUTOFF))
     sup, arg = _column_max(moduli, ts[:live], x.shape[0])
-    near = ts[np.clip(np.unique(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
+    near = ts[np.clip(_distinct(arg)[:, None] + np.arange(-1, 2), 0, ts.size - 1)]
     frac = np.arange(1, _REFINE) / _REFINE
     sub = near[:, :2, None] + np.diff(near, axis=1)[:, :, None] * frac
-    sup = np.maximum(sup, _column_max(moduli, np.unique(sub), x.shape[0])[0])
+    sup = np.maximum(sup, _column_max(moduli, _distinct(sub), x.shape[0])[0])
     return sup[back]
 
 

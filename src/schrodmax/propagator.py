@@ -23,7 +23,12 @@ comb's teeth and a geometric grid's octaves cost one loop per rule.  As
 e^{i(x xi + t xi^2) - t^gamma xi^2} = e^{i x xi} e^{(i t - t^gamma) xi^2},
 the node sum has one kernel: per cell, the table e^{i x xi} times the
 coefficients meets the table e^{(i t - t^gamma) xi^2} in a stacked GEMM,
-and a single point or time is its one-row case.  On a cell centred at 0
+and a single point or time is its one-row case.  Over n times that run
+t_0 + k dt, as the uniform tail of a hybrid time grid does, the time
+table splits the phase by angle addition into anchor and offset
+columns, about 2 sqrt(n) complex exponentials per node in place of n,
+and multiplies the damping in as a real exponential (_time_table); any
+other times take one exponential per entry.  On a cell centred at 0
 (_even_cells), whose clipped rules stay symmetric, the same GEMM runs
 over the nonnegative nodes only, with one coefficient row per sign of
 xi.  The one-point evaluators (the 1 x 1 case) and the maximal module's
@@ -63,17 +68,18 @@ its series converges.  The one-point factorized evaluation is a call
 into the kernel.  Every integral converges to rtol of its
 largest value (per time column in the grid engine) or to a rounding
 floor set by its L1 mass, so a strongly cancelling point costs no more
-than a coherent one.
+than a coherent one.  A factor whose damping at its support's smallest
+|eta|, times its L1 mass, leaves the normal doubles is 0, with no series
+or quadrature, so a batch at large t neither overflows nor integrates
+zeros.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-# np.unique asks numpy.ma whether its input is masked (numpy 2.4); load it
-# here so that no field evaluation pays for the import
-import numpy.ma  # noqa: F401
 
 from .profiles import (
     _SERIES_ORDER,
@@ -101,6 +107,11 @@ _DECAY_CUTOFF = 46.0
 # convergence tolerance of the one-point evaluations
 _POINT_RTOL = 1e-10
 
+# how far, in ulps of the largest time, the times of a time table may
+# stray from t_0 + k dt and still split into runs (_uniform_runs); the
+# uniform tail of TimeGrid.hybrid strays by at most 2
+_RUN_ULPS = 4
+
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
@@ -125,6 +136,17 @@ class FactorizedEvaluation:
     product_modulus: float
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, as np.unique(a) gives them.
+
+    Bare np.unique asks numpy.ma whether a is masked (numpy 2), and
+    importing numpy.ma costs a process about 14 ms; np.unique with an
+    index or count output does not ask, nor does this.
+    """
+    a = np.sort(a, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 # ---------------------------------------------------------------------------
 # the grid engine: field matrices over a point set times a time set
 
@@ -141,17 +163,63 @@ def _octaves(tv: np.ndarray, decay: np.ndarray):
     """
     octave = np.full(tv.shape, -np.inf)
     octave[tv > 0.0] = np.floor(np.log2(tv[tv > 0.0]))
-    for o in np.unique(octave):
+    for o in _distinct(octave):
         cols = np.nonzero(octave == o)[0]
         d_min = float(np.min(decay[cols]))
         reach = math.sqrt(_DECAY_CUTOFF / d_min) if d_min > 0.0 else math.inf
         yield cols, reach, float(np.max(tv[cols]))
 
 
-def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
-    """e^{lead z^2}, one row per node and one column per time."""
-    table = np.multiply.outer(z * z, lead)
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase} of a real array, exponentiated in place: no complex temporary."""
+    table = np.zeros(phase.shape, dtype=complex)
+    table.imag = phase
     return np.exp(table, out=table)
+
+
+def _uniform_runs(t: np.ndarray) -> tuple[int, float] | None:
+    """Run length K and step dt where the n times t split into runs, else None.
+
+    They split where they are t_0 + k dt to within _RUN_ULPS ulps of the
+    largest |t| and ceil(n / K) + K < n at K = ceil(sqrt(n)), so that a
+    time table over them needs fewer exponentials per node by runs
+    (_time_table) than directly.  Of a hybrid grid's times, the uniform
+    tail splits; a single time, the geometric octaves and the refinement
+    sub-times, which skip the grid times between them, do not.
+    """
+    n = t.size
+    size = math.isqrt(n - 1) + 1
+    if -(-n // size) + size >= n:
+        return None
+    step = (t[-1] - t[0]) / (n - 1)
+    if np.max(np.abs(t - (t[0] + step * np.arange(n)))) > _RUN_ULPS * np.spacing(np.max(np.abs(t))):
+        return None
+    return size, step
+
+
+def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """e^{lead z^2}, one row per node and one column per time.
+
+    lead is i t - t^gamma per time.  Where the times split into runs of K
+    (_uniform_runs), e^{i t_k z^2} at k = jK + r is the anchor
+    e^{i t_{jK} z^2}, at an exact grid time, times the offset
+    e^{i r dt z^2}: ceil(n / K) + K complex exponentials per node and one
+    product per entry, about 2 sqrt(n) in place of n.  The damping
+    e^{-t^gamma z^2}, a real exponential, is then multiplied in.  Other
+    times take np.exp directly.
+    """
+    z2 = z * z
+    runs = _uniform_runs(lead.imag)
+    if runs is None:
+        table = np.multiply.outer(z2, lead)
+        return np.exp(table, out=table)
+    size, step = runs
+    anchors = _cis(np.multiply.outer(z2, lead.imag[::size]))
+    offsets = _cis(np.multiply.outer(z2, step * np.arange(size)))
+    table = np.multiply(anchors[..., None], offsets[..., None, :])
+    table = table.reshape(z.shape + (-1,))[..., :lead.size]
+    damping = np.multiply.outer(z2, lead.real)
+    return np.multiply(table, np.exp(damping, out=damping), out=table)
 
 
 def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
@@ -326,10 +394,7 @@ def _lattice_phases(cp: CounterexampleParams, xj, t, ells: np.ndarray) -> np.nda
     """e^{i(D l x_j + D^2 l^2 t)}: one row per sample, one column per translate."""
     phase = cp.D * np.outer(xj, ells)
     phase += cp.D ** 2 * np.outer(t, ells * ells)
-    # exponentiated in place: no complex temporary beside the table
-    table = np.zeros(phase.shape, dtype=complex)
-    table.imag = phase
-    return np.exp(table, out=table)
+    return _cis(phase)
 
 
 # panel order of the translated-bump rule
@@ -444,7 +509,7 @@ def _folded_moments(cp: CounterexampleParams, q: np.ndarray, a1: np.ndarray,
     w = np.zeros(eps.shape + (top,), dtype=complex)
     ells = np.arange(start, stop)
     powers = ((ells - lc) / kappa) ** np.arange(top)[:, None]
-    for mod in np.unique(q[ok.any(axis=1)]).tolist():
+    for mod in _distinct(q[ok.any(axis=1)]).tolist():
         rows, axes = np.nonzero(ok & (q == mod)[:, None])
         res = np.arange(mod)
         # sums[p, r] = S_p(r), one bin per (power, residue)
@@ -518,14 +583,20 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     """_bump_sum values of size translates at paired samples, in closed form or converged.
 
     coef(rows) builds the (sample, translate) coefficient table of the
-    samples rows, an index array.  The samples that _bump_series takes
-    get its closed form from their Taylor moments, known and moments as
-    _bump_series reads them; the others run _bump_sum on doubling panels,
-    and only they build a table.  Each translate's integrand has modulus at most
+    samples rows, an index array.  Each translate's integrand has modulus at most
     the unit bump, so the sum's L1 mass is at most size; that sets the
     rounding floor, and the node budget is shared among the translates.
-    Panels start from rate, a bound on the phase rate in u.
+    Where the damping e^{-t^gamma eta^2} at the support's smallest |eta|
+    times that mass leaves the normal doubles, a sample's value is 0, with
+    no series and no quadrature, so that a large t neither integrates
+    zeros nor overflows _bump_sum's exponents.  Of the other samples, those that _bump_series takes
+    get its closed form from their Taylor moments, known and moments as
+    _bump_series reads them; the rest run _bump_sum on doubling panels,
+    and only they build a table.  Panels start from rate, a bound on the
+    phase rate in u.
     """
+    low = max(center - scale, -(center + (size - 1) * step + scale), 0.0)
+    gone = lam.real * (low * low) < math.log(sys.float_info.min / size)
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
     # rows per table keep the (sample, translate) coefficients near _CHUNK
     # entries; the quadrature rows of one call converge together, so the
@@ -533,11 +604,11 @@ def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     # holds the (sample, node) tables of a pass near _CHUNK entries by row
     # blocks
     chunk = max(1, _CHUNK // size)
-    take, values = _bump_series(x, lam, center, step, scale, size, known, moments)
-    out = np.empty(x.size, dtype=complex)
+    take, values = _bump_series(x, lam, center, step, scale, size, known & ~gone, moments)
+    out = np.zeros(x.size, dtype=complex)
     out[take] = values
     for lo in range(0, x.size, chunk):
-        rest = lo + np.flatnonzero(~take[lo:lo + chunk])
+        rest = lo + np.flatnonzero(~(take | gone)[lo:lo + chunk])
         if rest.size:
             out[rest] = double_panels(
                 functools.partial(_bump_sum, x[rest], lam[rest], center, step, scale,

@@ -61,7 +61,8 @@ def _anchor_count(cp):
 
 def _anchors(cp):
     """Every anchor's (q, a1, rest) arrays, decoded in enumeration order."""
-    return counterexample._decode_anchors(cp, np.arange(_anchor_count(cp)))
+    table = counterexample._moduli_table(cp)
+    return counterexample._decode_anchors(cp, table, np.arange(table[1][-1]))
 
 
 def _in_window_count(cp):
@@ -269,6 +270,37 @@ def test_blocked_multiplicity_is_the_per_modulus_loop(monkeypatch, cp, chunk):
     assert np.array_equal(got, _multiplicity_per_modulus(cp, y[:, 0], y[:, 1:]))
 
 
+def test_ladder_entry_builds_one_moduli_table(monkeypatch):
+    """An entry's anchor counts, sampler and decoding share one moduli table,
+    and its draws are those of the public sampler, bit for bit."""
+    cp = _exp_params(2.0**19)
+    tables = []
+    build = counterexample._moduli_table
+
+    def counting(params):
+        tables.append(params)
+        return build(params)
+
+    recorded = []
+    batch = counterexample._factorized_batch
+
+    def recording(cp, x, t, **kwargs):
+        recorded.append((x, kwargs["residues"]))
+        return batch(cp, x, t, **kwargs)
+
+    monkeypatch.setattr(counterexample, "_moduli_table", counting)
+    monkeypatch.setattr(counterexample, "_factorized_batch", recording)
+    rec = counterexample._experiment_entry(cp, 2000, 0, 1.0 / 3.0, 2.0)
+    assert tables == [cp]
+    assert (rec.anchors_total, rec.anchors_in_window) == counterexample.anchor_counts(cp)
+    draws = sample_omega_star(cp, 2000, 0)
+    valid = draws[draws.valid]
+    (x, residues), = recorded
+    assert x.tobytes() == valid.x.tobytes()
+    for got, want in zip(residues, (valid.q, valid.a1, valid.a_rest, valid.eps)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_ladder_entry_solves_no_large_legendre_rule(monkeypatch):
     """With the bump's caches cleared, a ladder entry takes the bump's mass and
     moments from its fixed trapezoid rule, and asks numpy for no Gauss-Legendre
@@ -352,7 +384,7 @@ def test_far_anchor_positions_round_trip(d, k):
     and ascending positions decode to lexicographically ascending anchors."""
     cp = _exp_params(2.0**k, d=d)
     index = np.sort(np.random.default_rng(k).integers(0, _anchor_count(cp), size=10_000))
-    q, a1, rest = counterexample._decode_anchors(cp, index)
+    q, a1, rest = counterexample._decode_anchors(cp, counterexample._moduli_table(cp), index)
     assert _encode_anchors(cp, q, a1, rest) == index.tolist()
     anchors = list(zip(q.tolist(), a1.tolist(), map(tuple, rest.tolist())))
     assert anchors == sorted(anchors)
@@ -375,7 +407,7 @@ def test_far_anchor_work_stays_small():
     tracemalloc.start()
     try:
         counterexample.anchor_counts(cp)
-        decoded = counterexample._decode_anchors(cp, index)
+        decoded = counterexample._decode_anchors(cp, counterexample._moduli_table(cp), index)
         del decoded
         held, peak = tracemalloc.get_traced_memory()
     finally:

@@ -146,6 +146,43 @@ def test_import_loads_neither_scipy_nor_process_pool():
     assert complex(*got["value"]) == want
 
 
+_VERB_PATHS = """
+import json, sys, tempfile
+from schrodmax import cli
+from schrodmax.profiles import Case1Product, ModelParams
+from schrodmax.propagator import SpaceTimePoint, evaluate_p_gamma
+verbs = [
+    ["maximal-sweep", "--d", "2", "--gamma", "0.5", "--ladder", "2^2 2^3 2^4 2^5",
+     "--set", "space.per_axis=8"],
+    ["counterexample", "--d", "2", "--gamma", "2", "--ladder", "2^16 2^17 2^18 2^19",
+     "--samples", "200", "--seed", "0"],
+    ["lemmas-verify", "--seed", "1"],
+]
+loaded = {}
+with tempfile.TemporaryDirectory() as out:
+    for argv in verbs:
+        # 0 or 1: the run completed, its verdicts passed or not
+        completed = cli.main(argv + ["--out", out]) in (0, 1)
+        loaded[argv[0]] = [completed, "numpy.ma" in sys.modules]
+evaluate_p_gamma(Case1Product(ModelParams(d=2, gamma=2.0, R=4.0)), 2.0,
+                 SpaceTimePoint(x=(0.2, -0.1), t=0.3))
+loaded["evaluate_p_gamma"] = [True, "numpy.ma" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_no_verb_loads_masked_arrays():
+    """A maximal sweep, a counterexample ladder, lemmas-verify and a one-point
+    evaluation run to completion in a fresh process without loading numpy.ma,
+    whose import would cost every operation that first reached it about 14 ms."""
+    env = dict(os.environ, PYTHONPATH=str(Path(schrodmax.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _VERB_PATHS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got == {name: [True, False] for name in
+                   ("maximal-sweep", "counterexample", "lemmas-verify", "evaluate_p_gamma")}
+
+
 def test_modulus_never_exceeds_spectral_mass():
     rng = np.random.default_rng(0)
     f1 = Case1Product(ModelParams(d=1, gamma=2.0, R=8.0))
@@ -386,6 +423,79 @@ def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows
     t = np.array([0.01, 0.2, 0.5])
     _cell_matrix(cells, _mesh(1)[:, 0], t, t ** 0.5, 1e-9)
     assert len(nodes) >= 2 and sum(time_table_rows) == sum(nodes)
+
+
+def _direct_time_table(z, lead):
+    """e^{lead z^2}, one np.exp per entry."""
+    table = np.multiply.outer(z * z, lead)
+    return np.exp(table, out=table)
+
+
+def _uniform_times(n, lo=0.25, hi=1.0):
+    """n times from lo, spaced (hi - lo) / n, as TimeGrid.hybrid spaces its tail."""
+    return lo + (hi - lo) * (np.arange(n) / n)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 17, 511, 512, 513])
+def test_time_table_on_uniform_times_matches_direct_exponentials(n, gamma):
+    """Three members' nodes in [-1, 1] against n uniform times: the table by
+    runs stays within 1e-15 of one np.exp per entry (2 and 3 times take
+    np.exp directly)."""
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1.0, 1.0, (3, 40))
+    t = _uniform_times(n)
+    lead = 1j * t - t ** gamma
+    assert (propagator._uniform_runs(t) is None) == (n <= 3)
+    got = propagator._time_table(z, lead)
+    assert got.shape == (3, 40, n)
+    assert np.max(np.abs(got - _direct_time_table(z, lead))) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [
+    np.array([0.3]),
+    2.0 ** -10 * 2.0 ** -np.arange(63, -1, -1.0),
+    _uniform_times(512) + np.where(np.arange(512) == 300, 1e-12, 0.0),
+], ids=["one-time", "geometric", "perturbed-uniform"])
+def test_time_table_on_other_times_is_the_direct_table(t):
+    """Times that are not t_0 + k dt take one np.exp per entry, bit for bit."""
+    z = np.random.default_rng(1).uniform(-3.0, 3.0, (2, 40))
+    lead = 1j * t - t ** 0.5
+    assert propagator._uniform_runs(t) is None
+    assert np.array_equal(propagator._time_table(z, lead), _direct_time_table(z, lead))
+
+
+def test_time_table_on_uniform_times_takes_two_root_n_exponentials(monkeypatch):
+    """512 uniform times cost at most 2 ceil(sqrt(512)) = 46 complex
+    exponentials per node, in place of 512; the real damping is not counted."""
+    class CountingNumpy:
+        complex_entries = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                CountingNumpy.complex_entries += np.size(a)
+            return np.exp(a, *args, **kwargs)
+
+    z = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 37))
+    t = _uniform_times(512)
+    monkeypatch.setattr(propagator, "np", CountingNumpy())
+    table = propagator._time_table(z, 1j * t - t ** 0.5)
+    monkeypatch.undo()
+    assert table.shape == (1, 37, 512)
+    assert 0 < CountingNumpy.complex_entries <= 2 * math.ceil(math.sqrt(512)) * 37
+
+
+@pytest.mark.parametrize("R", [2.0 ** k for k in range(2, 11)])
+def test_hybrid_uniform_tail_splits_into_runs(R):
+    """Every 512-time block of TimeGrid.hybrid's uniform tail, from R^-2 on,
+    takes the time table by runs: a grid change that left them would show."""
+    ts = np.array(TimeGrid.hybrid(R).points)
+    tail = ts[ts >= R ** -2.0]
+    blocks = [tail[at:at + 512] for at in range(0, tail.size, 512)]
+    assert blocks and all(propagator._uniform_runs(b) is not None for b in blocks)
 
 
 @pytest.mark.parametrize("f", [
@@ -889,6 +999,27 @@ def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
     rows = _quadrature_rows(monkeypatch)
     _factorized_batch(cp, x, 4.0 * t)
     assert sum(rows) == 2 * t.size
+
+
+@pytest.mark.parametrize("R", [2 ** 16, 2 ** 20])
+def test_factorized_factors_vanish_where_their_damping_underflows(monkeypatch, R):
+    """Three ladder points at t = c / R for c up to t = 1: every batch returns
+    finite moduli, without a warning or QuadratureError, that fall with c.
+    From c = 64 on the damping bound of every factor times its mass has left
+    the normal doubles: the factors are 0 and run no quadrature, which would
+    overflow in exp at c = 1024 and run out of nodes at t = 1."""
+    cp, draws, _ = _ladder_draws(R, 3, seed=0)
+    rows = _quadrature_rows(monkeypatch)
+    moduli = []
+    for c in (1, 4, 16, 64, 256, 1024, R):
+        rows.clear()
+        i1, ij, modulus = _factorized_batch(cp, draws.x, np.full(3, c / R))
+        assert np.all(np.isfinite(modulus))
+        if c >= 64:
+            assert rows == [] and not np.any(i1) and not np.any(ij)
+        moduli.append(modulus)
+    assert all(np.all(a >= b) for a, b in zip(moduli, moduli[1:]))
+    assert np.all(moduli[0] > 0.0)
 
 
 @pytest.mark.parametrize("e", [16, 20])
