@@ -6,8 +6,8 @@ back to a spatial box, and the evolved field is evaluated there through
 the factorized path.  Measures, error budgets, and scaling fits follow.
 
 Anchors are positions in one enumeration order, numbered by modulus
-(`_moduli_table`, built once per ladder entry) and decoded with integer
-arithmetic: the sampler never lists them, nor their (q, a1) pairs.  The anchor count is a closed-form
+(`_moduli_table`, built by the counts and by the sampler) and decoded with
+integer arithmetic: the sampler never lists them, nor their (q, a1) pairs.  The anchor count is a closed-form
 sum over the moduli, the in-window count one over the units of blocks of
 moduli, and a decoding lists the units of the drawn moduli alone.  The draws
 stay one record of arrays (`OmegaStarDraws`) from the sampler to the
@@ -304,13 +304,9 @@ def sample_omega_star(cp: CounterexampleParams, n_samples: int,
     Every draw is returned, as one row of the record; draws whose torus
     point has no preimage in the box carry weight zero.  Weighted means
     over the full set give unbiased integrals over the preimage region.
+    Anchor positions are drawn uniformly and decoded through cp's moduli table.
     """
-    return _sample_omega_star(cp, _moduli_table(cp), n_samples, seed)
-
-
-def _sample_omega_star(cp: CounterexampleParams, table, n_samples: int,
-                       seed) -> OmegaStarDraws:
-    """sample_omega_star given cp's _moduli_table."""
+    table = _moduli_table(cp)
     d, D, band = cp.model.d, cp.D, cp.band
     if not cp.spans_lattice_period:
         raise PreconditionError(
@@ -538,14 +534,10 @@ def anchor_counts(cp: CounterexampleParams) -> tuple[int, int]:
     """How many anchors there are, and how many meet the sampling window.
 
     Each unit a1 of q whose leading cell meets the window brings its
-    (q/4)^(d-1) anchors; the units are tested a block of moduli at a time.
+    (q/4)^(d-1) anchors; the units are tested a block of moduli of cp's
+    moduli table at a time, and the total is the table's last start.
     """
-    return _anchor_counts(cp, _moduli_table(cp))
-
-
-def _anchor_counts(cp: CounterexampleParams, table) -> tuple[int, int]:
-    """anchor_counts given cp's _moduli_table."""
-    mods, starts = table
+    mods, starts = _moduli_table(cp)
     per_unit = (mods // 4) ** (cp.model.d - 1)
     in_window = 0
     for block, units, size in _unit_blocks(mods, np.arange(mods.size)):
@@ -556,13 +548,11 @@ def _anchor_counts(cp: CounterexampleParams, table) -> tuple[int, int]:
 
 def _experiment_entry(cp, n_samples, seed, s, gamma_eval) -> LowerBoundRecord:
     mp = cp.model
-    # one moduli table for the counts, the sampler and its decoding
-    table = _moduli_table(cp)
-    total, in_window = _anchor_counts(cp, table)
+    total, in_window = anchor_counts(cp)
     if not in_window:
         raise PreconditionError(
             f"no rational anchor meets the sampling window at R={mp.R:g}")
-    samples = _sample_omega_star(cp, table, n_samples, seed)
+    samples = sample_omega_star(cp, n_samples, seed)
     measure_est, measure_err = omega_star_measure(samples)
     valid = samples[samples.valid]
     if not len(valid):
