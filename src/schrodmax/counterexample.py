@@ -42,7 +42,7 @@ from .profiles import (
     sobolev_norm,
 )
 from .propagator import _factorized_batch
-from .quadrature import _CHUNK
+from .quadrature import table_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,16 +162,14 @@ def _moduli_table(cp: CounterexampleParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_blocks(mods: np.ndarray, chosen: np.ndarray):
-    """The units of the chosen moduli, in blocks that hold fewer than _CHUNK.
+    """The units of the chosen moduli, in table_blocks of max(q) entries a modulus.
 
     chosen indexes mods, ascending.  Yields each block's indices into mods,
     its moduli's units concatenated in order, and how many each has; a
-    modulus q has fewer than q units, so a block holds _CHUNK // max(q)
-    moduli, or one.
+    modulus q has fewer than q units.
     """
-    step = max(1, _CHUNK // int(mods[-1]))
-    for lo in range(0, chosen.size, step):
-        block = chosen[lo:lo + step]
+    for chunk in table_blocks(chosen.size, int(mods[-1])):
+        block = chosen[chunk]
         units = [_units(m) for m in mods[block].tolist()]
         yield block, np.concatenate(units), np.array([u.size for u in units])
 
@@ -266,8 +264,8 @@ def _multiplicity(cp, y1n, yjn):
     [ceil((y + s - A) q / 4 pi), floor((y + s + A) q / 4 pi)].  Summed over
     s in {-2 pi, 0, 2 pi} this counts each position once while A < pi; for
     A >= pi it covers every position, and the count is capped at q/4.
-    The leading test runs on (modulus, point) tables, in blocks of moduli
-    that hold about _CHUNK entries, with the gcd taken only where a point
+    The leading test runs on (modulus, point) tables, the moduli in
+    table_blocks of one row each, with the gcd taken only where a point
     is within A1 of a residue; the rest axes are counted at the (modulus,
     point) pairs that pass it.
     """
@@ -275,9 +273,8 @@ def _multiplicity(cp, y1n, yjn):
     reach = Aj + 1e-12
     mods = np.array(_admissible_moduli(cp), dtype=np.int64)
     m = np.zeros(y1n.size, dtype=np.int64)
-    block = max(1, _CHUNK // max(y1n.size, 1))
-    for lo in range(0, mods.size, block):
-        q = mods[lo:lo + block, None]
+    for block in table_blocks(mods.size, y1n.size):
+        q = mods[block, None]
         # the nearest residue: round(q y1 / 2 pi) lies in [0, q], and q is residue 0
         a1c = np.round(q * y1n / TWO_PI)
         a1c[a1c == q] = 0.0

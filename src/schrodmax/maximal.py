@@ -22,7 +22,7 @@ import numpy as np
 
 from .profiles import SpectrumDescriptor, l2_norm, support_annulus
 from .propagator import _DECAY_CUTOFF, _distinct, _even_cells, _field_factors
-from .quadrature import _CHUNK
+from .quadrature import table_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +130,18 @@ def _column_max(moduli, ts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     """
     sup = np.zeros(n)
     arg = np.zeros(n, dtype=np.int64)
-    step = max(1, _CHUNK // n)
     for start in range(0, ts.size, _TIMES):
         scale, ((first, rows), *rest) = moduli(ts[start:start + _TIMES])
-        for at in range(0, first.shape[1], step):
-            block = np.take(first[:, at:at + step], rows, axis=0)
+        for cols in table_blocks(first.shape[1], n):
+            block = np.take(first[:, cols], rows, axis=0)
             block *= scale
             for m, r in rest:
-                block *= np.take(m[:, at:at + step], r, axis=0)
+                block *= np.take(m[:, cols], r, axis=0)
             k = np.argmax(block, axis=1)
             vals = block[np.arange(n), k]
             better = vals > sup
             sup = np.where(better, vals, sup)
-            arg = np.where(better, start + at + k, arg)
+            arg = np.where(better, start + cols.start + k, arg)
     return sup, arg
 
 

@@ -403,8 +403,6 @@ def _union_measure(boxes: list[tuple[tuple[float, ...], tuple[float, ...]]]) -> 
     cuts = sorted({lo[0] for lo, _ in boxes} | {hi[0] for _, hi in boxes})
     total = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
-        if right <= left:
-            continue
         active = [(lo[1:], hi[1:]) for lo, hi in boxes
                   if lo[0] <= left and hi[0] >= right]
         if active:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _CHUNK, MAX_NODES, double_panels
+from .quadrature import MAX_NODES, double_panels, table_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -487,18 +487,17 @@ def _cell_moments(cells: Cells, t: np.ndarray, n: int, order: int) -> np.ndarray
     sum_j e_j sum_i C(2k, i) c^{2k-i} h^i nu_{i+j}, with e_j from
     _series_terms and nu's moments from _bump_moments.  It is exact to
     rounding where every (cell, tau) has |beta| + |q| <= r <= _SERIES_RADIUS
-    and order = _series_order(r), which the caller sees to.  The cells run
-    in blocks of _CHUNK / t.size, so each (tau, cell) table holds about
-    _CHUNK entries.
+    and order = _series_order(r), which the caller sees to.  A cell adds
+    t.size entries to the (tau, cell) tables: the cells run in
+    table_blocks.
     """
     centre, half = cells.centres, cells.half
     degree = 2 * order
     nu = _bump_moments(2, degree + 2 * n)
     weight = half * (np.abs(cells.weight) / half) ** 2
     out = np.zeros((t.size, n + 1))
-    step = max(1, _CHUNK // t.size)
-    for at in range(0, centre.size, step):
-        c, h = centre[at:at + step], half[at:at + step]
+    for block in table_blocks(centre.size, t.size):
+        c, h = centre[block], half[block]
         # g[j, cell, k] = integral of nu(u) (c + h u)^{2k} u^j / k!
         g = np.zeros((degree + 1, c.size, n + 1))
         for k in range(n + 1):
@@ -506,7 +505,7 @@ def _cell_moments(cells: Cells, t: np.ndarray, n: int, order: int) -> np.ndarray
                 binom = math.comb(2 * k, i) / math.factorial(k)
                 g[:, :, k] += np.multiply.outer(nu[i:i + degree + 1],
                                                 binom * c ** (2 * k - i) * h ** i)
-        scale = np.exp(np.multiply.outer(-t, c * c)) * weight[at:at + step]
+        scale = np.exp(np.multiply.outer(-t, c * c)) * weight[block]
         beta = np.multiply.outer(-2.0 * t, c * h)
         q = np.multiply.outer(-t, h * h)
         for j, e in zip(range(degree + 1), _series_terms(beta, q)):
@@ -541,7 +540,6 @@ def _support_integral(f: SpectrumDescriptor, s: float) -> float:
     t, wt = _weight_rule(n - s, r_in * r_in, r_out * r_out)
     wt = wt * np.exp(-t) * math.factorial(n)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(n + 1)])
-    step = max(1, _CHUNK // t.size)
     closed, looped = {}, {}
     for key, cells in {id(fac): fac for fac in facs}.items():
         centre, half = cells.centres, cells.half
@@ -559,8 +557,8 @@ def _support_integral(f: SpectrumDescriptor, s: float) -> float:
               * (_unit_bump(u) ** 2 * w)).ravel()
         sq = x * x
         rhs = wx[:, None] * sq[:, None] ** np.arange(n + 1) * inv_fact
-        return sum(np.exp(np.multiply.outer(-t, sq[at:at + step])) @ rhs[at:at + step]
-                   for at in range(0, x.size, step))
+        return sum(np.exp(np.multiply.outer(-t, sq[block])) @ rhs[block]
+                   for block in table_blocks(x.size, t.size))
 
     def evaluate(u, w):
         m = closed | {key: moments(cells, u, w) for key, cells in looped.items()}

@@ -68,10 +68,10 @@ its series converges.  The one-point factorized evaluation is a call
 into the kernel.  Every integral converges to rtol of its
 largest value (per time column in the grid engine) or to a rounding
 floor set by its L1 mass, so a strongly cancelling point costs no more
-than a coherent one.  A factor whose damping at its support's smallest
-|eta|, times its L1 mass, leaves the normal doubles is 0, with no series
-or quadrature, so a batch at large t neither overflows nor integrates
-zeros.
+than a coherent one.  A factor is 0, with no series or quadrature, where
+its damping at its support's smallest |eta| times its L1 mass, or the
+product of those bounds, leaves the normal doubles, so a batch at large
+t neither overflows nor integrates zeros.
 """
 
 import functools
@@ -93,10 +93,10 @@ from .profiles import (
     comb_range,
 )
 from .quadrature import (
-    _CHUNK,
     MAX_NODES,
     double_panels,
     panels_for_rate,
+    table_blocks,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -197,19 +197,18 @@ def _uniform_runs(t: np.ndarray) -> tuple[int, float] | None:
     return size, step
 
 
-def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
+def _time_table(z: np.ndarray, lead: np.ndarray, runs: tuple[int, float] | None) -> np.ndarray:
     """e^{lead z^2}, one row per node and one column per time.
 
-    lead is i t - t^gamma per time.  Where the times split into runs of K
-    (_uniform_runs), e^{i t_k z^2} at k = jK + r is the anchor
-    e^{i t_{jK} z^2}, at an exact grid time, times the offset
-    e^{i r dt z^2}: ceil(n / K) + K complex exponentials per node and one
-    product per entry, about 2 sqrt(n) in place of n.  The damping
-    e^{-t^gamma z^2}, a real exponential, is then multiplied in.  Other
-    times take np.exp directly.
+    lead is i t - t^gamma per time, and runs is _uniform_runs of its
+    times.  Where they split into runs of K, e^{i t_k z^2} at k = jK + r
+    is the anchor e^{i t_{jK} z^2}, at an exact grid time, times the
+    offset e^{i r dt z^2}: ceil(n / K) + K complex exponentials per node
+    and one product per entry, about 2 sqrt(n) in place of n.  The
+    damping e^{-t^gamma z^2}, a real exponential, is then multiplied in.
+    Other times take np.exp directly.
     """
     z2 = z * z
-    runs = _uniform_runs(lead.imag)
     if runs is None:
         table = np.multiply.outer(z2, lead)
         return np.exp(table, out=table)
@@ -223,22 +222,22 @@ def _time_table(z: np.ndarray, lead: np.ndarray) -> np.ndarray:
 
 
 def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
-                     lead: np.ndarray, even: bool) -> np.ndarray:
+                     lead: np.ndarray, even: bool,
+                     runs: tuple[int, float] | None) -> np.ndarray:
     """Sum over nodes of coef e^{i x xi + lead xi^2} at every (member, x, t).
 
     xi and coef hold one row of nodes and coefficients per member, shaped
     (members, nodes), and lead holds i t - t^gamma per time; the result is
     (members, xv.size, lead.size).  Per member the tables e^{i x xi} c and
-    e^{lead xi^2} meet in a stacked GEMM; a single point or time is its
-    one-row case.  With even set, each member's xi is a rule on a cell
-    symmetric about 0, ascending and of even count, so node k from the
-    top mirrors node k from the bottom.  As e^{lead xi^2} is even in xi,
-    the same GEMM then runs over the nonnegative half with two
-    coefficient rows, c(xi) against e^{i x xi} and c(-xi) against
-    e^{-i x xi}: half the exponentials in either table and half the GEMM
-    depth.  Members run in blocks whose stacked tables hold about _CHUNK
-    entries, max(xv.size, lead.size) per node; a member whose own tables
-    exceed that runs alone, its nodes in blocks.
+    e^{lead xi^2}, by the route runs (_time_table), meet in a stacked
+    GEMM; a single point or time is its one-row case.  With even set,
+    each member's xi is a rule on a cell symmetric about 0, ascending and
+    of even count, so node k from the top mirrors node k from the bottom.
+    As e^{lead xi^2} is even in xi, the same GEMM then runs over the
+    nonnegative half with two coefficient rows, c(xi) against e^{i x xi}
+    and c(-xi) against e^{-i x xi}: half the exponentials in either table
+    and half the GEMM depth.  A node adds max(xv.size, lead.size) entries to the tables:
+    members, then each member block's nodes, run in table_blocks.
     """
     if even:
         half = xi.shape[1] // 2
@@ -247,18 +246,16 @@ def _plane_phase_sum(xv: np.ndarray, xi: np.ndarray, coef: np.ndarray,
     else:
         coef = coef[:, None]
     rows = max(xv.size, lead.size)
-    members = max(1, _CHUNK // (rows * xi.shape[1]))
-    nodes = max(1, _CHUNK // (rows * members))
     out = np.zeros((xi.shape[0], xv.size, lead.size), dtype=complex)
-    for lo in range(0, xi.shape[0], members):
-        for at in range(0, xi.shape[1], nodes):
-            z, c = xi[lo:lo + members, at:at + nodes], coef[lo:lo + members, :, at:at + nodes]
+    for block in table_blocks(xi.shape[0], rows * xi.shape[1]):
+        for nodes in table_blocks(xi.shape[1], rows * (block.stop - block.start)):
+            z, c = xi[block, nodes], coef[block, :, nodes]
             phase = np.exp(1j * (z[:, None, :] * xv[:, None]))
             if even:
                 phase = phase * c[:, :1] + phase.conj() * c[:, 1:]
             else:
                 phase *= c
-            out[lo:lo + members] += phase @ _time_table(z, lead)
+            out[block] += phase @ _time_table(z, lead, runs)
     return out
 
 
@@ -316,11 +313,13 @@ def _cell_matrix(cells, pts: np.ndarray, tv: np.ndarray, decay: np.ndarray,
     for (a, b, panels, _, even), (cols, members) in loops.items():
         c, h, weight = (v[members, None] for v in (cells.centres, cells.half, cells.weight))
         lead = 1j * tv[cols] - decay[cols]
+        # the time table's route, taken once per loop from its columns
+        runs = _uniform_runs(lead.imag)
 
         def evaluate(u, w):
             # (point, cell, time): points lead, so each (cell, time) column converges alone
             return _plane_phase_sum(pts, c + h * u, weight * _unit_bump(u) * w,
-                                    lead, even).transpose(1, 0, 2)
+                                    lead, even, runs).transpose(1, 0, 2)
 
         values = double_panels(evaluate, a, b, panels, rtol=rtol, mass=np.abs(weight))
         for m in range(len(members)):
@@ -548,18 +547,16 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
     per (sample, node), no exponential per translate and no (sample,
     translate, node) array; one translate needs no z table.  The z table
     becomes the final exponent, so a pass holds two (sample, node)
-    tables.  The samples run in blocks of _CHUNK / nodes rows, so each
-    table holds about _CHUNK entries whatever the sample count; every
-    step is per (sample, node) and each row's node sum is its own
+    tables, whose samples run in table_blocks of one row per sample;
+    every step is per (sample, node) and each row's node sum is its own
     product, so the blocks change no value.
     """
     v = scale * u
     weights = (_unit_bump(u) * w)[:, None]
     shift = v * (v + 2.0 * center)
     out = np.empty(x.size, dtype=complex)
-    block = max(1, _CHUNK // u.size)
-    for lo in range(0, x.size, block):
-        xb, lb, cb = x[lo:lo + block], lam[lo:lo + block], coef[lo:lo + block]
+    for block in table_blocks(x.size, u.size):
+        xb, lb, cb = x[block], lam[block], coef[block]
         a = np.multiply.outer(2.0 * step * lb, v)
         poly = np.empty_like(a)
         poly[:] = cb[:, -1:]
@@ -573,42 +570,33 @@ def _bump_sum(x: np.ndarray, lam: np.ndarray, center: float, step: float,
         poly *= np.exp(a, out=a)
         # one product per row: BLAS sums a matrix of rows in another
         # order than one row, which would tie a row's value to its batch
-        out[lo:lo + block] = (poly[:, None, :] @ weights)[:, 0, 0]
+        out[block] = (poly[:, None, :] @ weights)[:, 0, 0]
     return out
 
 
 def _bump_factors(x: np.ndarray, lam: np.ndarray, center: float, step: float,
                   scale: float, coef, size: int, rate: float, rtol: float,
-                  known: np.ndarray, moments) -> np.ndarray:
+                  known: np.ndarray, moments, gone: np.ndarray) -> np.ndarray:
     """_bump_sum values of size translates at paired samples, in closed form or converged.
 
     coef(rows) builds the (sample, translate) coefficient table of the
     samples rows, an index array.  Each translate's integrand has modulus at most
     the unit bump, so the sum's L1 mass is at most size; that sets the
     rounding floor, and the node budget is shared among the translates.
-    Where the damping e^{-t^gamma eta^2} at the support's smallest |eta|
-    times that mass leaves the normal doubles, a sample's value is 0, with
-    no series and no quadrature, so that a large t neither integrates
-    zeros nor overflows _bump_sum's exponents.  Of the other samples, those that _bump_series takes
-    get its closed form from their Taylor moments, known and moments as
-    _bump_series reads them; the rest run _bump_sum on doubling panels,
-    and only they build a table.  Panels start from rate, a bound on the
-    phase rate in u.
+    The samples gone masks are 0, with no series and no quadrature.  Of
+    the others, those that _bump_series takes get its closed form from
+    their Taylor moments, known and moments as _bump_series reads them;
+    the rest run _bump_sum on doubling panels, from rate, a bound on the
+    phase rate in u, in table_blocks of one coefficient row each.  A
+    block's quadrature rows converge together, so the blocks also fix
+    the passes and nodes each of them spends.
     """
-    low = max(center - scale, -(center + (size - 1) * step + scale), 0.0)
-    gone = lam.real * (low * low) < math.log(sys.float_info.min / size)
     panels = panels_for_rate(-1.0, 1.0, rate, _FACTOR_ORDER)
-    # rows per table keep the (sample, translate) coefficients near _CHUNK
-    # entries; the quadrature rows of one call converge together, so the
-    # chunk also fixes the passes and nodes each of them spends.  _bump_sum
-    # holds the (sample, node) tables of a pass near _CHUNK entries by row
-    # blocks
-    chunk = max(1, _CHUNK // size)
     take, values = _bump_series(x, lam, center, step, scale, size, known & ~gone, moments)
     out = np.zeros(x.size, dtype=complex)
     out[take] = values
-    for lo in range(0, x.size, chunk):
-        rest = lo + np.flatnonzero(~(take | gone)[lo:lo + chunk])
+    for block in table_blocks(x.size, size):
+        rest = block.start + np.flatnonzero(~(take | gone)[block])
         if rest.size:
             out[rest] = double_panels(
                 functools.partial(_bump_sum, x[rest], lam[rest], center, step, scale,
@@ -630,7 +618,9 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     start from the worst-case phase rate over the batch and double until
     the factor values stabilize, to rtol of the batch maximum or to the
     rounding floor of the integrand's L1 mass (one for the unit-mass
-    window).
+    window).  A factor is 0 where its bound, its L1 mass times its damping
+    at its support's smallest |eta|, or the product of the factors'
+    bounds leaves the normal doubles.
 
     residues, where given, is (q, a1, a_rest, eps) of draws whose box
     preimages at their selected times are the points, as sample_omega_star
@@ -655,12 +645,20 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     t_max = float(np.max(t, initial=0.0))
     decay = t ** (m.gamma if gamma_eval is None else gamma_eval)
     lam = 1j * t - decay
+    # log damping at the smallest |eta| of each factor's support, which lies
+    # above 0: the window's from band - sqrt(R), each comb's from D start - 1
+    low1, lowj = max(band - root_r, 0.0), max(cp.D * start - 1.0, 0.0)
+    damp1, dampj = lam.real * (low1 * low1), lam.real * (lowj * lowj)
+    floor = sys.float_info.min
+    product = damp1 + (m.d - 1) * dampj < math.log(floor / ells.size ** (m.d - 1))
+    gone1 = (damp1 < math.log(floor)) | product
+    gonej = (dampj < math.log(floor / ells.size)) | product
 
     rate1 = float(np.max(np.abs(root_r * (x[:, 0] + 2.0 * band * t)), initial=0.0)
                   ) + 2.0 * m.R * t_max
     m0 = np.exp(-decay * band ** 2)[:, None]
     i1 = _bump_factors(x[:, 0], lam, band, 0.0, root_r, lambda rows: m0[rows],
-                       1, rate1, rtol, np.ones(t.size, dtype=bool), m0)
+                       1, rate1, rtol, np.ones(t.size, dtype=bool), m0, gone1)
 
     def lattice(xj, rows):
         table = _lattice_phases(cp, xj[rows], t[rows], ells)
@@ -678,7 +676,7 @@ def _factorized_batch(cp: CounterexampleParams, x: np.ndarray, t: np.ndarray, *,
     ij = np.stack([
         _bump_factors(x[:, j], lam, cp.D * start, cp.D, 1.0, functools.partial(lattice, x[:, j]),
                       ells.size, float(np.max(np.abs(x[:, j]), initial=0.0)) + drift + 2.0 * t_max,
-                      rtol, known[:, j - 1], moments[:, j - 1])
+                      rtol, known[:, j - 1], moments[:, j - 1], gonej)
         for j in range(1, m.d)], axis=1)
     modulus = np.abs(i1) * np.prod(np.abs(ij), axis=1)
     return i1, ij, modulus

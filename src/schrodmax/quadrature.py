@@ -26,11 +26,22 @@ MAX_NODES = 1 << 26
 # entries in one table held at once: an exponential table or GEMM operand
 # of the grid engine, a (sample, node) table or (sample, translate)
 # coefficient table of the factorized engine, a (u node, frequency node)
-# table of a norm
+# table of a norm.  Every engine cuts its tables through table_blocks
 _CHUNK = 1 << 16
 
 # rounding floor per unit of L1 mass: passes closer than this agree
 _ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def table_blocks(n: int, width: int):
+    """Slices of range(n), in order, of _CHUNK // width items, and at least one.
+
+    Each item adds width entries to a table, so a block's table holds at
+    most _CHUNK entries, unless a single item's alone passes it.
+    """
+    step = max(1, _CHUNK // max(width, 1))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
 
 class QuadratureError(RuntimeError):

@@ -263,8 +263,8 @@ def test_blocked_multiplicity_is_the_per_modulus_loop(monkeypatch, cp, chunk):
     y = np.concatenate([draws.y % TWO_PI, uniform])
     moduli = len(counterexample._admissible_moduli(cp))
     if chunk is not None:
-        monkeypatch.setattr(counterexample, "_CHUNK", chunk)
-    assert moduli > 2 * max(1, counterexample._CHUNK // len(y))
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    assert moduli > 2 * max(1, quadrature._CHUNK // len(y))
     got = counterexample._multiplicity(cp, y[:, 0], y[:, 1:])
     assert got.dtype == np.int64 and np.count_nonzero(got) >= len(draws)
     assert np.array_equal(got, _multiplicity_per_modulus(cp, y[:, 0], y[:, 1:]))
@@ -458,6 +458,16 @@ def test_weights_match_an_all_rows_cell_count(e):
 def test_sampler_needs_one_lattice_period():
     with pytest.raises(PreconditionError):
         sample_omega_star(_def_params(2.0**10), 16, seed=0)
+
+
+def test_entry_without_a_valid_draw_aborts():
+    """Two draws at R=2^16, seed 0, neither with a box preimage (about 9% of
+    draws have one): the entry aborts before it selects a time."""
+    cp = _exp_params()
+    assert not sample_omega_star(cp, 2, seed=0).valid.any()
+    with pytest.raises(PreconditionError,
+                       match="^no sampled point had a box preimage at R=65536$"):
+        counterexample._experiment_entry(cp, 2, 0, 0.0, 2.0)
 
 
 def test_no_admissible_modulus_is_a_precondition_error():

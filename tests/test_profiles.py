@@ -402,6 +402,9 @@ def test_spectrum_eval_is_axis_product():
     want = window(pts[:, 0]) * comb(pts[:, 1])
     assert np.all(want != 0.0)
     assert np.allclose(got, want, rtol=1e-13)
+    # a single d-vector gives a Python complex
+    one = spectrum_eval(f, pts[1])
+    assert type(one) is complex and one == pytest.approx(want[1], rel=1e-13)
 
 
 def test_spectrum_eval_validates_shape():

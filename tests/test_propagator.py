@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import schrodmax
-from schrodmax import profiles, propagator
+from schrodmax import profiles, propagator, quadrature
 from schrodmax.maximal import SpaceGrid, TimeGrid
 from schrodmax.profiles import (
     Case1Product,
@@ -329,9 +329,9 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
         calls.append(set())
         return double_panels(*args, **kwargs)
 
-    def spy(pts, xi, coef, lead, even):
+    def spy(pts, xi, coef, lead, even, runs):
         calls[-1].update(lead.imag.tolist())
-        return _plane_phase_sum(pts, xi, coef, lead, even)
+        return _plane_phase_sum(pts, xi, coef, lead, even, runs)
 
     monkeypatch.setattr(propagator, "double_panels", counting)
     monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
@@ -343,7 +343,7 @@ def test_octaves_that_need_one_rule_share_its_doubling_loop(monkeypatch):
         np.testing.assert_allclose(matrix[:, k], alone[:, 0], rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("chunk", [propagator._CHUNK, 200], ids=["budget", "blocked"])
+@pytest.mark.parametrize("chunk", [quadrature._CHUNK, 200], ids=["budget", "blocked"])
 @pytest.mark.parametrize("even", [True, False], ids=["symmetric-even", "asymmetric"])
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("points, times", [(1, 1), (1, 4), (5, 1), (5, 4)],
@@ -356,7 +356,7 @@ def test_plane_phase_sum_matches_a_direct_node_sum(monkeypatch, points, times, m
     A budget of 200 entries splits three one-point asymmetric members into
     blocks of two, and a five-row member's nodes into blocks of 40.
     """
-    monkeypatch.setattr(propagator, "_CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     rng = np.random.default_rng(points * times + members)
     u, _ = panel_nodes(-1.0, 1.0, 3)
     # an even rule is a symmetric one on a cell centred at 0
@@ -370,7 +370,7 @@ def test_plane_phase_sum_matches_a_direct_node_sum(monkeypatch, points, times, m
     for z, c in zip(xi.T, coef.T):
         want += c[:, None, None] * np.exp(1j * np.multiply.outer(z, xv)[..., None]
                                           + np.multiply.outer(z * z, lead)[:, None])
-    got = _plane_phase_sum(xv, xi, coef, lead, even)
+    got = _plane_phase_sum(xv, xi, coef, lead, even, propagator._uniform_runs(t))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(coef).sum(axis=1)[:, None, None])
 
@@ -380,9 +380,9 @@ def time_table_rows(monkeypatch):
     """Rows of every time table _plane_phase_sum builds, in order."""
     rows = []
 
-    def recording(z, lead):
+    def recording(z, lead, runs):
         rows.append(z.size)
-        return table(z, lead)
+        return table(z, lead, runs)
 
     table = propagator._time_table
     monkeypatch.setattr(propagator, "_time_table", recording)
@@ -400,10 +400,11 @@ def test_symmetric_cell_folds_its_time_table(time_table_rows):
     xv = SpaceGrid(per_axis=32).axis_points()
     t = np.array(TimeGrid.hybrid(4.0).points)
     lead = 1j * t - t ** 0.5
-    folded = _plane_phase_sum(xv, xi, coef, lead, True)
+    runs = propagator._uniform_runs(t)
+    folded = _plane_phase_sum(xv, xi, coef, lead, True, runs)
     assert sum(time_table_rows) == xi.size // 2
     time_table_rows.clear()
-    whole = _plane_phase_sum(xv, xi, coef, lead, False)
+    whole = _plane_phase_sum(xv, xi, coef, lead, False, runs)
     assert sum(time_table_rows) == xi.size
     np.testing.assert_allclose(folded, whole, rtol=1e-14, atol=0.0)
 
@@ -414,10 +415,10 @@ def test_asymmetric_cell_keeps_every_time_table_row(monkeypatch, time_table_rows
     cells = f.factors_by_axis()[0]
     nodes = []
 
-    def spy(pts, xi, coef, lead, even):
+    def spy(pts, xi, coef, lead, even, runs):
         assert not even
         nodes.append(xi.size)
-        return _plane_phase_sum(pts, xi, coef, lead, even)
+        return _plane_phase_sum(pts, xi, coef, lead, even, runs)
 
     monkeypatch.setattr(propagator, "_plane_phase_sum", spy)
     t = np.array([0.01, 0.2, 0.5])
@@ -446,8 +447,9 @@ def test_time_table_on_uniform_times_matches_direct_exponentials(n, gamma):
     z = rng.uniform(-1.0, 1.0, (3, 40))
     t = _uniform_times(n)
     lead = 1j * t - t ** gamma
-    assert (propagator._uniform_runs(t) is None) == (n <= 3)
-    got = propagator._time_table(z, lead)
+    runs = propagator._uniform_runs(t)
+    assert (runs is None) == (n <= 3)
+    got = propagator._time_table(z, lead, runs)
     assert got.shape == (3, 40, n)
     assert np.max(np.abs(got - _direct_time_table(z, lead))) <= 1e-15
 
@@ -462,7 +464,7 @@ def test_time_table_on_other_times_is_the_direct_table(t):
     z = np.random.default_rng(1).uniform(-3.0, 3.0, (2, 40))
     lead = 1j * t - t ** 0.5
     assert propagator._uniform_runs(t) is None
-    assert np.array_equal(propagator._time_table(z, lead), _direct_time_table(z, lead))
+    assert np.array_equal(propagator._time_table(z, lead, None), _direct_time_table(z, lead))
 
 
 def test_time_table_on_uniform_times_takes_two_root_n_exponentials(monkeypatch):
@@ -482,10 +484,31 @@ def test_time_table_on_uniform_times_takes_two_root_n_exponentials(monkeypatch):
     z = np.random.default_rng(2).uniform(-1.0, 1.0, (1, 37))
     t = _uniform_times(512)
     monkeypatch.setattr(propagator, "np", CountingNumpy())
-    table = propagator._time_table(z, 1j * t - t ** 0.5)
+    table = propagator._time_table(z, 1j * t - t ** 0.5, propagator._uniform_runs(t))
     monkeypatch.undo()
     assert table.shape == (1, 37, 512)
     assert 0 < CountingNumpy.complex_entries <= 2 * math.ceil(math.sqrt(512)) * 37
+
+
+def test_each_doubling_loop_takes_its_time_table_route_once(monkeypatch):
+    """The route depends on a loop's time columns alone: one _uniform_runs
+    call per doubling loop, whatever its passes and blocks."""
+    f = Case1Product(ModelParams(d=2, gamma=0.5, R=4.0))
+    cells, _ = f.factors_by_axis()
+    t = np.array(TimeGrid.hybrid(4.0).points)
+    calls = {"loops": 0, "routes": 0, "tables": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name, attr in (("loops", "double_panels"), ("routes", "_uniform_runs"),
+                       ("tables", "_time_table")):
+        monkeypatch.setattr(propagator, attr, counting(name, getattr(propagator, attr)))
+    _cell_matrix(cells, SpaceGrid(per_axis=32).axis_points(), t, t ** 0.5, 1e-9)
+    assert calls["routes"] == calls["loops"] < calls["tables"]
 
 
 @pytest.mark.parametrize("R", [2.0 ** k for k in range(2, 11)])
@@ -511,9 +534,9 @@ def test_cell_rounding_floor_is_the_cell_mass(monkeypatch, f):
     masses = {}
     nodes = []
 
-    def phase_spy(pts, xi, coef, lead, even):
+    def phase_spy(pts, xi, coef, lead, even, runs):
         nodes.append(xi)
-        return _plane_phase_sum(pts, xi, coef, lead, even)
+        return _plane_phase_sum(pts, xi, coef, lead, even, runs)
 
     def loop_spy(*args, mass, **kwargs):
         nodes.clear()
@@ -1005,17 +1028,20 @@ def test_ladder_points_at_four_times_their_times_run_quadrature(monkeypatch, e):
 def test_factorized_factors_vanish_where_their_damping_underflows(monkeypatch, R):
     """Three ladder points at t = c / R for c up to t = 1: every batch returns
     finite moduli, without a warning or QuadratureError, that fall with c.
-    From c = 64 on the damping bound of every factor times its mass has left
-    the normal doubles: the factors are 0 and run no quadrature, which would
-    overflow in exp at c = 1024 and run out of nodes at t = 1."""
+    From c = 19 on the product of the factors' damping bounds times their
+    masses has left the normal doubles, though at 19 and 24 neither bound
+    alone has; from c = 64 on every bound alone has.  The factors are 0
+    and run no quadrature, which would integrate moduli of exactly 0 at
+    c = 19 and 24, overflow in exp at c = 1024 and run out of nodes at
+    t = 1."""
     cp, draws, _ = _ladder_draws(R, 3, seed=0)
     rows = _quadrature_rows(monkeypatch)
     moduli = []
-    for c in (1, 4, 16, 64, 256, 1024, R):
+    for c in (1, 4, 16, 19, 24, 64, 256, 1024, R):
         rows.clear()
         i1, ij, modulus = _factorized_batch(cp, draws.x, np.full(3, c / R))
         assert np.all(np.isfinite(modulus))
-        if c >= 64:
+        if c >= 19:
             assert rows == [] and not np.any(i1) and not np.any(ij)
         moduli.append(modulus)
     assert all(np.all(a >= b) for a, b in zip(moduli, moduli[1:]))
@@ -1254,5 +1280,5 @@ def test_factorized_batch_moduli_do_not_depend_on_the_table_budget(monkeypatch):
     comb into more convergence groups; the moduli stay bit for bit the same."""
     cp, x, t = _ladder_points(2 ** 16, 4096, draws=60000)
     want = _factorized_batch(cp, x, t)[2]
-    monkeypatch.setattr(propagator, "_CHUNK", 4096)
+    monkeypatch.setattr(quadrature, "_CHUNK", 4096)
     assert np.array_equal(_factorized_batch(cp, x, t)[2], want)

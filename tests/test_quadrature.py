@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from schrodmax import quadrature
 from schrodmax.quadrature import (
     QuadratureError,
     double_panels,
     gauss_legendre,
     panel_nodes,
     panels_for_rate,
+    table_blocks,
 )
 
 
@@ -53,6 +55,17 @@ def test_panel_nodes_repeated_rule_is_the_same_frozen_arrays():
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n, width, step", [
+    (0, 7, 9), (1, 1000, 1), (10, 7, 9), (250, 1, 64), (5, 0, 64), (3, 65, 1)])
+def test_table_blocks_hold_the_budget_or_one_item(monkeypatch, n, width, step):
+    """Blocks of 64 // width items, or one, cover range(n) in order."""
+    monkeypatch.setattr(quadrature, "_CHUNK", 64)
+    blocks = list(table_blocks(n, width))
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all(b.stop - b.start == step for b in blocks[:-1])
+    assert all(0 < b.stop - b.start <= step for b in blocks)
 
 
 def test_panels_for_rate_degenerate_width():
